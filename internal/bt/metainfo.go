@@ -37,6 +37,8 @@ type MetaInfo struct {
 	Name     string
 	Length   int64 // file size in bytes
 	PieceLen int   // bytes per piece
+
+	infoHash InfoHash // derived once by NewMetaInfo
 }
 
 // NewMetaInfo builds a torrent descriptor with the given name and length,
@@ -48,13 +50,15 @@ func NewMetaInfo(name string, length int64, pieceLen int) *MetaInfo {
 	if length <= 0 {
 		panic("bt: torrent length must be positive")
 	}
-	return &MetaInfo{Name: name, Length: length, PieceLen: pieceLen}
+	return &MetaInfo{
+		Name: name, Length: length, PieceLen: pieceLen,
+		infoHash: sha1.Sum([]byte(name + "/" + strconv.FormatInt(length, 10) + "/" + strconv.Itoa(pieceLen))),
+	}
 }
 
-// InfoHash derives the torrent's identity from its metadata.
-func (m *MetaInfo) InfoHash() InfoHash {
-	return InfoHash(sha1.Sum([]byte(m.Name + "/" + strconv.FormatInt(m.Length, 10) + "/" + strconv.Itoa(m.PieceLen))))
-}
+// InfoHash returns the torrent's identity, derived from its metadata when
+// the descriptor was built: every handshake sent and checked reads it.
+func (m *MetaInfo) InfoHash() InfoHash { return m.infoHash }
 
 // NumPieces returns the number of pieces in the torrent.
 func (m *MetaInfo) NumPieces() int {

@@ -1,6 +1,9 @@
 package bt
 
-import "testing"
+import (
+	"crypto/sha1"
+	"testing"
+)
 
 func TestMetaInfoGeometry(t *testing.T) {
 	tests := []struct {
@@ -75,6 +78,11 @@ func TestInfoHashIdentity(t *testing.T) {
 	}
 	if len(a.InfoHash().String()) != 40 {
 		t.Errorf("hex infohash length = %d", len(a.InfoHash().String()))
+	}
+	// The stored value is the hash of name/length/pieceLen with the default
+	// piece length already applied: digests carry it, so it must not move.
+	if want := InfoHash(sha1.Sum([]byte("fedora.iso/721420288/262144"))); a.InfoHash() != want {
+		t.Errorf("infohash = %s, want %s", a.InfoHash(), want)
 	}
 }
 

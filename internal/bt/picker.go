@@ -1,6 +1,9 @@
 package bt
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // PickContext carries the state a piece picker decides from.
 type PickContext struct {
@@ -18,13 +21,28 @@ type PickContext struct {
 	Rand *rand.Rand
 }
 
-// eligible reports whether piece i can be requested from this peer.
-func (ctx *PickContext) eligible(i int) bool {
-	return ctx.PeerHas.Has(i) && !ctx.Have.Has(i) && !ctx.Pending.Has(i)
+// eligibleWord returns pieces 64w..64w+63 the peer has that are neither
+// owned nor pending, as a bit mask: PeerHas &^ Have &^ Pending. Bits past a
+// bitfield's length are never set, so maps of unequal length compare as
+// Has does: out of range is false.
+func (ctx *PickContext) eligibleWord(w int) uint64 {
+	m := ctx.PeerHas.bits[w]
+	if w < len(ctx.Have.bits) {
+		m &^= ctx.Have.bits[w]
+	}
+	if w < len(ctx.Pending.bits) {
+		m &^= ctx.Pending.bits[w]
+	}
+	return m
 }
 
 // Picker selects the next piece to fetch from a peer, or -1 if nothing is
 // eligible. Implementations must not mutate the context.
+//
+// The pickers below scan the eligible set a word at a time and visit its
+// set bits in ascending piece order — the order a per-index loop visits
+// them — so each draws from Rand exactly as such a loop would
+// (TestPickerMatchesReference pins piece and generator state).
 type Picker interface {
 	PickPiece(ctx *PickContext) int
 }
@@ -40,21 +58,24 @@ func (RarestFirst) PickPiece(ctx *PickContext) int {
 	best := -1
 	bestAvail := int(^uint(0) >> 1)
 	ties := 0
-	for i := 0; i < ctx.PeerHas.Len(); i++ {
-		if !ctx.eligible(i) {
-			continue
-		}
-		a := 0
-		if i < len(ctx.Avail) {
-			a = ctx.Avail[i]
-		}
-		switch {
-		case a < bestAvail:
-			best, bestAvail, ties = i, a, 1
-		case a == bestAvail:
+	avail, rnd := ctx.Avail, ctx.Rand
+	for w := range ctx.PeerHas.bits {
+		for m := ctx.eligibleWord(w); m != 0; m &= m - 1 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			a := 0
+			if i < len(avail) {
+				a = avail[i]
+			}
+			if a > bestAvail {
+				continue // the common case once a rare piece has been seen
+			}
+			if a < bestAvail {
+				best, bestAvail, ties = i, a, 1
+				continue
+			}
 			// Reservoir-sample among ties for a uniform choice.
 			ties++
-			if ctx.Rand != nil && ctx.Rand.Intn(ties) == 0 {
+			if rnd != nil && rnd.Intn(ties) == 0 {
 				best = i
 			}
 		}
@@ -68,9 +89,9 @@ type Sequential struct{}
 
 // PickPiece implements Picker.
 func (Sequential) PickPiece(ctx *PickContext) int {
-	for i := 0; i < ctx.PeerHas.Len(); i++ {
-		if ctx.eligible(i) {
-			return i
+	for w := range ctx.PeerHas.bits {
+		if m := ctx.eligibleWord(w); m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
 		}
 	}
 	return -1
@@ -83,13 +104,12 @@ type Random struct{}
 func (Random) PickPiece(ctx *PickContext) int {
 	chosen := -1
 	seen := 0
-	for i := 0; i < ctx.PeerHas.Len(); i++ {
-		if !ctx.eligible(i) {
-			continue
-		}
-		seen++
-		if ctx.Rand == nil || ctx.Rand.Intn(seen) == 0 {
-			chosen = i
+	for w := range ctx.PeerHas.bits {
+		for m := ctx.eligibleWord(w); m != 0; m &= m - 1 {
+			seen++
+			if ctx.Rand == nil || ctx.Rand.Intn(seen) == 0 {
+				chosen = w<<6 + bits.TrailingZeros64(m)
+			}
 		}
 	}
 	return chosen

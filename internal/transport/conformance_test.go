@@ -643,3 +643,236 @@ func TestNetAddrsAreVirtual(t *testing.T) {
 		t.Errorf("remote addr = %s, want virtual %s", addrs[1], want)
 	}
 }
+
+// mixedSend is one queued send of the batching tests: a framed message of
+// wire length n, or n raw bytes.
+type mixedSend struct {
+	n   int
+	msg bool
+}
+
+// mixedSends cycles the sizes that stress the batch data path: a raw write
+// shorter than a frame header, one a byte short of it, a message just past
+// it, block-sized and megabyte-sized frames of both kinds. Messages carry
+// wire lengths of at least frameHdr, where both backends count them alike.
+func mixedSends(count int) (sends []mixedSend, total int64) {
+	kinds := []mixedSend{
+		{1, false}, {17, true}, {frameHdr - 1, false}, {16 << 10, true},
+		{1 << 20, false}, {frameHdr, true}, {16 << 10, false}, {1 << 20, true},
+	}
+	for i := 0; i < count; i++ {
+		s := kinds[i%len(kinds)]
+		sends = append(sends, s)
+		total += int64(s.n)
+	}
+	return sends, total
+}
+
+// queueMixed issues every send on c in one loop turn; message i carries Seq i.
+func queueMixed(c Conn, sends []mixedSend) {
+	for i, s := range sends {
+		if s.msg {
+			c.SendMessage(streamMsg{Seq: i}, s.n)
+		} else {
+			c.Write(s.n)
+		}
+	}
+}
+
+// mixedSink records what the receiving side of a batching test observed.
+type mixedSink struct {
+	sends     []mixedSend
+	delivered int64
+	maxInc    int
+	next      int // index into sends of the next message expected
+	msgs      int
+	errs      []string
+	closeErr  error
+	closed    bool
+	atClose   struct { // what had arrived when OnClose fired
+		delivered int64
+		msgs      int
+	}
+}
+
+func (k *mixedSink) bind(c Conn) {
+	c.SetOnDeliver(func(n int) {
+		k.delivered += int64(n)
+		if n > k.maxInc {
+			k.maxInc = n
+		}
+	})
+	c.SetOnMessage(func(v any) {
+		m := v.(streamMsg)
+		for k.next < len(k.sends) && !k.sends[k.next].msg {
+			k.next++
+		}
+		if m.Seq != k.next {
+			k.errs = append(k.errs, fmt.Sprintf("message %d arrived where %d was due", m.Seq, k.next))
+		}
+		// In-order stream: a message cannot overtake the bytes queued
+		// before it, its own included.
+		var due int64
+		for _, s := range k.sends[:m.Seq+1] {
+			due += int64(s.n)
+		}
+		if k.delivered < due {
+			k.errs = append(k.errs, fmt.Sprintf("message %d arrived after %d bytes, %d were queued up to it", m.Seq, k.delivered, due))
+		}
+		k.next = m.Seq + 1
+		k.msgs++
+	})
+	c.SetOnClose(func(err error) {
+		k.atClose.delivered, k.atClose.msgs = k.delivered, k.msgs
+		k.closeErr, k.closed = err, true
+	})
+}
+
+func (k *mixedSink) wantMsgs() int {
+	n := 0
+	for _, s := range k.sends {
+		if s.msg {
+			n++
+		}
+	}
+	return n
+}
+
+// TestConformanceBatchedMixedSizes queues interleaved SendMessage and Write
+// calls of very different sizes in one loop turn. They must arrive in order,
+// the OnDeliver increments must sum to exactly the bytes queued with none
+// above deliverChunk on the net backend, Buffered must return to zero and
+// OnWritable must fire once it has.
+func TestConformanceBatchedMixedSizes(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b backend) {
+		h1, h2 := b.host(1), b.host(2)
+		sends, total := mixedSends(40)
+		sink := &mixedSink{sends: sends}
+		var (
+			queued  int64
+			drained bool
+		)
+		b.do(func() {
+			if _, err := h2.Listen(80, sink.bind); err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			c, err := h1.Dial(h2.Addr(80))
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			c.SetOnWritable(func() {
+				if queued > 0 && c.Buffered() == 0 {
+					drained = true
+				}
+			})
+			c.SetOnEstablished(func() {
+				queueMixed(c, sends)
+				queued = c.Buffered()
+			})
+		})
+		b.wait(t, "everything delivered and the send buffer drained", func() bool {
+			return sink.delivered >= total && sink.msgs == sink.wantMsgs() && drained
+		})
+		b.do(func() {
+			for _, e := range sink.errs {
+				t.Error(e)
+			}
+			if sink.delivered != total {
+				t.Errorf("delivered %d bytes, want exactly %d", sink.delivered, total)
+			}
+			// The sim stack may release megabytes in one step when a
+			// retransmission fills a hole; the net backend promises steps.
+			if b.name() == "net" && sink.maxInc > deliverChunk {
+				t.Errorf("largest OnDeliver increment = %d, above deliverChunk %d", sink.maxInc, deliverChunk)
+			}
+			if queued != total {
+				t.Errorf("Buffered after queueing = %d, want %d", queued, total)
+			}
+		})
+	})
+}
+
+// TestConformanceCloseFlushesQueuedFrames pins that Close does not outrun a
+// deep send queue: every frame queued before it reaches the peer before the
+// peer observes the clean end of stream.
+func TestConformanceCloseFlushesQueuedFrames(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b backend) {
+		h1, h2 := b.host(1), b.host(2)
+		sends, total := mixedSends(24)
+		sink := &mixedSink{sends: sends}
+		b.do(func() {
+			if _, err := h2.Listen(80, sink.bind); err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			c, err := h1.Dial(h2.Addr(80))
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			c.SetOnEstablished(func() {
+				queueMixed(c, sends)
+				c.Close()
+			})
+		})
+		b.wait(t, "peer observed the close", func() bool { return sink.closed })
+		b.do(func() {
+			for _, e := range sink.errs {
+				t.Error(e)
+			}
+			if sink.closeErr != nil {
+				t.Errorf("peer close err = %v, want nil (graceful)", sink.closeErr)
+			}
+			if at := sink.atClose; at.delivered != total || at.msgs != sink.wantMsgs() {
+				t.Errorf("at close the peer had %d of %d bytes and %d of %d messages: close outran queued frames",
+					at.delivered, total, at.msgs, sink.wantMsgs())
+			}
+		})
+	})
+}
+
+// TestConformanceAbortWithQueuedFrames pins Abort against a non-empty send
+// queue: the peer sees an in-order prefix of what was queued (possibly
+// nothing), then ErrReset — never a clean close, never a gap.
+func TestConformanceAbortWithQueuedFrames(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b backend) {
+		h1, h2 := b.host(1), b.host(2)
+		sends, total := mixedSends(24)
+		sink := &mixedSink{sends: sends}
+		var cliClose error
+		b.do(func() {
+			if _, err := h2.Listen(80, sink.bind); err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			c, err := h1.Dial(h2.Addr(80))
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			c.SetOnClose(func(err error) { cliClose = err })
+			c.SetOnEstablished(func() {
+				queueMixed(c, sends)
+				c.Abort()
+			})
+		})
+		b.wait(t, "peer observed the abort", func() bool { return sink.closed })
+		b.do(func() {
+			for _, e := range sink.errs {
+				t.Error(e)
+			}
+			if !errors.Is(sink.closeErr, ErrReset) {
+				t.Errorf("peer close err = %v, want ErrReset", sink.closeErr)
+			}
+			if !errors.Is(cliClose, ErrClosed) {
+				t.Errorf("local close err = %v, want ErrClosed", cliClose)
+			}
+			if sink.delivered > total || sink.msgs > sink.wantMsgs() {
+				t.Errorf("peer got %d bytes and %d messages, more than the %d and %d queued",
+					sink.delivered, sink.msgs, total, sink.wantMsgs())
+			}
+		})
+	})
+}
