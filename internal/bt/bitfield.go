@@ -66,6 +66,21 @@ func (b *Bitfield) Clone() *Bitfield {
 	return c
 }
 
+// hasAnyNotIn reports whether b holds a piece that other lacks — b &^ other
+// is non-empty — a word at a time. Bits past a bitfield's length are never
+// set, so maps of unequal length compare as Has does: out of range is false.
+func (b *Bitfield) hasAnyNotIn(other *Bitfield) bool {
+	for w, m := range b.bits {
+		if w < len(other.bits) {
+			m &^= other.bits[w]
+		}
+		if m != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // SetAll marks every piece present.
 func (b *Bitfield) SetAll() {
 	for i := range b.bits {

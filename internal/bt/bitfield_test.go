@@ -139,3 +139,52 @@ func TestPropertyBitfieldMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refHasAnyNotIn is the per-index loop updateInterest ran before the word
+// scan: two Has calls per piece.
+func refHasAnyNotIn(b, other *Bitfield) bool {
+	for i := 0; i < b.Len(); i++ {
+		if b.Has(i) && !other.Has(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHasAnyNotInMatchesReference pins the word scan behind updateInterest to
+// the per-index loop over random pairs: sizes straddle the word boundary, the
+// two maps may differ in length either way, and the densities include the
+// empty and full maps and the one-piece-missing pair a Have usually sees.
+func TestHasAnyNotInMatchesReference(t *testing.T) {
+	sizes := []int{0, 1, 63, 64, 65, 4096}
+	densities := []float64{0, 0.02, 0.5, 0.98, 1}
+	r := rand.New(rand.NewSource(43))
+	for n := 0; n < 5000; n++ {
+		size := sizes[r.Intn(len(sizes))]
+		otherSize := size
+		if r.Intn(4) == 0 {
+			otherSize = sizes[r.Intn(len(sizes))]
+		}
+		b := randomBitfield(r, size, densities[r.Intn(len(densities))])
+		var other *Bitfield
+		if r.Intn(3) == 0 && otherSize == size {
+			// A superset of b, less at most one piece: the steady state of a
+			// download, where the answer hangs on a single bit.
+			other = b.Clone()
+			for i := 0; i < size; i++ {
+				if r.Intn(2) == 0 {
+					other.Set(i)
+				}
+			}
+			if size > 0 && r.Intn(2) == 0 {
+				other.Clear(r.Intn(size))
+			}
+		} else {
+			other = randomBitfield(r, otherSize, densities[r.Intn(len(densities))])
+		}
+		if got, want := b.hasAnyNotIn(other), refHasAnyNotIn(b, other); got != want {
+			t.Fatalf("pair %d: hasAnyNotIn = %v, reference %v (n=%d other=%d, %v vs %v)",
+				n, got, want, size, otherSize, b, other)
+		}
+	}
+}

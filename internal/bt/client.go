@@ -135,6 +135,9 @@ type Client struct {
 	knownAt map[netem.Addr]int // addr → index in known
 	backoff map[netem.Addr]time.Duration
 	dialing int
+	// connected is maintainConnections' scratch set (connected or just
+	// dialled addresses), cleared per call rather than reallocated.
+	connected map[netem.Addr]bool
 
 	// failedOnce marks pieces whose last verification failed; their next
 	// fetch runs in exclusive (single-source) attribution mode.
@@ -214,6 +217,7 @@ func NewClient(cfg Config) *Client {
 	c.banned = make(map[PeerID]bool)
 	c.knownAt = make(map[netem.Addr]int)
 	c.backoff = make(map[netem.Addr]time.Duration)
+	c.connected = make(map[netem.Addr]bool)
 	c.downTotal = metrics.NewRateEstimator(c.cfg.RateWindow)
 	c.upTotal = metrics.NewRateEstimator(c.cfg.RateWindow)
 	c.chk = choker{client: c}
@@ -414,7 +418,8 @@ func (c *Client) maintainConnections() {
 		return
 	}
 	now := c.engine.Now()
-	connected := make(map[netem.Addr]bool, len(c.peers))
+	connected := c.connected
+	clear(connected)
 	for _, p := range c.peers {
 		connected[p.addr] = true
 	}

@@ -273,13 +273,7 @@ func (p *peerConn) handlePiece(m msgPiece) {
 
 // updateInterest recomputes and, on transitions, announces our interest.
 func (p *peerConn) updateInterest() {
-	want := false
-	for i := 0; i < p.remoteHas.Len(); i++ {
-		if p.remoteHas.Has(i) && !p.client.have.Has(i) {
-			want = true
-			break
-		}
-	}
+	want := p.remoteHas.hasAnyNotIn(p.client.have)
 	if want != p.amInterested {
 		p.amInterested = want
 		if want {

@@ -4,7 +4,8 @@
 // transfer is a *flow* with a rate: the capacity of every pipe (one direction
 // of one access link) is max-min fair-shared among the flows crossing it, and
 // rates are recomputed only when a flow arrives, departs, or a link's
-// capacity changes — never per packet. Bytes still move as the protocol
+// capacity changes — and at most once per delivery tick, however many flows
+// came and went on it. Bytes still move as the protocol
 // layers' real packets (TCP segments, BitTorrent messages): a packet enqueued
 // on a flow is delivered through the existing netem.Deliver continuation when
 // the fluid has pushed its bytes across the bottleneck, so everything above
@@ -76,11 +77,14 @@ type Fabric struct {
 
 	links   map[netem.IP]*Link
 	ips     []netem.IP // attach order; sorted on demand for digests
-	streams map[streamKey]*stream
+	streams []*stream  // creation order; looked up through Link.to / Link.from
 
-	// dirty is the pipe work-queue of the relaxation wave in progress; pipes
-	// whose allocation may be stale are appended and drained FIFO.
+	// dirty is the pipe work-queue of the relaxation wave: pipes whose
+	// allocation may be stale are appended and drained FIFO. While a calendar
+	// tick drains (draining), recompute only queues its seeds here and one
+	// wave runs when the drain ends.
 	dirty      []*pipe
+	draining   bool
 	nextPipeID int
 
 	activeStreams int
@@ -107,8 +111,18 @@ type Fabric struct {
 	// The delivery calendar (quantized mode): buckets maps a grid tick to
 	// the streams due on it. Entries go stale when a stream re-times — the
 	// bucket firing skips any stream whose registered tick moved on.
-	buckets map[int64][]*stream
-	spare   [][]*stream // recycled bucket slices
+	buckets map[int64]*bucket
+	spare   []*bucket // recycled buckets
+}
+
+// bucket is one calendar tick: the streams registered on it and the engine
+// callback that drains them. Buckets are pooled with the callback bound once,
+// so a new tick costs neither a closure nor a list.
+type bucket struct {
+	fab     *Fabric
+	tick    int64
+	streams []*stream
+	fire    func() // b.drain, bound when the bucket is first allocated
 }
 
 // StreamEvent describes a change to one stream, for the flight recorder.
@@ -119,11 +133,14 @@ type StreamEvent struct {
 	Rate     float64 // bytes/second after the event
 }
 
-// maxRelaxVisits bounds the pipes visited by one relaxation wave. The
-// allocation is structurally safe at any cut-off (a stream's rate is the min
-// of its per-pipe grants, and grants on a pipe never sum above its capacity),
-// so stopping early can only leave some rates conservatively low until the
-// next recompute refreshes them.
+// maxRelaxVisits bounds the propagated visits of one relaxation wave: pipes
+// re-queued because a neighbour's grant moved. Past the seeds the allocation
+// is structurally safe at any cut-off (a stream's rate is the min of its
+// per-pipe grants, and grants on a pipe never sum above its capacity), so
+// stopping early can only leave some rates conservatively low until the next
+// recompute refreshes them. The seeds themselves are never cut off: a stream
+// that joined a seed pipe holds no grant there yet, and skipping the pipe
+// would strand it at rate 0 with no delivery armed.
 const maxRelaxVisits = 64
 
 // rateEps is the rate change (bytes/second) below which a new grant is not
@@ -148,9 +165,8 @@ func NewFabric(engine *sim.Engine, net *netem.Network, cfg Config) *Fabric {
 		net:      net,
 		endToEnd: cfg.EndToEnd,
 		quantum:  quantum,
-		buckets:  make(map[int64][]*stream),
+		buckets:  make(map[int64]*bucket),
 		links:    make(map[netem.IP]*Link),
-		streams:  make(map[streamKey]*stream),
 
 		regActive:    engine.Stats().Gauge("flow.active"),
 		regOpened:    engine.Stats().Counter("flow.streams_opened"),
@@ -180,6 +196,11 @@ type Link struct {
 	up, down pipe
 	delay    time.Duration
 	queueCap int
+
+	// The link's streams by the peer's address: to holds the ones it sends
+	// (SendUp, keyed by destination), from the down legs it receives
+	// (SendDown, keyed by source).
+	to, from map[netem.IP]*stream
 }
 
 // NewLink builds a fluid link for the host that will attach at ip. The
@@ -197,7 +218,10 @@ func (f *Fabric) NewLink(ip netem.IP, cfg netem.AccessLinkConfig) *Link {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = netem.DefaultQueueCap
 	}
-	l := &Link{fab: f, ip: ip, delay: cfg.Delay, queueCap: cfg.QueueCap}
+	l := &Link{
+		fab: f, ip: ip, delay: cfg.Delay, queueCap: cfg.QueueCap,
+		to: make(map[netem.IP]*stream), from: make(map[netem.IP]*stream),
+	}
 	l.up = pipe{link: l, id: f.nextPipeID, cap: float64(cfg.UpRate)}
 	l.down = pipe{link: l, id: f.nextPipeID + 1, cap: float64(cfg.DownRate)}
 	f.nextPipeID += 2
@@ -253,16 +277,14 @@ func (l *Link) SendUp(pkt *netem.Packet, deliver netem.Deliver) {
 			path += f.net.PathDelay(pkt.Src.IP, pkt.Dst.IP) + dl.delay
 		}
 	}
-	f.enqueue(streamKey{src: pkt.Src.IP, dst: pkt.Dst.IP, up: true},
-		&l.up, down, pkt, deliver, path, end)
+	f.enqueue(l.to, pkt.Dst.IP, &l.up, down, pkt, deliver, path, end)
 }
 
 // SendDown accepts a packet arriving from the cloud (netem.Medium): the
 // boundary adapter's second half, used when the source was not fluid (or the
 // world is sharded). The continuation is the destination interface.
 func (l *Link) SendDown(pkt *netem.Packet, deliver netem.Deliver) {
-	l.fab.enqueue(streamKey{src: pkt.Src.IP, dst: pkt.Dst.IP, up: false},
-		nil, &l.down, pkt, deliver, l.delay, false)
+	l.fab.enqueue(l.from, pkt.Src.IP, nil, &l.down, pkt, deliver, l.delay, false)
 }
 
 // OnStream registers an observer for stream lifecycle and rate events.
@@ -352,9 +374,10 @@ type stream struct {
 // qLen is the live queue length.
 func (s *stream) qLen() int { return len(s.q) - s.head }
 
-// enqueue admits a packet to its stream, activating the stream (a flow
-// arrival, triggering a rate recompute) when its queue was empty.
-func (f *Fabric) enqueue(key streamKey, up, down *pipe, pkt *netem.Packet, deliver netem.Deliver, path time.Duration, end bool) {
+// enqueue admits a packet to its stream — found in (or added to) the link's
+// per-peer map — activating the stream (a flow arrival, triggering a rate
+// recompute) when its queue was empty.
+func (f *Fabric) enqueue(streams map[netem.IP]*stream, peer netem.IP, up, down *pipe, pkt *netem.Packet, deliver netem.Deliver, path time.Duration, end bool) {
 	f.offered++
 	if (up != nil && up.backlog >= up.link.queueCap) ||
 		(down != nil && down.backlog >= down.link.queueCap) {
@@ -366,13 +389,15 @@ func (f *Fabric) enqueue(key streamKey, up, down *pipe, pkt *netem.Packet, deliv
 		pkt.Release()
 		return
 	}
-	s := f.streams[key]
+	s := streams[peer]
 	if s == nil {
+		key := streamKey{src: pkt.Src.IP, dst: pkt.Dst.IP, up: up != nil}
 		s = &stream{fab: f, key: key, up: up, down: down, tick: -1}
 		if f.quantum <= 0 {
 			s.timer = sim.NewTimer(f.engine, s.fire)
 		}
-		f.streams[key] = s
+		streams[peer] = s
+		f.streams = append(f.streams, s)
 	}
 	if f.checkEnabled && (s.up != up || s.down != down) {
 		panic("flow: stream re-opened across different pipes")
@@ -459,22 +484,37 @@ func (f *Fabric) notify(kind string, s *stream) {
 	}
 }
 
-// recompute runs one relaxation wave: the seed pipes re-share their
-// capacity, and any stream whose rate changed marks its other pipe stale,
-// until the wave settles (or hits the visit bound). This runs only on flow
-// arrival, departure, and capacity change — the fluid model's whole point.
+// recompute marks the seed pipes stale on a flow arrival, departure or
+// capacity change — the fluid model's only rate triggers — and re-shares
+// them at once, unless a calendar tick is draining: everything a drain does
+// (each delivery, the departure it causes, the arrival of the ACK or next
+// segment it provokes) happens at one sim instant, so rates in between would
+// hold for zero time and move no fluid. The drain runs one wave at its end.
+//
+// Σ rates ≤ capacity holds on every pipe while the wave is held: an arrival
+// starts at rate 0 and a departure only removes a rate.
 func (f *Fabric) recompute(seeds ...*pipe) {
-	now := f.engine.Now()
 	for _, p := range seeds {
 		if p != nil && !p.inDirty {
 			p.inDirty = true
 			f.dirty = append(f.dirty, p)
 		}
 	}
-	for i := 0; i < len(f.dirty); i++ {
-		if i >= maxRelaxVisits {
-			break
-		}
+	if !f.draining {
+		f.relax()
+	}
+}
+
+// relax runs one relaxation wave: the stale pipes re-share their capacity,
+// and any stream whose rate changed marks its other pipe stale, until the
+// wave settles (or its propagated visits hit the bound).
+func (f *Fabric) relax() {
+	if len(f.dirty) == 0 {
+		return
+	}
+	now := f.engine.Now()
+	limit := len(f.dirty) + maxRelaxVisits
+	for i := 0; i < len(f.dirty) && i < limit; i++ {
 		p := f.dirty[i]
 		p.inDirty = false
 		f.waterfill(p, now)
@@ -720,34 +760,43 @@ func (s *stream) disarm() {
 // schedule registers a stream on a calendar tick, creating the bucket — and
 // its single engine event — if this tick has no deliveries yet.
 func (f *Fabric) schedule(tick int64, s *stream) {
-	b, ok := f.buckets[tick]
-	if !ok {
+	b := f.buckets[tick]
+	if b == nil {
 		if n := len(f.spare); n > 0 {
-			b = f.spare[n-1][:0]
+			b = f.spare[n-1]
 			f.spare = f.spare[:n-1]
+		} else {
+			b = &bucket{fab: f}
+			b.fire = b.drain
 		}
-		f.engine.ScheduleAt(time.Duration(tick)*f.quantum, func() { f.fireBucket(tick) })
+		b.tick = tick
+		f.buckets[tick] = b
+		f.engine.ScheduleAt(time.Duration(tick)*f.quantum, b.fire)
 	}
-	f.buckets[tick] = append(b, s)
+	b.streams = append(b.streams, s)
 }
 
-// fireBucket drains one calendar tick: every stream still registered on it
-// fires; entries whose stream re-timed or drained since are stale and skip.
-// The bucket is unhooked first, so a stream that becomes due again at this
-// same instant (a zero-latency re-arm during the drain) opens a fresh bucket
-// and a fresh same-instant event rather than mutating the list mid-walk.
-func (f *Fabric) fireBucket(tick int64) {
-	list := f.buckets[tick]
-	delete(f.buckets, tick)
-	for i, s := range list {
-		if s.tick == tick && s.active {
+// drain fires one calendar tick: every stream still registered on it fires;
+// entries whose stream re-timed or drained since are stale and skip. The
+// flow arrivals and departures this causes only mark their pipes stale; one
+// relaxation wave re-shares them all when the list is done. The bucket is
+// unhooked first, so a stream that becomes due again at this same instant (a
+// zero-latency re-arm by that wave) opens a fresh bucket and a fresh
+// same-instant event rather than mutating the list mid-walk.
+func (b *bucket) drain() {
+	f := b.fab
+	delete(f.buckets, b.tick)
+	f.draining = true
+	for i, s := range b.streams {
+		if s.tick == b.tick && s.active {
 			s.fire()
 		}
-		list[i] = nil
+		b.streams[i] = nil
 	}
-	if cap(list) > 0 && len(f.spare) < 64 {
-		f.spare = append(f.spare, list[:0])
-	}
+	f.draining = false
+	f.relax()
+	b.streams = b.streams[:0]
+	f.spare = append(f.spare, b)
 }
 
 // fire drains every packet whose delivery time has been reached — this
@@ -888,14 +937,14 @@ func (f *Fabric) DigestInto(d *check.Digest) {
 		d.Int(l.up.backlog)
 		d.Int(l.down.backlog)
 	}
-	keys := make([]streamKey, 0, f.activeStreams)
-	for k, s := range f.streams {
+	active := make([]*stream, 0, f.activeStreams)
+	for _, s := range f.streams {
 		if s.active {
-			keys = append(keys, k)
+			active = append(active, s)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+	sort.Slice(active, func(i, j int) bool {
+		a, b := active[i].key, active[j].key
 		if a.src != b.src {
 			return a.src < b.src
 		}
@@ -904,8 +953,8 @@ func (f *Fabric) DigestInto(d *check.Digest) {
 		}
 		return a.up && !b.up
 	})
-	for _, k := range keys {
-		s := f.streams[k]
+	for _, s := range active {
+		k := s.key
 		d.U64(uint64(k.src))
 		d.U64(uint64(k.dst))
 		d.Bool(k.up)

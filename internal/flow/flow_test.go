@@ -62,6 +62,14 @@ func (r *rig) send(from, to *netem.Iface, size int) {
 	from.Send(pkt)
 }
 
+// audit fails the test on any fabric invariant violation.
+func (r *rig) audit() {
+	r.t.Helper()
+	r.fab.CheckState(func(invariant, detail string) {
+		r.t.Fatalf("invariant %s violated at %v: %s", invariant, r.eng.Now(), detail)
+	})
+}
+
 func near(t *testing.T, what string, got, want, tol time.Duration) {
 	t.Helper()
 	d := got - want
@@ -401,11 +409,6 @@ func TestCheckStateClean(t *testing.T) {
 		UpRate: 1 * netem.MBps, DownRate: 200 * netem.KBps, Delay: time.Millisecond,
 	})
 	r.fab.SetCheckEnabled(true)
-	audit := func() {
-		r.fab.CheckState(func(invariant, detail string) {
-			t.Fatalf("invariant %s violated: %s", invariant, detail)
-		})
-	}
 	r.eng.Schedule(0, func() {
 		for i := 0; i < 8; i++ {
 			r.send(a1, b, 2000)
@@ -413,10 +416,10 @@ func TestCheckStateClean(t *testing.T) {
 		}
 	})
 	for ms := 1; ms < 300; ms += 7 {
-		r.eng.Schedule(time.Duration(ms)*time.Millisecond, audit)
+		r.eng.Schedule(time.Duration(ms)*time.Millisecond, r.audit)
 	}
 	r.eng.Run()
-	audit()
+	r.audit()
 }
 
 // The same seed replays the same delivery timeline — including jittered
