@@ -19,6 +19,7 @@ type Limiter struct {
 	lastAt  time.Duration
 	queue   []waiter
 	drainEv *sim.Event
+	drainFn func() // l.drain, bound once so re-arming never allocates a closure
 }
 
 type waiter struct {
@@ -39,6 +40,7 @@ func NewLimiter(engine *sim.Engine, rate netem.Rate) *Limiter {
 		lastAt: engine.Now(),
 	}
 	l.tokens = l.burst
+	l.drainFn = l.drain
 	return l
 }
 
@@ -117,7 +119,7 @@ func (l *Limiter) reschedule() {
 			wait = time.Nanosecond
 		}
 	}
-	l.drainEv = l.engine.Schedule(wait, l.drain)
+	l.drainEv = l.engine.Schedule(wait, l.drainFn)
 }
 
 func (l *Limiter) drain() {

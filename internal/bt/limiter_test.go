@@ -87,6 +87,27 @@ func TestLimiterQueueLen(t *testing.T) {
 	}
 }
 
+// TestZeroAllocLimiterRearm pins the bound drain callback: re-arming the drain
+// event for a waiting queue (cancel + schedule, here through SetRate) costs no
+// allocation once the engine's event free-list is warm.
+func TestZeroAllocLimiterRearm(t *testing.T) {
+	e := sim.NewEngine()
+	l := NewLimiter(e, 1*netem.KBps)
+	l.Acquire(64*1024, func() {})
+	l.Acquire(64*1024, func() {})
+	l.SetRate(2 * netem.KBps)
+	allocs := testing.AllocsPerRun(100, func() {
+		l.SetRate(1 * netem.KBps)
+		l.SetRate(2 * netem.KBps)
+	})
+	if allocs != 0 {
+		t.Errorf("limiter re-arm allocates %.1f per op, want 0", allocs)
+	}
+	if l.QueueLen() != 2 {
+		t.Fatalf("QueueLen = %d, want the 2 waiters still queued", l.QueueLen())
+	}
+}
+
 func TestLedger(t *testing.T) {
 	l := NewCreditLedger()
 	if l.Known("x") {

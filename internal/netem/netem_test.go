@@ -3,6 +3,7 @@ package netem
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -148,6 +149,78 @@ func TestTransmitterDropTail(t *testing.T) {
 	}
 	if x.stats.Drops != 1 {
 		t.Errorf("stats.Drops = %d, want 1", x.stats.Drops)
+	}
+}
+
+// TestTransmitterFIFOAcrossCompaction drives a capped transmitter with random
+// bursts against a counting model that knows nothing about the queue slice:
+// every packet is accepted or dropped exactly where drop-tail says, accepted
+// packets leave in arrival order, and the head-indexed FIFO compacts in place
+// without ever growing past the cap.
+func TestTransmitterFIFOAcrossCompaction(t *testing.T) {
+	const queueCap = 5
+	e := sim.NewEngine()
+	x := &transmitter{engine: e, rate: 1000, delay: time.Millisecond, queueCap: queueCap}
+	x.bindStats("netem.test")
+	var delivered, droppedIDs, wantDelivered, wantDropped []int
+	x.dropObs = append(x.dropObs, func(p *Packet, _ DropReason) { droppedIDs = append(droppedIDs, p.Payload.(int)) })
+	deliver := DeliverFunc(func(p *Packet) { delivered = append(delivered, p.Payload.(int)) })
+	rng := rand.New(rand.NewSource(5))
+	next, compactions := 0, 0
+	offer := func() {
+		// The wire is busy whenever an accepted packet is not yet serialized;
+		// the rest of those are waiting behind it.
+		unsent := len(wantDelivered) - int(x.stats.TxPackets)
+		waiting := max(unsent-1, 0)
+		id := next
+		next++
+		switch {
+		case waiting >= queueCap:
+			wantDropped = append(wantDropped, id)
+		case unsent > 0:
+			wantDelivered = append(wantDelivered, id)
+			waiting++
+			if x.qhead > 0 && len(x.queue) == cap(x.queue) {
+				compactions++
+			}
+		default: // idle: straight onto the wire
+			wantDelivered = append(wantDelivered, id)
+		}
+		x.enqueue(&Packet{Size: 100, Payload: id}, deliver) // 100 ms on the wire
+		if got := x.waiting(); got != waiting {
+			t.Fatalf("packet %d: %d waiting, model says %d", id, got, waiting)
+		}
+		x.checkState("netem.test", func(inv, detail string) { t.Fatalf("packet %d: %s: %s", id, inv, detail) })
+	}
+	for at := time.Duration(0); at < 60*time.Second; at += time.Duration(20+rng.Intn(300)) * time.Millisecond {
+		burst := 1 + rng.Intn(4)
+		e.Schedule(at, func() {
+			for ; burst > 0; burst-- {
+				offer()
+			}
+		})
+	}
+	e.Run()
+	if !slices.Equal(delivered, wantDelivered) {
+		t.Errorf("delivered %v\nwant      %v", delivered, wantDelivered)
+	}
+	if !slices.Equal(droppedIDs, wantDropped) {
+		t.Errorf("dropped %v\nwant    %v", droppedIDs, wantDropped)
+	}
+	if len(wantDropped) < 20 || len(wantDelivered) < 200 {
+		t.Errorf("only %d drops and %d deliveries; the run does not exercise the cap", len(wantDropped), len(wantDelivered))
+	}
+	if compactions < 20 {
+		t.Errorf("only %d compactions; the run does not exercise them", compactions)
+	}
+	if cap(x.queue) > 8 {
+		t.Errorf("queue grew to cap %d for at most %d waiting packets: compaction is not reclaiming the dead prefix", cap(x.queue), queueCap)
+	}
+	if got := x.regQueuePeak.Value(); got != queueCap {
+		t.Errorf("queue_peak = %d, want %d (live entries only)", got, queueCap)
+	}
+	if x.inFlight() != 0 || x.waiting() != 0 {
+		t.Errorf("inFlight = %d, waiting = %d after the drain", x.inFlight(), x.waiting())
 	}
 }
 

@@ -34,7 +34,10 @@ type Network struct {
 
 	// hopFree recycles the cloud-crossing continuations scheduled by Deliver,
 	// so routing a packet across the core allocates nothing in steady state.
-	hopFree *cloudHop
+	// cloudLane is the engine's lane for cloudDelay: a crossing that neither
+	// jitter nor a pair override moves off that delay skips the event heap.
+	hopFree   *cloudHop
+	cloudLane *sim.Lane
 
 	// checkEnabled arms the strict data-path assertions (generation-stamp
 	// verification across the cloud crossing); see SetCheckEnabled.
@@ -105,6 +108,7 @@ func NewNetwork(engine *sim.Engine, cfg NetworkConfig) *Network {
 		pairDelay:      make(map[ipPair]time.Duration),
 		blocked:        make(map[ipPair]bool),
 		pool:           newPacketPool(engine.Stats()),
+		cloudLane:      engine.Lane(cfg.CloudDelay),
 		gen:            1,
 		regRouted:      engine.Stats().Counter("netem.packets_routed"),
 		regNoRoute:     engine.Stats().Counter("netem.drops.no_route"),
@@ -416,7 +420,13 @@ func (n *Network) Deliver(pkt *Packet) {
 	}
 	h.pkt = pkt
 	h.gen = pkt.gen
-	n.engine.Schedule(n.delayFor(pkt.Src.IP, pkt.Dst.IP), h.fn)
+	// delayFor runs for every packet, so jitter draws keep their place in
+	// the random stream; only a crossing of exactly cloudDelay is a lane event.
+	if d := n.delayFor(pkt.Src.IP, pkt.Dst.IP); d != n.cloudDelay {
+		n.engine.Schedule(d, h.fn)
+		return
+	}
+	n.cloudLane.Schedule(h.fn)
 }
 
 func (h *cloudHop) run() {

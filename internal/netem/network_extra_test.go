@@ -91,3 +91,67 @@ func TestJitterSpreadsDeliveries(t *testing.T) {
 		}
 	}
 }
+
+// arrival sends one 100-byte packet 1 -> 2 at t=0 and returns when it lands.
+func arrival(t *testing.T, e *sim.Engine, ia *Iface, h *captureHandler) time.Duration {
+	t.Helper()
+	ia.Send(&Packet{Dst: Addr{IP: 2}, Size: 100})
+	e.Run()
+	if len(h.pkts) != 1 {
+		t.Fatal("not delivered")
+	}
+	return e.Now()
+}
+
+// TestCloudHopJitterKeepsItsDraw: a jittered crossing is not a fixed-delay
+// lane event. It takes exactly one draw from the engine's random stream, at
+// Deliver, and lands that much later than the unjittered crossing.
+func TestCloudHopJitterKeepsItsDraw(t *testing.T) {
+	const seed, jitter = 7, 20 * time.Millisecond
+	e0, _, ia0, _, h0 := jitterNet(seed, NetworkConfig{CloudDelay: 10 * time.Millisecond})
+	plain := arrival(t, e0, ia0, h0)
+
+	e, _, ia, _, h := jitterNet(seed, NetworkConfig{CloudDelay: 10 * time.Millisecond, Jitter: jitter})
+	got := arrival(t, e, ia, h)
+	ref := sim.NewEngine(sim.WithSeed(seed)).Rand()
+	draw := time.Duration(ref.Int63n(int64(jitter)))
+	if got != plain+draw {
+		t.Errorf("jittered arrival %v, want %v + draw %v", got, plain, draw)
+	}
+	if a, b := e.Rand().Int63(), ref.Int63(); a != b {
+		t.Errorf("random stream after the crossing is not one draw ahead: next %d, want %d", a, b)
+	}
+	if a, b := e0.Rand().Int63(), sim.NewEngine(sim.WithSeed(seed)).Rand().Int63(); a != b {
+		t.Errorf("unjittered crossing drew from the random stream")
+	}
+}
+
+// TestCloudHopPairDelayBesideLane: with an override on one pair, that pair
+// crosses in the override's time while another pair of the same network keeps
+// the default delay.
+func TestCloudHopPairDelayBesideLane(t *testing.T) {
+	e, n, ia, _, hb := jitterNet(1, NetworkConfig{CloudDelay: 10 * time.Millisecond})
+	hc := &captureHandler{}
+	n.Attach(3, NewAccessLink(e, AccessLinkConfig{UpRate: 1 * MBps, DownRate: 1 * MBps}), hc)
+	n.SetPairDelay(1, 3, 3*time.Millisecond)
+	var atB, atC time.Duration
+	ia.Send(&Packet{Dst: Addr{IP: 2}, Size: 100})
+	ia.Send(&Packet{Dst: Addr{IP: 3}, Size: 100})
+	for e.Step() {
+		if len(hb.pkts) == 1 && atB == 0 {
+			atB = e.Now()
+		}
+		if len(hc.pkts) == 1 && atC == 0 {
+			atC = e.Now()
+		}
+	}
+	// Each packet serializes 0.1 ms up and 0.1 ms down; the second waits
+	// 0.1 ms behind the first on the shared uplink.
+	const ser = 100 * time.Microsecond
+	if want := 10*time.Millisecond + 2*ser; atB != want {
+		t.Errorf("default pair landed at %v, want %v", atB, want)
+	}
+	if want := 3*time.Millisecond + 3*ser; atC != want {
+		t.Errorf("overridden pair landed at %v, want %v", atC, want)
+	}
+}

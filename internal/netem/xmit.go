@@ -24,11 +24,13 @@ type queued struct {
 // pre-bound continuation (the busy flag guarantees one packet on the wire at
 // a time, so its state lives in cur/curAirtime), and the propagation stage —
 // where many packets can be in flight at once — runs on pooled xmitHop
-// continuations.
+// continuations scheduled on the engine's fixed-delay lane for this link's
+// propagation delay, which skips the event heap.
 type transmitter struct {
 	engine   *sim.Engine
 	rate     Rate
 	delay    time.Duration
+	lane     *sim.Lane     // engine.Lane(delay), bound by bindStats
 	overhead time.Duration // fixed per-packet channel-access cost (MAC)
 	queueCap int           // packets; <=0 means unlimited
 
@@ -39,7 +41,11 @@ type transmitter struct {
 	// dropObs observe every discarded packet, in registration order.
 	dropObs []func(pkt *Packet, reason DropReason)
 
+	// queue[qhead:] is the drop-tail FIFO. startNext dequeues by advancing
+	// qhead, not by shifting the slice; the dead prefix is reclaimed when the
+	// FIFO empties, or by compaction when an append would otherwise grow it.
 	queue []queued
+	qhead int
 	busy  bool
 	stats Stats
 
@@ -100,7 +106,7 @@ func (h *xmitHop) run() {
 
 // bindStats attaches the transmitter to the engine's registry under the
 // given medium-class prefix ("netem.wired", "netem.wireless") and binds the
-// serialization-complete continuation.
+// serialization-complete continuation and the propagation lane.
 func (x *transmitter) bindStats(prefix string) {
 	reg := x.engine.Stats()
 	x.regTxPackets = reg.Counter(prefix + ".tx_packets")
@@ -110,35 +116,48 @@ func (x *transmitter) bindStats(prefix string) {
 	x.regAirtime = reg.Counter(prefix + ".airtime_ns")
 	x.regQueuePeak = reg.Gauge(prefix + ".queue_peak")
 	x.onTxDone = x.txDone
+	x.lane = x.engine.Lane(x.delay)
 }
 
 // enqueue admits a packet for transmission, dropping it if the buffer is
 // full. The transmitter owns the packet until it delivers or drops it.
 func (x *transmitter) enqueue(pkt *Packet, deliver Deliver) {
 	x.offered++
-	if x.queueCap > 0 && len(x.queue) >= x.queueCap {
+	if x.queueCap > 0 && x.waiting() >= x.queueCap {
 		x.stats.Drops++
 		x.regOverflow.Inc()
 		x.drop(pkt, DropQueueOverflow)
 		pkt.Release()
 		return
 	}
+	if x.qhead > 0 && len(x.queue) == cap(x.queue) {
+		// Slide the live entries down over the dead prefix and drop the
+		// stale copies left behind them, so append has room again.
+		n := copy(x.queue, x.queue[x.qhead:])
+		clear(x.queue[n:])
+		x.queue, x.qhead = x.queue[:n], 0
+	}
 	x.queue = append(x.queue, queued{pkt: pkt, deliver: deliver})
-	x.regQueuePeak.SetMax(int64(len(x.queue)))
+	x.regQueuePeak.SetMax(int64(x.waiting()))
 	if !x.busy {
 		x.startNext()
 	}
 }
 
+// waiting reports the packets in the FIFO (not the one on the wire).
+func (x *transmitter) waiting() int { return len(x.queue) - x.qhead }
+
 func (x *transmitter) startNext() {
-	if len(x.queue) == 0 {
+	if x.waiting() == 0 {
 		x.busy = false
 		return
 	}
-	item := x.queue[0]
-	copy(x.queue, x.queue[1:])
-	x.queue[len(x.queue)-1] = queued{}
-	x.queue = x.queue[:len(x.queue)-1]
+	item := x.queue[x.qhead]
+	x.queue[x.qhead] = queued{}
+	x.qhead++
+	if x.qhead == len(x.queue) {
+		x.queue, x.qhead = x.queue[:0], 0
+	}
 	x.busy = true
 	x.cur = item
 	x.curAirtime = x.overhead + x.rate.txTime(item.pkt.Size)
@@ -174,7 +193,7 @@ func (x *transmitter) txDone() {
 		h.pkt, h.deliver = item.pkt, item.deliver
 		h.gen = item.pkt.gen
 		x.propInFlight++
-		x.engine.Schedule(x.delay, h.fn)
+		x.lane.Schedule(h.fn)
 	}
 	x.startNext()
 }
@@ -192,7 +211,7 @@ func (x *transmitter) setRate(r Rate) { x.rate = r }
 
 // inFlight reports packets queued or being serialized.
 func (x *transmitter) inFlight() int {
-	n := len(x.queue)
+	n := x.waiting()
 	if x.busy {
 		n++
 	}
@@ -212,14 +231,14 @@ func (x *transmitter) checkState(name string, report func(invariant, detail stri
 			report(name+".wire_pooled", "packet on the wire is parked in the free-list")
 		}
 	}
-	got := x.stats.Drops + x.stats.Corrupted + x.delivered + int64(len(x.queue)) + busy + x.propInFlight
+	got := x.stats.Drops + x.stats.Corrupted + x.delivered + int64(x.waiting()) + busy + x.propInFlight
 	if got != x.offered {
 		report(name+".conservation", "offered "+itoa(x.offered)+
 			" != dropped "+itoa(x.stats.Drops)+" + corrupted "+itoa(x.stats.Corrupted)+
-			" + delivered "+itoa(x.delivered)+" + queued "+itoa(int64(len(x.queue)))+
+			" + delivered "+itoa(x.delivered)+" + queued "+itoa(int64(x.waiting()))+
 			" + wire "+itoa(busy)+" + propagating "+itoa(x.propInFlight))
 	}
-	for _, item := range x.queue {
+	for _, item := range x.queue[x.qhead:] {
 		if item.pkt == nil || item.pkt.pooled {
 			report(name+".queue_pooled", "queued packet is nil or parked in the free-list")
 			break
@@ -237,7 +256,7 @@ func (x *transmitter) digestInto(d *check.Digest) {
 	d.I64(x.stats.TxBytes)
 	d.I64(x.stats.Drops)
 	d.I64(x.stats.Corrupted)
-	d.Int(len(x.queue))
+	d.Int(x.waiting())
 	d.Bool(x.busy)
 }
 

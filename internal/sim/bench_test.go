@@ -39,6 +39,24 @@ func BenchmarkEngineScheduleDepth100(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineLane is the schedule+fire cycle of a fixed-delay lane event
+// against a standing heap of 1,000 pending events: a ring append and pop,
+// with the heap top compared but never sifted.
+func BenchmarkEngineLane(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 1000; i++ {
+		e.Schedule(time.Duration(i+1)*time.Hour, fn)
+	}
+	l := e.Lane(time.Microsecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Schedule(fn)
+		e.Step()
+	}
+}
+
 // BenchmarkEngineTimerChurn measures re-arming a Timer, the cancel +
 // reschedule pattern of TCP retransmission and delayed-ACK timers.
 func BenchmarkEngineTimerChurn(b *testing.B) {

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -33,6 +34,13 @@ type Engine struct {
 	rng     *rand.Rand
 	running bool
 	stopped bool
+
+	// lanes are the fixed-delay FIFOs that bypass the heap (see Lane);
+	// laneMin is the lane whose head is the earliest lane event, nil when
+	// every lane is empty, and lanePending counts the items in all of them.
+	lanes       []*Lane
+	laneMin     *Lane
+	lanePending int
 
 	// reg is the engine's metrics registry; every layer built on this
 	// engine registers its instruments here. The engine's own counters are
@@ -188,7 +196,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
 	e.seq++
 	e.push(ev)
 	e.statsScheduled.Inc()
-	e.statsHeapDepth.SetMax(int64(len(e.queue)))
+	e.statsHeapDepth.SetMax(int64(len(e.queue) + e.lanePending))
 	return ev
 }
 
@@ -213,31 +221,59 @@ func (e *Engine) Cancel(ev *Event) {
 // Step fires the next pending event and advances the clock to it.
 // It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	_, lane, ok := e.next()
+	if !ok {
 		return false
 	}
-	ev := e.pop()
-	ev.expired = true
-	e.now = ev.at
-	fn := ev.fn
-	e.statsFired.Inc()
-	fn()
-	e.release(ev)
+	e.fire(lane)
 	if e.afterStep != nil {
 		e.afterStep()
 	}
 	return true
 }
 
-// Run fires events until the queue is empty or Stop is called.
-func (e *Engine) Run() {
-	e.run(func() bool { return true })
+// next finds the earliest pending event under the (at, seq) order: the heap
+// top or the head of the earliest lane. lane is nil when it is the heap top.
+func (e *Engine) next() (at time.Duration, lane *Lane, ok bool) {
+	lane = e.laneMin
+	if len(e.queue) == 0 {
+		if lane == nil {
+			return 0, nil, false
+		}
+		return lane.headAt, lane, true
+	}
+	top := e.queue[0]
+	if lane != nil && before(lane.headAt, lane.headSeq, top.at, top.seq) {
+		return lane.headAt, lane, true
+	}
+	return top.at, nil, true
 }
+
+// fire runs the event next found: the head of lane, or the heap top when
+// lane is nil.
+func (e *Engine) fire(lane *Lane) {
+	e.statsFired.Inc()
+	if lane != nil {
+		at, fn := lane.pop()
+		e.now = at
+		fn()
+		return
+	}
+	ev := e.pop()
+	ev.expired = true
+	e.now = ev.at
+	fn := ev.fn
+	fn()
+	e.release(ev)
+}
+
+// Run fires events until the queue is empty or Stop is called.
+func (e *Engine) Run() { e.run(math.MaxInt64) }
 
 // RunUntil fires events with timestamps at or before deadline, then sets the
 // clock to deadline. Events scheduled after deadline remain queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	e.run(func() bool { return e.queue[0].at <= deadline })
+	e.run(deadline)
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
@@ -249,7 +285,9 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 // belongs to the next window, so two shards agreeing on a boundary never
 // disagree about which side of it an event fired on.
 func (e *Engine) RunBefore(deadline time.Duration) {
-	e.run(func() bool { return e.queue[0].at < deadline })
+	if deadline > math.MinInt64 {
+		e.run(deadline - 1) // the clock counts whole nanoseconds
+	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
@@ -261,34 +299,28 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 // PeekNext returns the timestamp of the earliest pending event. ok is false
 // when the queue is empty.
 func (e *Engine) PeekNext() (at time.Duration, ok bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
+	at, _, ok = e.next()
+	return at, ok
 }
 
-func (e *Engine) run(cond func() bool) {
+// run fires events with timestamps at or before last until none is left or
+// Stop is called.
+func (e *Engine) run(last time.Duration) {
 	if e.running {
 		panic("sim: Run called re-entrantly from inside an event")
 	}
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 && !e.stopped && cond() {
-		if e.afterStep != nil {
-			e.Step()
-			continue
+	for !e.stopped {
+		at, lane, ok := e.next()
+		if !ok || at > last {
+			break
 		}
-		// Disarmed fast path: the step body is inlined here without the
-		// afterStep dispatch, so runs without -check/-digest pay nothing
-		// for the hook — not even the Step call.
-		ev := e.pop()
-		ev.expired = true
-		e.now = ev.at
-		fn := ev.fn
-		e.statsFired.Inc()
-		fn()
-		e.release(ev)
+		e.fire(lane)
+		if e.afterStep != nil {
+			e.afterStep()
+		}
 	}
 }
 
@@ -296,19 +328,19 @@ func (e *Engine) run(cond func() bool) {
 // Pending events stay queued, so the run can be resumed.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of queued events, on the heap and in lanes.
+func (e *Engine) Pending() int { return len(e.queue) + e.lanePending }
 
 // String describes the engine state, for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now: %v, pending: %d}", e.now, len(e.queue))
+	return fmt.Sprintf("sim.Engine{now: %v, pending: %d}", e.now, e.Pending())
 }
 
 // CheckInvariants verifies the scheduler's internal invariants — heap
-// ordering, index coherence, and that no pending event predates the clock —
-// reporting each failure as report(invariant, detail). The engine validates
-// itself so the invariant checker (internal/check) needs no access to the
-// unexported heap; sim has no dependency on that package.
+// ordering, index coherence, lane ordering, and that no pending event predates
+// the clock — reporting each failure as report(invariant, detail). The engine
+// validates itself so the invariant checker (internal/check) needs no access
+// to the unexported heap; sim has no dependency on that package.
 func (e *Engine) CheckInvariants(report func(invariant, detail string)) {
 	for i, ev := range e.queue {
 		if ev.index != i {
@@ -327,6 +359,7 @@ func (e *Engine) CheckInvariants(report func(invariant, detail string)) {
 			}
 		}
 	}
+	e.checkLanes(report)
 }
 
 // release clears an expired event and parks it for reuse. The free list is
@@ -337,14 +370,17 @@ func (e *Engine) release(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// eventLess orders the heap by (at, seq): earliest deadline first, ties
-// broken by scheduling order.
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// before is the firing order of all pending events, heap and lanes alike:
+// earliest deadline first, ties broken by scheduling order.
+func before(at1 time.Duration, seq1 uint64, at2 time.Duration, seq2 uint64) bool {
+	if at1 != at2 {
+		return at1 < at2
 	}
-	return a.seq < b.seq
+	return seq1 < seq2
 }
+
+// eventLess orders the heap by (at, seq).
+func eventLess(a, b *Event) bool { return before(a.at, a.seq, b.at, b.seq) }
 
 func (e *Engine) push(ev *Event) {
 	e.queue = append(e.queue, ev)

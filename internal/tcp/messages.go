@@ -63,11 +63,16 @@ func (c *Conn) stashMsgs(msgs []AppMessage) {
 	}
 }
 
-// fireMsgs delivers messages whose bytes have arrived in order.
+// fireMsgs delivers messages whose bytes have arrived in order. The queue is
+// a few entries long and pops by copying down, not by reslicing from the
+// front, so stashMsgs keeps appending into the same backing array. The pop is
+// complete before OnMessage runs, which may re-enter.
 func (c *Conn) fireMsgs() {
 	for len(c.rcvdMsgs) > 0 && c.rcvdMsgs[0].End <= c.rcvNxt {
 		m := c.rcvdMsgs[0]
-		c.rcvdMsgs = c.rcvdMsgs[1:]
+		n := copy(c.rcvdMsgs, c.rcvdMsgs[1:])
+		c.rcvdMsgs[n] = AppMessage{}
+		c.rcvdMsgs = c.rcvdMsgs[:n]
 		c.firedThrough = m.End
 		if c.OnMessage != nil && !c.closed {
 			c.OnMessage(m.Val)

@@ -196,3 +196,64 @@ func TestStashMsgsDedupes(t *testing.T) {
 		t.Errorf("stale message was stashed")
 	}
 }
+
+// TestZeroAllocStashFireCycle pins the receive-side framing queue: a steady
+// stash -> fire cycle reuses the queue's backing array (fireMsgs pops by
+// copy-down), so it allocates nothing per message.
+func TestZeroAllocStashFireCycle(t *testing.T) {
+	c := &Conn{}
+	fired := 0
+	c.OnMessage = func(any) { fired++ }
+	val := any("m")
+	seg := make([]AppMessage, 2)
+	cycle := func() {
+		// Two messages in one segment, then a third arriving out of order
+		// ahead of the bytes that complete it.
+		seg[0] = AppMessage{End: c.rcvNxt + 100, Val: val}
+		seg[1] = AppMessage{End: c.rcvNxt + 250, Val: val}
+		c.stashMsgs(seg)
+		c.stashMsgs(seg[:1]) // retransmitted duplicate
+		c.rcvNxt += 100
+		c.fireMsgs()
+		c.rcvNxt += 150
+		c.fireMsgs()
+	}
+	cycle()
+	allocs := testing.AllocsPerRun(100, cycle)
+	if allocs != 0 {
+		t.Errorf("stash->fire cycle allocates %.1f per op, want 0", allocs)
+	}
+	if fired != 2*102 {
+		t.Errorf("fired = %d messages, want %d", fired, 2*102)
+	}
+	if len(c.rcvdMsgs) != 0 {
+		t.Errorf("rcvdMsgs = %v after the last fire, want empty", c.rcvdMsgs)
+	}
+}
+
+// TestFireMsgsPopsBeforeReentry: OnMessage may feed the connection again; the
+// fired message must already be off the queue and its slot cleared.
+func TestFireMsgsPopsBeforeReentry(t *testing.T) {
+	c := &Conn{}
+	var got []any
+	c.OnMessage = func(v any) {
+		got = append(got, v)
+		if v == "a" {
+			if len(c.rcvdMsgs) != 1 || c.rcvdMsgs[0].Val != "b" {
+				t.Errorf("queue inside OnMessage(a) = %v, want only b", c.rcvdMsgs)
+			}
+			c.stashMsgs([]AppMessage{{End: 300, Val: "c"}})
+			c.rcvNxt = 300
+			c.fireMsgs()
+		}
+	}
+	c.stashMsgs([]AppMessage{{End: 100, Val: "a"}, {End: 200, Val: "b"}})
+	c.rcvNxt = 200
+	c.fireMsgs()
+	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+		t.Errorf("fired %v, want [a b c]", got)
+	}
+	if full := c.rcvdMsgs[:cap(c.rcvdMsgs)]; len(c.rcvdMsgs) != 0 || full[0].Val != nil || full[1].Val != nil {
+		t.Errorf("vacated slots not cleared: %v", full)
+	}
+}
