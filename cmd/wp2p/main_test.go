@@ -1,0 +1,262 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+const (
+	repoRoot     = "../.."
+	fig4aSpec    = repoRoot + "/examples/scenarios/fig4a.json"
+	fig4aGolden  = repoRoot + "/internal/experiments/testdata/fig4a_scale005.digest"
+	anExperiment = "fig2bc" // the cheapest registry experiment
+)
+
+// wp2p runs the program in-process and returns its exit status and output.
+func wp2p(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// simulated reports whether any world ran: every printer ends a result with
+// a "completed in" (run, scenario) or "done" (figures) line.
+func simulated(stdout, stderr string) bool {
+	return strings.Contains(stdout, "completed in") || strings.Contains(stderr, "done ")
+}
+
+var timingLine = regexp.MustCompile(`(?m)^\[.* completed in .*\]\n`)
+
+func TestDigestMatchesGolden(t *testing.T) {
+	digest := filepath.Join(t.TempDir(), "fig4a.digest")
+	code, stdout, stderr := wp2p("run", "-scale", "0.05", "-digest", digest, "fig4a")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stdout, "[wrote digest stream "+digest+"]") {
+		t.Errorf("stdout does not announce the digest file:\n%s", stdout)
+	}
+	got, err := os.ReadFile(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(fig4aGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("run -scale 0.05 -digest fig4a differs from the golden %s", fig4aGolden)
+	}
+}
+
+// TestRunMatchesScenario is the CLI-level twin of TestFig4aEquivalence: the
+// declarative fig4a prints the numbers the hardcoded figure prints.
+func TestRunMatchesScenario(t *testing.T) {
+	rows := func(args ...string) string {
+		code, stdout, stderr := wp2p(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr:\n%s", args, code, stderr)
+		}
+		var keep []string
+		for _, line := range strings.Split(stdout, "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0][0] >= '0' && f[0][0] <= '9' {
+				keep = append(keep, strings.Join(f, " "))
+			}
+		}
+		if len(keep) == 0 {
+			t.Fatalf("%v printed no data rows:\n%s", args, stdout)
+		}
+		return strings.Join(keep, "\n")
+	}
+	hard := rows("run", "-scale", "0.05", "fig4a")
+	decl := rows("scenario", "-scale", "0.05", fig4aSpec)
+	if hard != decl {
+		t.Errorf("data rows differ:\nrun fig4a:\n%s\nscenario fig4a.json:\n%s", hard, decl)
+	}
+}
+
+func TestParallelInvariance(t *testing.T) {
+	out := func(parallel string) string {
+		code, stdout, stderr := wp2p("run", "-scale", "0.05", "-parallel", parallel, "-stats", "fig2bc", "fig9ab", "ext-gnutella")
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d, stderr:\n%s", parallel, code, stderr)
+		}
+		if !timingLine.MatchString(stdout) {
+			t.Fatalf("-parallel %s printed no timing line:\n%s", parallel, stdout)
+		}
+		return timingLine.ReplaceAllString(stdout, "")
+	}
+	if p1, p4 := out("1"), out("4"); p1 != p4 {
+		t.Errorf("stdout differs between -parallel 1 and 4:\n--- 1\n%s\n--- 4\n%s", p1, p4)
+	}
+}
+
+// TestRejectedBeforeAnyWorld pins fail-fast: a command line that cannot
+// succeed exits with its documented status before anything is simulated.
+func TestRejectedBeforeAnyWorld(t *testing.T) {
+	dir := t.TempDir()
+	// A path under a regular file can be neither created nor mkdir'd.
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(blocker, "x")
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		msg  string // must appear on stderr
+	}{
+		{"no subcommand", nil, 2, "usage: wp2p"},
+		{"unknown subcommand", []string{"simulate"}, 2, `unknown subcommand "simulate"`},
+		{"unknown flag", []string{"run", "-transport", "net"}, 2, "not defined: -transport"},
+		{"unknown experiment", []string{"run", "-scale", "0.05", anExperiment, "fig99"}, 1, `unknown experiment "fig99" (try -list)`},
+		{"bad fidelity", []string{"run", "-scale", "0.05", "-fidelity", "bogus", anExperiment}, 1, `unknown -fidelity "bogus"`},
+		{"bad fidelity (scenario)", []string{"scenario", "-scale", "0.05", "-fidelity", "bogus", fig4aSpec}, 1, `unknown -fidelity "bogus"`},
+		{"no scenario file", []string{"scenario", "-scale", "0.05"}, 2, "usage: wp2p scenario"},
+		{"missing scenario file", []string{"scenario", "-scale", "0.05", fig4aSpec, filepath.Join(dir, "none.json")}, 1, "none.json"},
+		{"bad sweep", []string{"scenario", "-sweep", "nonsense", fig4aSpec}, 2, "-sweep"},
+		{"figures with an argument", []string{"figures", "-scale", "0.05", "fig4a"}, 2, "unexpected argument"},
+		{"barrierprofile without shards", []string{"run", "-scale", "0.05", "-barrierprofile", anExperiment}, 2, "-barrierprofile needs -shards"},
+		{"sample-every without timeseries", []string{"run", "-scale", "0.05", "-sample-every", "1s", anExperiment}, 2, "-sample-every needs -timeseries"},
+		{"digestevery without digest", []string{"scenario", "-scale", "0.05", "-digestevery", "64", fig4aSpec}, 2, "-digestevery needs -digest"},
+		{"tracecap without trace", []string{"run", "-scale", "0.05", "-tracecap", "16", anExperiment}, 2, "-tracecap needs -trace"},
+		{"unwritable digest", []string{"run", "-scale", "0.05", "-digest", bad, anExperiment}, 1, bad},
+		{"unwritable timeseries", []string{"scenario", "-scale", "0.05", "-timeseries", bad, fig4aSpec}, 1, bad},
+		{"unwritable json dir", []string{"run", "-scale", "0.05", "-json", bad, anExperiment}, 1, blocker},
+		{"unwritable memprofile", []string{"run", "-scale", "0.05", "-memprofile", bad, anExperiment}, 1, bad},
+		{"unwritable report", []string{"figures", "-scale", "0.05", "-o", bad}, 1, bad},
+		{"live takes no simulation flags", []string{"live", "-check"}, 2, "not defined: -check"},
+		{"live unwritable cpuprofile", []string{"live", "-cpuprofile", bad}, 1, bad},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := wp2p(tc.args...)
+			if code != tc.code {
+				t.Errorf("exit %d, want %d; stderr:\n%s", code, tc.code, stderr)
+			}
+			if !strings.Contains(stderr, tc.msg) {
+				t.Errorf("stderr does not contain %q:\n%s", tc.msg, stderr)
+			}
+			if simulated(stdout, stderr) || strings.Contains(stdout, "live swarm") {
+				t.Errorf("something ran before the rejection:\n%s%s", stdout, stderr)
+			}
+		})
+	}
+}
+
+func TestLiveSwarmWritesProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	code, stdout, stderr := wp2p("live", "-scale", "0.25", "-leeches", "2", "-cpuprofile", prof)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "all leeches complete") {
+		t.Errorf("swarm did not report completion:\n%s", stdout)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Errorf("no CPU profile written: %v, %v", fi, err)
+	}
+}
+
+func TestOutputsAndObservers(t *testing.T) {
+	dir := t.TempDir()
+	ts, mem, jsonDir := filepath.Join(dir, "t.json"), filepath.Join(dir, "heap.prof"), filepath.Join(dir, "json")
+	code, stdout, stderr := wp2p("run", "-scale", "0.05", "-shards", "2", "-barrierprofile", "-check",
+		"-timeseries", ts, "-memprofile", mem, "-json", jsonDir, "-trace", "bt=*", "-tracecap", "8", "fig4a")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"barrier profile", "[wrote timeseries " + ts + "]", "[wrote " + filepath.Join(jsonDir, "fig4a.json") + "]"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+	if stderr == "" {
+		t.Error("-trace dumped nothing to stderr")
+	}
+	for _, path := range []string{ts, mem, filepath.Join(jsonDir, "fig4a.json")} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s missing or empty: %v", path, err)
+		}
+	}
+}
+
+func TestFiguresReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all 16 experiments")
+	}
+	report := filepath.Join(t.TempDir(), "r.md")
+	code, stdout, stderr := wp2p("figures", "-scale", "0.03", "-o", report)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if stdout != "" {
+		t.Errorf("-o left output on stdout:\n%s", stdout)
+	}
+	md, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(md), "\n## "); n != 16 {
+		t.Errorf("report has %d sections, want 16", n)
+	}
+	if !strings.HasPrefix(string(md), "# Reproduced figures (scale 0.03)\n\nGenerated by `wp2p figures -scale 0.03`.") {
+		t.Errorf("unexpected report header:\n%.200s", md)
+	}
+}
+
+func TestScenarioValidate(t *testing.T) {
+	files, err := filepath.Glob(repoRoot + "/examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no bundled scenarios: %v", err)
+	}
+	code, stdout, stderr := wp2p(append([]string{"scenario", "-validate"}, files...)...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if n := strings.Count(stdout, ": ok — "); n != len(files) {
+		t.Errorf("%d ok lines for %d files:\n%s", n, len(files), stdout)
+	}
+	want := fig4aSpec + ": ok — fig4a-scenario (bt, sweep ×5, 2 peer groups)\n"
+	if !strings.Contains(stdout, want) {
+		t.Errorf("stdout lacks %q:\n%s", want, stdout)
+	}
+	if simulated(stdout, stderr) {
+		t.Errorf("-validate ran something:\n%s", stdout)
+	}
+}
+
+// TestSharedFlagsRegisteredOnce: each simulated subcommand's -h lists every
+// shared flag exactly once, and live lists only the ones that apply to it.
+func TestSharedFlagsRegisteredOnce(t *testing.T) {
+	shared := []string{"scale", "parallel", "shards", "fidelity", "stats", "json", "check", "digest",
+		"digestevery", "timeseries", "sample-every", "barrierprofile", "cpuprofile", "memprofile", "trace", "tracecap"}
+	count := func(help, name string) int {
+		return len(regexp.MustCompile(`(?m)^  -`+regexp.QuoteMeta(name)+`( |$)`).FindAllString(help, -1))
+	}
+	for _, sub := range []string{"run", "figures", "scenario"} {
+		code, _, help := wp2p(sub, "-h")
+		if code != 0 {
+			t.Errorf("%s -h: exit %d", sub, code)
+		}
+		for _, name := range shared {
+			if n := count(help, name); n != 1 {
+				t.Errorf("%s -h lists -%s %d times", sub, name, n)
+			}
+		}
+	}
+	_, _, help := wp2p("live", "-h")
+	for _, name := range shared {
+		want := 0
+		if name == "scale" || name == "cpuprofile" || name == "memprofile" {
+			want = 1
+		}
+		if n := count(help, name); n != want {
+			t.Errorf("live -h lists -%s %d times, want %d", name, n, want)
+		}
+	}
+}

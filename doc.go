@@ -8,5 +8,6 @@
 // See README.md for a tour, DESIGN.md for the system inventory and
 // modelling decisions, and EXPERIMENTS.md for paper-vs-measured results.
 // The library lives under internal/; the runnable entry points are
-// cmd/wp2p-sim, cmd/wp2p-figures, and the programs under examples/.
+// cmd/wp2p (subcommands run, figures, scenario and live), the benchmark
+// under benchmark/, and the programs under examples/.
 package wp2p

@@ -26,7 +26,7 @@ func TestFiguresCleanUnderInvariants(t *testing.T) {
 	for _, id := range []string{"fig2a", "fig4a"} {
 		t.Run(id, func(t *testing.T) {
 			withChecking(t, false)
-			res := Registry(0.05)[id]()
+			res := Registry(0.05, RegistryOptions{})[id]()
 			if res == nil || len(res.Series) == 0 {
 				t.Fatalf("%s produced no result under -check", id)
 			}
@@ -48,7 +48,7 @@ func TestDigestsIdenticalAcrossParallelism(t *testing.T) {
 	capture := func(workers int) []byte {
 		withChecking(t, true)
 		runner.SetWorkers(workers)
-		Registry(0.05)["fig2a"]()
+		Registry(0.05, RegistryOptions{})["fig2a"]()
 		var buf bytes.Buffer
 		if err := WriteDigests(&buf); err != nil {
 			t.Fatal(err)

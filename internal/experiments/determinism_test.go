@@ -22,9 +22,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, id := range sample {
 		t.Run(id, func(t *testing.T) {
 			runner.SetWorkers(1)
-			seq := Registry(scale)[id]()
+			seq := Registry(scale, RegistryOptions{})[id]()
 			runner.SetWorkers(4)
-			par := Registry(scale)[id]()
+			par := Registry(scale, RegistryOptions{})[id]()
 			if !reflect.DeepEqual(seq.Series, par.Series) {
 				t.Errorf("parallel series diverged from sequential:\nseq: %+v\npar: %+v",
 					seq.Series, par.Series)

@@ -152,13 +152,9 @@ type RegistryOptions struct {
 }
 
 // Registry maps experiment ids to runners built with the given scale
-// (1.0 = paper-faithful sizes, smaller = faster benchmark-friendly runs).
-func Registry(scale float64) map[string]Runner {
-	return RegistryOpts(scale, RegistryOptions{})
-}
-
-// RegistryOpts is Registry with execution options.
-func RegistryOpts(scale float64, opts RegistryOptions) map[string]Runner {
+// (1.0 = paper-faithful sizes, smaller = faster benchmark-friendly runs)
+// and execution options; the zero RegistryOptions is the default.
+func Registry(scale float64, opts RegistryOptions) map[string]Runner {
 	if scale <= 0 {
 		scale = 1
 	}

@@ -26,7 +26,7 @@ func captureTimeseries(t *testing.T, id string, workers, shards int) []byte {
 	withTelemetry(t, telemetry.Config{Every: 10 * time.Second})
 	prev := runner.SetWorkers(workers)
 	defer runner.SetWorkers(prev)
-	RegistryOpts(0.05, RegistryOptions{Shards: shards})[id]()
+	Registry(0.05, RegistryOptions{Shards: shards})[id]()
 	var buf bytes.Buffer
 	if err := WriteTimeseries(&buf); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestTimeseriesExportParses(t *testing.T) {
 func TestBarrierProfileAggregation(t *testing.T) {
 	EnableBarrierProfile()
 	t.Cleanup(DisableBarrierProfile)
-	RegistryOpts(0.05, RegistryOptions{Shards: 2})["fig4a"]()
+	Registry(0.05, RegistryOptions{Shards: 2})["fig4a"]()
 	bp := BarrierProfileAggregate()
 	if bp == nil {
 		t.Fatal("no barrier profile collected from a sharded run")
@@ -128,7 +128,7 @@ func TestBarrierProfileAggregation(t *testing.T) {
 	// Profiling must not leak into unsharded runs.
 	DisableBarrierProfile()
 	EnableBarrierProfile()
-	Registry(0.05)["fig2a"]()
+	Registry(0.05, RegistryOptions{})["fig2a"]()
 	if BarrierProfileAggregate() != nil {
 		t.Error("single-engine run produced a barrier profile")
 	}

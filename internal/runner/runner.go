@@ -10,7 +10,7 @@
 // sequential one.
 //
 // The pool size defaults to runtime.GOMAXPROCS(0) and can be overridden
-// globally with SetWorkers (the -parallel flag of wp2p-sim) or per call
+// globally with SetWorkers (the -parallel flag of cmd/wp2p) or per call
 // with the *Workers variants. A size of 1 runs everything inline on the
 // caller's goroutine.
 package runner

@@ -160,7 +160,7 @@ func TestSampledSeriesMonotone(t *testing.T) {
 }
 
 // TestValidateExamples keeps the bundled library loadable — the same check
-// CI runs via tools/validate-scenario.
+// CI runs via `wp2p scenario -validate`.
 func TestValidateExamples(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(examplesDir, "*.json"))
 	if err != nil || len(files) == 0 {

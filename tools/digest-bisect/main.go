@@ -1,6 +1,6 @@
 // Command digest-bisect compares two wp2p.digest.v1 determinism-digest
-// streams (see internal/check, and the -digest flag on wp2p-sim /
-// wp2p-figures / wp2p-scenario) and localizes the first diverging digest
+// streams (see internal/check, and the -digest flag of wp2p run, figures
+// and scenario) and localizes the first diverging digest
 // window. Two same-seed runs of a deterministic simulation must produce
 // byte-identical digests; when they do not, the divergence point bounds
 // where nondeterminism (or a behaviour change) entered the event stream.

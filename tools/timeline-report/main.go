@@ -1,6 +1,6 @@
 // Command timeline-report renders a wp2p.timeseries.v1 export (see
-// internal/telemetry; produced by the -timeseries flag of wp2p-sim,
-// wp2p-figures, wp2p-scenario, and wp2p-bench) as a human-readable
+// internal/telemetry; produced by the -timeseries flag of wp2p run,
+// figures and scenario) as a human-readable
 // timeline: one sparkline row per metric over the shared sim-time axis,
 // with scenario fault-schedule annotations listed against it.
 //

@@ -1,10 +1,10 @@
 // Command validate-result structurally validates wp2p.result.v1 JSON files
-// exported by wp2p-sim/wp2p-figures -json. It is the CI gate that keeps the
-// exported schema honest beyond the byte-level golden test: every file must
-// carry the expected schema tag, a non-empty id, well-formed series (equal
-// x/y lengths), and an internally consistent stats snapshot (histogram
-// counts equal to the sum of their bucket counts, bucket slices one longer
-// than their bounds).
+// exported by the -json flag of wp2p run, figures and scenario. It is the
+// CI gate that keeps the exported schema honest beyond the byte-level golden
+// test: every file must carry the expected schema tag, a non-empty id,
+// well-formed series (equal x/y lengths), and an internally consistent stats
+// snapshot (histogram counts equal to the sum of their bucket counts, bucket
+// slices one longer than their bounds).
 //
 // Usage:
 //
