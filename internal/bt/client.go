@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/wp2p/wp2p/internal/metrics"
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/ordset"
 	"github.com/wp2p/wp2p/internal/sim"
@@ -80,7 +79,7 @@ func (c *Config) withDefaults() Config {
 		out.RequestTimeout = 45 * time.Second
 	}
 	if out.RateWindow == 0 {
-		out.RateWindow = metrics.DefaultRateWindow
+		out.RateWindow = DefaultRateWindow
 	}
 	if out.DialBackoff == 0 {
 		out.DialBackoff = 45 * time.Second
@@ -156,8 +155,8 @@ type Client struct {
 	bytesHave   int64
 	downloaded  int64
 	uploaded    int64
-	downTotal   *metrics.RateEstimator
-	upTotal     *metrics.RateEstimator
+	downTotal   *RateEstimator
+	upTotal     *RateEstimator
 	completedAt time.Duration
 	restarts    int
 
@@ -218,8 +217,8 @@ func NewClient(cfg Config) *Client {
 	c.knownAt = make(map[netem.Addr]int)
 	c.backoff = make(map[netem.Addr]time.Duration)
 	c.connected = make(map[netem.Addr]bool)
-	c.downTotal = metrics.NewRateEstimator(c.cfg.RateWindow)
-	c.upTotal = metrics.NewRateEstimator(c.cfg.RateWindow)
+	c.downTotal = NewRateEstimator(c.cfg.RateWindow)
+	c.upTotal = NewRateEstimator(c.cfg.RateWindow)
 	c.chk = choker{client: c}
 	c.reg.bind(c.engine.Stats())
 
@@ -859,38 +858,4 @@ func (c *Client) sweep() {
 		c.refillAll()
 	}
 	c.maintainConnections()
-}
-
-// DebugPeers summarizes wire and transport state of every connection, for
-// diagnostics.
-func (c *Client) DebugPeers() string {
-	s := ""
-	for _, p := range c.peers {
-		connState := "n/a"
-		if d, ok := p.conn.(transport.ConnDebug); ok {
-			connState = d.DebugState()
-		}
-		s += fmt.Sprintf("[%s in=%v amI=%v pChk=%v amChk=%v pInt=%v reqOut=%d rx=%d conn{%s}]",
-			p.id, p.inbound, p.amInterested, p.peerChoking, p.amChoking, p.peerInterested,
-			p.requestsOut.Len(), p.piecesRcvd, connState)
-	}
-	if s == "" {
-		s = "(no peers)"
-	}
-	return s
-}
-
-// DebugPeerStats summarizes transport counters of every connection.
-func (c *Client) DebugPeerStats() string {
-	s := ""
-	for _, p := range c.peers {
-		cs, ok := p.conn.(transport.ConnStats)
-		if !ok {
-			continue // real-socket backend: no modelled TCP counters
-		}
-		st := cs.Stats()
-		s += fmt.Sprintf("[%s pure=%d piggy=%d dupTx=%d dupRx=%d rtx=%d fast=%d rto=%d]",
-			p.id[14:], st.PureAcksSent, st.PiggybackedAcks, st.DupAcksSent, st.DupAcksRcvd, st.Retransmits, st.FastRetransmits, st.Timeouts)
-	}
-	return s
 }

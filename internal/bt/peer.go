@@ -3,7 +3,6 @@ package bt
 import (
 	"time"
 
-	"github.com/wp2p/wp2p/internal/metrics"
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/ordset"
 	"github.com/wp2p/wp2p/internal/transport"
@@ -34,8 +33,8 @@ type peerConn struct {
 
 	remoteHas *Bitfield
 
-	upRate   *metrics.RateEstimator // payload bytes we sent to this peer
-	downRate *metrics.RateEstimator // payload bytes received from this peer
+	upRate   *RateEstimator // payload bytes we sent to this peer
+	downRate *RateEstimator // payload bytes received from this peer
 
 	// requestsOut tracks blocks we have asked this peer for, in request
 	// order — the deterministic iteration returnRequests and the stale
@@ -71,8 +70,8 @@ func newPeerConn(c *Client, conn transport.Conn, addr netem.Addr, inbound bool) 
 		amChoking:   true,
 		peerChoking: true,
 		remoteHas:   NewBitfield(c.torrent.NumPieces()),
-		upRate:      metrics.NewRateEstimator(c.cfg.RateWindow),
-		downRate:    metrics.NewRateEstimator(c.cfg.RateWindow),
+		upRate:      NewRateEstimator(c.cfg.RateWindow),
+		downRate:    NewRateEstimator(c.cfg.RateWindow),
 		cancelled:   make(map[blockRef]bool),
 		connectedAt: c.engine.Now(),
 	}

@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"strings"
 	"testing"
+	"time"
 
+	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/runner"
 )
 
@@ -68,5 +74,68 @@ func TestDigestsIdenticalAcrossParallelism(t *testing.T) {
 	}
 	if !bytes.Equal(seq, again) {
 		t.Error("digest stream differs between repeated same-seed runs")
+	}
+}
+
+// alwaysBroken is a registered component whose invariant never holds.
+type alwaysBroken struct{}
+
+func (alwaysBroken) CheckState(report func(invariant, detail string)) {
+	report("test.always_broken", "1 != 2")
+}
+
+// TestViolationDumpsRecorderTailAndPanicsWithSeed drives World.onViolation
+// end to end: a traced, checked world with a broken component must dump its
+// flight-recorder tail to stderr and die naming the seed — on the
+// single-engine path and through a sharded world's worker goroutines, both
+// armed by the one attach.
+func TestViolationDumpsRecorderTailAndPanicsWithSeed(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
+			EnableTracing("", 0, io.Discard)
+			t.Cleanup(DisableTracing)
+			EnableChecking(1) // sweep after every event
+			t.Cleanup(DisableChecking)
+
+			w := NewWorldSharded(41, time.Minute,
+				netem.NetworkConfig{CloudDelay: 15 * time.Millisecond}, ShardWorkers(workers))
+			if w.Sharded != nil {
+				defer w.Sharded.Close()
+			}
+			w.recFor(0).Emit("probe", "mark", "last words")
+			w.Engine.Register(alwaysBroken{})
+			w.Engine.Schedule(time.Millisecond, func() {})
+
+			real := os.Stderr
+			tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tmp.Close()
+			os.Stderr = tmp
+			var panicked any
+			func() {
+				defer func() { panicked = recover() }()
+				w.RunFor(time.Second)
+			}()
+			os.Stderr = real
+			dump, err := os.ReadFile(tmp.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			msg, _ := panicked.(string)
+			if !strings.HasPrefix(msg, "invariant violation (seed 41): ") || !strings.Contains(msg, "test.always_broken") {
+				t.Errorf("panic = %v, want the seed and the violated invariant", panicked)
+			}
+			for _, want := range []string{"== invariant violation seed=41: recorder tail ==", "last words"} {
+				if !strings.Contains(string(dump), want) {
+					t.Errorf("stderr is missing %q:\n%s", want, dump)
+				}
+			}
+			if n := CheckViolations(); n != 1 {
+				t.Errorf("CheckViolations = %d, want 1", n)
+			}
+		})
 	}
 }

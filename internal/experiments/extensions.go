@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/wp2p/wp2p/internal/bt"
-	"github.com/wp2p/wp2p/internal/metrics"
 	"github.com/wp2p/wp2p/internal/mobility"
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/runner"
@@ -221,7 +220,7 @@ func ExtSeedLIHD(cfg SeedLIHDConfig) *Result {
 		server := w.WiredHost(0, 0)
 		var fgConn *tcp.Conn
 		server.Stack.MustListen(8080, func(c *tcp.Conn) { fgConn = c })
-		fgRx := metrics.NewRateEstimator(0)
+		fgRx := bt.NewRateEstimator(0)
 		var fgTotal int64
 		dl := mob.Stack.MustDial(netem.Addr{IP: server.Iface.IP(), Port: 8080})
 		dl.OnDeliver = func(n int) {

@@ -6,10 +6,9 @@ import (
 	"time"
 
 	"github.com/wp2p/wp2p/internal/bt"
-	"github.com/wp2p/wp2p/internal/check"
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/sim"
-	"github.com/wp2p/wp2p/internal/trace"
+	"github.com/wp2p/wp2p/internal/telemetry"
 )
 
 // DefaultLogicalShards is the logical partition count of a sharded world.
@@ -99,44 +98,8 @@ func NewWorldSharded(seed int64, announce time.Duration, netCfg netem.NetworkCon
 	}
 	w.perm = rand.New(rand.NewSource(seed ^ hostShardSalt)).Perm(logical)
 
-	// Tracing runs one recorder per shard — rings are single-engine
-	// structures, so each shard's model code emits only into its own —
-	// tagged with the shard id; Finish dumps the merged timeline and digest
-	// streams carry per-shard tails.
-	tracing.mu.Lock()
-	if tracing.enabled {
-		w.Recs = make([]*trace.Recorder, logical)
-		filter := trace.ParseFilter(tracing.spec)
-		for i := range w.Recs {
-			w.Recs[i] = trace.NewRecorder(se.Shard(i), tracing.capacity)
-			w.Recs[i].SetShard(i)
-			w.Recs[i].SetFilter(filter)
-			trace.WatchNetwork(w.Recs[i], "net", nets[i])
-		}
-		w.Rec = w.Recs[0]
-	}
-	tracing.mu.Unlock()
-	checking.mu.Lock()
-	if checking.enabled {
-		w.chks = make([]*check.Checker, logical)
-		for i := range w.chks {
-			w.chks[i] = check.Attach(se.Shard(i), check.Config{
-				Every:       int64(checking.every),
-				Digests:     checking.digests,
-				DigestEvery: int64(checking.digestEvery),
-				OnViolation: w.onViolation,
-			})
-		}
-		w.Chk = w.chks[0]
-		se.SetCheckEnabled(true)
-	}
-	checking.mu.Unlock()
-	w.attachProbe()
-	profiling.mu.Lock()
-	if profiling.enabled {
-		se.EnableProfile()
-	}
-	profiling.mu.Unlock()
+	w.parts = w.Shards
+	obs.attach(w)
 	return w
 }
 
@@ -230,24 +193,32 @@ func (w *World) RunFor(d time.Duration) {
 	w.RunUntil(w.Now() + d)
 }
 
-// RunUntil advances the world to an absolute virtual time. With a telemetry
-// probe armed, the advance is chunked at the probe's sample boundaries and
-// the probe samples between chunks — on the single-engine path this leaves
-// the trajectory untouched (no events scheduled, no sequence numbers
-// consumed); on the sharded path the extra barrier at each boundary is part
-// of the (still deterministic, worker-count-invariant) telemetry trajectory.
+// RunUntil advances the world to an absolute virtual time. With sampling
+// armed, the advance is chunked at the sample boundaries — sample k is taken
+// with the clock at exactly (k+1)·sampleEvery — and every registry samples
+// itself between chunks. On the single-engine path this leaves the
+// trajectory untouched (no events scheduled, no sequence numbers consumed);
+// on the sharded path the extra barrier at each boundary is part of the
+// (still deterministic, worker-count-invariant) telemetry trajectory.
 func (w *World) RunUntil(t time.Duration) {
-	if w.Probe != nil {
-		for {
-			nb := w.Probe.NextBoundary()
-			if nb > t {
-				break
-			}
+	if w.sampleEvery > 0 {
+		for nb := time.Duration(w.samples+1) * w.sampleEvery; nb <= t; nb += w.sampleEvery {
 			w.runUntil(nb)
-			w.Probe.SampleAt(nb)
+			for _, p := range w.parts {
+				p.Engine.Stats().Sample()
+			}
+			w.samples++
 		}
 	}
 	w.runUntil(t)
+}
+
+// Annotate marks the world's timeline at virtual time at — scenario fault
+// injections label their storms this way. A no-op without sampling.
+func (w *World) Annotate(at time.Duration, label string) {
+	if w.sampleEvery > 0 {
+		w.ann = append(w.ann, telemetry.Annotation{AtNS: int64(at), Label: label})
+	}
 }
 
 func (w *World) runUntil(t time.Duration) {

@@ -102,6 +102,24 @@ func TestTimeseriesExportParses(t *testing.T) {
 	}
 }
 
+// TestEmptyTimeseriesRoundTrips: a session that armed sampling but finished
+// no world still writes a document its own reader accepts, carrying the
+// configured cadence.
+func TestEmptyTimeseriesRoundTrips(t *testing.T) {
+	withTelemetry(t, telemetry.Config{Every: 2 * time.Second})
+	var buf bytes.Buffer
+	if err := WriteTimeseries(&buf); err != nil {
+		t.Fatal(err)
+	}
+	e, err := telemetry.ReadExport(&buf)
+	if err != nil {
+		t.Fatalf("empty export rejected by its own reader: %v", err)
+	}
+	if e.EveryNS != int64(2*time.Second) || e.Runs != 0 || len(e.Series) != 0 {
+		t.Fatalf("empty export = %+v", e)
+	}
+}
+
 // TestBarrierProfileAggregation runs a sharded figure with profiling armed
 // and checks the aggregate table renders with the expected sections.
 func TestBarrierProfileAggregation(t *testing.T) {

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"sync"
 	"time"
 
 	"github.com/wp2p/wp2p/internal/bt"
@@ -26,27 +23,6 @@ type World struct {
 	Net     *netem.Network
 	Tracker *bt.Tracker
 
-	// Rec is the world's flight recorder, non-nil only while package-level
-	// tracing (EnableTracing) is on. Experiment code may add its own watch
-	// points to it. In a sharded world it aliases shard 0's recorder; watch
-	// points for hosts on other shards belong on the matching Recs entry.
-	Rec *trace.Recorder
-
-	// Recs holds one shard-tagged recorder per shard in a traced sharded
-	// world (empty otherwise). Finish dumps their merged timeline.
-	Recs []*trace.Recorder
-
-	// Chk is the world's invariant checker, non-nil only while package-level
-	// checking (EnableChecking) is on. In a sharded world it is shard 0's
-	// checker; the others are internal.
-	Chk *check.Checker
-
-	// Probe is the world's telemetry sampler, non-nil only while
-	// package-level telemetry (EnableTelemetry) is on. World.RunFor/RunUntil
-	// drive it at sample boundaries; Finish folds it into the package
-	// collector.
-	Probe *telemetry.Probe
-
 	// Sharded is the coordinator of a sharded world (NewWorldSharded with
 	// Workers ≥ 1), nil on the single-engine path. Engine and Net then alias
 	// shard 0, where the tracker lives.
@@ -54,7 +30,17 @@ type World struct {
 	// Shards holds every partition of a sharded world (empty otherwise).
 	Shards []Shard
 
-	chks     []*check.Checker
+	// parts is every partition of the world, the form the observers iterate:
+	// Shards in a sharded world, the one {Engine, Net} pair otherwise.
+	parts []Shard
+	// What obs.attach armed, one entry per part; nil when that observer is off.
+	recs []*trace.Recorder
+	chks []*check.Checker
+	// Sampling state: the cadence (0 = off), samples taken, timeline markers.
+	sampleEvery time.Duration
+	samples     int64
+	ann         []telemetry.Annotation
+
 	dir      *netem.Directory
 	perm     []int
 	nextHost int
@@ -62,122 +48,6 @@ type World struct {
 
 	seed   int64
 	nextIP netem.IP
-}
-
-// tracing is the package-level flight-recorder configuration the CLIs set
-// with EnableTracing. Worlds are built inside worker-pool closures, so the
-// config — and the shared dump sink — are guarded by a mutex.
-var tracing struct {
-	mu       sync.Mutex
-	enabled  bool
-	spec     string
-	capacity int
-	sink     io.Writer
-}
-
-// EnableTracing attaches a flight recorder to every subsequently created
-// World: each world records its watch points into a ring of the given
-// capacity (0 = recorder default), filtered by spec (trace.ParseFilter
-// syntax; empty keeps everything), and World.Finish dumps the retained tail
-// to sink. Dumps from concurrently finishing worlds are serialized.
-func EnableTracing(spec string, capacity int, sink io.Writer) {
-	tracing.mu.Lock()
-	defer tracing.mu.Unlock()
-	tracing.enabled = true
-	tracing.spec = spec
-	tracing.capacity = capacity
-	tracing.sink = sink
-}
-
-// DisableTracing stops attaching recorders to new worlds.
-func DisableTracing() {
-	tracing.mu.Lock()
-	defer tracing.mu.Unlock()
-	tracing.enabled = false
-}
-
-// checking is the package-level invariant-checker configuration the CLIs set
-// with EnableChecking / EnableDigests. Like tracing, it is shared across
-// worker-pool goroutines, so everything — including the accumulated digest
-// streams and violation count — lives behind one mutex.
-var checking struct {
-	mu          sync.Mutex
-	enabled     bool
-	every       int
-	digests     bool
-	digestEvery int
-	violations  int
-	streams     []check.Stream
-}
-
-func init() {
-	// WP2P_CHECK is the CI hook: a non-empty value arms invariant checking
-	// for every world built by any test or binary in the process, without
-	// each call site needing a flag.
-	if os.Getenv("WP2P_CHECK") != "" {
-		EnableChecking(0)
-	}
-}
-
-// EnableChecking attaches an invariant checker to every subsequently created
-// World, sweeping all registered components every `every` events (0 selects
-// the check package default). A violation dumps the world's flight-recorder
-// tail (when tracing is also on) and panics with the seed, failing the run
-// fast and reproducibly.
-func EnableChecking(every int) {
-	checking.mu.Lock()
-	defer checking.mu.Unlock()
-	checking.enabled = true
-	checking.every = every
-}
-
-// EnableDigests additionally records determinism digests every `every`
-// events (0 selects the check package default); streams accumulate across
-// worlds and are written with WriteDigests. Implies EnableChecking.
-func EnableDigests(every int) {
-	checking.mu.Lock()
-	checking.digests = true
-	checking.digestEvery = every
-	enabled := checking.enabled
-	checking.mu.Unlock()
-	if !enabled {
-		EnableChecking(0)
-	}
-}
-
-// DisableChecking stops attaching checkers to new worlds and clears any
-// accumulated digest streams and violation count.
-func DisableChecking() {
-	checking.mu.Lock()
-	defer checking.mu.Unlock()
-	checking.enabled = false
-	checking.digests = false
-	checking.violations = 0
-	checking.streams = nil
-}
-
-// CheckViolations reports invariant violations observed so far (only ever
-// non-zero when a custom OnViolation swallowed them; the default panics).
-func CheckViolations() int {
-	checking.mu.Lock()
-	defer checking.mu.Unlock()
-	return checking.violations
-}
-
-// DigestStreams returns the digest streams collected from finished worlds,
-// in canonical order — byte-identical output regardless of -parallel
-// scheduling.
-func DigestStreams() []check.Stream {
-	checking.mu.Lock()
-	defer checking.mu.Unlock()
-	out := append([]check.Stream(nil), checking.streams...)
-	check.SortStreams(out)
-	return out
-}
-
-// WriteDigests writes the collected streams in wp2p.digest.v1 format.
-func WriteDigests(w io.Writer) error {
-	return check.WriteStreams(w, DigestStreams())
 }
 
 // NewWorld builds a world with the given seed and tracker announce
@@ -197,133 +67,33 @@ func NewWorldNet(seed int64, announce time.Duration, netCfg netem.NetworkConfig)
 		seed:    seed,
 		nextIP:  netem.IP(10),
 	}
-	tracing.mu.Lock()
-	if tracing.enabled {
-		w.Rec = trace.NewRecorder(e, tracing.capacity)
-		w.Rec.SetFilter(trace.ParseFilter(tracing.spec))
-		trace.WatchNetwork(w.Rec, "net", w.Net)
-	}
-	tracing.mu.Unlock()
-	checking.mu.Lock()
-	if checking.enabled {
-		w.Chk = check.Attach(e, check.Config{
-			Every:       int64(checking.every),
-			Digests:     checking.digests,
-			DigestEvery: int64(checking.digestEvery),
-			OnViolation: w.onViolation,
-		})
-	}
-	checking.mu.Unlock()
-	w.attachProbe()
+	w.parts = []Shard{{Engine: e, Net: w.Net}}
+	obs.attach(w)
 	return w
 }
 
-// onViolation is the experiment-layer violation handler: count it, dump the
-// flight-recorder tail if one is attached (the events leading up to the
-// violation are exactly what debugging needs), then fail fast with the seed
-// so the run is reproducible.
-func (w *World) onViolation(v check.Violation) {
-	checking.mu.Lock()
-	checking.violations++
-	checking.mu.Unlock()
-	if w.Rec != nil {
-		fmt.Fprintf(os.Stderr, "== invariant violation seed=%d: recorder tail ==\n", w.seed)
-		w.Rec.Dump(os.Stderr)
-	}
-	panic(fmt.Sprintf("invariant violation (seed %d): %s", w.seed, v))
-}
-
-// Finish closes out one world's run: its registry folds into the
-// experiment's collector (nil skips collection) and, when tracing is on,
-// the recorder's retained tail is dumped. Runners defer this right after
+// Finish closes out one world's run: invariant checkers take their final
+// sweep, every registry folds into the experiment's collector (nil skips
+// collection) and the package observers, and, when tracing is on, the
+// recorder's retained tail is dumped. Runners defer this right after
 // NewWorld so every world a figure builds is accounted for exactly once.
 func (w *World) Finish(col *stats.Collector) {
-	w.finishProfile()
 	if w.Sharded != nil {
 		w.Sharded.Close()
 	}
-	w.finishProbe()
-	if col != nil {
-		// Per-shard registries merge commutatively — counters only — so the
-		// collector's totals are shard- and worker-count independent.
-		col.Add(w.Engine.Stats())
-		for i := 1; i < len(w.Shards); i++ {
-			col.Add(w.Shards[i].Engine.Stats())
-		}
+	for _, c := range w.chks {
+		c.Finish() // outside obs.mu: a violation lands in onViolation, which takes it
 	}
-	if len(w.chks) > 0 {
-		for _, c := range w.chks {
-			c.Finish()
-		}
-		checking.mu.Lock()
-		if checking.digests {
-			for i, c := range w.chks {
-				st := check.Stream{
-					Label:   fmt.Sprintf("seed=%d/shard=%d", w.seed, i),
-					Records: c.Records(),
-				}
-				if rec := w.recFor(i); rec != nil {
-					for _, ev := range rec.Events() {
-						st.Tail = append(st.Tail, ev.String())
-					}
-				}
-				checking.streams = append(checking.streams, st)
-			}
-		}
-		checking.mu.Unlock()
-	} else if w.Chk != nil {
-		w.Chk.Finish()
-		checking.mu.Lock()
-		if checking.digests {
-			st := check.Stream{
-				Label:   fmt.Sprintf("seed=%d", w.seed),
-				Records: w.Chk.Records(),
-			}
-			if w.Rec != nil {
-				for _, ev := range w.Rec.Events() {
-					st.Tail = append(st.Tail, ev.String())
-				}
-			}
-			checking.streams = append(checking.streams, st)
-		}
-		checking.mu.Unlock()
-	}
-	if w.Rec == nil {
-		return
-	}
-	tracing.mu.Lock()
-	defer tracing.mu.Unlock()
-	if tracing.sink == nil {
-		return
-	}
-	if len(w.Recs) > 1 {
-		var total int64
-		retained := 0
-		for _, r := range w.Recs {
-			total += r.Total()
-			retained += len(r.Events())
-		}
-		fmt.Fprintf(tracing.sink, "== trace seed=%d shards=%d total=%d retained=%d ==\n",
-			w.seed, len(w.Recs), total, retained)
-		trace.DumpMerged(tracing.sink, w.Recs...)
-		return
-	}
-	fmt.Fprintf(tracing.sink, "== trace seed=%d total=%d retained=%d ==\n",
-		w.seed, w.Rec.Total(), len(w.Rec.Events()))
-	w.Rec.Dump(tracing.sink)
+	obs.finish(w, col)
 }
 
-// recFor returns the flight recorder owning a shard's timeline: the
-// per-shard recorder in a traced sharded world, the world recorder for
-// shard 0 otherwise, nil when tracing is off.
+// recFor returns the flight recorder owning a shard's timeline, nil when
+// tracing is off.
 func (w *World) recFor(shard int) *trace.Recorder {
-	if len(w.Recs) > 0 {
-		return w.Recs[shard]
+	if w.recs == nil {
+		return nil
 	}
-	if shard == 0 {
-		return w.Rec
-	}
-	return nil
+	return w.recs[shard]
 }
 
 // NextIP hands out a fresh host address.

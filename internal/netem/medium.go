@@ -117,12 +117,6 @@ func (l *AccessLink) SetRate(up, down Rate) {
 // InFlight reports packets queued or being serialized in both directions.
 func (l *AccessLink) InFlight() int { return l.up.inFlight() + l.down.inFlight() }
 
-// UpStats returns upstream-direction counters.
-func (l *AccessLink) UpStats() Stats { return l.up.stats }
-
-// DownStats returns downstream-direction counters.
-func (l *AccessLink) DownStats() Stats { return l.down.stats }
-
 // WirelessChannel is a half-duplex shared medium: every packet — uplink or
 // downlink, from any attached station — serializes through the same
 // transmitter, so uploads and downloads contend for one bandwidth budget

@@ -127,9 +127,6 @@ func (s *Set[K, V]) KeyAt(i int) K { return s.keys[i] }
 // ValAt returns the value in slot i.
 func (s *Set[K, V]) ValAt(i int) V { return s.vals[i] }
 
-// SetValAt overwrites the value in slot i.
-func (s *Set[K, V]) SetValAt(i int, v V) { s.vals[i] = v }
-
 // Swap exchanges slots i and j, keeping the key→slot map coherent.
 func (s *Set[K, V]) Swap(i, j int) {
 	if i == j {

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -104,4 +106,28 @@ func TestHandoffStormTimeline(t *testing.T) {
 		return
 	}
 	t.Error("export is missing the mobility.handoffs counter series")
+}
+
+// TestTimeseriesMatchesGolden is the cross-commit byte-identity gate for the
+// sampling path: handoff-storm at -scale 0.05 must export exactly the
+// document checked in from `wp2p scenario -scale 0.05 -timeseries …` before
+// sampling moved into internal/stats. A deliberate model or instrument
+// change regenerates the file with that command.
+func TestTimeseriesMatchesGolden(t *testing.T) {
+	experiments.EnableTelemetry(telemetry.Config{})
+	t.Cleanup(experiments.DisableTelemetry)
+	if _, err := Run(loadExample(t, "handoff-storm.json"), 0.05); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var got bytes.Buffer
+	if err := experiments.WriteTimeseries(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/handoff-storm_scale005.timeseries.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("timeseries export differs from the golden (%d bytes, golden %d)", got.Len(), len(want))
+	}
 }

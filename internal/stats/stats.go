@@ -9,8 +9,14 @@
 // guarantee both survive instrumentation. A Registry belongs to exactly one
 // Engine and, like the engine, is not safe for concurrent use; aggregation
 // across concurrently executing runs goes through Collector, whose merge is
-// commutative (sums for counters and histograms, max for gauges) so the
-// aggregate is independent of worker-pool scheduling.
+// commutative (see fold) so the aggregate is independent of worker-pool
+// scheduling.
+//
+// The same instruments carry the sim-time view: Registry.Sample pushes every
+// instrument's current value into that instrument's own bounded series, and
+// Collector.Add folds series index by index with the rule it folds end-of-run
+// values with — so the shards of one world and the runs of one experiment
+// aggregate the same way, into the trajectories internal/telemetry exports.
 package stats
 
 import (
@@ -22,7 +28,8 @@ import (
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
-	v int64
+	v   int64
+	ser ring
 }
 
 // Inc adds one.
@@ -38,11 +45,17 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
 
+// Series returns the counter's sampled trajectory under the given name — how
+// one registry's view of a metric (one shard's, say) is exported beside the
+// collector's fold of all of them; see Collector.AddSeries.
+func (c *Counter) Series(name string) Series { return c.ser.series(name, KindCounter) }
+
 // Gauge is an instantaneous level. Across runs a gauge aggregates by
 // maximum, which is the useful reading for the quantities gauges track here
 // (peak heap depth, peak queue length).
 type Gauge struct {
-	v int64
+	v   int64
+	ser ring
 }
 
 // Set records the current level.
@@ -68,6 +81,8 @@ type Histogram struct {
 	counts []int64 // len(bounds)+1, last bucket is +Inf
 	count  int64
 	sum    int64
+
+	serCount, serSum ring
 }
 
 // Observe records one value.
@@ -96,6 +111,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	samples    int64 // Sample calls so far
 }
 
 // NewRegistry returns an empty registry.
@@ -159,36 +175,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// NumInstruments reports how many instruments the registry holds across all
-// three sections. The telemetry sampler uses it as a cheap change detector:
-// instruments are only ever added (never removed), so an unchanged count
-// means the sampler's cached bindings are still complete.
-func (r *Registry) NumInstruments() int {
-	return len(r.counters) + len(r.gauges) + len(r.histograms)
-}
-
-// EachCounter calls fn for every registered counter. Iteration order is the
-// map's (random); callers needing a stable order sort the names themselves.
-func (r *Registry) EachCounter(fn func(name string, c *Counter)) {
-	for name, c := range r.counters {
-		fn(name, c)
-	}
-}
-
-// EachGauge calls fn for every registered gauge, in map order.
-func (r *Registry) EachGauge(fn func(name string, g *Gauge)) {
-	for name, g := range r.gauges {
-		fn(name, g)
-	}
-}
-
-// EachHistogram calls fn for every registered histogram, in map order.
-func (r *Registry) EachHistogram(fn func(name string, h *Histogram)) {
-	for name, h := range r.histograms {
-		fn(name, h)
-	}
-}
-
 // CounterValue is one named count in a snapshot.
 type CounterValue struct {
 	Name  string `json:"name"`
@@ -250,11 +236,11 @@ func (s *Snapshot) sort() {
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 }
 
-// Collector merges the registries of many independent runs into one
-// aggregate snapshot. It is safe for concurrent use: the worker pool's runs
-// call Add as they finish, in whatever order they finish, and because every
-// merge operation commutes (integer sums for counters and histogram
-// buckets, max for gauges) the final snapshot is bit-identical at any
+// Collector merges many registries — the runs of an experiment, the shards
+// of a world — into one aggregate: end-of-run values (Snapshot) and, for
+// registries that were sampled, series (Series). It is safe for concurrent
+// use: the worker pool's runs call Add as they finish, in whatever order
+// they finish, and because fold commutes the result is bit-identical at any
 // worker-pool size.
 type Collector struct {
 	mu     sync.Mutex
@@ -262,6 +248,7 @@ type Collector struct {
 	counts map[string]int64
 	gauges map[string]int64
 	hists  map[string]*HistogramValue
+	series map[seriesKey]*Series
 }
 
 // NewCollector returns an empty collector.
@@ -270,10 +257,11 @@ func NewCollector() *Collector {
 		counts: make(map[string]int64),
 		gauges: make(map[string]int64),
 		hists:  make(map[string]*HistogramValue),
+		series: make(map[seriesKey]*Series),
 	}
 }
 
-// Add folds one run's registry into the aggregate.
+// Add folds one registry into the aggregate.
 func (c *Collector) Add(r *Registry) {
 	if r == nil {
 		return
@@ -282,12 +270,10 @@ func (c *Collector) Add(r *Registry) {
 	defer c.mu.Unlock()
 	c.runs++
 	for name, cnt := range r.counters {
-		c.counts[name] += cnt.v
+		c.counts[name] = fold(KindCounter, c.counts[name], cnt.v)
 	}
 	for name, g := range r.gauges {
-		if g.v > c.gauges[name] {
-			c.gauges[name] = g.v
-		}
+		c.gauges[name] = fold(KindGauge, c.gauges[name], g.v)
 	}
 	for name, h := range r.histograms {
 		agg, ok := c.hists[name]
@@ -303,10 +289,23 @@ func (c *Collector) Add(r *Registry) {
 			panic(fmt.Sprintf("stats: histogram %q merged with different bounds", name))
 		}
 		for i, n := range h.counts {
-			agg.Counts[i] += n
+			agg.Counts[i] = fold(KindHistCount, agg.Counts[i], n)
 		}
-		agg.Count += h.count
-		agg.Sum += h.sum
+		agg.Count = fold(KindHistCount, agg.Count, h.count)
+		agg.Sum = fold(KindHistSum, agg.Sum, h.sum)
+	}
+	if r.samples == 0 {
+		return
+	}
+	for name, cnt := range r.counters {
+		c.addSeries(cnt.ser.series(name, KindCounter))
+	}
+	for name, g := range r.gauges {
+		c.addSeries(g.ser.series(name, KindGauge))
+	}
+	for name, h := range r.histograms {
+		c.addSeries(h.serCount.series(name, KindHistCount))
+		c.addSeries(h.serSum.series(name, KindHistSum))
 	}
 }
 
@@ -317,8 +316,8 @@ func (c *Collector) Runs() int {
 	return c.runs
 }
 
-// Snapshot returns the aggregate in stable sorted order. A collector that
-// never saw a run returns nil, so untouched experiments export no stats
+// Snapshot returns the aggregate values in stable sorted order. A collector
+// that never saw a run returns nil, so untouched experiments export no stats
 // section at all.
 func (c *Collector) Snapshot() *Snapshot {
 	c.mu.Lock()

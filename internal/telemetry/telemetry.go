@@ -1,26 +1,16 @@
-// Package telemetry is the simulation's sim-time sampling layer: it
-// periodically snapshots selected instruments of one or more internal/stats
-// registries into per-metric time series, so the phenomena the paper plots —
-// throughput degradation under mobile churn, LIHD recovery, a flash crowd's
-// arrival wave — exist as trajectories over virtual time instead of only as
-// end-of-run totals.
+// Package telemetry is the wp2p.timeseries.v1 format: the document a run's
+// sampled trajectories are written as, and the reader downstream tooling
+// (tools/timeline-report, tools/validate-timeseries) loads it with — so the
+// phenomena the paper plots (throughput degradation under mobile churn, LIHD
+// recovery, a flash crowd's arrival wave) exist as curves over virtual time
+// instead of only as end-of-run totals.
 //
-// The design follows the stats hot path: instruments are bound (looked up
-// and cached, sorted by name) once and rebound only when a registry grows,
-// each sample appends into preallocated ring storage, and the steady state
-// allocates nothing. Sampling is driven from *outside* the event loop — the
-// experiment harness advances the world to each sample boundary and then
-// calls SampleAt — so on the single-engine path an armed probe perturbs the
-// trajectory not at all: no events are scheduled, no randomness drawn, no
-// sequence numbers consumed.
-//
-// Aggregation across concurrently finishing runs goes through Collector,
-// whose merge is commutative (per-index integer sums for counters and
-// histogram samples, per-index max for gauges, set-union for annotations),
-// so the wp2p.timeseries.v1 export is byte-identical at any -parallel
-// worker-pool size — and, because a sharded world's trajectory is
-// worker-count invariant, at any -shards worker count too (the same
-// contract the digest streams pin; DESIGN.md §15).
+// The data itself is internal/stats': registries sample their own
+// instruments, one stats.Collector folds the shards of a world and the runs
+// of a session, and the experiment harness (internal/experiments) drives the
+// sampling from outside the event loop. Because that fold commutes and the
+// encoding below is canonical, an export is byte-identical at any -parallel
+// worker-pool size and any -shards worker count (DESIGN.md §15).
 package telemetry
 
 import (
@@ -29,7 +19,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/wp2p/wp2p/internal/stats"
@@ -39,53 +28,28 @@ import (
 // tooling (tools/timeline-report, tools/validate-timeseries) keys on it.
 const SchemaVersion = "wp2p.timeseries.v1"
 
-// Series kinds. Histograms export as two series — observation count and
-// value sum — because those are the components that merge commutatively and
-// reconstruct a windowed mean in the report.
+// Series kinds, as the document spells them.
 const (
-	KindCounter   = "counter"
-	KindGauge     = "gauge"
-	KindHistCount = "hist_count"
-	KindHistSum   = "hist_sum"
+	KindCounter   = stats.KindCounter
+	KindGauge     = stats.KindGauge
+	KindHistCount = stats.KindHistCount
+	KindHistSum   = stats.KindHistSum
 )
 
 // DefaultEvery is the sampling cadence when the CLI gives none: 5 s of sim
 // time keeps a 20-minute figure at 240 points.
 const DefaultEvery = 5 * time.Second
 
-// DefaultCap bounds each series ring at 8192 samples (64 KiB of int64s).
-// At the default cadence that is over 11 sim-hours before the ring wraps
-// and starts dropping the oldest samples.
-const DefaultCap = 8192
-
-// Config parameterizes a Probe.
+// Config parameterizes a run's sampling.
 type Config struct {
 	// Every is the sim-time interval between samples (0 = DefaultEvery).
 	// Sample k (0-based) is taken with the world clock at exactly (k+1)·Every.
 	Every time.Duration
-	// Cap is the per-series ring capacity in samples (0 = DefaultCap). When a
-	// run outlives the ring the oldest samples are dropped and the series'
-	// exported start index advances — the export stays truthful about what
-	// was kept.
-	Cap int
-	// Filter restricts sampling to metric names it accepts; nil keeps all.
-	// See ParseFilter for the CLI's comma-separated prefix syntax.
-	Filter func(name string) bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Every <= 0 {
-		c.Every = DefaultEvery
-	}
-	if c.Cap <= 0 {
-		c.Cap = DefaultCap
-	}
-	return c
 }
 
 // ParseFilter compiles a comma-separated list of metric-name prefixes into a
-// Config.Filter predicate ("sim.,netem.wired" keeps the engine and wired-
-// medium instruments). An empty spec returns nil: sample everything.
+// predicate ("sim.,netem.wired" keeps the engine and wired-medium
+// instruments). An empty spec returns nil: keep everything.
 func ParseFilter(spec string) func(name string) bool {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -120,12 +84,7 @@ type Annotation struct {
 // SeriesData is one exported metric trajectory. Sample v[i] was taken with
 // the world clock at (Start+i+1)·EveryNS; Start is nonzero only when the
 // ring wrapped and dropped the run's earliest samples.
-type SeriesData struct {
-	Name  string  `json:"name"`
-	Kind  string  `json:"kind"`
-	Start int64   `json:"start,omitempty"`
-	V     []int64 `json:"v"`
-}
+type SeriesData = stats.Series
 
 // Export is the wp2p.timeseries.v1 document.
 type Export struct {
@@ -134,6 +93,27 @@ type Export struct {
 	Runs        int          `json:"runs"`
 	Series      []SeriesData `json:"series"`
 	Annotations []Annotation `json:"annotations,omitempty"`
+}
+
+// NewExport assembles the document for series sampled every `every` of sim
+// time over runs worlds, in canonical order: series as the collector sorted
+// them, annotations by (time, label) with the duplicates concurrent worlds
+// of one scenario record collapsed.
+func NewExport(every time.Duration, runs int, series []SeriesData, ann []Annotation) *Export {
+	e := &Export{Schema: SchemaVersion, EveryNS: int64(every), Runs: runs, Series: series}
+	ann = append([]Annotation(nil), ann...)
+	sort.Slice(ann, func(i, j int) bool {
+		if ann[i].AtNS != ann[j].AtNS {
+			return ann[i].AtNS < ann[j].AtNS
+		}
+		return ann[i].Label < ann[j].Label
+	})
+	for i, a := range ann {
+		if i == 0 || a != ann[i-1] {
+			e.Annotations = append(e.Annotations, a)
+		}
+	}
+	return e
 }
 
 // WriteJSON writes the export as indented JSON. The encoding is
@@ -158,369 +138,4 @@ func ReadExport(r io.Reader) (*Export, error) {
 		return nil, fmt.Errorf("telemetry: every_ns %d must be positive", e.EveryNS)
 	}
 	return &e, nil
-}
-
-// series is one metric's ring buffer inside a probe. Storage is allocated
-// up to the cap by append's amortized growth; once len == cap the ring
-// overwrites in place (head chases the oldest sample) and start advances.
-type series struct {
-	name  string
-	kind  string
-	v     []int64
-	head  int   // next write position once the ring is full
-	start int64 // absolute index of the oldest retained sample
-	full  bool
-}
-
-func (s *series) push(v int64, cap int) {
-	if !s.full {
-		s.v = append(s.v, v)
-		if len(s.v) == cap {
-			s.full = true
-		}
-		return
-	}
-	s.v[s.head] = v
-	s.head++
-	s.start++
-	if s.head == len(s.v) {
-		s.head = 0
-	}
-}
-
-// unrolled returns the retained samples in logical (oldest-first) order.
-func (s *series) unrolled() []int64 {
-	if !s.full || s.head == 0 {
-		return append([]int64(nil), s.v...)
-	}
-	out := make([]int64, 0, len(s.v))
-	out = append(out, s.v[s.head:]...)
-	out = append(out, s.v[:s.head]...)
-	return out
-}
-
-// binding caches one metric's instrument pointers across every registry the
-// probe watches (one on the single-engine path, one per shard otherwise).
-// Values are read and reduced — sum for counters and histogram components,
-// max for gauges, mirroring the stats.Collector semantics — on each sample.
-type binding struct {
-	counters []*stats.Counter
-	gauges   []*stats.Gauge
-	hists    []*stats.Histogram
-	ser      *series // counter/gauge target
-	serSum   *series // histogram value-sum target (hists only; ser holds counts)
-}
-
-// shardBinding is one per-shard spotlight series: the same counter observed
-// on a single shard's registry, exported under a shard-qualified name so
-// load imbalance across shards is visible (the convoy-effect question).
-type shardBinding struct {
-	c   *stats.Counter
-	ser *series
-}
-
-// Probe samples one world. It is not safe for concurrent use; the harness
-// calls SampleAt between run windows, when no worker is executing.
-type Probe struct {
-	cfg     Config
-	regs    []*stats.Registry
-	counts  []int // NumInstruments per registry at last bind
-	bound   map[string]*binding
-	shardSL []shardBinding
-	samples int64 // samples taken (absolute next index)
-	ann     []Annotation
-}
-
-// NewProbe builds a probe with no registries attached.
-func NewProbe(cfg Config) *Probe {
-	return &Probe{cfg: cfg.withDefaults(), bound: map[string]*binding{}}
-}
-
-// Every reports the probe's sampling interval.
-func (p *Probe) Every() time.Duration { return p.cfg.Every }
-
-// AddRegistry attaches one registry. A single-engine world attaches its one
-// registry; a sharded world attaches every shard's, and the probe reduces
-// across them at each sample.
-func (p *Probe) AddRegistry(r *stats.Registry) {
-	p.regs = append(p.regs, r)
-	p.counts = append(p.counts, -1) // force a rebind before the next sample
-}
-
-// SpotlightShards additionally exports the named counter per shard, as
-// "<name>.shard.<i>" series, so per-shard trajectories (events processed,
-// say) are visible next to the reduced total.
-func (p *Probe) SpotlightShards(name string) {
-	for i, r := range p.regs {
-		p.shardSL = append(p.shardSL, shardBinding{
-			c:   r.Counter(name),
-			ser: &series{name: fmt.Sprintf("%s.shard.%d", name, i), kind: KindCounter},
-		})
-	}
-}
-
-// NextBoundary returns the virtual time of the next sample.
-func (p *Probe) NextBoundary() time.Duration {
-	return time.Duration(p.samples+1) * p.cfg.Every
-}
-
-// Annotate records a timeline marker at virtual time at.
-func (p *Probe) Annotate(at time.Duration, label string) {
-	p.ann = append(p.ann, Annotation{AtNS: int64(at), Label: label})
-}
-
-// rebind refreshes the instrument cache if any registry grew since the last
-// sample. New metrics join with their missed history zero-filled — which is
-// exactly their value before the instrument existed.
-func (p *Probe) rebind() {
-	dirty := false
-	for i, r := range p.regs {
-		if n := r.NumInstruments(); n != p.counts[i] {
-			p.counts[i] = n
-			dirty = true
-		}
-	}
-	if !dirty {
-		return
-	}
-	for _, r := range p.regs {
-		r.EachCounter(func(name string, c *stats.Counter) {
-			if b := p.bindingFor(name, KindCounter); b != nil && !containsCounter(b.counters, c) {
-				b.counters = append(b.counters, c)
-			}
-		})
-		r.EachGauge(func(name string, g *stats.Gauge) {
-			if b := p.bindingFor(name, KindGauge); b != nil && !containsGauge(b.gauges, g) {
-				b.gauges = append(b.gauges, g)
-			}
-		})
-		r.EachHistogram(func(name string, h *stats.Histogram) {
-			if b := p.bindingFor(name, KindHistCount); b != nil && !containsHist(b.hists, h) {
-				b.hists = append(b.hists, h)
-			}
-		})
-	}
-}
-
-func (p *Probe) bindingFor(name, kind string) *binding {
-	if p.cfg.Filter != nil && !p.cfg.Filter(name) {
-		return nil
-	}
-	b, ok := p.bound[name]
-	if !ok {
-		b = &binding{ser: &series{name: name, kind: kind}}
-		// A late-bound metric missed p.samples samples at value zero; record
-		// them so every series shares one time axis (unless the ring would
-		// wrap, in which case the start offset carries the truth).
-		backfill(b.ser, p.samples, p.cfg.Cap)
-		if kind == KindHistCount {
-			b.serSum = &series{name: name, kind: KindHistSum}
-			backfill(b.serSum, p.samples, p.cfg.Cap)
-		}
-		p.bound[name] = b
-	}
-	return b
-}
-
-func backfill(s *series, n int64, cap int) {
-	for i := int64(0); i < n; i++ {
-		s.push(0, cap)
-	}
-}
-
-func containsCounter(cs []*stats.Counter, c *stats.Counter) bool {
-	for _, x := range cs {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
-func containsGauge(gs []*stats.Gauge, g *stats.Gauge) bool {
-	for _, x := range gs {
-		if x == g {
-			return true
-		}
-	}
-	return false
-}
-
-func containsHist(hs []*stats.Histogram, h *stats.Histogram) bool {
-	for _, x := range hs {
-		if x == h {
-			return true
-		}
-	}
-	return false
-}
-
-// SampleAt records one sample. The harness must have advanced the world
-// clock to exactly the probe's NextBoundary; the probe trusts the caller and
-// only counts samples.
-func (p *Probe) SampleAt(time.Duration) {
-	p.rebind()
-	for _, b := range p.bound {
-		switch {
-		case b.hists != nil:
-			var count, sum int64
-			for _, h := range b.hists {
-				count += h.Count()
-				sum += h.Sum()
-			}
-			b.ser.push(count, p.cfg.Cap)
-			b.serSum.push(sum, p.cfg.Cap)
-		case b.gauges != nil:
-			var v int64
-			for _, g := range b.gauges {
-				if g.Value() > v {
-					v = g.Value()
-				}
-			}
-			b.ser.push(v, p.cfg.Cap)
-		default:
-			var v int64
-			for _, c := range b.counters {
-				v += c.Value()
-			}
-			b.ser.push(v, p.cfg.Cap)
-		}
-	}
-	for i := range p.shardSL {
-		sb := &p.shardSL[i]
-		sb.ser.push(sb.c.Value(), p.cfg.Cap)
-	}
-	p.samples++
-}
-
-// Samples reports how many samples the probe has taken.
-func (p *Probe) Samples() int64 { return p.samples }
-
-// Collector merges the probes of many independent runs into one export. It
-// is safe for concurrent use, and every merge operation commutes, so the
-// export is bit-identical regardless of the order runs finish in.
-type Collector struct {
-	mu    sync.Mutex
-	every time.Duration
-	runs  int
-	data  map[string]*SeriesData
-	ann   map[Annotation]struct{}
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{data: map[string]*SeriesData{}, ann: map[Annotation]struct{}{}}
-}
-
-// Add folds one probe's series into the aggregate. Every probe in one
-// collection must share a sampling interval; mixing cadences is a wiring
-// bug and panics.
-func (c *Collector) Add(p *Probe) {
-	if p == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.every == 0 {
-		c.every = p.cfg.Every
-	} else if c.every != p.cfg.Every {
-		panic(fmt.Sprintf("telemetry: merging probes with different cadences (%v vs %v)", c.every, p.cfg.Every))
-	}
-	c.runs++
-	for _, b := range p.bound {
-		c.merge(b.ser)
-		if b.serSum != nil {
-			c.merge(b.serSum)
-		}
-	}
-	for i := range p.shardSL {
-		c.merge(p.shardSL[i].ser)
-	}
-	for _, a := range p.ann {
-		c.ann[a] = struct{}{}
-	}
-}
-
-// merge folds one run's series into the aggregate, aligned on absolute
-// sample indexes: sums per index for counters and histogram components, max
-// per index for gauges. Indexes only one side retains contribute the other
-// side's value unchanged; both rules commute.
-func (c *Collector) merge(s *series) {
-	v := s.unrolled()
-	// Keyed by (name, kind): a histogram contributes two series — count and
-	// sum — under one metric name.
-	key := s.name + "\x00" + s.kind
-	agg, ok := c.data[key]
-	if !ok {
-		c.data[key] = &SeriesData{Name: s.name, Kind: s.kind, Start: s.start, V: v}
-		return
-	}
-	// Re-base both onto the smaller start index, zero-filling the front of
-	// whichever series began later (its instrument was still at zero there —
-	// for gauges, zero never wins the max).
-	start := agg.Start
-	if s.start < start {
-		start = s.start
-	}
-	av := prepend(agg.V, agg.Start-start)
-	bv := prepend(v, s.start-start)
-	if len(bv) > len(av) {
-		av, bv = bv, av
-	}
-	if s.kind == KindGauge {
-		for i := range bv {
-			if bv[i] > av[i] {
-				av[i] = bv[i]
-			}
-		}
-	} else {
-		for i := range bv {
-			av[i] += bv[i]
-		}
-	}
-	agg.Start = start
-	agg.V = av
-}
-
-func prepend(v []int64, zeros int64) []int64 {
-	if zeros <= 0 {
-		return v
-	}
-	return append(make([]int64, zeros, zeros+int64(len(v))), v...)
-}
-
-// Runs reports how many probes have been merged.
-func (c *Collector) Runs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
-}
-
-// Export returns the aggregate in canonical order: series sorted by
-// (name, kind) — so a histogram's count row precedes its sum row —
-// annotations by (time, label). A collector that never saw a probe returns
-// an empty (but valid) document.
-func (c *Collector) Export() *Export {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := &Export{Schema: SchemaVersion, EveryNS: int64(c.every), Runs: c.runs}
-	for _, s := range c.data {
-		e.Series = append(e.Series, *s)
-	}
-	sort.Slice(e.Series, func(i, j int) bool {
-		if e.Series[i].Name != e.Series[j].Name {
-			return e.Series[i].Name < e.Series[j].Name
-		}
-		return e.Series[i].Kind < e.Series[j].Kind
-	})
-	for a := range c.ann {
-		e.Annotations = append(e.Annotations, a)
-	}
-	sort.Slice(e.Annotations, func(i, j int) bool {
-		if e.Annotations[i].AtNS != e.Annotations[j].AtNS {
-			return e.Annotations[i].AtNS < e.Annotations[j].AtNS
-		}
-		return e.Annotations[i].Label < e.Annotations[j].Label
-	})
-	return e
 }

@@ -9,26 +9,25 @@ import (
 	"github.com/wp2p/wp2p/internal/stats"
 )
 
+// export folds sampled registries into one document the way the experiment
+// harness does: every registry through one stats.Collector, then NewExport.
+func export(ann []Annotation, regs ...*stats.Registry) *Export {
+	col := stats.NewCollector()
+	for _, r := range regs {
+		col.Add(r)
+	}
+	return NewExport(time.Second, len(regs), col.Series(), ann)
+}
+
 func TestProbeSamplesCountersAtCadence(t *testing.T) {
 	reg := stats.NewRegistry()
 	c := reg.Counter("test.events")
-	p := NewProbe(Config{Every: time.Second})
-	p.AddRegistry(reg)
-
-	if got := p.NextBoundary(); got != time.Second {
-		t.Fatalf("first boundary = %v, want 1s", got)
-	}
 	for k := 1; k <= 3; k++ {
 		c.Add(int64(10 * k))
-		p.SampleAt(time.Duration(k) * time.Second)
-	}
-	if got := p.NextBoundary(); got != 4*time.Second {
-		t.Fatalf("boundary after 3 samples = %v, want 4s", got)
+		reg.Sample()
 	}
 
-	col := NewCollector()
-	col.Add(p)
-	e := col.Export()
+	e := export(nil, reg)
 	s := findSeries(t, e, "test.events")
 	want := []int64{10, 30, 60} // cumulative counter values at each boundary
 	if !int64sEqual(s.V, want) {
@@ -46,20 +45,16 @@ func TestProbeGaugeAndHistogram(t *testing.T) {
 	reg := stats.NewRegistry()
 	g := reg.Gauge("test.depth")
 	h := reg.Histogram("test.lat", []int64{10, 100})
-	p := NewProbe(Config{Every: time.Second})
-	p.AddRegistry(reg)
 
 	g.Set(7)
 	h.Observe(5)
 	h.Observe(50)
-	p.SampleAt(time.Second)
+	reg.Sample()
 	g.Set(3)
 	h.Observe(200)
-	p.SampleAt(2 * time.Second)
+	reg.Sample()
 
-	col := NewCollector()
-	col.Add(p)
-	e := col.Export()
+	e := export(nil, reg)
 	if s := findSeries(t, e, "test.depth"); !int64sEqual(s.V, []int64{7, 3}) || s.Kind != KindGauge {
 		t.Fatalf("gauge series = %+v", s)
 	}
@@ -89,131 +84,99 @@ func TestProbeGaugeAndHistogram(t *testing.T) {
 func TestProbeLateInstrumentBackfillsZeros(t *testing.T) {
 	reg := stats.NewRegistry()
 	reg.Counter("early").Add(1)
-	p := NewProbe(Config{Every: time.Second})
-	p.AddRegistry(reg)
-	p.SampleAt(time.Second)
-	p.SampleAt(2 * time.Second)
+	reg.Sample()
+	reg.Sample()
 
 	late := reg.Counter("late") // appears after two samples
 	late.Add(42)
-	p.SampleAt(3 * time.Second)
+	reg.Sample()
+	reg.Counter("never") // registered after the last sample: no series at all
 
-	col := NewCollector()
-	col.Add(p)
-	e := col.Export()
+	e := export(nil, reg)
 	s := findSeries(t, e, "late")
 	if !int64sEqual(s.V, []int64{0, 0, 42}) || s.Start != 0 {
 		t.Fatalf("late series = %+v, want zeros backfilled", s)
 	}
+	if len(e.Series) != 2 {
+		t.Fatalf("export has %d series, want early and late only", len(e.Series))
+	}
 }
+
+// ringCap is the per-series sample bound (stats' seriesCap).
+const ringCap = 8192
 
 func TestRingWrapAdvancesStart(t *testing.T) {
 	reg := stats.NewRegistry()
 	c := reg.Counter("wrap.me")
-	p := NewProbe(Config{Every: time.Second, Cap: 4})
-	p.AddRegistry(reg)
-	for k := 1; k <= 7; k++ {
+	for k := 1; k <= ringCap+3; k++ {
 		c.Add(1)
-		p.SampleAt(time.Duration(k) * time.Second)
+		reg.Sample()
 	}
-	col := NewCollector()
-	col.Add(p)
-	s := findSeries(t, col.Export(), "wrap.me")
+	s := findSeries(t, export(nil, reg), "wrap.me")
 	if s.Start != 3 {
-		t.Fatalf("start = %d, want 3 (7 samples, cap 4)", s.Start)
+		t.Fatalf("start = %d, want 3 (%d samples, cap %d)", s.Start, ringCap+3, ringCap)
 	}
-	if !int64sEqual(s.V, []int64{4, 5, 6, 7}) {
-		t.Fatalf("retained = %v, want last 4 cumulative values", s.V)
+	if len(s.V) != ringCap || s.V[0] != 4 || s.V[ringCap-1] != ringCap+3 {
+		t.Fatalf("retained %d samples %d..%d, want the last %d cumulative values", len(s.V), s.V[0], s.V[len(s.V)-1], ringCap)
 	}
 }
 
 func TestCollectorMergeCommutes(t *testing.T) {
-	mk := func(vals []int64, gauge []int64) *Probe {
+	mk := func(vals []int64, gauge []int64) *stats.Registry {
 		reg := stats.NewRegistry()
 		c := reg.Counter("m.count")
 		g := reg.Gauge("m.peak")
-		p := NewProbe(Config{Every: time.Second})
-		p.AddRegistry(reg)
 		for i := range vals {
 			c.Add(vals[i] - c.Value())
 			g.Set(gauge[i])
-			p.SampleAt(time.Duration(i+1) * time.Second)
+			reg.Sample()
 		}
-		p.Annotate(90*time.Second, "storm")
-		return p
+		return reg
 	}
+	// Each world of a scenario annotates the same storm.
+	storm := []Annotation{{AtNS: int64(90 * time.Second), Label: "storm"}, {AtNS: int64(90 * time.Second), Label: "storm"}}
 	a := mk([]int64{1, 2, 3}, []int64{5, 2, 9})
 	b := mk([]int64{10, 20, 30}, []int64{1, 8, 4})
-
-	ab, ba := NewCollector(), NewCollector()
-	ab.Add(a)
-	ab.Add(b)
-	// Rebuild the probes: Add consumes nothing, but fresh probes prove the
-	// result depends only on their contents.
-	a2 := mk([]int64{1, 2, 3}, []int64{5, 2, 9})
-	b2 := mk([]int64{10, 20, 30}, []int64{1, 8, 4})
-	ba.Add(b2)
-	ba.Add(a2)
+	ab, ba := export(storm, a, b), export(storm, b, a)
 
 	var bufAB, bufBA bytes.Buffer
-	if err := ab.Export().WriteJSON(&bufAB); err != nil {
+	if err := ab.WriteJSON(&bufAB); err != nil {
 		t.Fatal(err)
 	}
-	if err := ba.Export().WriteJSON(&bufBA); err != nil {
+	if err := ba.WriteJSON(&bufBA); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufAB.Bytes(), bufBA.Bytes()) {
 		t.Fatalf("merge order changed export:\nA,B:\n%s\nB,A:\n%s", bufAB.String(), bufBA.String())
 	}
 
-	e := ab.Export()
-	if s := findSeries(t, e, "m.count"); !int64sEqual(s.V, []int64{11, 22, 33}) {
+	if s := findSeries(t, ab, "m.count"); !int64sEqual(s.V, []int64{11, 22, 33}) {
 		t.Fatalf("summed counters = %v", s.V)
 	}
-	if s := findSeries(t, e, "m.peak"); !int64sEqual(s.V, []int64{5, 8, 9}) {
+	if s := findSeries(t, ab, "m.peak"); !int64sEqual(s.V, []int64{5, 8, 9}) {
 		t.Fatalf("maxed gauges = %v", s.V)
 	}
-	if len(e.Annotations) != 1 || e.Annotations[0].Label != "storm" {
-		t.Fatalf("annotations not deduped: %+v", e.Annotations)
+	if len(ab.Annotations) != 1 || ab.Annotations[0].Label != "storm" {
+		t.Fatalf("annotations not deduped: %+v", ab.Annotations)
 	}
-	if e.Runs != 2 {
-		t.Fatalf("runs = %d", e.Runs)
+	if ab.Runs != 2 {
+		t.Fatalf("runs = %d", ab.Runs)
 	}
 }
 
 func TestCollectorMergeUnequalLengths(t *testing.T) {
-	mk := func(n int) *Probe {
+	mk := func(n int) *stats.Registry {
 		reg := stats.NewRegistry()
 		c := reg.Counter("n")
-		p := NewProbe(Config{Every: time.Second})
-		p.AddRegistry(reg)
 		for i := 0; i < n; i++ {
 			c.Add(1)
-			p.SampleAt(time.Duration(i+1) * time.Second)
+			reg.Sample()
 		}
-		return p
+		return reg
 	}
-	col := NewCollector()
-	col.Add(mk(2))
-	col.Add(mk(4))
-	s := findSeries(t, col.Export(), "n")
+	s := findSeries(t, export(nil, mk(2), mk(4)), "n")
 	if !int64sEqual(s.V, []int64{2, 4, 3, 4}) {
 		t.Fatalf("merged = %v, want short run padded by absence", s.V)
-	}
-}
-
-func TestFilterRestrictsSeries(t *testing.T) {
-	reg := stats.NewRegistry()
-	reg.Counter("sim.events").Add(1)
-	reg.Counter("tcp.segs").Add(1)
-	p := NewProbe(Config{Every: time.Second, Filter: ParseFilter("sim.")})
-	p.AddRegistry(reg)
-	p.SampleAt(time.Second)
-	col := NewCollector()
-	col.Add(p)
-	e := col.Export()
-	if len(e.Series) != 1 || e.Series[0].Name != "sim.events" {
-		t.Fatalf("filtered series = %+v", e.Series)
 	}
 }
 
@@ -234,23 +197,20 @@ func TestParseFilter(t *testing.T) {
 	}
 }
 
+// TestMultiRegistryReducesAcrossShards: the shards of one world fold like the
+// runs of one experiment, and one shard's own trajectory rides along under a
+// qualified name.
 func TestMultiRegistryReducesAcrossShards(t *testing.T) {
-	p := NewProbe(Config{Every: time.Second})
-	var counters []*stats.Counter
+	col := stats.NewCollector()
 	for i := 0; i < 3; i++ {
 		reg := stats.NewRegistry()
-		counters = append(counters, reg.Counter("sim.events_fired"))
-		p.AddRegistry(reg)
-	}
-	p.SpotlightShards("sim.events_fired")
-	for i, c := range counters {
+		c := reg.Counter("sim.events_fired")
 		c.Add(int64(100 * (i + 1)))
+		reg.Sample()
+		col.Add(reg)
+		col.AddSeries(c.Series(fmt.Sprintf("sim.events_fired.shard.%d", i)))
 	}
-	p.SampleAt(time.Second)
-
-	col := NewCollector()
-	col.Add(p)
-	e := col.Export()
+	e := NewExport(time.Second, 1, col.Series(), nil)
 	if s := findSeries(t, e, "sim.events_fired"); !int64sEqual(s.V, []int64{600}) {
 		t.Fatalf("reduced total = %v, want [600]", s.V)
 	}
@@ -265,15 +225,13 @@ func TestMultiRegistryReducesAcrossShards(t *testing.T) {
 func TestExportRoundTrip(t *testing.T) {
 	reg := stats.NewRegistry()
 	reg.Counter("x").Add(5)
-	p := NewProbe(Config{Every: 250 * time.Millisecond})
-	p.AddRegistry(reg)
-	p.SampleAt(250 * time.Millisecond)
-	p.Annotate(90*time.Second, "handoff storm (count=5)")
-	col := NewCollector()
-	col.Add(p)
+	reg.Sample()
+	col := stats.NewCollector()
+	col.Add(reg)
+	ann := []Annotation{{AtNS: int64(90 * time.Second), Label: "handoff storm (count=5)"}}
 
 	var buf bytes.Buffer
-	if err := col.Export().WriteJSON(&buf); err != nil {
+	if err := NewExport(250*time.Millisecond, 1, col.Series(), ann).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	e, err := ReadExport(&buf)
@@ -285,6 +243,9 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 	if len(e.Annotations) != 1 || e.Annotations[0].AtNS != int64(90*time.Second) {
 		t.Fatalf("annotations = %+v", e.Annotations)
+	}
+	if s := findSeries(t, e, "x"); !int64sEqual(s.V, []int64{5}) {
+		t.Fatalf("series = %+v", s)
 	}
 }
 
@@ -302,20 +263,18 @@ func TestSampleSteadyStateAllocs(t *testing.T) {
 	c := reg.Counter("alloc.free")
 	g := reg.Gauge("alloc.g")
 	h := reg.Histogram("alloc.h", []int64{10})
-	p := NewProbe(Config{Every: time.Second, Cap: 8})
-	p.AddRegistry(reg)
-	// Warm: bind instruments and fill the ring so pushes wrap in place.
-	for k := 1; k <= 10; k++ {
-		p.SampleAt(time.Duration(k) * time.Second)
+	// Warm: fill the rings so pushes wrap in place.
+	for k := 0; k < ringCap+2; k++ {
+		reg.Sample()
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Add(1)
 		g.Set(2)
 		h.Observe(3)
-		p.SampleAt(0)
+		reg.Sample()
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state SampleAt allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state Sample allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -59,7 +59,5 @@ var (
 	_ IfaceProvider = (*Sim)(nil)
 	_ StackProvider = (*Sim)(nil)
 	_ Conn          = (*tcp.Conn)(nil)
-	_ ConnStats     = (*tcp.Conn)(nil)
-	_ ConnDebug     = (*tcp.Conn)(nil)
 	_ Listener      = (*tcp.Listener)(nil)
 )

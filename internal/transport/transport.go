@@ -134,15 +134,3 @@ type IfaceProvider interface {
 type StackProvider interface {
 	Stack() *tcp.Stack
 }
-
-// ConnStats is an optional capability of connections that expose modelled
-// TCP counters (sim backend only); diagnostics type-assert for it.
-type ConnStats interface {
-	Stats() tcp.Stats
-}
-
-// ConnDebug is an optional capability of connections that can print
-// low-level transport state (sim backend only).
-type ConnDebug interface {
-	DebugState() string
-}

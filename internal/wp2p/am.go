@@ -12,8 +12,8 @@ import (
 	"sort"
 	"time"
 
+	"github.com/wp2p/wp2p/internal/bt"
 	"github.com/wp2p/wp2p/internal/check"
-	"github.com/wp2p/wp2p/internal/metrics"
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/sim"
 	"github.com/wp2p/wp2p/internal/stats"
@@ -78,8 +78,8 @@ type AMStats struct {
 
 // amFlow is per-connection filter state, keyed by the remote endpoint.
 type amFlow struct {
-	rcvd       *metrics.RateEstimator // bytes from the remote per window
-	lastAck    int64                  // highest ack we have sent them
+	rcvd       *bt.RateEstimator // bytes from the remote per window
+	lastAck    int64             // highest ack we have sent them
 	dupCnt     int
 	lastActive time.Duration
 }
@@ -162,7 +162,7 @@ func (f *AMFilter) Stats() AMStats {
 func (f *AMFilter) flow(remote netem.Addr) *amFlow {
 	fl, ok := f.flows[remote]
 	if !ok {
-		fl = &amFlow{rcvd: metrics.NewRateEstimator(f.cfg.CwndWindow)}
+		fl = &amFlow{rcvd: bt.NewRateEstimator(f.cfg.CwndWindow)}
 		f.flows[remote] = fl
 	}
 	fl.lastActive = f.engine.Now()

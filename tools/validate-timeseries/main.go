@@ -1,7 +1,7 @@
 // Command validate-timeseries structurally validates wp2p.timeseries.v1
-// JSON files exported by the -timeseries flag of the four CLIs (see
-// internal/telemetry). It is the CI gate that keeps the export schema
-// honest beyond the byte-level identity check: every file must carry the
+// JSON files exported by the -timeseries flag of wp2p run, figures and
+// scenario (see internal/telemetry). It is the CI gate that keeps the export
+// schema honest beyond the byte-level identity check: every file must carry the
 // expected schema tag and a positive cadence, series must be uniquely
 // keyed, canonically sorted by (name, kind), carry a recognised kind and a
 // non-negative start index, counter and hist_count series must be
