@@ -1,7 +1,8 @@
 // Command wp2p is the repo's one entry point: it regenerates the paper's
-// figures on the simulator, runs declarative scenarios, and deploys the same
-// protocol code over real loopback sockets. The usage text below lists the
-// subcommands; session.go holds the flag set the simulated ones share.
+// figures on the simulator, runs declarative scenarios, deploys the same
+// protocol code over real loopback sockets, and reads back every file format
+// it writes. The usage text below lists the subcommands; session.go holds the
+// flag set the simulated ones share, read.go the ones that only read files.
 package main
 
 import (
@@ -14,8 +15,14 @@ const usage = `usage: wp2p <subcommand> [flags] [args]
 
   wp2p run      [flags] [experiment ...]  registry experiments (default: all) as text tables
   wp2p figures  [flags] [-o report.md]    every experiment as one Markdown report
-  wp2p scenario [flags] file.json ...     validate (-validate) or run wp2p.scenario.v1 files
+  wp2p scenario [flags] file.json ...     run wp2p.scenario.v1 files
   wp2p live     [flags]                   a live BitTorrent swarm over loopback sockets
+
+  wp2p validate [-min-samples n] file ... check -json, -timeseries, -digest and scenario files against the
+                                          rules of the format each names (wp2p.<format>.v1); runs nothing
+  wp2p bisect   A.digest B.digest         first diverging event window of two -digest streams
+                                          (exit status 0 identical, 1 diverged, 2 unreadable)
+  wp2p timeline [flags] file.json         a -timeseries export as sparklines, or a page with -html
 
 "wp2p <subcommand> -h" lists the flags; "wp2p run -list" the experiment ids.
 Output files are created, and the command line checked, before anything runs:
@@ -24,6 +31,7 @@ exit status 2 when the command line cannot work, 1 for any other failure.
 
 var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
 	"run": cmdRun, "figures": cmdFigures, "scenario": cmdScenario, "live": cmdLive,
+	"validate": cmdValidate, "bisect": cmdBisect, "timeline": cmdTimeline,
 }
 
 func main() {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +14,7 @@ const (
 	repoRoot     = "../.."
 	fig4aSpec    = repoRoot + "/examples/scenarios/fig4a.json"
 	fig4aGolden  = repoRoot + "/internal/experiments/testdata/fig4a_scale005.digest"
+	stormGolden  = repoRoot + "/internal/scenario/testdata/handoff-storm_scale005.timeseries.json"
 	anExperiment = "fig2bc" // the cheapest registry experiment
 )
 
@@ -131,6 +133,15 @@ func TestRejectedBeforeAnyWorld(t *testing.T) {
 		{"unwritable memprofile", []string{"run", "-scale", "0.05", "-memprofile", bad, anExperiment}, 1, bad},
 		{"unwritable report", []string{"figures", "-scale", "0.05", "-o", bad}, 1, bad},
 		{"live takes no simulation flags", []string{"live", "-check"}, 2, "not defined: -check"},
+		{"scenario -validate is gone", []string{"scenario", "-validate", fig4aSpec}, 2, "not defined: -validate"},
+		{"validate takes no simulation flags", []string{"validate", "-scale", "0.05", fig4aSpec}, 2, "not defined: -scale"},
+		{"validate with no file", []string{"validate"}, 2, "usage: wp2p validate"},
+		{"bisect with one file", []string{"bisect", fig4aGolden}, 2, "usage: wp2p bisect"},
+		{"timeline with no file", []string{"timeline", "-width", "8"}, 2, "usage: wp2p timeline"},
+		// timeline-report panicked on these two (cells[0] of an empty slice, makeslice);
+		// the file is missing, so exit 2 also shows that nothing was opened.
+		{"timeline -width 0", []string{"timeline", "-width", "0", filepath.Join(dir, "none.json")}, 2, "-width 0"},
+		{"timeline -width -1", []string{"timeline", "-width", "-1", filepath.Join(dir, "none.json")}, 2, "-width -1"},
 		{"live unwritable cpuprofile", []string{"live", "-cpuprofile", bad}, 1, bad},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,7 +225,7 @@ func TestScenarioValidate(t *testing.T) {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no bundled scenarios: %v", err)
 	}
-	code, stdout, stderr := wp2p(append([]string{"scenario", "-validate"}, files...)...)
+	code, stdout, stderr := wp2p(append([]string{"validate"}, files...)...)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -226,7 +237,173 @@ func TestScenarioValidate(t *testing.T) {
 		t.Errorf("stdout lacks %q:\n%s", want, stdout)
 	}
 	if simulated(stdout, stderr) {
-		t.Errorf("-validate ran something:\n%s", stdout)
+		t.Errorf("validate ran something:\n%s", stdout)
+	}
+}
+
+// TestValidateEveryFormat validates, in one invocation, one file of each
+// format the program writes or runs; the first three are written here.
+func TestValidateEveryFormat(t *testing.T) {
+	dir := t.TempDir()
+	digest, ts, result := filepath.Join(dir, "d.digest"), filepath.Join(dir, "ts.json"), filepath.Join(dir, anExperiment+".json")
+	if code, _, stderr := wp2p("run", "-scale", "0.05", "-json", dir, "-digest", digest, "-timeseries", ts, anExperiment); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	code, stdout, stderr := wp2p("validate", result, ts, digest, fig4aSpec)
+	want := "ok " + result + "\nok " + ts + "\nok " + digest + "\n" + fig4aSpec + ": ok — fig4a-scenario (bt, sweep ×5, 2 peer groups)\n"
+	if code != 0 || stdout != want {
+		t.Errorf("exit %d, stdout:\n%swant:\n%sstderr:\n%s", code, stdout, want, stderr)
+	}
+
+	// One bad file fails the invocation without hiding the others' verdicts.
+	missing, unknown := filepath.Join(dir, "none.json"), filepath.Join(dir, "unknown.json")
+	if err := os.WriteFile(unknown, []byte(`{"schema": "wp2p.report.v1"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr = wp2p("validate", missing, unknown, fig4aGolden)
+	if code != 1 || stdout != "ok "+fig4aGolden+"\n" {
+		t.Errorf("exit %d, stdout:\n%s", code, stdout)
+	}
+	for _, want := range []string{"wp2p validate: open " + missing, "wp2p validate: " + unknown + `: schema "wp2p.report.v1" is none of`} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+
+	// -min-samples is the one rule that is the caller's, not the format's.
+	if code, stdout, _ := wp2p("validate", "-min-samples", "36", stormGolden); code != 0 || stdout != "ok "+stormGolden+"\n" {
+		t.Errorf("-min-samples 36 on a 36-sample export: exit %d, stdout:\n%s", code, stdout)
+	}
+	if code, _, stderr := wp2p("validate", "-min-samples", "37", stormGolden); code != 1 || !strings.Contains(stderr, "samples, want ≥ 37") {
+		t.Errorf("-min-samples 37 on a 36-sample export: exit %d, stderr:\n%s", code, stderr)
+	}
+}
+
+// TestValidateNamesTheBrokenResultRule breaks a fresh -json export one
+// wp2p.result.v1 rule at a time; each error must name the file and the rule.
+func TestValidateNamesTheBrokenResultRule(t *testing.T) {
+	dir := t.TempDir()
+	if code, _, stderr := wp2p("run", "-scale", "0.05", "-json", dir, anExperiment); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, anExperiment+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := func(v any) map[string]any { return v.(map[string]any) }
+	first := func(v any) map[string]any { return obj(v.([]any)[0]) }
+	for name, tc := range map[string]struct {
+		corrupt func(doc map[string]any)
+		want    string
+	}{
+		"schema":       {func(d map[string]any) { d["schema"] = "wp2p.result.v0" }, `schema "wp2p.result.v0" is none of`},
+		"id":           {func(d map[string]any) { d["id"] = "" }, "empty id"},
+		"series":       {func(d map[string]any) { d["series"] = []any{} }, "no series"},
+		"x/y lengths":  {func(d map[string]any) { s := first(d["series"]); s["y"] = s["y"].([]any)[1:] }, `series "uni packets" has 20 x values but 19 y values`},
+		"runs":         {func(d map[string]any) { obj(d["stats"])["runs"] = 0 }, "stats present but runs = 0"},
+		"counter name": {func(d map[string]any) { first(obj(d["stats"])["counters"])["name"] = "" }, "unnamed counter"},
+		"bucket count": {func(d map[string]any) {
+			h := first(obj(d["stats"])["histograms"])
+			h["bounds"] = h["bounds"].([]any)[1:]
+		}, `histogram "tcp.cwnd_bytes" has`},
+		"bucket sum": {func(d map[string]any) { first(obj(d["stats"])["histograms"])["count"] = -1 }, `histogram "tcp.cwnd_bytes" count -1 != bucket sum`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var doc map[string]any
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(doc)
+			bad, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "bad.json")
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, stderr := wp2p("validate", path)
+			if code != 1 || stdout != "" || !strings.Contains(stderr, "wp2p validate: "+path+": ") || !strings.Contains(stderr, tc.want) {
+				t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 and an error mentioning %q", code, stdout, stderr, tc.want)
+			}
+		})
+	}
+}
+
+// TestBisect: a digest against itself, against a run with one link rate
+// changed, and against a file cut off mid-record.
+func TestBisect(t *testing.T) {
+	dir := t.TempDir()
+	spec := repoRoot + "/internal/scenario/testdata/partial-shaped-links.json"
+	same, other, cut := filepath.Join(dir, "a.digest"), filepath.Join(dir, "b.digest"), filepath.Join(dir, "cut.digest")
+	for path, sweep := range map[string]string{same: "peers[1].link.up=60KBps", other: "peers[1].link.up=70KBps"} {
+		if code, _, stderr := wp2p("scenario", "-scale", "0.25", "-digest", path, "-sweep", sweep, spec); code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+		}
+	}
+	raw, err := os.ReadFile(same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cut, raw[:len(raw)-20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, b      string
+		code         int
+		stdout, diag string // substrings
+	}{
+		{"identical", same, 0, "identical: 1 stream(s), digests match\n", ""},
+		{"diverged", other, 1, "  divergence window: events (0, ", ""},
+		{"truncated", cut, 2, "", "wp2p bisect: " + cut + ": check: line "},
+		{"missing", filepath.Join(dir, "none.digest"), 2, "", "wp2p bisect: open "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := wp2p("bisect", same, tc.b)
+			if code != tc.code || !strings.Contains(stdout, tc.stdout) || !strings.Contains(stderr, tc.diag) || (tc.diag != "") != (stderr != "") {
+				t.Errorf("exit %d (want %d)\nstdout:\n%sstderr:\n%s", code, tc.code, stdout, stderr)
+			}
+			if tc.name == "diverged" && !strings.HasPrefix(stdout, `diverged: stream "seed=1"`+"\n  last match:") {
+				t.Errorf("report does not open with the stream and its last match:\n%s", stdout)
+			}
+		})
+	}
+}
+
+// TestTextReportMatchesGolden renders the checked-in handoff-storm export
+// (see internal/telemetry's TestGoldenExportValidates for its provenance) and
+// compares with testdata/handoff-storm.txt: one differentiated counter, one
+// gauge, a histogram's rate and windowed-mean lanes, and both storm
+// annotations. The HTML page of the same lanes is written, not printed.
+func TestTextReportMatchesGolden(t *testing.T) {
+	lanes := []string{"-metrics", "bt.pieces,mobility.,tcp.cwnd,sim.heap"}
+	code, got, stderr := wp2p(append([]string{"timeline", "-width", "36"}, append(lanes, stormGolden)...)...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	want, err := os.ReadFile("testdata/handoff-storm.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("text report changed:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+
+	page := filepath.Join(t.TempDir(), "storm.html")
+	code, stdout, stderr := wp2p(append([]string{"timeline", "-html", page}, append(lanes, stormGolden)...)...)
+	if code != 0 || stdout != "wrote "+page+"\n" {
+		t.Fatalf("exit %d, stdout %q, stderr:\n%s", code, stdout, stderr)
+	}
+	html, err := os.ReadFile(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(html), "<polyline "); n != strings.Count(string(want), "  min ") || !strings.Contains(string(html), "<title>handoff_storm mobile @ 18s</title>") {
+		t.Errorf("page has %d charts for the text report's lanes, or no storm marker:\n%.400s", n, html)
+	}
+
+	if code, _, stderr := wp2p("timeline", "-metrics", "nothing.", stormGolden); code != 1 || !strings.Contains(stderr, "no series match") {
+		t.Errorf("-metrics matching nothing: exit %d, stderr:\n%s", code, stderr)
 	}
 }
 

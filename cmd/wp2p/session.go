@@ -41,13 +41,20 @@ type output struct {
 	write func(io.Writer) error
 }
 
+// newCommand is a session with no flag yet: all that the subcommands which
+// read files (validate, bisect, timeline) use of one — parse and fail.
+func newCommand(name string, stdout, stderr io.Writer) *session {
+	fs := flag.NewFlagSet("wp2p "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return &session{name: name, fs: fs, stdout: stdout, stderr: stderr, notes: stdout}
+}
+
 // newSession registers every flag two subcommands share, here and nowhere
 // else. Only sim sessions get the flags that mean nothing without a simulated
 // world, so live rejects those as unknown instead of ignoring them.
 func newSession(name string, sim bool, defaultScale float64, stdout, stderr io.Writer) *session {
-	fs := flag.NewFlagSet("wp2p "+name, flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	s := &session{name: name, fs: fs, stdout: stdout, stderr: stderr, notes: stdout}
+	s := newCommand(name, stdout, stderr)
+	fs := s.fs
 	fs.Float64Var(&s.scale, "scale", defaultScale, "scale: 1.0 = paper- or spec-faithful sizes, smaller = faster")
 	fs.StringVar(&s.cpuPath, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&s.memPath, "memprofile", "", "write a heap profile to this file on exit")

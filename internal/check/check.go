@@ -11,9 +11,9 @@
 // The digest side hashes a canonical serialization of all DigestInto hooks
 // plus the stats registry into a Record every Config.DigestEvery events.
 // Two same-seed runs must produce identical records; Stream/WriteStreams/
-// ParseStreams give the `wp2p.digest.v1` interchange format and
-// FirstDivergence (used by tools/digest-bisect) binary-searches two streams
-// to the first diverging event window.
+// ParseStreams give the `wp2p.digest.v1` interchange format, FirstDivergence
+// binary-searches two streams to the first diverging event window, and
+// Bisect (`wp2p bisect`) reports that window for two runs' files.
 //
 // The package imports only sim and stdlib, so every model layer
 // (netem/tcp/bt/wp2p) can depend on it for the Digest type without cycles.

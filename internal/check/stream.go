@@ -14,8 +14,8 @@ import (
 const StreamHeader = "wp2p.digest.v1"
 
 // Stream is one run's digest records plus an optional flight-recorder tail,
-// the unit tools/digest-bisect compares. A multi-world experiment writes
-// one stream per world.
+// the unit Bisect compares. A multi-world experiment writes one stream per
+// world.
 type Stream struct {
 	Label   string   // identifies the run, e.g. "seed=42"
 	Records []Record // digest samples in event order
@@ -180,4 +180,70 @@ func FirstDivergence(a, b []Record) (int, bool) {
 		return n, true
 	}
 	return n, false
+}
+
+// Bisect compares two runs' streams (`wp2p bisect A.digest B.digest`) and
+// reports to w, returning whether they are digest-identical. Streams are
+// matched pairwise after canonical sorting (which reorders a and b); for the
+// first pair that disagrees the report gives the last matching record, both
+// diverging records, the event window the fork happened in — which bounds
+// where nondeterminism, or a behaviour change, entered the event stream —
+// and both flight-recorder tails when present.
+func Bisect(w io.Writer, nameA, nameB string, a, b []Stream) bool {
+	if len(a) != len(b) {
+		fmt.Fprintf(w, "stream count differs: %s has %d, %s has %d\n", nameA, len(a), nameB, len(b))
+		return false
+	}
+	SortStreams(a)
+	SortStreams(b)
+	for i := range a {
+		sa, sb := &a[i], &b[i]
+		if sa.Label != sb.Label {
+			fmt.Fprintf(w, "stream %d label differs: %q vs %q\n", i, sa.Label, sb.Label)
+			return false
+		}
+		if idx, diverged := FirstDivergence(sa.Records, sb.Records); diverged {
+			reportDivergence(w, sa, sb, idx)
+			return false
+		}
+	}
+	fmt.Fprintf(w, "identical: %d stream(s), digests match\n", len(a))
+	return true
+}
+
+// reportDivergence prints the divergence window for one stream pair: the last
+// agreed sample, both sides' first differing samples, and the recorder tails.
+func reportDivergence(w io.Writer, a, b *Stream, idx int) {
+	fmt.Fprintf(w, "diverged: stream %q\n", a.Label)
+	lo := int64(0)
+	if idx > 0 {
+		r := a.Records[idx-1]
+		lo = r.Event
+		fmt.Fprintf(w, "  last match:  event %d  now %v  sum %016x\n", r.Event, r.Now, r.Sum)
+	} else {
+		fmt.Fprintf(w, "  last match:  none (streams differ from the first sample)\n")
+	}
+	hi := int64(-1)
+	for i, s := range []*Stream{a, b} {
+		if idx < len(s.Records) {
+			r := s.Records[idx]
+			hi = max(hi, r.Event)
+			fmt.Fprintf(w, "  first diff %c: event %d  now %v  sum %016x\n", "AB"[i], r.Event, r.Now, r.Sum)
+		} else {
+			fmt.Fprintf(w, "  first diff %c: stream ends (%d records)\n", "AB"[i], len(s.Records))
+		}
+	}
+	if hi >= 0 {
+		fmt.Fprintf(w, "  divergence window: events (%d, %d]\n", lo, hi)
+	} else {
+		fmt.Fprintf(w, "  divergence window: events > %d (one stream truncated)\n", lo)
+	}
+	for i, s := range []*Stream{a, b} {
+		if len(s.Tail) > 0 {
+			fmt.Fprintf(w, "  -- %c flight-recorder tail (%d lines) --\n", "AB"[i], len(s.Tail))
+		}
+		for _, line := range s.Tail {
+			fmt.Fprintf(w, "  %s\n", line)
+		}
+	}
 }

@@ -99,35 +99,9 @@ func uploadCapPoint(cfg Fig3Config, wireless bool, capFrac float64, col *stats.C
 	var mine []*bt.Client
 	for task := 0; task < cfg.Tasks; task++ {
 		tor := bt.NewMetaInfo(fmt.Sprintf("task-%d", task), fileSize, 256*1024)
-		seed := bt.NewClient(bt.Config{
-			Transport: w.WiredHost(0, 0).Transport, Torrent: tor, Tracker: w.Tracker,
-			Seed: true, UploadLimiter: bt.NewLimiter(w.Engine, fig3SeedCap),
-			UnchokeSlots: fig3Slots,
-		})
-		seed.Start()
-		for i := 0; i < cfg.LeechesPerSwarm; i++ {
-			// Live-swarm stand-in: leeches joined at different times (each
-			// already holds a random 30–80% of the pieces, so content is
-			// plentiful) with diverse uplinks. Half are well-provisioned,
-			// half are near-free-riders — the marginal peers a reciprocating
-			// mobile host can outbid for unchoke slots, which is what makes
-			// tit-for-tat pay off in real swarms.
-			var up netem.Rate
-			if i%2 == 0 {
-				up = netem.Rate(10+w.Engine.Rand().Int63n(40)) * netem.KBps
-			} else {
-				up = netem.Rate(1+w.Engine.Rand().Int63n(3)) * netem.KBps
-			}
-			l := bt.NewClient(bt.Config{
-				Transport:     w.WiredHost(0, 0).Transport,
-				Torrent:       tor,
-				Tracker:       w.Tracker,
-				UnchokeSlots:  fig3Slots,
-				UploadLimiter: bt.NewLimiter(w.Engine, up),
-				InitialHave:   randomHave(w, tor, 0.3+0.5*w.Engine.Rand().Float64()),
-			})
-			l.Start()
-		}
+		// Live-swarm stand-in: the near-free-rider half of its leeches are
+		// the marginal peers a reciprocating mobile host can outbid for slots.
+		w.PopulateSwarm(tor, SwarmConfig{Seeds: 1, SeedCap: fig3SeedCap, Leeches: cfg.LeechesPerSwarm, Slots: fig3Slots})
 		me := bt.NewClient(bt.Config{
 			Transport: mob.Transport, Torrent: tor, Tracker: w.Tracker,
 			Port: uint16(6881 + task), UploadLimiter: shared, UnchokeSlots: fig3Slots,
@@ -260,31 +234,9 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 		w := NewWorld(rngSeed, time.Minute)
 		defer w.Finish(col)
 		tor := bt.NewMetaInfo("fig3c", cfg.FileSize, 256*1024)
-		seed := bt.NewClient(bt.Config{
-			Transport: w.WiredHost(0, 0).Transport, Torrent: tor, Tracker: w.Tracker,
-			Seed: true, UploadLimiter: bt.NewLimiter(w.Engine, fig3SeedCap),
-			UnchokeSlots: fig3Slots,
-		})
-		seed.Start()
-		for i := 0; i < cfg.Leeches; i++ {
-			// Same contested-swarm construction as Figures 3(a,b): diverse
-			// content, diverse uplinks, scarce slots — so tit-for-tat
-			// standing actually gates the mobile's download.
-			var up netem.Rate
-			if i%2 == 0 {
-				up = netem.Rate(10+w.Engine.Rand().Int63n(40)) * netem.KBps
-			} else {
-				up = netem.Rate(1+w.Engine.Rand().Int63n(3)) * netem.KBps
-			}
-			bt.NewClient(bt.Config{
-				Transport:     w.WiredHost(0, 0).Transport,
-				Torrent:       tor,
-				Tracker:       w.Tracker,
-				UnchokeSlots:  fig3Slots,
-				UploadLimiter: bt.NewLimiter(w.Engine, up),
-				InitialHave:   randomHave(w, tor, 0.3+0.5*w.Engine.Rand().Float64()),
-			}).Start()
-		}
+		// The contested swarm of Figures 3(a,b), so that tit-for-tat standing
+		// actually gates the mobile's download.
+		w.PopulateSwarm(tor, SwarmConfig{Seeds: 1, SeedCap: fig3SeedCap, Leeches: cfg.Leeches, Slots: fig3Slots})
 		mobHost := w.WirelessHost(netem.WirelessConfig{Rate: 300 * netem.KBps})
 		mobCfg := bt.Config{
 			Transport: mobHost.Transport, Torrent: tor, Tracker: w.Tracker, UnchokeSlots: fig3Slots,

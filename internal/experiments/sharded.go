@@ -129,62 +129,24 @@ func (w *World) Announcer(h *Host) bt.Announcer {
 // shard (0) through the fabric, spending the tracker RTT on each leg exactly
 // as Tracker.Announce does locally. The RTT is asserted ≥ the lookahead at
 // world construction, so both injections respect the barrier bound.
-//
-// Relay frames carry the request and response across the fabric with
-// pre-bound hop closures, recycled through a per-announcer free list, so a
-// steady announce load does not allocate a fresh closure pair per call.
-// The free list is only ever touched on the announcer's home shard —
-// Announce runs there and onReturn is injected back there — so reuse never
-// races the concurrently-running tracker shard.
 type remoteAnnouncer struct {
 	w     *World
 	shard int
-	free  []*relayFrame
-}
-
-// relayFrame is one in-flight announce relay: request out, response back.
-type relayFrame struct {
-	r        *remoteAnnouncer
-	req      bt.AnnounceRequest
-	resp     bt.AnnounceResponse
-	cb       func(bt.AnnounceResponse)
-	onArrive func() // runs on shard 0: handle, inject return leg
-	onReturn func() // runs on the source shard: deliver, recycle
 }
 
 func (r *remoteAnnouncer) Interval() time.Duration { return r.w.Tracker.Interval() }
 
 func (r *remoteAnnouncer) Announce(req bt.AnnounceRequest, cb func(bt.AnnounceResponse)) {
 	w, src := r.w, r.shard
-	rtt := r.w.Tracker.RTT()
-	arrive := w.Shards[src].Engine.Now() + rtt
-	if cb == nil {
-		// Fire-and-forget (EventStopped): no return leg, no frame to recycle.
-		w.Sharded.Inject(src, 0, arrive, func() { w.Tracker.HandleAnnounce(req) })
-		return
-	}
-	var f *relayFrame
-	if n := len(r.free); n > 0 {
-		f = r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-	} else {
-		f = &relayFrame{r: r}
-		f.onArrive = func() {
-			fw := f.r.w
-			f.resp = fw.Tracker.HandleAnnounce(f.req)
-			back := fw.Shards[0].Engine.Now() + fw.Tracker.RTT()
-			fw.Sharded.Inject(0, f.r.shard, back, f.onReturn)
+	arrive := w.Shards[src].Engine.Now() + w.Tracker.RTT()
+	w.Sharded.Inject(src, 0, arrive, func() { // on shard 0
+		resp := w.Tracker.HandleAnnounce(req)
+		if cb == nil {
+			return // fire-and-forget (EventStopped): no return leg
 		}
-		f.onReturn = func() {
-			cb, resp := f.cb, f.resp
-			f.cb, f.req, f.resp = nil, bt.AnnounceRequest{}, bt.AnnounceResponse{}
-			f.r.free = append(f.r.free, f)
-			cb(resp)
-		}
-	}
-	f.req, f.cb = req, cb
-	w.Sharded.Inject(src, 0, arrive, f.onArrive)
+		back := w.Shards[0].Engine.Now() + w.Tracker.RTT()
+		w.Sharded.Inject(0, src, back, func() { cb(resp) }) // back on the source shard
+	})
 }
 
 // RunFor advances the world — the coordinator in a sharded world, the engine

@@ -77,7 +77,7 @@ func TestTimeseriesIdenticalAcrossShardWorkers(t *testing.T) {
 }
 
 // TestTimeseriesExportParses keeps the export loadable by its own reader —
-// the same path tools/validate-timeseries and timeline-report use.
+// the one `wp2p validate` and `wp2p timeline` use, with every rule of the format.
 func TestTimeseriesExportParses(t *testing.T) {
 	raw := captureTimeseries(t, "fig2a", 1, 0)
 	e, err := telemetry.ReadExport(bytes.NewReader(raw))

@@ -132,22 +132,31 @@ const (
 // WiredHost attaches a host behind a full-duplex access link. Zero rates
 // default to 1 MB/s each way.
 func (w *World) WiredHost(up, down netem.Rate) *Host {
-	if up == 0 {
-		up = 1 * netem.MBps
+	return w.WiredHostLink(netem.AccessLinkConfig{UpRate: up, DownRate: down})
+}
+
+// wiredDefaults fills a wired access link's zero fields: 1 MB/s each way and
+// a 1 ms delay, at either fidelity, so packet and fluid variants of an
+// experiment differ only in fidelity.
+func wiredDefaults(cfg netem.AccessLinkConfig) netem.AccessLinkConfig {
+	if cfg.UpRate == 0 {
+		cfg.UpRate = 1 * netem.MBps
 	}
-	if down == 0 {
-		down = 1 * netem.MBps
+	if cfg.DownRate == 0 {
+		cfg.DownRate = 1 * netem.MBps
 	}
-	return w.WiredHostLink(netem.AccessLinkConfig{
-		UpRate: up, DownRate: down, Delay: time.Millisecond,
-	})
+	if cfg.Delay == 0 {
+		cfg.Delay = time.Millisecond
+	}
+	return cfg
 }
 
 // WiredHostLink is WiredHost with the full link config exposed, for callers
-// (the scenario compiler) that shape queues and delays themselves.
+// (the scenario compiler) that shape queues and delays themselves. Zero
+// rates and a zero delay take WiredHost's defaults.
 func (w *World) WiredHostLink(cfg netem.AccessLinkConfig) *Host {
 	shard, eng, net := w.place()
-	link := netem.NewAccessLink(eng, cfg)
+	link := netem.NewAccessLink(eng, wiredDefaults(cfg))
 	ip := w.NextIP()
 	iface := net.Attach(ip, link, nil)
 	if rec := w.recFor(shard); rec != nil {
@@ -182,20 +191,11 @@ func (w *World) flowFabric(shard int, eng *sim.Engine, net *netem.Network) *flow
 }
 
 // FluidHost attaches a host behind a flow-level (fluid) access link: the
-// wired analogue of WiredHostLink at "flow" fidelity. Zero rates default to
-// 1 MB/s each way and a zero delay to 1 ms, matching WiredHost, so packet
-// and fluid variants of an experiment differ only in fidelity. Fluid hosts
-// must stay at their address for the life of the world (no mobility).
+// wired analogue of WiredHostLink at "flow" fidelity, with the same zero
+// defaults. Fluid hosts must stay at their address for the life of the world
+// (no mobility).
 func (w *World) FluidHost(cfg netem.AccessLinkConfig) *Host {
-	if cfg.UpRate == 0 {
-		cfg.UpRate = 1 * netem.MBps
-	}
-	if cfg.DownRate == 0 {
-		cfg.DownRate = 1 * netem.MBps
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = time.Millisecond
-	}
+	cfg = wiredDefaults(cfg)
 	shard, eng, net := w.place()
 	fab := w.flowFabric(shard, eng, net)
 	ip := w.NextIP()
@@ -341,7 +341,7 @@ func (w *World) PopulateSwarm(tor *bt.MetaInfo, cfg SwarmConfig) []*bt.Client {
 			Tracker:       w.Announcer(h),
 			UnchokeSlots:  cfg.Slots,
 			UploadLimiter: bt.NewLimiter(h.Engine, up),
-			InitialHave:   randomHave(w, tor, 0.3+0.5*w.Engine.Rand().Float64()),
+			InitialHave:   w.RandomHave(tor, 0.3+0.5*w.Engine.Rand().Float64()),
 		})
 		mustStart(c.Start())
 		out = append(out, c)
@@ -349,9 +349,9 @@ func (w *World) PopulateSwarm(tor *bt.MetaInfo, cfg SwarmConfig) []*bt.Client {
 	return out
 }
 
-// randomHave builds a piece map with roughly the given fraction of pieces
+// RandomHave builds a piece map with roughly the given fraction of pieces
 // set, drawn from the world's deterministic RNG.
-func randomHave(w *World, tor *bt.MetaInfo, fraction float64) *bt.Bitfield {
+func (w *World) RandomHave(tor *bt.MetaInfo, fraction float64) *bt.Bitfield {
 	have := bt.NewBitfield(tor.NumPieces())
 	for i := 0; i < have.Len(); i++ {
 		if w.Engine.Rand().Float64() < fraction {

@@ -175,16 +175,14 @@ func (c *compiled) buildInstance(g *PeerGroup, i int, eventDriven bool) {
 	inst := &instance{group: g, index: i, completedAt: -1}
 	switch g.Link.Kind {
 	case "wired":
-		switch {
-		case c.fidelityFor(g) == FidelityFlow:
-			inst.host = c.w.FluidHost(netem.AccessLinkConfig{
-				UpRate: g.Link.Up.R(), DownRate: g.Link.Down.R(),
-				Delay: g.Link.Delay.D(), QueueCap: g.Link.QueueCap,
-			})
-		case g.Link.QueueCap == 0 && g.Link.Delay == 0:
-			inst.host = c.w.WiredHost(g.Link.Up.R(), g.Link.Down.R())
-		default:
-			inst.host = c.wiredHostCustom(g.Link)
+		link := netem.AccessLinkConfig{
+			UpRate: g.Link.Up.R(), DownRate: g.Link.Down.R(),
+			Delay: g.Link.Delay.D(), QueueCap: g.Link.QueueCap,
+		}
+		if c.fidelityFor(g) == FidelityFlow {
+			inst.host = c.w.FluidHost(link)
+		} else {
+			inst.host = c.w.WiredHostLink(link)
 		}
 	case "wireless":
 		inst.host = c.w.WirelessHost(netem.WirelessConfig{
@@ -293,7 +291,7 @@ func (c *compiled) buildClient(inst *instance) {
 			cfg.UploadLimiter = bt.NewLimiter(inst.host.Engine, g.UploadLimit.R())
 		}
 		if g.InitialHave > 0 {
-			cfg.InitialHave = c.randomHave(g.InitialHave)
+			cfg.InitialHave = c.w.RandomHave(c.tor, g.InitialHave)
 		}
 		if g.WP2P == nil {
 			inst.bt = bt.NewClient(cfg)
@@ -335,17 +333,6 @@ func (c *compiled) buildClient(inst *instance) {
 	case ProtoGnutella:
 		inst.gn = gnutella.NewNode(gnutella.Config{Transport: inst.host.Transport})
 	}
-}
-
-// randomHave draws a partial piece map from the world RNG.
-func (c *compiled) randomHave(fraction float64) *bt.Bitfield {
-	have := bt.NewBitfield(c.tor.NumPieces())
-	for i := 0; i < have.Len(); i++ {
-		if c.w.Engine.Rand().Float64() < fraction {
-			have.Set(i)
-		}
-	}
-	return have
 }
 
 // start brings the instance's client up (idempotent; join events and the
@@ -413,25 +400,6 @@ func (inst *instance) stop() {
 	if inst.handoff != nil {
 		inst.handoff.Stop()
 	}
-}
-
-// wiredHostCustom builds a wired host with a non-default access delay or
-// queue depth — the one shape World.WiredHost doesn't expose.
-func (c *compiled) wiredHostCustom(l LinkSpec) *experiments.Host {
-	up, down := l.Up.R(), l.Down.R()
-	if up == 0 {
-		up = 1 * netem.MBps
-	}
-	if down == 0 {
-		down = 1 * netem.MBps
-	}
-	delay := l.Delay.D()
-	if delay == 0 {
-		delay = time.Millisecond
-	}
-	return c.w.WiredHostLink(netem.AccessLinkConfig{
-		UpRate: up, DownRate: down, Delay: delay, QueueCap: l.QueueCap,
-	})
 }
 
 // restarter adapts the instance to mobility.Restarter for the default

@@ -542,10 +542,3 @@ func pathPrefix(segs []seg, n int) []string {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -160,7 +160,7 @@ func TestSampledSeriesMonotone(t *testing.T) {
 }
 
 // TestValidateExamples keeps the bundled library loadable — the same check
-// CI runs via `wp2p scenario -validate`.
+// CI runs via `wp2p validate`.
 func TestValidateExamples(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(examplesDir, "*.json"))
 	if err != nil || len(files) == 0 {
@@ -173,6 +173,44 @@ func TestValidateExamples(t *testing.T) {
 		}
 		if _, err := Load(data); err != nil {
 			t.Errorf("%s: %v", filepath.Base(path), err)
+		}
+	}
+}
+
+// TestShapedLinksMatchGolden pins the two compile paths no bundled example
+// takes: bt groups with initial_have, and wired groups that set delay or
+// queue. The goldens were recorded with `wp2p scenario -scale 0.25 -json …
+// -digest … testdata/partial-shaped-links.json` while the compiler still
+// carried its own copies of randomHave and the wired-link defaults; the
+// shared experiments code must build the same world.
+func TestShapedLinksMatchGolden(t *testing.T) {
+	experiments.EnableDigests(0)
+	t.Cleanup(experiments.DisableChecking)
+	spec, err := LoadFile("testdata/partial-shaped-links.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(spec, 0.25)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var result, digest bytes.Buffer
+	if err := res.WriteJSON(&result); err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.WriteDigests(&digest); err != nil {
+		t.Fatal(err)
+	}
+	for golden, got := range map[string][]byte{
+		"testdata/partial-shaped-links_scale025.result.json": result.Bytes(),
+		"testdata/partial-shaped-links_scale025.digest":      digest.Bytes(),
+	} {
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: output differs from the golden (%d bytes, golden %d)", golden, len(got), len(want))
 		}
 	}
 }

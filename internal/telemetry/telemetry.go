@@ -1,9 +1,10 @@
 // Package telemetry is the wp2p.timeseries.v1 format: the document a run's
-// sampled trajectories are written as, and the reader downstream tooling
-// (tools/timeline-report, tools/validate-timeseries) loads it with — so the
-// phenomena the paper plots (throughput degradation under mobile churn, LIHD
-// recovery, a flash crowd's arrival wave) exist as curves over virtual time
-// instead of only as end-of-run totals.
+// sampled trajectories are written as, the reader that holds every rule a
+// valid one obeys (`wp2p validate`, and every other reader, goes through it),
+// and the timeline `wp2p timeline` renders from it — so the phenomena the
+// paper plots (throughput degradation under mobile churn, LIHD recovery, a
+// flash crowd's arrival wave) exist as curves over virtual time instead of
+// only as end-of-run totals.
 //
 // The data itself is internal/stats': registries sample their own
 // instruments, one stats.Collector folds the shards of a world and the runs
@@ -24,8 +25,8 @@ import (
 	"github.com/wp2p/wp2p/internal/stats"
 )
 
-// SchemaVersion identifies the JSON layout WriteJSON emits. Downstream
-// tooling (tools/timeline-report, tools/validate-timeseries) keys on it.
+// SchemaVersion identifies the JSON layout WriteJSON emits; ReadExport and
+// `wp2p validate` key on it.
 const SchemaVersion = "wp2p.timeseries.v1"
 
 // Series kinds, as the document spells them.
@@ -51,10 +52,6 @@ type Config struct {
 // predicate ("sim.,netem.wired" keeps the engine and wired-medium
 // instruments). An empty spec returns nil: keep everything.
 func ParseFilter(spec string) func(name string) bool {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil
-	}
 	var pats []string
 	for _, term := range strings.Split(spec, ",") {
 		if term = strings.TrimSpace(term); term != "" {
@@ -125,17 +122,101 @@ func (e *Export) WriteJSON(w io.Writer) error {
 	return enc.Encode(e)
 }
 
-// ReadExport parses and validates a wp2p.timeseries.v1 document.
+// ReadExport parses a wp2p.timeseries.v1 document and checks every rule of
+// the format, naming the first one broken: the schema tag and a positive
+// cadence; series uniquely keyed, in canonical (name, kind) order, of a known
+// kind, with a non-negative start; counter and hist_count series
+// non-decreasing; a histogram's count and sum rows both present over the same
+// sample range; annotations labelled, non-negative and sorted by (time, label).
 func ReadExport(r io.Reader) (*Export, error) {
 	var e Export
 	if err := json.NewDecoder(r).Decode(&e); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("telemetry: not valid JSON: %w", err)
 	}
-	if e.Schema != SchemaVersion {
-		return nil, fmt.Errorf("telemetry: schema %q, want %q", e.Schema, SchemaVersion)
-	}
-	if e.EveryNS <= 0 {
-		return nil, fmt.Errorf("telemetry: every_ns %d must be positive", e.EveryNS)
+	if err := e.validate(); err != nil {
+		return nil, fmt.Errorf("telemetry: %w", err)
 	}
 	return &e, nil
+}
+
+func (e *Export) validate() error {
+	if e.Schema != SchemaVersion {
+		return fmt.Errorf("schema %q, want %q", e.Schema, SchemaVersion)
+	}
+	if e.EveryNS <= 0 {
+		return fmt.Errorf("every_ns %d must be positive", e.EveryNS)
+	}
+	if len(e.Series) > 0 && e.Runs < 1 {
+		return fmt.Errorf("%d series but runs = %d", len(e.Series), e.Runs)
+	}
+	for i := range e.Series {
+		s := &e.Series[i]
+		if s.Name == "" {
+			return fmt.Errorf("series %d has an empty name", i)
+		}
+		switch s.Kind {
+		case KindCounter, KindGauge, KindHistCount, KindHistSum:
+		default:
+			return fmt.Errorf("series %q has unknown kind %q", s.Name, s.Kind)
+		}
+		if s.Start < 0 {
+			return fmt.Errorf("series %q has negative start %d", s.Name, s.Start)
+		}
+		if i > 0 {
+			prev := &e.Series[i-1]
+			if prev.Name == s.Name && prev.Kind == s.Kind {
+				return fmt.Errorf("duplicate series (%q, %s)", s.Name, s.Kind)
+			}
+			if prev.Name > s.Name || (prev.Name == s.Name && prev.Kind > s.Kind) {
+				return fmt.Errorf("series not sorted by (name, kind): (%q, %s) before (%q, %s)",
+					prev.Name, prev.Kind, s.Name, s.Kind)
+			}
+		}
+		// Counters and histogram components snapshot cumulative instruments,
+		// so a decreasing sample means a merge or sampling bug upstream.
+		if s.Kind == KindCounter || s.Kind == KindHistCount {
+			for j := 1; j < len(s.V); j++ {
+				if s.V[j] < s.V[j-1] {
+					return fmt.Errorf("%s series %q decreases at sample %d (%d -> %d)",
+						s.Kind, s.Name, int64(j)+s.Start, s.V[j-1], s.V[j])
+				}
+			}
+		}
+	}
+	// A histogram exports as a (count, sum) pair over one name — neighbours,
+	// in canonical order; a lone half or mismatched coverage means the
+	// exporter dropped data.
+	for i := range e.Series {
+		s := &e.Series[i]
+		switch s.Kind {
+		case KindHistCount:
+			if i+1 == len(e.Series) || e.Series[i+1].Name != s.Name || e.Series[i+1].Kind != KindHistSum {
+				return fmt.Errorf("histogram %q has a count series but no sum series", s.Name)
+			}
+			if sum := &e.Series[i+1]; sum.Start != s.Start || len(sum.V) != len(s.V) {
+				return fmt.Errorf("histogram %q count covers [%d,%d) but sum covers [%d,%d)",
+					s.Name, s.Start, s.Start+int64(len(s.V)), sum.Start, sum.Start+int64(len(sum.V)))
+			}
+		case KindHistSum:
+			if i == 0 || e.Series[i-1].Name != s.Name || e.Series[i-1].Kind != KindHistCount {
+				return fmt.Errorf("histogram %q has a sum series but no count series", s.Name)
+			}
+		}
+	}
+	for i := range e.Annotations {
+		a := &e.Annotations[i]
+		if a.Label == "" {
+			return fmt.Errorf("annotation %d at %dns has an empty label", i, a.AtNS)
+		}
+		if a.AtNS < 0 {
+			return fmt.Errorf("annotation %q at negative time %dns", a.Label, a.AtNS)
+		}
+		if i > 0 {
+			p := &e.Annotations[i-1]
+			if p.AtNS > a.AtNS || (p.AtNS == a.AtNS && p.Label >= a.Label) {
+				return fmt.Errorf("annotations not sorted by (time, label) at index %d", i)
+			}
+		}
+	}
+	return nil
 }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -299,4 +301,68 @@ func int64sEqual(a, b []int64) bool {
 		}
 	}
 	return true
+}
+
+// golden is a wp2p.timeseries.v1 export checked in from `wp2p scenario
+// -scale 0.05 -timeseries … examples/scenarios/handoff-storm.json`; it is
+// also internal/scenario's cross-commit byte-identity golden.
+const golden = "../scenario/testdata/handoff-storm_scale005.timeseries.json"
+
+func TestGoldenExportValidates(t *testing.T) {
+	f, err := os.Open(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	e, err := ReadExport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Series) == 0 || len(e.Series[0].V) != 36 || len(e.Annotations) != 2 {
+		t.Errorf("golden read as %d series (first %d samples long), %d annotations", len(e.Series), len(e.Series[0].V), len(e.Annotations))
+	}
+}
+
+// TestCorruptedExportsAreRejected breaks the format's rules one at a time —
+// the first five by editing the golden, the rest a minimal document: the
+// reader must refuse each, naming what broke.
+func TestCorruptedExportsAreRejected(t *testing.T) {
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const small = `{"schema":"wp2p.timeseries.v1","every_ns":1000,"runs":1,"series":[
+		{"name":"c","kind":"counter","v":[1,2]},
+		{"name":"h","kind":"hist_count","v":[3,4]},
+		{"name":"h","kind":"hist_sum","v":[5,9]}],
+		"annotations":[{"at_ns":1,"label":"a"},{"at_ns":2,"label":"b"}]}`
+	if _, err := ReadExport(strings.NewReader(small)); err != nil {
+		t.Fatalf("the minimal document itself: %v", err)
+	}
+	for name, c := range map[string]struct{ doc, old, new, want string }{
+		"schema":         {string(raw), `"wp2p.timeseries.v1"`, `"wp2p.timeseries.v0"`, "schema"},
+		"cadence":        {string(raw), `"every_ns": 5000000000`, `"every_ns": 0`, "every_ns"},
+		"kind":           {string(raw), `"kind": "gauge"`, `"kind": "level"`, "unknown kind"},
+		"sort order":     {string(raw), `"name": "bt.chokes"`, `"name": "zz.chokes"`, "not sorted"},
+		"annotation":     {string(raw), `"at_ns": 18000000000`, `"at_ns": 98000000000`, "annotations not sorted"},
+		"runs":           {small, `"runs":1`, `"runs":0`, "3 series but runs = 0"},
+		"empty name":     {small, `"name":"c"`, `"name":""`, "empty name"},
+		"negative start": {small, `"kind":"counter"`, `"kind":"counter","start":-1`, "negative start -1"},
+		"duplicate":      {small, `"name":"h","kind":"hist_count"`, `"name":"c","kind":"counter"`, `duplicate series ("c", counter)`},
+		"decreasing":     {small, `[1,2]`, `[2,1]`, `counter series "c" decreases at sample 1 (2 -> 1)`},
+		"lone hist sum":  {small, `"kind":"hist_count"`, `"kind":"gauge"`, `histogram "h" has a sum series but no count series`},
+		"hist coverage":  {small, `[5,9]`, `[5]`, `histogram "h" count covers [0,2) but sum covers [0,1)`},
+		"unlabelled":     {small, `"label":"a"`, `"label":""`, "annotation 0 at 1ns has an empty label"},
+		"negative time":  {small, `"at_ns":1`, `"at_ns":-1`, `annotation "a" at negative time -1ns`},
+		"lone hist count": {small, `,
+		{"name":"h","kind":"hist_sum","v":[5,9]}`, ``, `histogram "h" has a count series but no sum series`},
+	} {
+		if !strings.Contains(c.doc, c.old) {
+			t.Fatalf("%s: the document no longer contains %s", name, c.old)
+		}
+		_, err := ReadExport(strings.NewReader(strings.Replace(c.doc, c.old, c.new, 1)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadExport = %v, want an error mentioning %q", name, err, c.want)
+		}
+	}
 }

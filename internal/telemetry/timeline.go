@@ -1,54 +1,58 @@
-// Command timeline-report renders a wp2p.timeseries.v1 export (see
-// internal/telemetry; produced by the -timeseries flag of wp2p run,
-// figures and scenario) as a human-readable
-// timeline: one sparkline row per metric over the shared sim-time axis,
-// with scenario fault-schedule annotations listed against it.
-//
-// Counters and histogram counts are cumulative snapshots, so the report
-// differentiates them and shows per-second rates — the shape a throughput
-// dip or a handoff storm actually has. Gauges plot raw. A histogram's
-// (count, sum) pair additionally yields a windowed-mean row.
-//
-// Usage:
-//
-//	timeline-report [-metrics sim.,bt.] [-width 64] [-html out.html] file.json
-//
-// The default output is a text table on stdout; -html instead writes a
-// self-contained HTML page (inline SVG, no external assets) with one chart
-// per metric and annotation markers on every chart.
-package main
+package telemetry
 
 import (
-	"flag"
 	"fmt"
 	"html"
 	"io"
 	"math"
-	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
-
-	"github.com/wp2p/wp2p/internal/telemetry"
 )
+
+// A Timeline is an export laid out for reading (`wp2p timeline`): one lane
+// per metric over the shared sim-time axis, with the scenario's
+// fault-schedule annotations listed against it.
+//
+// Counters and histogram counts are cumulative snapshots, so their lanes are
+// differentiated into per-second rates — the shape a throughput dip or a
+// handoff storm actually has. Gauges plot raw. A histogram's (count, sum)
+// pair additionally yields a windowed-mean lane.
+type Timeline struct {
+	e    *Export
+	rows []row
+}
+
+// NewTimeline lays out the series whose names keep accepts (nil = all).
+func NewTimeline(e *Export, keep func(name string) bool) *Timeline {
+	return &Timeline{e: e, rows: buildRows(e, keep)}
+}
+
+// Lanes is the number of lanes; zero means keep matched nothing.
+func (t *Timeline) Lanes() int { return len(t.rows) }
 
 // row is one rendered timeline lane: a metric's trajectory resampled into
 // plottable points, each point pinned to an absolute sim time.
 type row struct {
 	name string
-	unit string    // "/s" for differentiated series, "" for levels
 	at   []int64   // sim time of each point, ns
 	v    []float64 // plotted value at each point
+}
+
+// plot appends sample j of s, taken at sim time (s.Start+j+1)·every, as v.
+func (r *row) plot(e *Export, s *SeriesData, j int, v float64) {
+	r.at = append(r.at, (s.Start+int64(j)+1)*e.EveryNS)
+	r.v = append(r.v, v)
 }
 
 // buildRows turns the export's series into display lanes. Cumulative kinds
 // (counter, hist_count) are differentiated into per-interval rates; a
 // histogram's count+sum pair contributes a windowed-mean lane as well.
-func buildRows(e *telemetry.Export, keep func(string) bool) []row {
-	everySec := float64(e.EveryNS) / 1e9
-	sums := map[string]*telemetry.SeriesData{}
+func buildRows(e *Export, keep func(string) bool) []row {
+	sums := map[string]*SeriesData{}
 	for i := range e.Series {
-		if e.Series[i].Kind == telemetry.KindHistSum {
+		if e.Series[i].Kind == KindHistSum {
 			sums[e.Series[i].Name] = &e.Series[i]
 		}
 	}
@@ -58,21 +62,17 @@ func buildRows(e *telemetry.Export, keep func(string) bool) []row {
 		if keep != nil && !keep(s.Name) {
 			continue
 		}
-		atOf := func(j int) int64 { return (s.Start + int64(j) + 1) * e.EveryNS }
 		switch s.Kind {
-		case telemetry.KindGauge:
-			r := row{name: s.Name, at: make([]int64, len(s.V)), v: make([]float64, len(s.V))}
+		case KindGauge:
+			r := row{name: s.Name}
 			for j, v := range s.V {
-				r.at[j] = atOf(j)
-				r.v[j] = float64(v)
+				r.plot(e, s, j, float64(v))
 			}
 			rows = append(rows, r)
-		case telemetry.KindCounter, telemetry.KindHistCount:
-			rows = append(rows, rateRow(s.Name+"/s", s, e.EveryNS, everySec))
-			if s.Kind == telemetry.KindHistCount {
-				if sum := sums[s.Name]; sum != nil && sum.Start == s.Start && len(sum.V) == len(s.V) {
-					rows = append(rows, meanRow(s, sum, e.EveryNS))
-				}
+		case KindCounter, KindHistCount:
+			rows = append(rows, rateRow(e, s))
+			if sum := sums[s.Name]; s.Kind == KindHistCount && sum != nil && sum.Start == s.Start && len(sum.V) == len(s.V) {
+				rows = append(rows, meanRow(e, s, sum))
 			}
 		}
 	}
@@ -83,16 +83,14 @@ func buildRows(e *telemetry.Export, keep func(string) bool) []row {
 // rateRow differentiates a cumulative series into per-second rates. The
 // sample before a wrapped ring's first retained index is unknown, so the
 // rate lane starts one sample in when Start > 0.
-func rateRow(name string, s *telemetry.SeriesData, everyNS int64, everySec float64) row {
-	r := row{name: name, unit: "/s"}
+func rateRow(e *Export, s *SeriesData) row {
+	r := row{name: s.Name + "/s"}
+	everySec := float64(e.EveryNS) / 1e9
 	prev := int64(0)
 	for j, v := range s.V {
-		if j == 0 && s.Start > 0 {
-			prev = v
-			continue
+		if j > 0 || s.Start == 0 {
+			r.plot(e, s, j, float64(v-prev)/everySec)
 		}
-		r.at = append(r.at, (s.Start+int64(j)+1)*everyNS)
-		r.v = append(r.v, float64(v-prev)/everySec)
 		prev = v
 	}
 	return r
@@ -100,22 +98,19 @@ func rateRow(name string, s *telemetry.SeriesData, everyNS int64, everySec float
 
 // meanRow reconstructs a histogram's windowed mean from its count and sum
 // deltas; windows with no observations plot as zero.
-func meanRow(count, sum *telemetry.SeriesData, everyNS int64) row {
+func meanRow(e *Export, count, sum *SeriesData) row {
 	r := row{name: count.Name + " (mean)"}
 	var pc, ps int64
 	for j := range count.V {
-		if j == 0 && count.Start > 0 {
-			pc, ps = count.V[0], sum.V[0]
-			continue
-		}
 		dc, dsum := count.V[j]-pc, sum.V[j]-ps
 		pc, ps = count.V[j], sum.V[j]
 		m := 0.0
 		if dc > 0 {
 			m = float64(dsum) / float64(dc)
 		}
-		r.at = append(r.at, (count.Start+int64(j)+1)*everyNS)
-		r.v = append(r.v, m)
+		if j > 0 || count.Start == 0 {
+			r.plot(e, count, j, m)
+		}
 	}
 	return r
 }
@@ -133,20 +128,14 @@ func sparkline(v []float64, width int) string {
 	}
 	cells := make([]float64, width)
 	for i := range cells {
-		lo, hi := i*len(v)/width, (i+1)*len(v)/width
-		if hi == lo {
-			hi = lo + 1
-		}
+		lo, hi := i*len(v)/width, (i+1)*len(v)/width // hi > lo: width ≤ len(v)
 		sum := 0.0
 		for _, x := range v[lo:hi] {
 			sum += x
 		}
 		cells[i] = sum / float64(hi-lo)
 	}
-	min, max := cells[0], cells[0]
-	for _, c := range cells {
-		min, max = math.Min(min, c), math.Max(max, c)
-	}
+	min, max := slices.Min(cells), slices.Max(cells)
 	var b strings.Builder
 	for _, c := range cells {
 		idx := 0
@@ -162,11 +151,17 @@ func minMaxLast(v []float64) (min, max, last float64) {
 	if len(v) == 0 {
 		return 0, 0, 0
 	}
-	min, max = v[0], v[0]
-	for _, x := range v {
-		min, max = math.Min(min, x), math.Max(max, x)
+	return slices.Min(v), slices.Max(v), v[len(v)-1]
+}
+
+// span is the sim time of the timeline's last point, ns.
+func (t *Timeline) span() (span int64) {
+	for _, r := range t.rows {
+		if n := len(r.at); n > 0 {
+			span = max(span, r.at[n-1])
+		}
 	}
-	return min, max, v[len(v)-1]
+	return span
 }
 
 func fmtVal(v float64) string {
@@ -180,15 +175,12 @@ func fmtVal(v float64) string {
 	}
 }
 
-func writeText(w io.Writer, e *telemetry.Export, rows []row, width int) {
-	span := int64(0)
-	for _, r := range rows {
-		if n := len(r.at); n > 0 && r.at[n-1] > span {
-			span = r.at[n-1]
-		}
-	}
+// WriteText renders a text table: a sparkline of at most width (≥ 1) cells
+// and the min, max and last value per lane, then the annotations.
+func (t *Timeline) WriteText(w io.Writer, width int) {
+	e, rows := t.e, t.rows
 	fmt.Fprintf(w, "timeline: %d series, every %v, %d runs, span %v\n\n",
-		len(rows), time.Duration(e.EveryNS), e.Runs, time.Duration(span))
+		len(rows), time.Duration(e.EveryNS), e.Runs, time.Duration(t.span()))
 	nameW := 12
 	for _, r := range rows {
 		if len(r.name) > nameW {
@@ -208,17 +200,13 @@ func writeText(w io.Writer, e *telemetry.Export, rows []row, width int) {
 	}
 }
 
-// writeHTML emits a self-contained page: one inline-SVG chart per lane,
+// WriteHTML emits a self-contained page: one inline-SVG chart per lane,
 // annotation markers as vertical lines with hover titles. No scripts, no
 // external assets — the file is archivable next to the export it renders.
-func writeHTML(w io.Writer, e *telemetry.Export, rows []row) {
+func (t *Timeline) WriteHTML(w io.Writer) {
+	e, rows := t.e, t.rows
 	const cw, ch, pad = 720, 96, 4
-	span := int64(1)
-	for _, r := range rows {
-		if n := len(r.at); n > 0 && r.at[n-1] > span {
-			span = r.at[n-1]
-		}
-	}
+	span := max(t.span(), 1)
 	x := func(at int64) float64 { return pad + float64(at)/float64(span)*(cw-2*pad) }
 	fmt.Fprintf(w, `<!doctype html><html><head><meta charset="utf-8"><title>wp2p timeline</title>
 <style>
@@ -263,46 +251,4 @@ td{padding:2px 10px 2px 0;font-family:monospace}
 		fmt.Fprintf(w, "</table>")
 	}
 	fmt.Fprintf(w, "</body></html>\n")
-}
-
-func main() {
-	metrics := flag.String("metrics", "", "comma-separated metric-name prefixes to include (empty = all)")
-	width := flag.Int("width", 64, "sparkline width in cells (text output)")
-	htmlOut := flag.String("html", "", "write a self-contained HTML page to this file instead of the text table")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: timeline-report [-metrics prefixes] [-width n] [-html out.html] file.json")
-		os.Exit(2)
-	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "timeline-report: %v\n", err)
-		os.Exit(1)
-	}
-	e, err := telemetry.ReadExport(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "timeline-report: %s: %v\n", flag.Arg(0), err)
-		os.Exit(1)
-	}
-	rows := buildRows(e, telemetry.ParseFilter(*metrics))
-	if len(rows) == 0 {
-		fmt.Fprintln(os.Stderr, "timeline-report: no series match")
-		os.Exit(1)
-	}
-	if *htmlOut != "" {
-		out, err := os.Create(*htmlOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "timeline-report: %v\n", err)
-			os.Exit(1)
-		}
-		writeHTML(out, e, rows)
-		if err := out.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "timeline-report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *htmlOut)
-		return
-	}
-	writeText(os.Stdout, e, rows, *width)
 }
