@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -196,12 +199,16 @@ func TestOutputsAndObservers(t *testing.T) {
 	}
 }
 
+// TestFiguresReport also pins every registry experiment's wp2p.result.v1
+// export to the hashes in testdata/figures_scale003.sha256 (sha256sum format),
+// the standing gate for "no export moves unless the PR says which and why".
 func TestFiguresReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all 16 experiments")
 	}
-	report := filepath.Join(t.TempDir(), "r.md")
-	code, stdout, stderr := wp2p("figures", "-scale", "0.03", "-o", report)
+	dir := t.TempDir()
+	report := filepath.Join(dir, "r.md")
+	code, stdout, stderr := wp2p("figures", "-scale", "0.03", "-json", dir, "-o", report)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -217,6 +224,29 @@ func TestFiguresReport(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(md), "# Reproduced figures (scale 0.03)\n\nGenerated by `wp2p figures -scale 0.03`.") {
 		t.Errorf("unexpected report header:\n%.200s", md)
+	}
+
+	if runtime.GOARCH != "amd64" {
+		t.Skip("export hashes were recorded on amd64; fused multiply-add may round differently here")
+	}
+	table, err := os.ReadFile("testdata/figures_scale003.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(table)), "\n")
+	if len(lines) != 16 {
+		t.Fatalf("hash table has %d lines, want 16", len(lines))
+	}
+	for _, line := range lines {
+		want, name, _ := strings.Cut(line, "  ")
+		export, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(export)); got != want {
+			t.Errorf("%s: sha256 %s, recorded %s", name, got, want)
+		}
 	}
 }
 

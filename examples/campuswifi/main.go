@@ -31,7 +31,7 @@ func buildSwarm(engine *sim.Engine) (*tcp.Stack, *bt.MetaInfo, *bt.Tracker) {
 		link := netem.NewAccessLink(engine, netem.AccessLinkConfig{
 			UpRate: 300 * netem.KBps, DownRate: 1 * netem.MBps,
 		})
-		s := tcp.NewStack(engine, network.Attach(nextIP, link, nil), tcp.Config{})
+		s := tcp.NewStack(engine, network.Attach(nextIP, link, nil))
 		nextIP++
 		return s
 	}
@@ -57,7 +57,7 @@ func buildSwarm(engine *sim.Engine) (*tcp.Stack, *bt.MetaInfo, *bt.Tracker) {
 	wlan := netem.NewWirelessChannel(engine, netem.WirelessConfig{
 		Rate: channelRate, Overhead: 2 * time.Millisecond,
 	})
-	laptop := tcp.NewStack(engine, network.Attach(100, wlan, nil), tcp.Config{})
+	laptop := tcp.NewStack(engine, network.Attach(100, wlan, nil))
 	return laptop, tor, tracker
 }
 

@@ -32,7 +32,7 @@ func run(useRR bool) {
 		link := netem.NewAccessLink(engine, netem.AccessLinkConfig{
 			UpRate: 200 * netem.KBps, DownRate: 1 * netem.MBps,
 		})
-		s := tcp.NewStack(engine, network.Attach(nextIP, link, nil), tcp.Config{})
+		s := tcp.NewStack(engine, network.Attach(nextIP, link, nil))
 		nextIP++
 		return s
 	}
@@ -51,7 +51,7 @@ func run(useRR bool) {
 		Rate: 400 * netem.KBps, Overhead: 2 * time.Millisecond,
 	})
 	iface := network.Attach(100, wlan, nil)
-	stack := tcp.NewStack(engine, iface, tcp.Config{})
+	stack := tcp.NewStack(engine, iface)
 
 	cfg := wp2p.Config{
 		BT: bt.Config{Transport: transport.NewSim(stack), Torrent: tor, Tracker: tracker, Seed: true},

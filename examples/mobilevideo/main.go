@@ -32,7 +32,7 @@ func run(useMF bool) {
 			UpRate: 500 * netem.KBps, DownRate: 500 * netem.KBps,
 		})
 		bt.NewClient(bt.Config{
-			Transport: transport.NewSim(tcp.NewStack(engine, network.Attach(ip, link, nil), tcp.Config{})),
+			Transport: transport.NewSim(tcp.NewStack(engine, network.Attach(ip, link, nil))),
 			Torrent:   video, Tracker: tracker, Seed: true,
 		}).Start()
 	}
@@ -42,7 +42,7 @@ func run(useMF bool) {
 		Rate: 300 * netem.KBps, Overhead: 2 * time.Millisecond,
 	})
 	iface := network.Attach(10, wlan, nil)
-	stack := tcp.NewStack(engine, iface, tcp.Config{})
+	stack := tcp.NewStack(engine, iface)
 
 	cfg := wp2p.Config{BT: bt.Config{Transport: transport.NewSim(stack), Torrent: video, Tracker: tracker}}
 	label := "default (rarest-first)"

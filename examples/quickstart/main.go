@@ -30,7 +30,7 @@ func main() {
 		link := netem.NewAccessLink(engine, netem.AccessLinkConfig{
 			UpRate: 1 * netem.MBps, DownRate: 1 * netem.MBps, Delay: time.Millisecond,
 		})
-		return tcp.NewStack(engine, network.Attach(ip, link, nil), tcp.Config{})
+		return tcp.NewStack(engine, network.Attach(ip, link, nil))
 	}
 
 	// Cap the seed so the leeches have to exchange pieces with each other,

@@ -31,7 +31,7 @@ func main() {
 		UpRate: 500 * netem.KBps, DownRate: 500 * netem.KBps,
 	})
 	bt.NewClient(bt.Config{
-		Transport: transport.NewSim(tcp.NewStack(engine, network.Attach(1, link, nil), tcp.Config{})),
+		Transport: transport.NewSim(tcp.NewStack(engine, network.Attach(1, link, nil))),
 		Torrent:   tor, Tracker: tracker, Seed: true,
 	}).Start()
 
@@ -41,7 +41,7 @@ func main() {
 	})
 	iface := network.Attach(10, wlan, nil)
 	leech := bt.NewClient(bt.Config{
-		Transport: transport.NewSim(tcp.NewStack(engine, iface, tcp.Config{})),
+		Transport: transport.NewSim(tcp.NewStack(engine, iface)),
 		Torrent:   tor, Tracker: tracker,
 	})
 	leech.Start()

@@ -29,9 +29,6 @@ type Config struct {
 	// UploadLimiter caps upload bandwidth; may be shared across clients on
 	// one host. Nil means unlimited.
 	UploadLimiter *Limiter
-	// Ledger is the per-peer-id credit history; preserved across Restart.
-	// One is created if nil.
-	Ledger *CreditLedger
 
 	// Seed starts the client with the complete file.
 	Seed bool
@@ -43,14 +40,16 @@ type Config struct {
 	InitialHave *Bitfield
 
 	MaxPeers           int           // connection cap (default 20)
-	PipelineDepth      int           // outstanding block requests per peer (default 8)
 	UnchokeSlots       int           // regular tit-for-tat unchokes; the optimistic unchoke is additive (default 4)
 	ChokeInterval      time.Duration // choker cadence (default 10s)
 	OptimisticInterval time.Duration // optimistic unchoke rotation (default 30s)
 	RequestTimeout     time.Duration // re-request stalled blocks (default 45s)
-	RateWindow         time.Duration // rate estimation window (default 20s)
-	DialBackoff        time.Duration // per-address cool-down after a failed dial (default 45s)
 }
+
+const (
+	pipelineDepth = 8                // outstanding block requests per peer
+	dialBackoff   = 45 * time.Second // per-address cool-down after a failed dial
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -63,9 +62,6 @@ func (c *Config) withDefaults() Config {
 	if out.MaxPeers == 0 {
 		out.MaxPeers = 20
 	}
-	if out.PipelineDepth == 0 {
-		out.PipelineDepth = 8
-	}
 	if out.UnchokeSlots == 0 {
 		out.UnchokeSlots = 4
 	}
@@ -77,12 +73,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.RequestTimeout == 0 {
 		out.RequestTimeout = 45 * time.Second
-	}
-	if out.RateWindow == 0 {
-		out.RateWindow = DefaultRateWindow
-	}
-	if out.DialBackoff == 0 {
-		out.DialBackoff = 45 * time.Second
 	}
 	return out
 }
@@ -204,10 +194,7 @@ func NewClient(cfg Config) *Client {
 	if c.peerID == "" {
 		c.peerID = NewPeerID(c.engine.Rand())
 	}
-	c.ledger = c.cfg.Ledger
-	if c.ledger == nil {
-		c.ledger = NewCreditLedger()
-	}
+	c.ledger = NewCreditLedger()
 	n := c.torrent.NumPieces()
 	c.have = NewBitfield(n)
 	c.pending = NewBitfield(n)
@@ -217,8 +204,8 @@ func NewClient(cfg Config) *Client {
 	c.knownAt = make(map[netem.Addr]int)
 	c.backoff = make(map[netem.Addr]time.Duration)
 	c.connected = make(map[netem.Addr]bool)
-	c.downTotal = NewRateEstimator(c.cfg.RateWindow)
-	c.upTotal = NewRateEstimator(c.cfg.RateWindow)
+	c.downTotal = NewRateEstimator(DefaultRateWindow)
+	c.upTotal = NewRateEstimator(DefaultRateWindow)
 	c.chk = choker{client: c}
 	c.reg.bind(c.engine.Stats())
 
@@ -440,7 +427,7 @@ func (c *Client) maintainConnections() {
 
 func (c *Client) dial(pi PeerInfo) {
 	// Back the address off immediately; a completed handshake clears it.
-	c.backoff[pi.Addr] = c.engine.Now() + c.cfg.DialBackoff
+	c.backoff[pi.Addr] = c.engine.Now() + dialBackoff
 	conn, err := c.tr.Dial(pi.Addr)
 	if err != nil {
 		// Local resource exhaustion (no free ephemeral port); the backoff
@@ -576,7 +563,7 @@ func (c *Client) fillRequests(p *peerConn) {
 	if c.stopped || p.closed || p.peerChoking || !p.amInterested {
 		return
 	}
-	for p.requestsOut.Len() < c.cfg.PipelineDepth {
+	for p.requestsOut.Len() < pipelineDepth {
 		piece, block := c.pickBlock(p)
 		if piece < 0 {
 			// Endgame: every missing block is already in flight somewhere.

@@ -70,8 +70,8 @@ func newPeerConn(c *Client, conn transport.Conn, addr netem.Addr, inbound bool) 
 		amChoking:   true,
 		peerChoking: true,
 		remoteHas:   NewBitfield(c.torrent.NumPieces()),
-		upRate:      NewRateEstimator(c.cfg.RateWindow),
-		downRate:    NewRateEstimator(c.cfg.RateWindow),
+		upRate:      NewRateEstimator(DefaultRateWindow),
+		downRate:    NewRateEstimator(DefaultRateWindow),
 		cancelled:   make(map[blockRef]bool),
 		connectedAt: c.engine.Now(),
 	}

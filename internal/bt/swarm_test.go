@@ -45,7 +45,7 @@ func (env *swarmEnv) wiredStack(up, down netem.Rate) *tcp.Stack {
 		UpRate: up, DownRate: down, Delay: time.Millisecond,
 	})
 	iface := env.net.Attach(ip, link, nil)
-	return tcp.NewStack(env.engine, iface, tcp.Config{})
+	return tcp.NewStack(env.engine, iface)
 }
 
 // client builds a client on a fresh wired host.

@@ -82,7 +82,6 @@ type Announcer interface {
 type Tracker struct {
 	engine   *sim.Engine
 	interval time.Duration
-	rtt      time.Duration
 	swarms   map[InfoHash]*swarmIndex
 	// order holds the swarms in first-announce order — the deterministic
 	// iteration the digest and invariant hooks need without sorting.
@@ -147,7 +146,6 @@ func (q *expiryQueue) pop() {
 // TrackerConfig parameterizes a Tracker.
 type TrackerConfig struct {
 	Interval time.Duration // announce interval handed to clients
-	RTT      time.Duration // simulated request latency
 }
 
 // NewTracker builds an empty tracker and registers it with the engine so
@@ -156,13 +154,9 @@ func NewTracker(engine *sim.Engine, cfg TrackerConfig) *Tracker {
 	if cfg.Interval == 0 {
 		cfg.Interval = DefaultAnnounceInterval
 	}
-	if cfg.RTT == 0 {
-		cfg.RTT = DefaultTrackerRTT
-	}
 	t := &Tracker{
 		engine:         engine,
 		interval:       cfg.Interval,
-		rtt:            cfg.RTT,
 		swarms:         make(map[InfoHash]*swarmIndex),
 		regAnnounces:   engine.Stats().Counter("bt.tracker.announces"),
 		regReannounces: engine.Stats().Counter("bt.tracker.reannounces"),
@@ -174,9 +168,6 @@ func NewTracker(engine *sim.Engine, cfg TrackerConfig) *Tracker {
 // Interval returns the announce interval the tracker hands to clients.
 func (t *Tracker) Interval() time.Duration { return t.interval }
 
-// RTT returns the simulated one-way announce latency.
-func (t *Tracker) RTT() time.Duration { return t.rtt }
-
 // Engine returns the engine the tracker schedules on — its home shard in a
 // sharded world.
 func (t *Tracker) Engine() *sim.Engine { return t.engine }
@@ -184,10 +175,10 @@ func (t *Tracker) Engine() *sim.Engine { return t.engine }
 // Announce registers or refreshes a peer and replies (after the simulated
 // RTT) with up to NumWant other swarm members.
 func (t *Tracker) Announce(req AnnounceRequest, cb func(AnnounceResponse)) {
-	t.engine.Schedule(t.rtt, func() {
+	t.engine.Schedule(DefaultTrackerRTT, func() {
 		resp := t.HandleAnnounce(req)
 		if cb != nil {
-			t.engine.Schedule(t.rtt, func() { cb(resp) })
+			t.engine.Schedule(DefaultTrackerRTT, func() { cb(resp) })
 		}
 	})
 }
@@ -211,7 +202,7 @@ func (t *Tracker) HandleAnnounce(req AnnounceRequest) AnnounceResponse {
 // expireBefore is the prune horizon: entries that have missed two announce
 // windows (plus the request latency) are dropped.
 func (t *Tracker) expireBefore(now time.Duration) time.Duration {
-	return now - (2*t.interval + t.rtt)
+	return now - (2*t.interval + DefaultTrackerRTT)
 }
 
 func (t *Tracker) handle(req AnnounceRequest) AnnounceResponse {

@@ -25,9 +25,9 @@ func transferWorld(t *testing.T, seed int64, newBER float64) *check.Checker {
 
 	n := netem.NewNetwork(e, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond})
 	wired := netem.NewAccessLink(e, netem.AccessLinkConfig{UpRate: 1 * netem.MBps, DownRate: 1 * netem.MBps})
-	server := tcp.NewStack(e, n.Attach(2, wired, nil), tcp.Config{})
+	server := tcp.NewStack(e, n.Attach(2, wired, nil))
 	wl := netem.NewWirelessChannel(e, netem.WirelessConfig{Rate: 300 * netem.KBps})
-	client := tcp.NewStack(e, n.Attach(1, wl, nil), tcp.Config{})
+	client := tcp.NewStack(e, n.Attach(1, wl, nil))
 
 	server.Listen(80, func(c *tcp.Conn) { c.Write(3_000_000) })
 	client.Dial(netem.Addr{IP: 2, Port: 80})

@@ -118,16 +118,15 @@ type peer struct {
 	closed bool
 }
 
+// listenPort is the eDonkey default port every client listens on.
+const listenPort = 4662
+
 // Config parameterizes a Client.
 type Config struct {
 	Transport transport.Interface
 	Server    *Server
 	File      *File
 
-	// Hash is the persistent identity; generated if empty.
-	Hash ClientHash
-	// Port is the listening port (default 4662, the eDonkey default).
-	Port uint16
 	// Seed starts with the whole file.
 	Seed bool
 	// InitialChunks pre-populates the chunk map (copied).
@@ -185,9 +184,6 @@ func NewClient(cfg Config) *Client {
 	if cfg.Transport == nil || cfg.Server == nil || cfg.File == nil {
 		panic("ed2k: Config requires Transport, Server, and File")
 	}
-	if cfg.Port == 0 {
-		cfg.Port = 4662
-	}
 	if cfg.UploadSlots == 0 {
 		cfg.UploadSlots = 1
 	}
@@ -203,14 +199,11 @@ func NewClient(cfg Config) *Client {
 		tr:         cfg.Transport,
 		file:       cfg.File,
 		server:     cfg.Server,
-		hash:       cfg.Hash,
 		nChunks:    cfg.File.NumChunks(),
 		credits:    make(map[ClientHash]*creditEntry),
 		waitMemory: make(map[ClientHash]waitSlot),
 	}
-	if c.hash == "" {
-		c.hash = NewClientHash(c.engine.Rand())
-	}
+	c.hash = NewClientHash(c.engine.Rand())
 	c.chunks = make([]bool, c.nChunks)
 	switch {
 	case cfg.Seed:
@@ -254,7 +247,7 @@ func (c *Client) QueueLen() int { return len(c.queue) }
 func (c *Client) Restarts() int { return c.restarts }
 
 // Addr returns the client's current address.
-func (c *Client) Addr() netem.Addr { return c.tr.Addr(c.cfg.Port) }
+func (c *Client) Addr() netem.Addr { return c.tr.Addr(listenPort) }
 
 // Start joins the network: listen, announce, query. It fails only if the
 // listen port is taken (transport.ErrAddrInUse).
@@ -262,7 +255,7 @@ func (c *Client) Start() error {
 	if c.started {
 		return nil
 	}
-	l, err := c.tr.Listen(c.cfg.Port, c.onAccept)
+	l, err := c.tr.Listen(listenPort, c.onAccept)
 	if err != nil {
 		return fmt.Errorf("ed2k: start: %w", err)
 	}

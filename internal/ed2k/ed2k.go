@@ -78,33 +78,26 @@ type SourceInfo struct {
 // until it re-announces.
 type Server struct {
 	engine *sim.Engine
-	rtt    time.Duration
 	files  map[FileID]*ordset.Set[ClientHash, SourceInfo]
 
 	// Queries counts source lookups, for tests.
 	Queries int
 }
 
-// ServerConfig parameterizes a Server.
-type ServerConfig struct {
-	RTT time.Duration // request/response latency (default 100 ms)
-}
+// serverRTT is the index server's request/response latency.
+const serverRTT = 100 * time.Millisecond
 
 // NewServer builds an empty index server.
-func NewServer(engine *sim.Engine, cfg ServerConfig) *Server {
-	if cfg.RTT == 0 {
-		cfg.RTT = 100 * time.Millisecond
-	}
+func NewServer(engine *sim.Engine) *Server {
 	return &Server{
 		engine: engine,
-		rtt:    cfg.RTT,
 		files:  make(map[FileID]*ordset.Set[ClientHash, SourceInfo]),
 	}
 }
 
 // Announce registers (or refreshes) a client as a source for a file.
 func (s *Server) Announce(id FileID, src SourceInfo) {
-	s.engine.Schedule(s.rtt, func() {
+	s.engine.Schedule(serverRTT, func() {
 		set := s.files[id]
 		if set == nil {
 			set = ordset.New[ClientHash, SourceInfo](8)
@@ -116,7 +109,7 @@ func (s *Server) Announce(id FileID, src SourceInfo) {
 
 // Withdraw removes a client's registration.
 func (s *Server) Withdraw(id FileID, hash ClientHash) {
-	s.engine.Schedule(s.rtt, func() {
+	s.engine.Schedule(serverRTT, func() {
 		if set := s.files[id]; set != nil {
 			set.Delete(hash)
 		}
@@ -127,7 +120,7 @@ func (s *Server) Withdraw(id FileID, hash ClientHash) {
 // The ordered index iterates in announce-history order, which is itself
 // deterministic, so no sort is needed for reproducible runs.
 func (s *Server) Query(id FileID, cb func([]SourceInfo)) {
-	s.engine.Schedule(s.rtt, func() {
+	s.engine.Schedule(serverRTT, func() {
 		s.Queries++
 		set := s.files[id]
 		out := make([]SourceInfo, 0, set.Len())
@@ -137,7 +130,7 @@ func (s *Server) Query(id FileID, cb func([]SourceInfo)) {
 				return true
 			})
 		}
-		s.engine.Schedule(s.rtt, func() { cb(out) })
+		s.engine.Schedule(serverRTT, func() { cb(out) })
 	})
 }
 

@@ -23,7 +23,7 @@ func newEnv(seed int64, size int64, chunk int) *env {
 	return &env{
 		engine: e,
 		net:    netem.NewNetwork(e, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond}),
-		server: NewServer(e, ServerConfig{}),
+		server: NewServer(e),
 		file:   &File{ID: "f", Size: size, ChunkLen: chunk},
 		nextIP: 10,
 	}
@@ -35,7 +35,7 @@ func (v *env) stack() *tcp.Stack {
 	link := netem.NewAccessLink(v.engine, netem.AccessLinkConfig{
 		UpRate: 1 * netem.MBps, DownRate: 1 * netem.MBps, Delay: time.Millisecond,
 	})
-	return tcp.NewStack(v.engine, v.net.Attach(ip, link, nil), tcp.Config{})
+	return tcp.NewStack(v.engine, v.net.Attach(ip, link, nil))
 }
 
 func (v *env) client(cfg Config) *Client {

@@ -53,10 +53,12 @@ func TestRegistryHonorsScale(t *testing.T) {
 	if tiny.Duration >= full.Duration {
 		t.Errorf("fig2a scale ignored: tiny duration %v vs full %v", tiny.Duration, full.Duration)
 	}
-	fullBC := Fig2bcConfig{}.withDefaults()
-	tinyBC := Fig2bcConfig{Scale: 0.05}.withDefaults()
-	if tinyBC.Duration >= fullBC.Duration {
-		t.Errorf("fig2bc scale ignored: tiny duration %v vs full %v", tinyBC.Duration, fullBC.Duration)
+	traceLen := func(cfg Fig2bcConfig) float64 {
+		x := Fig2bcPacketsAfterDrop(cfg).Series[0].X
+		return x[len(x)-1]
+	}
+	if fullBC, tinyBC := traceLen(Fig2bcConfig{}), traceLen(Fig2bcConfig{Scale: 0.05}); tinyBC >= fullBC {
+		t.Errorf("fig2bc scale ignored: tiny trace %v s vs full %v s", tinyBC, fullBC)
 	}
 	// An explicit duration must still win over scale.
 	explicit := Fig2aConfig{Scale: 0.05, Duration: full.Duration}.withDefaults()

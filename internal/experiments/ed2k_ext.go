@@ -10,42 +10,6 @@ import (
 	"github.com/wp2p/wp2p/internal/stats"
 )
 
-// Ed2kConfig parameterizes the §3.7 cross-protocol experiment.
-type Ed2kConfig struct {
-	Scale         float64
-	FileSize      int64
-	Horizon       time.Duration
-	HandoffPeriod time.Duration
-	Competitors   int // fixed leeches contending for queue slots
-	Runs          int
-	Seed          int64
-}
-
-func (c Ed2kConfig) withDefaults() Ed2kConfig {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.FileSize == 0 {
-		c.FileSize = scaled(256*1024*1024, c.Scale, 16*1024*1024)
-	}
-	if c.Horizon == 0 {
-		c.Horizon = scaledDur(40*time.Minute, c.Scale, 10*time.Minute)
-	}
-	if c.HandoffPeriod == 0 {
-		c.HandoffPeriod = 2 * time.Minute
-	}
-	if c.Competitors == 0 {
-		c.Competitors = 6
-	}
-	if c.Runs == 0 {
-		c.Runs = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // ExtEd2kIdentity tests the paper's §3.7 claim that the mobility/identity
 // findings transfer to eDonkey, "the other third-generation P2P network".
 // eDonkey's incentives are *more* identity-bound than BitTorrent's: service
@@ -53,9 +17,15 @@ func (c Ed2kConfig) withDefaults() Ed2kConfig {
 // and a reconnecting hash resumes its queue seniority. A mobile host that
 // regenerates its hash on every handoff therefore restarts from the back of
 // every queue with no credit — the double penalty this experiment measures
-// against a hash-retaining client.
-func ExtEd2kIdentity(cfg Ed2kConfig) *Result {
-	cfg = cfg.withDefaults()
+// against a hash-retaining client. scale is Registry's (1 = full).
+func ExtEd2kIdentity(scale float64) *Result {
+	const (
+		handoffPeriod = 2 * time.Minute
+		competitors   = 6 // fixed leeches contending for queue slots
+		runs          = 3
+	)
+	fileSize := scaled(256*1024*1024, scale, 16*1024*1024)
+	horizon := scaledDur(40*time.Minute, scale, 10*time.Minute)
 	res := &Result{
 		ID:     "ext-ed2k",
 		Title:  "eDonkey: identity loss under mobility (paper §3.7)",
@@ -67,8 +37,8 @@ func ExtEd2kIdentity(cfg Ed2kConfig) *Result {
 	run := func(retainHash bool, seed int64) (x, y []float64) {
 		w := NewWorld(seed, 0)
 		defer w.Finish(col)
-		file := &ed2k.File{ID: "fedora.iso", Size: cfg.FileSize, ChunkLen: 256 * 1024}
-		server := ed2k.NewServer(w.Engine, ed2k.ServerConfig{})
+		file := &ed2k.File{ID: "fedora.iso", Size: fileSize, ChunkLen: 256 * 1024}
+		server := ed2k.NewServer(w.Engine)
 
 		mk := func(c ed2k.Config) *ed2k.Client {
 			if c.Transport == nil {
@@ -84,23 +54,23 @@ func ExtEd2kIdentity(cfg Ed2kConfig) *Result {
 		// Scarce sources, long queues: two seeds with one upload slot each
 		// plus partially-complete competitors keep every queue contested.
 		for i := 0; i < 2; i++ {
-			mk(ed2k.Config{Seed: true, UploadSlots: 1}).Start()
+			mustStart(mk(ed2k.Config{Seed: true, UploadSlots: 1}).Start())
 		}
-		for i := 0; i < cfg.Competitors; i++ {
+		for i := 0; i < competitors; i++ {
 			chunks := make([]bool, file.NumChunks())
 			for j := range chunks {
 				if w.Engine.Rand().Float64() < 0.5 {
 					chunks[j] = true
 				}
 			}
-			mk(ed2k.Config{InitialChunks: chunks, UploadSlots: 1}).Start()
+			mustStart(mk(ed2k.Config{InitialChunks: chunks, UploadSlots: 1}).Start())
 		}
 
 		mobHost := w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps})
 		mobile := mk(ed2k.Config{Transport: mobHost.Transport})
-		mobile.Start()
+		mustStart(mobile.Start())
 
-		h := mobility.NewHandoff(w.Engine, w.Net, mobHost.Iface, mobility.NewIPAllocator(7000), cfg.HandoffPeriod)
+		h := mobility.NewHandoff(w.Engine, w.Net, mobHost.Iface, mobility.NewIPAllocator(7000), handoffPeriod)
 		if retainHash {
 			// wP2P-style reaction: detect fast, keep the identity.
 			h.OnChange(func(_, _ netem.IP) {
@@ -111,8 +81,8 @@ func ExtEd2kIdentity(cfg Ed2kConfig) *Result {
 		}
 		h.Start()
 
-		sample := cfg.Horizon / 20
-		for t := sample; t <= cfg.Horizon; t += sample {
+		sample := horizon / 20
+		for t := sample; t <= horizon; t += sample {
 			w.RunFor(sample)
 			x = append(x, t.Minutes())
 			y = append(y, mb(mobile.Downloaded()))
@@ -122,14 +92,14 @@ func ExtEd2kIdentity(cfg Ed2kConfig) *Result {
 
 	type curve struct{ x, y []float64 }
 	average := func(retain bool) curve {
-		curves := runner.Map(cfg.Runs, func(r int) curve {
-			xs, ys := run(retain, cfg.Seed+int64(r)*601)
+		curves := runner.Map(runs, func(r int) curve {
+			xs, ys := run(retain, 1+int64(r)*601)
 			return curve{xs, ys}
 		})
 		avg := make([]float64, len(curves[0].y))
 		for _, c := range curves {
 			for i := range c.y {
-				avg[i] += c.y[i] / float64(cfg.Runs)
+				avg[i] += c.y[i] / float64(runs)
 			}
 		}
 		return curve{curves[0].x, avg}
@@ -143,7 +113,7 @@ func ExtEd2kIdentity(cfg Ed2kConfig) *Result {
 	res.AddSeries("hash retained (wP2P principle)", x, keepY)
 	if n := len(x) - 1; n >= 0 && defY[n] > 0 {
 		res.Note("after %.0f min (mean of %d runs): retained %.1f MB vs default %.1f MB (%.2fx) — identity matters at least as much as in BitTorrent, as §3.7 argues",
-			x[n], cfg.Runs, keepY[n], defY[n], keepY[n]/defY[n])
+			x[n], runs, keepY[n], defY[n], keepY[n]/defY[n])
 	}
 	res.Stats = col.Snapshot()
 	return res

@@ -177,10 +177,10 @@ func Registry(scale float64, opts RegistryOptions) map[string]Runner {
 		// Extensions beyond the paper's figures: the component ablation its
 		// design section invites, and the seed-mode LIHD it defers to
 		// future work (§4.2).
-		"ablation":     func() *Result { return AblationWP2P(AblationConfig{Scale: scale}) },
-		"ext-seedlihd": func() *Result { return ExtSeedLIHD(SeedLIHDConfig{Scale: scale}) },
-		"ext-ed2k":     func() *Result { return ExtEd2kIdentity(Ed2kConfig{Scale: scale}) },
-		"ext-gnutella": func() *Result { return ExtGnutellaServerMobility(GnutellaConfig{Scale: scale}) },
+		"ablation":     func() *Result { return AblationWP2P(scale) },
+		"ext-seedlihd": func() *Result { return ExtSeedLIHD(scale) },
+		"ext-ed2k":     func() *Result { return ExtEd2kIdentity(scale) },
+		"ext-gnutella": func() *Result { return ExtGnutellaServerMobility(scale) },
 	}
 }
 

@@ -12,54 +12,22 @@ import (
 	"github.com/wp2p/wp2p/internal/wp2p"
 )
 
-// AblationConfig parameterizes the wP2P component ablation.
-type AblationConfig struct {
-	Scale         float64
-	FileSize      int64
-	Horizon       time.Duration
-	HandoffPeriod time.Duration
-	BER           float64
-	Leeches       int
-	Runs          int // averaged runs per variant
-	Seed          int64
-}
-
-func (c AblationConfig) withDefaults() AblationConfig {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.FileSize == 0 {
-		c.FileSize = scaled(256*1024*1024, c.Scale, 16*1024*1024)
-	}
-	if c.Horizon == 0 {
-		c.Horizon = scaledDur(30*time.Minute, c.Scale, 6*time.Minute)
-	}
-	if c.HandoffPeriod == 0 {
-		c.HandoffPeriod = 2 * time.Minute
-	}
-	if c.BER == 0 {
-		c.BER = 5e-6
-	}
-	if c.Leeches == 0 {
-		c.Leeches = 10
-	}
-	if c.Runs == 0 {
-		c.Runs = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // AblationWP2P is not a paper figure but the study its design section
 // invites (the paper only evaluates components in isolation): one mobile
 // leech on a lossy WLAN with periodic handoffs, measured with each wP2P
 // component enabled alone and all together. Reported per variant: MB
 // downloaded within the horizon and the playable share of what was fetched
-// — the two quantities the user actually experiences.
-func AblationWP2P(cfg AblationConfig) *Result {
-	cfg = cfg.withDefaults()
+// — the two quantities the user actually experiences. scale sizes the file
+// and the horizon (1 = full), as Registry passes it.
+func AblationWP2P(scale float64) *Result {
+	const (
+		handoffPeriod = 2 * time.Minute
+		ber           = 5e-6
+		leeches       = 10
+		runs          = 3 // averaged runs per variant
+	)
+	fileSize := scaled(256*1024*1024, scale, 16*1024*1024)
+	horizon := scaledDur(30*time.Minute, scale, 6*time.Minute)
 	res := &Result{
 		ID:     "ablation",
 		Title:  "wP2P component ablation under loss + handoffs (extension)",
@@ -89,16 +57,16 @@ func AblationWP2P(cfg AblationConfig) *Result {
 	runVariant := func(i int, v variant, seed int64) (dlMB, playable float64) {
 		w := NewWorld(seed, 90*time.Second)
 		defer w.Finish(col)
-		tor := bt.NewMetaInfo("ablation", cfg.FileSize, 256*1024)
-		w.PopulateSwarm(tor, SwarmConfig{Seeds: 3, SeedCap: 50 * netem.KBps, Leeches: cfg.Leeches, Slots: 2})
+		tor := bt.NewMetaInfo("ablation", fileSize, 256*1024)
+		w.PopulateSwarm(tor, SwarmConfig{Seeds: 3, SeedCap: 50 * netem.KBps, Leeches: leeches, Slots: 2})
 
-		mob := w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps, BER: cfg.BER})
+		mob := w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps, BER: ber})
 		base := bt.Config{Transport: mob.Transport, Torrent: tor, Tracker: w.Tracker, UnchokeSlots: 2}
 		client := wp2p.New(v.cfg(base))
-		client.Start()
+		mustStart(client.Start())
 
 		h := mobility.NewHandoff(w.Engine, w.Net, mob.Iface,
-			mobility.NewIPAllocator(netem.IP(5000+i*1000)), cfg.HandoffPeriod)
+			mobility.NewIPAllocator(netem.IP(5000+i*1000)), handoffPeriod)
 		if client.RR() == nil {
 			// Without RR someone must re-initiate the dead task, as the
 			// default client's user/OS eventually does.
@@ -106,7 +74,7 @@ func AblationWP2P(cfg AblationConfig) *Result {
 		}
 		h.Start()
 
-		w.RunFor(cfg.Horizon)
+		w.RunFor(horizon)
 		have := client.BT.Have()
 		if have.Count() > 0 {
 			playable = 100 * playableShareOfFetched(have, tor)
@@ -115,14 +83,14 @@ func AblationWP2P(cfg AblationConfig) *Result {
 	}
 
 	pts := runner.Sweep(variants, func(i int, v variant) [2]float64 {
-		pairs := runner.Map(cfg.Runs, func(r int) [2]float64 {
-			d, p := runVariant(i, v, cfg.Seed+int64(r)*431)
+		pairs := runner.Map(runs, func(r int) [2]float64 {
+			d, p := runVariant(i, v, 1+int64(r)*431)
 			return [2]float64{d, p}
 		})
 		var dl, play float64
 		for _, pair := range pairs {
-			dl += pair[0] / float64(cfg.Runs)
-			play += pair[1] / float64(cfg.Runs)
+			dl += pair[0] / float64(runs)
+			play += pair[1] / float64(runs)
 		}
 		return [2]float64{dl, play}
 	})
@@ -132,7 +100,7 @@ func AblationWP2P(cfg AblationConfig) *Result {
 		xs = append(xs, float64(i))
 		mbs = append(mbs, dl)
 		plays = append(plays, play)
-		res.Note("%d=%s: %.1f MB, playable %.0f%% of fetched (mean of %d runs)", i, v.name, dl, play, cfg.Runs)
+		res.Note("%d=%s: %.1f MB, playable %.0f%% of fetched (mean of %d runs)", i, v.name, dl, play, runs)
 	}
 	res.AddSeries("MB downloaded", xs, mbs)
 	res.AddSeries("playable % of fetched", xs, plays)
@@ -166,39 +134,16 @@ type wp2pRestarter struct{ c *wp2p.Client }
 
 func (r *wp2pRestarter) Restart(bool) { r.c.OnAddressChange() }
 
-// SeedLIHDConfig parameterizes the foreground-protection extension.
-type SeedLIHDConfig struct {
-	Scale   float64
-	Horizon time.Duration
-	Rate    netem.Rate // shared channel bandwidth
-	Seed    int64
-}
-
-func (c SeedLIHDConfig) withDefaults() SeedLIHDConfig {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Horizon == 0 {
-		c.Horizon = scaledDur(15*time.Minute, c.Scale, 5*time.Minute)
-	}
-	if c.Rate == 0 {
-		c.Rate = 150 * netem.KBps
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // ExtSeedLIHD implements the extension the paper names as future work in
 // §4.2: when the mobile peer stays on as a seed, LIHD can throttle its
 // uploads to protect the downloads of the host's *other* applications. A
 // mobile host seeds a popular file while the user runs a foreground bulk
 // download (a plain TCP transfer) over the same half-duplex WLAN. Three
 // variants: seeding uncapped, not seeding at all, and seeding under LIHD
-// driven by the foreground transfer's rate.
-func ExtSeedLIHD(cfg SeedLIHDConfig) *Result {
-	cfg = cfg.withDefaults()
+// driven by the foreground transfer's rate. scale is Registry's (1 = full).
+func ExtSeedLIHD(scale float64) *Result {
+	const rate = 150 * netem.KBps // shared channel bandwidth
+	horizon := scaledDur(15*time.Minute, scale, 5*time.Minute)
 	res := &Result{
 		ID:     "ext-seedlihd",
 		Title:  "LIHD protecting foreground traffic while seeding (paper §4.2 future work)",
@@ -208,13 +153,13 @@ func ExtSeedLIHD(cfg SeedLIHDConfig) *Result {
 
 	col := stats.NewCollector()
 	run := func(seeding bool, lihd bool) (fgRate, upRate float64) {
-		w := NewWorld(cfg.Seed, time.Minute)
+		w := NewWorld(1, time.Minute)
 		defer w.Finish(col)
-		tor := bt.NewMetaInfo("shared.iso", scaled(256*1024*1024, cfg.Scale, 16*1024*1024), 256*1024)
+		tor := bt.NewMetaInfo("shared.iso", scaled(256*1024*1024, scale, 16*1024*1024), 256*1024)
 		// Hungry leeches make upload demand on the mobile seed unbounded.
 		w.PopulateSwarm(tor, SwarmConfig{Seeds: 1, SeedCap: 10 * netem.KBps, Leeches: 8, Slots: 3})
 
-		mob := w.WirelessHost(netem.WirelessConfig{Rate: cfg.Rate})
+		mob := w.WirelessHost(netem.WirelessConfig{Rate: rate})
 
 		// Foreground application: a bulk TCP download from a wired server.
 		server := w.WiredHost(0, 0)
@@ -236,23 +181,23 @@ func ExtSeedLIHD(cfg SeedLIHDConfig) *Result {
 		if seeding {
 			base := bt.Config{Transport: mob.Transport, Torrent: tor, Tracker: w.Tracker, Seed: true, UnchokeSlots: 3}
 			if lihd {
-				lim := bt.NewLimiter(w.Engine, cfg.Rate/2)
+				lim := bt.NewLimiter(w.Engine, rate/2)
 				base.UploadLimiter = lim
 				c := bt.NewClient(base)
 				ctl := wp2p.NewLIHD(w.Engine, lim, wp2p.RateSourceFunc(func() float64 {
 					return fgRx.Rate(w.Engine.Now())
-				}), wp2p.LIHDConfig{Umax: cfg.Rate, Period: 20 * time.Second})
-				c.Start()
+				}), wp2p.LIHDConfig{Umax: rate, Period: 20 * time.Second})
+				mustStart(c.Start())
 				ctl.Start()
 				seedUp = c.Uploaded
 			} else {
 				c := bt.NewClient(base)
-				c.Start()
+				mustStart(c.Start())
 				seedUp = c.Uploaded
 			}
 		}
-		w.RunFor(cfg.Horizon)
-		secs := cfg.Horizon.Seconds()
+		w.RunFor(horizon)
+		secs := horizon.Seconds()
 		return float64(fgTotal) / secs, float64(seedUp()) / secs
 	}
 

@@ -17,7 +17,6 @@ type Fig2aConfig struct {
 	BERs     []float64     // x-axis (default: 0 … 2e-5, the paper's range)
 	Duration time.Duration // measurement window per point (default 2 min)
 	Runs     int           // averaged runs per point (paper: 5)
-	Rate     netem.Rate    // wireless channel bandwidth (default 100 KB/s)
 	Seed     int64
 	// Fidelity selects the wired peer's transport model: FidelityPacket
 	// (default) or FidelityFlow. The mobile peer is always packet-level —
@@ -38,14 +37,14 @@ func (c Fig2aConfig) withDefaults() Fig2aConfig {
 	if c.Runs == 0 {
 		c.Runs = 5
 	}
-	if c.Rate == 0 {
-		c.Rate = 100 * netem.KBps
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
 }
+
+// fig2Rate is the wireless channel bandwidth of both Figure 2 experiments.
+const fig2Rate = 100 * netem.KBps
 
 // Fig2aBiVsUniTCP reproduces Figure 2(a): the download throughput of a
 // mobile peer over a lossy wireless leg, with data flowing one way
@@ -71,7 +70,7 @@ func Fig2aBiVsUniTCP(cfg Fig2aConfig) *Result {
 		} else {
 			fixed = w.WiredHost(0, 0)
 		}
-		mobile := w.WirelessHost(netem.WirelessConfig{Rate: cfg.Rate, BER: ber})
+		mobile := w.WirelessHost(netem.WirelessConfig{Rate: fig2Rate, BER: ber})
 		var server *tcp.Conn
 		fixed.Stack.MustListen(80, func(c *tcp.Conn) { server = c })
 		client := mobile.Stack.MustDial(netem.Addr{IP: fixed.Iface.IP(), Port: 80})
@@ -118,36 +117,8 @@ func Fig2aBiVsUniTCP(cfg Fig2aConfig) *Result {
 
 // Fig2bcConfig parameterizes the packets-on-the-wireless-leg trace.
 type Fig2bcConfig struct {
-	// Scale shrinks the default trace length for quick runs (1.0 = full).
-	// An explicit Duration wins over Scale.
-	Scale    float64
-	Duration time.Duration // trace length (default 5 s, as in the figure)
-	Sample   time.Duration // sampling period (default 100 ms)
-	Rate     netem.Rate    // wireless bandwidth (default 100 KB/s)
-	QueueCap int           // small buffer to force congestion (default 10)
-	Seed     int64
-}
-
-func (c Fig2bcConfig) withDefaults() Fig2bcConfig {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Duration == 0 {
-		c.Duration = scaledDur(5*time.Second, c.Scale, 2*time.Second)
-	}
-	if c.Sample == 0 {
-		c.Sample = 100 * time.Millisecond
-	}
-	if c.Rate == 0 {
-		c.Rate = 100 * netem.KBps
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 10
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+	// Scale shrinks the trace length for quick runs (1.0 = full).
+	Scale float64
 }
 
 // Fig2bcPacketsAfterDrop reproduces Figure 2(b,c): the number of packets in
@@ -158,7 +129,14 @@ func (c Fig2bcConfig) withDefaults() Fig2bcConfig {
 // stays as loaded as before — the misbehaviour wP2P's DUPACK thinning
 // corrects.
 func Fig2bcPacketsAfterDrop(cfg Fig2bcConfig) *Result {
-	cfg = cfg.withDefaults()
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
+	}
+	const (
+		sample   = 100 * time.Millisecond // sampling period
+		queueCap = 10                     // small buffer to force congestion
+	)
+	duration := scaledDur(5*time.Second, cfg.Scale, 2*time.Second) // 5 s, as in the figure
 	res := &Result{
 		ID:     "fig2bc",
 		Title:  "Packets on the wireless leg around buffer drops (paper Fig. 2b,c)",
@@ -167,10 +145,10 @@ func Fig2bcPacketsAfterDrop(cfg Fig2bcConfig) *Result {
 	}
 	col := stats.NewCollector()
 	trace := func(bidirectional bool) (times, pkts, drops []float64, postDropAvg float64) {
-		w := NewWorld(cfg.Seed, 0)
+		w := NewWorld(1, 0)
 		defer w.Finish(col)
 		fixed := w.WiredHost(0, 0)
-		mobile := w.WirelessHost(netem.WirelessConfig{Rate: cfg.Rate, QueueCap: cfg.QueueCap})
+		mobile := w.WirelessHost(netem.WirelessConfig{Rate: fig2Rate, QueueCap: queueCap})
 		dropsNow := 0
 		totalAfter, samplesAfter := 0.0, 0
 		sawDrop := false
@@ -189,8 +167,8 @@ func Fig2bcPacketsAfterDrop(cfg Fig2bcConfig) *Result {
 			client.Write(plenty)
 		}
 		start := w.Engine.Now()
-		for w.Engine.Now()-start < cfg.Duration {
-			w.RunFor(cfg.Sample)
+		for w.Engine.Now()-start < duration {
+			w.RunFor(sample)
 			t := (w.Engine.Now() - start).Seconds()
 			inFlight := float64(mobile.WLAN.InFlight())
 			times = append(times, t)

@@ -18,13 +18,10 @@ type Fig3Config struct {
 	// CapFractions is the x-axis: upload limit as a fraction of the
 	// physical upstream bandwidth (default 0…0.9, the paper's sweep).
 	CapFractions []float64
-	// Tasks is the number of simultaneous downloads (paper: 5).
-	Tasks int
 	// LeechesPerSwarm is how many fixed leeches compete in each swarm.
 	LeechesPerSwarm int
 	// Runs averages several differently-seeded swarms per point.
 	Runs int
-	Seed int64
 }
 
 func (c Fig3Config) withDefaults() Fig3Config {
@@ -34,17 +31,11 @@ func (c Fig3Config) withDefaults() Fig3Config {
 	if len(c.CapFractions) == 0 {
 		c.CapFractions = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	}
-	if c.Tasks == 0 {
-		c.Tasks = 5
-	}
 	if c.LeechesPerSwarm == 0 {
 		c.LeechesPerSwarm = 6
 	}
 	if c.Runs == 0 {
 		c.Runs = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -53,9 +44,7 @@ func (c Fig3Config) withDefaults() Fig3Config {
 // owns a private World, so the runs fan across the runner pool.
 func uploadCapAveraged(cfg Fig3Config, wireless bool, capFrac float64, col *stats.Collector) float64 {
 	return runner.Average(cfg.Runs, func(r int) float64 {
-		c := cfg
-		c.Seed = cfg.Seed + int64(r)*211
-		return uploadCapPoint(c, wireless, capFrac, col)
+		return uploadCapPoint(cfg, 1+int64(r)*211, wireless, capFrac, col)
 	})
 }
 
@@ -67,12 +56,13 @@ const (
 	fig3SeedCap  = 20 * netem.KBps
 	fig3Slots    = 3
 	fig3FileBase = 100 * 1024 * 1024
+	fig3Tasks    = 5 // simultaneous downloads (paper: 5)
 )
 
 // uploadCapPoint measures the mobile host's aggregate download rate across
-// Tasks swarms with its upload capped at capFrac of the physical upstream.
-func uploadCapPoint(cfg Fig3Config, wireless bool, capFrac float64, col *stats.Collector) float64 {
-	w := NewWorld(cfg.Seed, time.Minute)
+// fig3Tasks swarms with its upload capped at capFrac of the physical upstream.
+func uploadCapPoint(cfg Fig3Config, seed int64, wireless bool, capFrac float64, col *stats.Collector) float64 {
+	w := NewWorld(seed, time.Minute)
 	defer w.Finish(col)
 	var mob *Host
 	var physUp netem.Rate
@@ -97,7 +87,7 @@ func uploadCapPoint(cfg Fig3Config, wireless bool, capFrac float64, col *stats.C
 	duration := scaledDur(10*time.Minute, cfg.Scale, 2*time.Minute)
 
 	var mine []*bt.Client
-	for task := 0; task < cfg.Tasks; task++ {
+	for task := 0; task < fig3Tasks; task++ {
 		tor := bt.NewMetaInfo(fmt.Sprintf("task-%d", task), fileSize, 256*1024)
 		// Live-swarm stand-in: the near-free-rider half of its leeches are
 		// the marginal peers a reciprocating mobile host can outbid for slots.
@@ -106,7 +96,7 @@ func uploadCapPoint(cfg Fig3Config, wireless bool, capFrac float64, col *stats.C
 			Transport: mob.Transport, Torrent: tor, Tracker: w.Tracker,
 			Port: uint16(6881 + task), UploadLimiter: shared, UnchokeSlots: fig3Slots,
 		})
-		me.Start()
+		mustStart(me.Start())
 		mine = append(mine, me)
 	}
 	w.RunFor(duration)
@@ -177,40 +167,16 @@ func Fig3bUploadCapWireless(cfg Fig3Config) *Result {
 
 // Fig3cConfig parameterizes the incentive × mobility matrix.
 type Fig3cConfig struct {
-	Scale         float64
-	Horizon       time.Duration // observation window (paper: 40 min)
-	HandoffPeriod time.Duration // IP change period under mobility (≈2 min)
-	SamplePeriod  time.Duration // progress sampling (default 2 min)
-	FileSize      int64         // paper: 100 MB
-	Leeches       int           // fixed leeches competing for slots
-	Runs          int           // averaged runs per configuration
-	Seed          int64
+	Scale float64
+	Runs  int // averaged runs per configuration
 }
 
 func (c Fig3cConfig) withDefaults() Fig3cConfig {
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
-	if c.Horizon == 0 {
-		c.Horizon = scaledDur(40*time.Minute, c.Scale, 6*time.Minute)
-	}
-	if c.HandoffPeriod == 0 {
-		c.HandoffPeriod = 2 * time.Minute
-	}
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = c.Horizon / 20
-	}
-	if c.FileSize == 0 {
-		c.FileSize = scaled(400*1024*1024, c.Scale, 24*1024*1024)
-	}
-	if c.Leeches == 0 {
-		c.Leeches = 6
-	}
 	if c.Runs == 0 {
 		c.Runs = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -222,6 +188,13 @@ func (c Fig3cConfig) withDefaults() Fig3cConfig {
 // lost and the advantage of uploading all but disappears.
 func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 	cfg = cfg.withDefaults()
+	const (
+		handoffPeriod = 2 * time.Minute // IP change period under mobility (≈2 min)
+		leeches       = 6               // fixed leeches competing for slots
+	)
+	horizon := scaledDur(40*time.Minute, cfg.Scale, 6*time.Minute) // observation window (paper: 40 min)
+	samplePeriod := horizon / 20                                   // progress sampling (2 min at full scale)
+	fileSize := scaled(400*1024*1024, cfg.Scale, 24*1024*1024)     // paper: 100 MB
 	res := &Result{
 		ID:     "fig3c",
 		Title:  "Incentives under mobility (paper Fig. 3c)",
@@ -233,10 +206,10 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 	runOnce := func(mobile, uploading bool, rngSeed int64) (x, y []float64) {
 		w := NewWorld(rngSeed, time.Minute)
 		defer w.Finish(col)
-		tor := bt.NewMetaInfo("fig3c", cfg.FileSize, 256*1024)
+		tor := bt.NewMetaInfo("fig3c", fileSize, 256*1024)
 		// The contested swarm of Figures 3(a,b), so that tit-for-tat standing
 		// actually gates the mobile's download.
-		w.PopulateSwarm(tor, SwarmConfig{Seeds: 1, SeedCap: fig3SeedCap, Leeches: cfg.Leeches, Slots: fig3Slots})
+		w.PopulateSwarm(tor, SwarmConfig{Seeds: 1, SeedCap: fig3SeedCap, Leeches: leeches, Slots: fig3Slots})
 		mobHost := w.WirelessHost(netem.WirelessConfig{Rate: 300 * netem.KBps})
 		mobCfg := bt.Config{
 			Transport: mobHost.Transport, Torrent: tor, Tracker: w.Tracker, UnchokeSlots: fig3Slots,
@@ -245,15 +218,15 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 			mobCfg.UploadLimiter = bt.NewLimiter(w.Engine, 1)
 		}
 		me := bt.NewClient(mobCfg)
-		me.Start()
+		mustStart(me.Start())
 
 		if mobile {
-			h := mobility.NewHandoff(w.Engine, w.Net, mobHost.Iface, mobility.NewIPAllocator(1000), cfg.HandoffPeriod)
+			h := mobility.NewHandoff(w.Engine, w.Net, mobHost.Iface, mobility.NewIPAllocator(1000), handoffPeriod)
 			mobility.DefaultReaction(w.Engine, h, me, 5*time.Second)
 			h.Start()
 		}
-		for t := cfg.SamplePeriod; t <= cfg.Horizon; t += cfg.SamplePeriod {
-			w.RunFor(cfg.SamplePeriod)
+		for t := samplePeriod; t <= horizon; t += samplePeriod {
+			w.RunFor(samplePeriod)
 			x = append(x, t.Minutes())
 			y = append(y, mb(me.Downloaded()))
 		}
@@ -263,7 +236,7 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 	type curve struct{ x, y []float64 }
 	run := func(mobile, uploading bool) curve {
 		curves := runner.Map(cfg.Runs, func(r int) curve {
-			xs, ys := runOnce(mobile, uploading, cfg.Seed+int64(r)*811)
+			xs, ys := runOnce(mobile, uploading, 1+int64(r)*811)
 			return curve{xs, ys}
 		})
 		avg := make([]float64, len(curves[0].y))

@@ -15,10 +15,7 @@ import (
 type Fig4aConfig struct {
 	Scale   float64
 	Periods []time.Duration // IP-change periods; 0 = no mobility
-	Seeds   int             // mobile seeds serving the fixed peer (paper: 3)
-	Horizon time.Duration
-	Seed    int64
-	Shards  int // worker threads for the sharded engine; 0 = single-engine
+	Shards  int             // worker threads for the sharded engine; 0 = single-engine
 	// Fidelity selects the transport model for hosts that never move:
 	// FidelityPacket (default) or FidelityFlow. Seeds that will hand off
 	// stay packet-level regardless — mobility requires packet fidelity.
@@ -32,15 +29,6 @@ func (c Fig4aConfig) withDefaults() Fig4aConfig {
 	if len(c.Periods) == 0 {
 		c.Periods = []time.Duration{0, 2 * time.Minute, 90 * time.Second, time.Minute, 30 * time.Second}
 	}
-	if c.Seeds == 0 {
-		c.Seeds = 3
-	}
-	if c.Horizon == 0 {
-		c.Horizon = scaledDur(20*time.Minute, c.Scale, 5*time.Minute)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -51,6 +39,8 @@ func (c Fig4aConfig) withDefaults() Fig4aConfig {
 // with mobility rate, and collapses when every serving peer is mobile.
 func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 	cfg = cfg.withDefaults()
+	const seeds = 3 // mobile seeds serving the fixed peer (paper: 3)
+	horizon := scaledDur(20*time.Minute, cfg.Scale, 5*time.Minute)
 	res := &Result{
 		ID:     "fig4a",
 		Title:  "Fixed-peer throughput vs server mobility (paper Fig. 4a)",
@@ -60,13 +50,13 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 
 	col := stats.NewCollector()
 	run := func(period time.Duration, mobileSeeds int) float64 {
-		w := NewWorldSharded(cfg.Seed, 2*time.Minute,
+		w := NewWorldSharded(1, 2*time.Minute,
 			netem.NetworkConfig{CloudDelay: 15 * time.Millisecond}, ShardWorkers(cfg.Shards))
 		defer w.Finish(col)
 		// Large enough that the fixed peer cannot finish inside the horizon;
 		// the sweep measures sustained throughput.
 		tor := bt.NewMetaInfo("fig4a", scaled(1024*1024*1024, cfg.Scale, 64*1024*1024), 256*1024)
-		for i := 0; i < cfg.Seeds; i++ {
+		for i := 0; i < seeds; i++ {
 			mobile := i < mobileSeeds && period > 0
 			var host *Host
 			if cfg.Fidelity == FidelityFlow && !mobile {
@@ -74,9 +64,9 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 			} else {
 				host = w.WiredHost(300*netem.KBps, 0)
 			}
-			bt.NewClient(bt.Config{
+			mustStart(bt.NewClient(bt.Config{
 				Transport: host.Transport, Torrent: tor, Tracker: w.Announcer(host), Seed: true,
-			}).Start()
+			}).Start())
 			if mobile {
 				// Oblivious mobile seed: the client never notices the
 				// address change; the swarm relearns it via announces.
@@ -94,9 +84,9 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 		fixed := bt.NewClient(bt.Config{
 			Transport: fixedHost.Transport, Torrent: tor, Tracker: w.Announcer(fixedHost),
 		})
-		fixed.Start()
-		w.RunFor(cfg.Horizon)
-		window := cfg.Horizon
+		mustStart(fixed.Start())
+		w.RunFor(horizon)
+		window := horizon
 		if at := fixed.CompletedAt(); at > 0 && at < window {
 			window = at
 		}
@@ -108,7 +98,7 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 		x[i] = p.Minutes()
 	}
 	pts := runner.Sweep(cfg.Periods, func(_ int, p time.Duration) [2]float64 {
-		return [2]float64{kbps(run(p, 1)), kbps(run(p, cfg.Seeds))}
+		return [2]float64{kbps(run(p, 1)), kbps(run(p, seeds))}
 	})
 	one := make([]float64, len(pts))
 	all := make([]float64, len(pts))
@@ -129,7 +119,6 @@ type FigPlayConfig struct {
 	// FileSizes for the two sub-figures (paper: 5 MB and 100 MB).
 	FileSizes []int64
 	Runs      int // averaged runs (paper: 10 for Fig 4, 20 for Fig 9)
-	Seed      int64
 }
 
 func (c FigPlayConfig) withDefaults() FigPlayConfig {
@@ -145,9 +134,6 @@ func (c FigPlayConfig) withDefaults() FigPlayConfig {
 	if c.Runs == 0 {
 		c.Runs = 5
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -159,9 +145,9 @@ func playabilityCurve(seed int64, fileSize int64, picker bt.Picker, col *stats.C
 	tor := bt.NewMetaInfo("play", fileSize, 256*1024)
 	// Two seeds so rarest-first has realistic availability spread.
 	for i := 0; i < 2; i++ {
-		bt.NewClient(bt.Config{
+		mustStart(bt.NewClient(bt.Config{
 			Transport: w.WiredHost(0, 0).Transport, Torrent: tor, Tracker: w.Tracker, Seed: true,
-		}).Start()
+		}).Start())
 	}
 	leech := bt.NewClient(bt.Config{
 		Transport: w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps}).Transport,
@@ -169,7 +155,7 @@ func playabilityCurve(seed int64, fileSize int64, picker bt.Picker, col *stats.C
 	})
 	curve := media.NewCurve(tor)
 	leech.OnPieceComplete = func(int) { curve.Observe(leech.Have()) }
-	leech.Start()
+	mustStart(leech.Start())
 	// Generously long: stop as soon as complete.
 	deadline := w.Engine.Now() + 4*time.Hour
 	for !leech.Complete() && w.Engine.Now() < deadline {
@@ -185,7 +171,7 @@ func playabilityCurve(seed int64, fileSize int64, picker bt.Picker, col *stats.C
 func averagedCurves(cfg FigPlayConfig, fileSize int64, picker func() bt.Picker, col *stats.Collector) []float64 {
 	// picker() is invoked inside each run so every world owns its picker.
 	return runner.AverageSeries(cfg.Runs, func(r int) []float64 {
-		return playabilityCurve(cfg.Seed+int64(r)*101, fileSize, picker(), col)
+		return playabilityCurve(1+int64(r)*101, fileSize, picker(), col)
 	})
 }
 

@@ -13,12 +13,9 @@ import (
 
 // Fig8aConfig parameterizes the AM evaluation.
 type Fig8aConfig struct {
-	Scale    float64
-	BERs     []float64 // paper: 1e-6 … 1.5e-5
-	FileSize int64     // paper: 100 MB, halves pre-seeded
-	Duration time.Duration
-	Runs     int // paper: 5
-	Seed     int64
+	Scale float64
+	BERs  []float64 // paper: 1e-6 … 1.5e-5
+	Runs  int       // paper: 5
 }
 
 func (c Fig8aConfig) withDefaults() Fig8aConfig {
@@ -28,17 +25,8 @@ func (c Fig8aConfig) withDefaults() Fig8aConfig {
 	if len(c.BERs) == 0 {
 		c.BERs = []float64{1e-6, 5e-6, 1e-5, 1.5e-5}
 	}
-	if c.FileSize == 0 {
-		c.FileSize = scaled(100*1024*1024, c.Scale, 8*1024*1024)
-	}
-	if c.Duration == 0 {
-		c.Duration = scaledDur(10*time.Minute, c.Scale, 3*time.Minute)
-	}
 	if c.Runs == 0 {
 		c.Runs = 5
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -52,6 +40,8 @@ func (c Fig8aConfig) withDefaults() Fig8aConfig {
 // ≈20% more throughput across the sweep.
 func Fig8aAgeBasedManipulation(cfg Fig8aConfig) *Result {
 	cfg = cfg.withDefaults()
+	fileSize := scaled(100*1024*1024, cfg.Scale, 8*1024*1024) // paper: 100 MB, halves pre-seeded
+	duration := scaledDur(10*time.Minute, cfg.Scale, 3*time.Minute)
 	res := &Result{
 		ID:     "fig8a",
 		Title:  "Age-based manipulation under wireless losses (paper Fig. 8a)",
@@ -61,9 +51,9 @@ func Fig8aAgeBasedManipulation(cfg Fig8aConfig) *Result {
 
 	col := stats.NewCollector()
 	run := func(ber float64, r int) (defRate, wpRate float64) {
-		w := NewWorld(cfg.Seed+int64(r)*977, time.Minute)
+		w := NewWorld(1+int64(r)*977, time.Minute)
 		defer w.Finish(col)
-		tor := bt.NewMetaInfo("fig8a", cfg.FileSize, 256*1024)
+		tor := bt.NewMetaInfo("fig8a", fileSize, 256*1024)
 		n := tor.NumPieces()
 		halfA, halfB := bt.NewBitfield(n), bt.NewBitfield(n)
 		for i := 0; i < n; i++ {
@@ -87,13 +77,13 @@ func Fig8aAgeBasedManipulation(cfg Fig8aConfig) *Result {
 			BT: bt.Config{Transport: wpHost.Transport, Torrent: tor, Tracker: w.Tracker, InitialHave: halfB},
 			AM: &wp2p.AMConfig{},
 		})
-		def.Start()
-		wpc.Start()
-		w.RunFor(cfg.Duration)
+		mustStart(def.Start())
+		mustStart(wpc.Start())
+		w.RunFor(duration)
 		// A client that completed early is rated over its active time, not
 		// the full window, so completion does not cap the estimate.
 		rate := func(dl int64, doneAt time.Duration) float64 {
-			window := cfg.Duration
+			window := duration
 			if doneAt > 0 && doneAt < window {
 				window = doneAt
 			}
@@ -134,60 +124,21 @@ func Fig8aAgeBasedManipulation(cfg Fig8aConfig) *Result {
 
 // Fig8bConfig parameterizes the identity-retention evaluation.
 type Fig8bConfig struct {
-	Scale         float64
-	FileSize      int64 // paper: the 688 MB Fedora-7 image
-	FixedLeeches  int   // contested swarm (paper: 200+ peers)
-	FixedSeeds    int
-	Horizon       time.Duration // paper: 50 min
-	HandoffPeriod time.Duration // paper: 1 min
-	// DetectionDelay is how long the default client takes to notice the
-	// dead task and re-initiate it (process restart, re-announce). wP2P's
-	// RR watchdog reacts within its 2 s check interval instead.
-	DetectionDelay time.Duration
+	Scale float64
 	// Runs averages the download curves over several seeds: single runs of
 	// handoff scenarios are dominated by where in the choke cycle each
 	// handoff lands.
 	Runs int
-	Seed int64
 }
 
 func (c Fig8bConfig) withDefaults() Fig8bConfig {
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
-	if c.FileSize == 0 {
-		c.FileSize = scaled(688*1024*1024, c.Scale, 48*1024*1024)
-	}
-	if c.FixedLeeches == 0 {
-		c.FixedLeeches = scaledInt(12, c.Scale, 5)
-	}
-	if c.FixedSeeds == 0 {
-		c.FixedSeeds = 3
-	}
-	if c.Horizon == 0 {
-		c.Horizon = scaledDur(50*time.Minute, c.Scale, 8*time.Minute)
-	}
-	if c.HandoffPeriod == 0 {
-		c.HandoffPeriod = time.Minute
-	}
-	if c.DetectionDelay == 0 {
-		c.DetectionDelay = 15 * time.Second
-	}
 	if c.Runs == 0 {
 		c.Runs = 3
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
-}
-
-func scaledInt(n int, scale float64, lo int) int {
-	v := int(float64(n) * scale)
-	if v < lo {
-		return lo
-	}
-	return v
 }
 
 // Fig8bIdentityRetention reproduces Figure 8(b): two mobile leeches in one
@@ -197,6 +148,17 @@ func scaledInt(n int, scale float64, lo int) int {
 // the credit it accumulated, so its download curve pulls steadily ahead.
 func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 	cfg = cfg.withDefaults()
+	const (
+		fixedSeeds    = 3
+		handoffPeriod = time.Minute // paper: 1 min
+		// detectionDelay is how long the default client takes to notice the
+		// dead task and re-initiate it (process restart, re-announce). wP2P's
+		// RR watchdog reacts within its 2 s check interval instead.
+		detectionDelay = 15 * time.Second
+	)
+	fileSize := scaled(688*1024*1024, cfg.Scale, 48*1024*1024)     // paper: the 688 MB Fedora-7 image
+	fixedLeeches := int(scaled(12, cfg.Scale, 5))                  // contested swarm (paper: 200+ peers)
+	horizon := scaledDur(50*time.Minute, cfg.Scale, 8*time.Minute) // paper: 50 min
 	res := &Result{
 		ID:     "fig8b",
 		Title:  "Identity retention across handoffs (paper Fig. 8b)",
@@ -208,19 +170,19 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 	run := func(seed int64) (x, defY, wpY []float64) {
 		w := NewWorld(seed, 90*time.Second)
 		defer w.Finish(col)
-		tor := bt.NewMetaInfo("fedora-7-live", cfg.FileSize, 256*1024)
+		tor := bt.NewMetaInfo("fedora-7-live", fileSize, 256*1024)
 		w.PopulateSwarm(tor, SwarmConfig{
-			Seeds: cfg.FixedSeeds, SeedCap: 50 * netem.KBps,
-			Leeches: cfg.FixedLeeches, Slots: 2,
+			Seeds: fixedSeeds, SeedCap: 50 * netem.KBps,
+			Leeches: fixedLeeches, Slots: 2,
 		})
 
 		defHost := w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps})
 		def := bt.NewClient(bt.Config{
 			Transport: defHost.Transport, Torrent: tor, Tracker: w.Tracker, UnchokeSlots: 2,
 		})
-		def.Start()
-		hDef := mobility.NewHandoff(w.Engine, w.Net, defHost.Iface, mobility.NewIPAllocator(2000), cfg.HandoffPeriod)
-		mobility.DefaultReaction(w.Engine, hDef, def, cfg.DetectionDelay)
+		mustStart(def.Start())
+		hDef := mobility.NewHandoff(w.Engine, w.Net, defHost.Iface, mobility.NewIPAllocator(2000), handoffPeriod)
+		mobility.DefaultReaction(w.Engine, hDef, def, detectionDelay)
 		hDef.Start()
 
 		wpHost := w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps})
@@ -229,12 +191,12 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 			RR:             &wp2p.RRConfig{},
 			RetainIdentity: true,
 		})
-		wpc.Start()
-		hWp := mobility.NewHandoff(w.Engine, w.Net, wpHost.Iface, mobility.NewIPAllocator(3000), cfg.HandoffPeriod)
+		mustStart(wpc.Start())
+		hWp := mobility.NewHandoff(w.Engine, w.Net, wpHost.Iface, mobility.NewIPAllocator(3000), handoffPeriod)
 		hWp.Start() // RR detects the change itself
 
-		sample := cfg.Horizon / 25
-		for t := sample; t <= cfg.Horizon; t += sample {
+		sample := horizon / 25
+		for t := sample; t <= horizon; t += sample {
 			w.RunFor(sample)
 			x = append(x, t.Minutes())
 			defY = append(defY, mb(def.Downloaded()))
@@ -245,7 +207,7 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 
 	type curves struct{ x, def, wp []float64 }
 	all := runner.Map(cfg.Runs, func(r int) curves {
-		xs, d, p := run(cfg.Seed + int64(r)*733)
+		xs, d, p := run(1 + int64(r)*733)
 		return curves{xs, d, p}
 	})
 	x := all[0].x
@@ -271,10 +233,8 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 type Fig8cConfig struct {
 	Scale      float64
 	Bandwidths []netem.Rate // paper: 50…200 KBps
-	Duration   time.Duration
-	Runs       int // paper: 10
-	Leeches    int
-	Seed       int64
+	Runs       int          // paper: 10
+	Leeches    int          // fixed leeches in the swarm (default 12)
 }
 
 func (c Fig8cConfig) withDefaults() Fig8cConfig {
@@ -284,17 +244,11 @@ func (c Fig8cConfig) withDefaults() Fig8cConfig {
 	if len(c.Bandwidths) == 0 {
 		c.Bandwidths = []netem.Rate{50 * netem.KBps, 100 * netem.KBps, 150 * netem.KBps, 200 * netem.KBps}
 	}
-	if c.Duration == 0 {
-		c.Duration = scaledDur(10*time.Minute, c.Scale, 3*time.Minute)
-	}
 	if c.Runs == 0 {
 		c.Runs = 5
 	}
 	if c.Leeches == 0 {
 		c.Leeches = 12
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -306,6 +260,7 @@ func (c Fig8cConfig) withDefaults() Fig8cConfig {
 // that still buys full reciprocation — the peak of Figure 3(b).
 func Fig8cLIHD(cfg Fig8cConfig) *Result {
 	cfg = cfg.withDefaults()
+	duration := scaledDur(10*time.Minute, cfg.Scale, 3*time.Minute)
 	res := &Result{
 		ID:     "fig8c",
 		Title:  "LIHD upload control vs channel bandwidth (paper Fig. 8c)",
@@ -315,7 +270,7 @@ func Fig8cLIHD(cfg Fig8cConfig) *Result {
 
 	col := stats.NewCollector()
 	run := func(bw netem.Rate, lihd bool, r int) float64 {
-		w := NewWorld(cfg.Seed+int64(r)*389, time.Minute)
+		w := NewWorld(1+int64(r)*389, time.Minute)
 		defer w.Finish(col)
 		// Large file + diverse fixed swarm: the mobile's pieces are wanted
 		// (so its uploads really contend with its downloads on the shared
@@ -341,16 +296,16 @@ func Fig8cLIHD(cfg Fig8cConfig) *Result {
 					Period: 30 * time.Second,
 				},
 			})
-			c.Start()
-			w.RunFor(cfg.Duration)
-			return float64(c.BT.Downloaded()) / cfg.Duration.Seconds()
+			mustStart(c.Start())
+			w.RunFor(duration)
+			return float64(c.BT.Downloaded()) / duration.Seconds()
 		}
 		c := bt.NewClient(bt.Config{
 			Transport: mob.Transport, Torrent: tor, Tracker: w.Tracker, UnchokeSlots: 2,
 		})
-		c.Start()
-		w.RunFor(cfg.Duration)
-		return float64(c.Downloaded()) / cfg.Duration.Seconds()
+		mustStart(c.Start())
+		w.RunFor(duration)
+		return float64(c.Downloaded()) / duration.Seconds()
 	}
 
 	x := make([]float64, len(cfg.Bandwidths))

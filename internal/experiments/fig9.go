@@ -40,13 +40,10 @@ func Fig9abMobilityAwareFetch(cfg FigPlayConfig) *Result {
 
 // Fig9cConfig parameterizes the role-reversal evaluation.
 type Fig9cConfig struct {
-	Scale    float64
-	Periods  []time.Duration // disruption periods (paper: 6, 4, 2 min)
-	FileSize int64
-	Leeches  int
-	Horizon  time.Duration
-	Runs     int // averaged runs per point (paper: 10)
-	Seed     int64
+	Scale   float64
+	Periods []time.Duration // disruption periods (paper: 6, 4, 2 min)
+	Leeches int             // fixed leeches wanting the seed's bandwidth (default 6)
+	Runs    int             // averaged runs per point (paper: 10)
 }
 
 func (c Fig9cConfig) withDefaults() Fig9cConfig {
@@ -56,20 +53,11 @@ func (c Fig9cConfig) withDefaults() Fig9cConfig {
 	if len(c.Periods) == 0 {
 		c.Periods = []time.Duration{6 * time.Minute, 4 * time.Minute, 2 * time.Minute}
 	}
-	if c.FileSize == 0 {
-		c.FileSize = scaled(512*1024*1024, c.Scale, 48*1024*1024)
-	}
 	if c.Leeches == 0 {
 		c.Leeches = 6
 	}
-	if c.Horizon == 0 {
-		c.Horizon = scaledDur(30*time.Minute, c.Scale, 8*time.Minute)
-	}
 	if c.Runs == 0 {
 		c.Runs = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -83,6 +71,8 @@ func (c Fig9cConfig) withDefaults() Fig9cConfig {
 // paper reports up to +50% at 2-minute disruptions.
 func Fig9cRoleReversal(cfg Fig9cConfig) *Result {
 	cfg = cfg.withDefaults()
+	fileSize := scaled(512*1024*1024, cfg.Scale, 48*1024*1024)
+	horizon := scaledDur(30*time.Minute, cfg.Scale, 8*time.Minute)
 	res := &Result{
 		ID:     "fig9c",
 		Title:  "Role reversal for mobile seeds (paper Fig. 9c)",
@@ -94,7 +84,7 @@ func Fig9cRoleReversal(cfg Fig9cConfig) *Result {
 	run := func(period time.Duration, useRR bool, seed int64) float64 {
 		w := NewWorld(seed, 2*time.Minute)
 		defer w.Finish(col)
-		tor := bt.NewMetaInfo("fig9c", cfg.FileSize, 256*1024)
+		tor := bt.NewMetaInfo("fig9c", fileSize, 256*1024)
 		// One stable but slow wired seed keeps the swarm alive; the leeches'
 		// own uplinks are scarce, so demand for the measured mobile seed's
 		// bandwidth is sustained for the whole horizon.
@@ -109,19 +99,19 @@ func Fig9cRoleReversal(cfg Fig9cConfig) *Result {
 				RR:             &wp2p.RRConfig{},
 				RetainIdentity: true,
 			})
-			c.Start()
+			mustStart(c.Start())
 			uploaded = c.BT.Uploaded
 		} else {
 			c := bt.NewClient(bt.Config{
 				Transport: mob.Transport, Torrent: tor, Tracker: w.Tracker, Seed: true,
 			})
-			c.Start()
+			mustStart(c.Start())
 			uploaded = c.Uploaded
 		}
 		h := mobility.NewHandoff(w.Engine, w.Net, mob.Iface, mobility.NewIPAllocator(5000), period)
 		h.Start() // default stays oblivious; wP2P's RR reacts on its own
-		w.RunFor(cfg.Horizon)
-		return float64(uploaded()) / cfg.Horizon.Seconds()
+		w.RunFor(horizon)
+		return float64(uploaded()) / horizon.Seconds()
 	}
 
 	x := make([]float64, len(cfg.Periods))
@@ -130,7 +120,7 @@ func Fig9cRoleReversal(cfg Fig9cConfig) *Result {
 	}
 	pts := runner.Sweep(cfg.Periods, func(_ int, p time.Duration) [2]float64 {
 		pairs := runner.Map(cfg.Runs, func(r int) [2]float64 {
-			seed := cfg.Seed + int64(r)*547
+			seed := 1 + int64(r)*547
 			return [2]float64{run(p, false, seed), run(p, true, seed)}
 		})
 		var d, wpv float64

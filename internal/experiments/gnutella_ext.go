@@ -10,38 +10,6 @@ import (
 	"github.com/wp2p/wp2p/internal/stats"
 )
 
-// GnutellaConfig parameterizes the second-generation-network experiment.
-type GnutellaConfig struct {
-	Scale    float64
-	FileSize int64
-	Periods  []time.Duration // responder IP-change periods; 0 = static
-	Horizon  time.Duration
-	Runs     int
-	Seed     int64
-}
-
-func (c GnutellaConfig) withDefaults() GnutellaConfig {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.FileSize == 0 {
-		c.FileSize = scaled(64*1024*1024, c.Scale, 8*1024*1024)
-	}
-	if len(c.Periods) == 0 {
-		c.Periods = []time.Duration{0, 2 * time.Minute, time.Minute, 30 * time.Second}
-	}
-	if c.Horizon == 0 {
-		c.Horizon = scaledDur(20*time.Minute, c.Scale, 8*time.Minute)
-	}
-	if c.Runs == 0 {
-		c.Runs = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // ExtGnutellaServerMobility tests §3.7's claim for second-generation
 // networks: of the paper's issues, server mobility applies (a single-source
 // sequential download dies with its responder and must stall → re-flood →
@@ -49,9 +17,12 @@ func (c GnutellaConfig) withDefaults() GnutellaConfig {
 // — indeed the sequential fetch means a disconnected user always keeps a
 // playable prefix. The sweep measures a fixed searcher's throughput as its
 // mobile responders' IP-change period shrinks, the Gnutella analogue of
-// Figure 4(a).
-func ExtGnutellaServerMobility(cfg GnutellaConfig) *Result {
-	cfg = cfg.withDefaults()
+// Figure 4(a). scale is Registry's (1 = full).
+func ExtGnutellaServerMobility(scale float64) *Result {
+	const runs = 3
+	periods := []time.Duration{0, 2 * time.Minute, time.Minute, 30 * time.Second} // responder IP-change periods; 0 = static
+	fileSize := scaled(64*1024*1024, scale, 8*1024*1024)
+	horizon := scaledDur(20*time.Minute, scale, 8*time.Minute)
 	res := &Result{
 		ID:     "ext-gnutella",
 		Title:  "Gnutella: responder mobility (paper §3.7, Fig. 4a analogue)",
@@ -63,15 +34,15 @@ func ExtGnutellaServerMobility(cfg GnutellaConfig) *Result {
 	run := func(period time.Duration, seed int64) float64 {
 		w := NewWorld(seed, 0)
 		defer w.Finish(col)
-		mkNode := func(up netem.Rate, cfg2 gnutella.Config) (*gnutella.Node, *Host) {
+		mkNode := func(up netem.Rate, cfg gnutella.Config) (*gnutella.Node, *Host) {
 			var h *Host
 			if up == 0 {
 				h = w.WiredHost(0, 0)
 			} else {
 				h = w.WiredHost(up, 0)
 			}
-			cfg2.Transport = h.Transport
-			n := gnutella.NewNode(cfg2)
+			cfg.Transport = h.Transport
+			n := gnutella.NewNode(cfg)
 			mustStart(n.Start())
 			return n, h
 		}
@@ -81,7 +52,7 @@ func ExtGnutellaServerMobility(cfg GnutellaConfig) *Result {
 		var responders []*gnutella.Node
 		for i := 0; i < 2; i++ {
 			src, host := mkNode(100*netem.KBps, gnutella.Config{})
-			src.Share(gnutella.Shared{Key: "video", Size: cfg.FileSize})
+			src.Share(gnutella.Shared{Key: "video", Size: fileSize})
 			responders = append(responders, src)
 			if period > 0 {
 				h := mobility.NewHandoff(w.Engine, w.Net, host.Iface,
@@ -101,7 +72,7 @@ func ExtGnutellaServerMobility(cfg GnutellaConfig) *Result {
 		// rediscover them by re-flooding.
 		elapsed := time.Duration(0)
 		step := 10 * time.Second
-		for elapsed < cfg.Horizon && !searcher.Complete("video") {
+		for elapsed < horizon && !searcher.Complete("video") {
 			w.RunFor(step)
 			elapsed += step
 			for _, src := range responders {
@@ -117,13 +88,13 @@ func ExtGnutellaServerMobility(cfg GnutellaConfig) *Result {
 		return float64(searcher.Downloaded()) / window.Seconds()
 	}
 
-	x := make([]float64, len(cfg.Periods))
-	for i, p := range cfg.Periods {
+	x := make([]float64, len(periods))
+	for i, p := range periods {
 		x[i] = p.Minutes()
 	}
-	y := runner.Sweep(cfg.Periods, func(_ int, p time.Duration) float64 {
-		return kbps(runner.Average(cfg.Runs, func(r int) float64 {
-			return run(p, cfg.Seed+int64(r)*911)
+	y := runner.Sweep(periods, func(_ int, p time.Duration) float64 {
+		return kbps(runner.Average(runs, func(r int) float64 {
+			return run(p, 1+int64(r)*911)
 		}))
 	})
 	res.AddSeries("fixed searcher", x, y)

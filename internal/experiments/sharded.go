@@ -89,8 +89,8 @@ func NewWorldSharded(seed int64, announce time.Duration, netCfg netem.NetworkCon
 		seed:    seed,
 		nextIP:  netem.IP(10),
 	}
-	if w.Tracker.RTT() < cloud {
-		panic(fmt.Sprintf("experiments: tracker RTT %v below the shard lookahead %v — announce injections would violate the barrier bound", w.Tracker.RTT(), cloud))
+	if bt.DefaultTrackerRTT < cloud {
+		panic(fmt.Sprintf("experiments: tracker RTT %v below the shard lookahead %v — announce injections would violate the barrier bound", bt.DefaultTrackerRTT, cloud))
 	}
 	w.Shards = make([]Shard, logical)
 	for i := range w.Shards {
@@ -138,13 +138,13 @@ func (r *remoteAnnouncer) Interval() time.Duration { return r.w.Tracker.Interval
 
 func (r *remoteAnnouncer) Announce(req bt.AnnounceRequest, cb func(bt.AnnounceResponse)) {
 	w, src := r.w, r.shard
-	arrive := w.Shards[src].Engine.Now() + w.Tracker.RTT()
+	arrive := w.Shards[src].Engine.Now() + bt.DefaultTrackerRTT
 	w.Sharded.Inject(src, 0, arrive, func() { // on shard 0
 		resp := w.Tracker.HandleAnnounce(req)
 		if cb == nil {
 			return // fire-and-forget (EventStopped): no return leg
 		}
-		back := w.Shards[0].Engine.Now() + w.Tracker.RTT()
+		back := w.Shards[0].Engine.Now() + bt.DefaultTrackerRTT
 		w.Sharded.Inject(0, src, back, func() { cb(resp) }) // back on the source shard
 	})
 }

@@ -241,7 +241,7 @@ func (w *World) WirelessHost(cfg netem.WirelessConfig) *Host {
 // newHost builds a Host around a fresh modelled stack, wiring the transport
 // seam, and lets fill attach the medium-specific handle.
 func newHost(eng *sim.Engine, net *netem.Network, iface *netem.Iface, shard int, fill func(*Host)) *Host {
-	stack := tcp.NewStack(eng, iface, tcp.Config{})
+	stack := tcp.NewStack(eng, iface)
 	h := &Host{
 		Stack:     stack,
 		Transport: transport.NewSim(stack),

@@ -95,20 +95,14 @@ const (
 	DefaultPort = 6346
 	// rangeLen is the transfer request granularity.
 	rangeLen = 64 * 1024
+	// hitWindow is how long a searcher collects hits before picking a
+	// source.
+	hitWindow = 2 * time.Second
 )
 
 // Config parameterizes a Node.
 type Config struct {
 	Transport transport.Interface
-	// ID is generated if empty.
-	ID NodeID
-	// Port is the listening port (default 6346).
-	Port uint16
-	// TTL bounds query propagation (default 4).
-	TTL int
-	// HitWindow is how long a searcher collects hits before picking a
-	// source (default 2 s).
-	HitWindow time.Duration
 	// StallTimeout abandons a source that stops delivering (default 30 s)
 	// and re-floods the query — the §3.7 server-mobility cost.
 	StallTimeout time.Duration
@@ -178,15 +172,6 @@ func NewNode(cfg Config) *Node {
 	if cfg.Transport == nil {
 		panic("gnutella: Config requires Transport")
 	}
-	if cfg.Port == 0 {
-		cfg.Port = DefaultPort
-	}
-	if cfg.TTL == 0 {
-		cfg.TTL = DefaultTTL
-	}
-	if cfg.HitWindow == 0 {
-		cfg.HitWindow = 2 * time.Second
-	}
 	if cfg.StallTimeout == 0 {
 		cfg.StallTimeout = 30 * time.Second
 	}
@@ -194,16 +179,13 @@ func NewNode(cfg Config) *Node {
 		cfg:       cfg,
 		engine:    cfg.Transport.Engine(),
 		tr:        cfg.Transport,
-		id:        cfg.ID,
 		shared:    make(map[FileKey]int64),
 		seenQuery: make(map[uint64]bool),
 		routes:    make(map[uint64]*link),
 		searches:  make(map[uint64]*search),
 		downloads: make(map[FileKey]*download),
 	}
-	if n.id == "" {
-		n.id = NewNodeID(n.engine.Rand())
-	}
+	n.id = NewNodeID(n.engine.Rand())
 	return n
 }
 
@@ -211,7 +193,7 @@ func NewNode(cfg Config) *Node {
 func (n *Node) ID() NodeID { return n.id }
 
 // Addr returns the node's current service address.
-func (n *Node) Addr() netem.Addr { return n.tr.Addr(n.cfg.Port) }
+func (n *Node) Addr() netem.Addr { return n.tr.Addr(DefaultPort) }
 
 // Share registers a complete file this node serves.
 func (n *Node) Share(s Shared) { n.shared[s.Key] = s.Size }
@@ -254,7 +236,7 @@ func (n *Node) Start() error {
 	if n.started {
 		return nil
 	}
-	l, err := n.tr.Listen(n.cfg.Port, n.accept)
+	l, err := n.tr.Listen(DefaultPort, n.accept)
 	if err != nil {
 		return fmt.Errorf("gnutella: start: %w", err)
 	}
@@ -326,11 +308,11 @@ func (n *Node) Search(key FileKey) {
 	id := n.nextQueryID<<16 + uint64(n.engine.Rand().Int63n(1<<16))
 	n.searches[id] = &search{key: key}
 	n.seenQuery[id] = true
-	q := msgQuery{ID: id, Key: key, TTL: n.cfg.TTL, Hops: 0}
+	q := msgQuery{ID: id, Key: key, TTL: DefaultTTL, Hops: 0}
 	for _, l := range n.neighbors {
 		l.send(q)
 	}
-	n.engine.Schedule(n.cfg.HitWindow, func() { n.pickSource(id) })
+	n.engine.Schedule(hitWindow, func() { n.pickSource(id) })
 }
 
 func (n *Node) onMessage(l *link, v any) {

@@ -37,7 +37,7 @@ func (v *env) nodeUp(cfg Config, up netem.Rate) (*Node, *netem.Iface) {
 		UpRate: up, DownRate: 1 * netem.MBps, Delay: time.Millisecond,
 	})
 	iface := v.net.Attach(ip, link, nil)
-	cfg.Transport = transport.NewSim(tcp.NewStack(v.engine, iface, tcp.Config{}))
+	cfg.Transport = transport.NewSim(tcp.NewStack(v.engine, iface))
 	n := NewNode(cfg)
 	if err := n.Start(); err != nil {
 		panic(err)

@@ -163,7 +163,7 @@ func (c *compiled) buildContent(scale float64) {
 		c.tor = bt.NewMetaInfo(c.spec.contentName(), c.contentSize, piece)
 	case ProtoEd2k:
 		c.edFile = &ed2k.File{ID: ed2k.FileID(c.spec.contentName()), Size: c.contentSize, ChunkLen: piece}
-		c.edSrv = ed2k.NewServer(c.w.Engine, ed2k.ServerConfig{})
+		c.edSrv = ed2k.NewServer(c.w.Engine)
 	case ProtoGnutella:
 		// Sharers register the key per instance; nothing global to build.
 	}

@@ -106,7 +106,8 @@ type seriesKey struct{ name, kind string }
 
 // AddSeries folds one series into the aggregate under its own name, aligned
 // on absolute sample indexes. Indexes only one side retains keep that side's
-// value. Add calls it for every instrument of a registry; callers use it
+// value, plus — past the end of a shorter cumulative series — the total that
+// series ended on. Add calls it for every instrument of a registry; callers use it
 // directly to export one registry's trajectory under a qualified name. The
 // collector takes ownership of s.V.
 func (c *Collector) AddSeries(s Series) {
@@ -140,6 +141,14 @@ func (c *Collector) addSeries(s Series) {
 	}
 	for i, v := range bv {
 		av[i] = fold(s.Kind, av[i], v)
+	}
+	// A registry that stopped sampling earlier keeps its cumulative totals
+	// from then on: carry its last value under the rest of the longer
+	// series, so a summed counter never falls where a shorter world ends.
+	if s.Kind != KindGauge {
+		for i, last := len(bv), bv[len(bv)-1]; i < len(av); i++ {
+			av[i] += last
+		}
 	}
 	agg.Start, agg.V = start, av
 }

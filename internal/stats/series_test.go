@@ -55,7 +55,8 @@ func newSampledRun(rng *rand.Rand, n int64) *sampledRun {
 
 // wantSeries is the reference fold over whole runs: every aggregate series
 // spans from the earliest index any run retains to the last index any run
-// took, and each index folds the runs that still retain it.
+// took, and each index folds the runs that still retain it — plus, for the
+// cumulative kinds, the final total of every run that ended before it.
 func wantSeries(runs []*sampledRun) map[seriesKey]Series {
 	out := map[seriesKey]Series{}
 	for _, run := range runs {
@@ -84,6 +85,11 @@ func wantSeries(runs []*sampledRun) map[seriesKey]Series {
 			for idx, v := range run.truth[k] {
 				if idx >= run.n-seriesCap {
 					s.V[idx-s.Start] = fold(k.kind, s.V[idx-s.Start], v)
+				}
+			}
+			if last, ok := run.truth[k][run.n-1]; ok && k.kind != KindGauge {
+				for idx := run.n; idx < end; idx++ {
+					s.V[idx-s.Start] += last
 				}
 			}
 		}

@@ -141,15 +141,14 @@ func (c *Conn) SetOnWritable(fn func()) { c.OnWritable = fn }
 type interval struct{ start, end int64 }
 
 func newConn(s *Stack, local, remote netem.Addr, active bool) *Conn {
-	cfg := s.cfg
 	c := &Conn{
 		stack:    s,
 		local:    local,
 		remote:   remote,
 		active:   active,
-		cwnd:     float64(cfg.InitCwndSegs * MSS),
+		cwnd:     float64(initCwndSegs * MSS),
 		ssthresh: 1 << 30,
-		rto:      cfg.InitRTO,
+		rto:      initRTO,
 	}
 	if active {
 		c.state = StateSynSent
@@ -468,12 +467,11 @@ func (c *Conn) takeSample(rtt time.Duration) {
 		c.srtt = (7*c.srtt + rtt) / 8
 	}
 	rto := c.srtt + 4*c.rttvar
-	cfg := c.stack.cfg
-	if rto < cfg.MinRTO {
-		rto = cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
-	if rto > cfg.MaxRTO {
-		rto = cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	c.rto = rto
 }
@@ -484,7 +482,7 @@ func (c *Conn) onRTO() {
 	if c.closed {
 		return
 	}
-	if c.retries >= c.stack.cfg.MaxRetries {
+	if c.retries >= maxRetries {
 		c.teardown(ErrTimeout)
 		return
 	}
@@ -492,8 +490,8 @@ func (c *Conn) onRTO() {
 	c.stats.Timeouts++
 	c.stack.reg.rtos.Inc()
 	c.rto *= 2
-	if c.rto > c.stack.cfg.MaxRTO {
-		c.rto = c.stack.cfg.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 	switch c.state {
 	case StateSynSent:
@@ -738,7 +736,7 @@ func (c *Conn) processData(seg *Segment) {
 		case finNow || c.ackOwed >= 2:
 			c.sendPureAck(false)
 		case !c.delAckTimer.Armed():
-			c.delAckTimer.Reset(c.stack.cfg.DelAckTimeout)
+			c.delAckTimer.Reset(delAckTimeout)
 		}
 	}
 	if finNow {

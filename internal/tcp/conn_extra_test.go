@@ -30,20 +30,6 @@ func TestOnWritableFiresAsBufferDrains(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	cfg := (&Config{}).withDefaults()
-	if cfg.InitCwndSegs != 2 || cfg.InitRTO != time.Second ||
-		cfg.MinRTO != 200*time.Millisecond || cfg.MaxRTO != 60*time.Second ||
-		cfg.MaxRetries != 10 || cfg.DelAckTimeout != 100*time.Millisecond {
-		t.Errorf("defaults = %+v", cfg)
-	}
-	// Explicit values survive.
-	cfg2 := (&Config{MaxRetries: 3}).withDefaults()
-	if cfg2.MaxRetries != 3 {
-		t.Errorf("explicit MaxRetries overridden: %d", cfg2.MaxRetries)
-	}
-}
-
 func TestListenerCloseStopsAccepting(t *testing.T) {
 	w := newWorld(61)
 	sa, sb := w.wiredHost(1), w.wiredHost(2)

@@ -160,48 +160,24 @@ func (s *Segment) String() string {
 	return fmt.Sprintf("seq=%d len=%d ack=%d %s", s.Seq, s.Len, s.Ack, flags)
 }
 
-// Config tunes a stack's TCP behaviour. The zero value selects defaults.
-type Config struct {
-	InitCwndSegs int           // initial congestion window in segments (default 2)
-	InitRTO      time.Duration // RTO before the first RTT sample (default 1s)
-	MinRTO       time.Duration // RTO floor (default 200ms)
-	MaxRTO       time.Duration // RTO backoff ceiling (default 60s)
-	// MaxRetries is how many consecutive RTOs are tolerated before the
-	// connection fails with ErrTimeout. With the default 10 and a 200 ms
-	// post-sample RTO floor, exponential backoff makes the sender persist
-	// for one to two minutes — the "several minutes" a fixed peer keeps
-	// trying a vanished mobile server (paper §3.5).
-	MaxRetries int
-	// DelAckTimeout is the delayed-ACK timer (RFC 1122): an ACK for
+// Reno parameters, fixed for every stack.
+const (
+	initCwndSegs = 2                      // initial congestion window in segments
+	initRTO      = time.Second            // RTO before the first RTT sample
+	minRTO       = 200 * time.Millisecond // RTO floor
+	maxRTO       = 60 * time.Second       // RTO backoff ceiling
+	// maxRetries is how many consecutive RTOs are tolerated before the
+	// connection fails with ErrTimeout. With a 200 ms post-sample RTO
+	// floor, exponential backoff makes the sender persist for one to two
+	// minutes — the "several minutes" a fixed peer keeps trying a vanished
+	// mobile server (paper §3.5).
+	maxRetries = 10
+	// delAckTimeout is the delayed-ACK timer (RFC 1122): an ACK for
 	// in-order data is withheld until a second segment arrives, reverse
 	// data can carry it (piggybacking — "ACKs in the reverse path are
-	// almost always piggybacked on the data packets"), or this timer
-	// fires. Default 100 ms.
-	DelAckTimeout time.Duration
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.InitCwndSegs == 0 {
-		out.InitCwndSegs = 2
-	}
-	if out.InitRTO == 0 {
-		out.InitRTO = time.Second
-	}
-	if out.MinRTO == 0 {
-		out.MinRTO = 200 * time.Millisecond
-	}
-	if out.MaxRTO == 0 {
-		out.MaxRTO = 60 * time.Second
-	}
-	if out.MaxRetries == 0 {
-		out.MaxRetries = 10
-	}
-	if out.DelAckTimeout == 0 {
-		out.DelAckTimeout = 100 * time.Millisecond
-	}
-	return out
-}
+	// almost always piggybacked on the data packets"), or this timer fires.
+	delAckTimeout = 100 * time.Millisecond
+)
 
 type fourTuple struct {
 	local, remote netem.Addr
@@ -212,7 +188,6 @@ type fourTuple struct {
 type Stack struct {
 	engine    *sim.Engine
 	iface     *netem.Iface
-	cfg       Config
 	conns     map[fourTuple]*Conn
 	listeners map[uint16]*Listener
 	nextPort  uint16
@@ -270,11 +245,10 @@ func (ss *stackStats) bind(reg *stats.Registry) {
 
 // NewStack builds a TCP layer on the interface and installs itself as the
 // interface's packet handler.
-func NewStack(engine *sim.Engine, iface *netem.Iface, cfg Config) *Stack {
+func NewStack(engine *sim.Engine, iface *netem.Iface) *Stack {
 	s := &Stack{
 		engine:    engine,
 		iface:     iface,
-		cfg:       cfg.withDefaults(),
 		conns:     make(map[fourTuple]*Conn),
 		listeners: make(map[uint16]*Listener),
 		nextPort:  49152,

@@ -28,7 +28,7 @@ func (w *testWorld) wiredHost(ip netem.IP) *Stack {
 		Delay:    time.Millisecond,
 	})
 	iface := w.net.Attach(ip, link, nil)
-	return NewStack(w.engine, iface, Config{})
+	return NewStack(w.engine, iface)
 }
 
 func (w *testWorld) wirelessHost(ip netem.IP, cfg netem.WirelessConfig) (*Stack, *netem.WirelessChannel) {
@@ -37,7 +37,7 @@ func (w *testWorld) wirelessHost(ip netem.IP, cfg netem.WirelessConfig) (*Stack,
 	}
 	ch := netem.NewWirelessChannel(w.engine, cfg)
 	iface := w.net.Attach(ip, ch, nil)
-	return NewStack(w.engine, iface, Config{}), ch
+	return NewStack(w.engine, iface), ch
 }
 
 // connect dials from a to b:port and returns both connection endpoints once

@@ -177,8 +177,8 @@ func TestCollectorMergeUnequalLengths(t *testing.T) {
 		return reg
 	}
 	s := findSeries(t, export(nil, mk(2), mk(4)), "n")
-	if !int64sEqual(s.V, []int64{2, 4, 3, 4}) {
-		t.Fatalf("merged = %v, want short run padded by absence", s.V)
+	if !int64sEqual(s.V, []int64{2, 4, 5, 6}) {
+		t.Fatalf("merged = %v, want the short run's final count carried", s.V)
 	}
 }
 

@@ -54,7 +54,7 @@ func (b *simBackend) host(ip netem.IP) Interface {
 		Delay:    time.Millisecond,
 	})
 	iface := b.netw.Attach(ip, link, nil)
-	h := NewSim(tcp.NewStack(b.engine, iface, tcp.Config{}))
+	h := NewSim(tcp.NewStack(b.engine, iface))
 	b.hosts[ip] = h
 	return h
 }

@@ -41,33 +41,23 @@ func (s FlowStatus) String() string {
 	return "mature"
 }
 
-// AMConfig tunes the Age-based Manipulation filter.
-type AMConfig struct {
-	// GammaSegs is the connection-status threshold γ in segments; the paper
-	// uses 6 (≈ 9 KB), citing the vulnerability of windows below 6 to
-	// losses.
-	GammaSegs int
-	// CwndWindow is the measurement window used to estimate the remote
-	// sender's congestion window ("data sent by the remote peer in every
-	// rtt"); defaults to 200 ms.
-	CwndWindow time.Duration
-	// DropEveryN thins one in N outgoing DUPACKs on mature connections in
-	// recovery; the paper drops one-fourth (N = 4).
-	DropEveryN int
-}
+// AMConfig enables the Age-based Manipulation filter; its parameters are the
+// paper's and are fixed.
+type AMConfig struct{}
 
-func (c AMConfig) withDefaults() AMConfig {
-	if c.GammaSegs == 0 {
-		c.GammaSegs = 6
-	}
-	if c.CwndWindow == 0 {
-		c.CwndWindow = 200 * time.Millisecond
-	}
-	if c.DropEveryN == 0 {
-		c.DropEveryN = 4
-	}
-	return c
-}
+const (
+	// amGammaSegs is the connection-status threshold γ in segments; the
+	// paper uses 6 (≈ 9 KB), citing the vulnerability of windows below 6 to
+	// losses.
+	amGammaSegs = 6
+	// amCwndWindow is the measurement window used to estimate the remote
+	// sender's congestion window ("data sent by the remote peer in every
+	// rtt").
+	amCwndWindow = 200 * time.Millisecond
+	// amDropEveryN thins one in N outgoing DUPACKs on mature connections in
+	// recovery; the paper drops one-fourth (N = 4).
+	amDropEveryN = 4
+)
 
 // AMStats counts the filter's interventions.
 type AMStats struct {
@@ -92,7 +82,6 @@ type amFlow struct {
 // the wireless leg actually halves after a congestion event.
 type AMFilter struct {
 	engine *sim.Engine
-	cfg    AMConfig
 	flows  map[netem.Addr]*amFlow
 	stats  AMStats
 	// stack, when set via Track, ties flow lifetime to the connection
@@ -110,11 +99,10 @@ type AMFilter struct {
 }
 
 // NewAMFilter builds the filter; call Install to attach it to an interface.
-func NewAMFilter(engine *sim.Engine, cfg AMConfig) *AMFilter {
+func NewAMFilter(engine *sim.Engine, _ AMConfig) *AMFilter {
 	reg := engine.Stats()
 	f := &AMFilter{
 		engine:        engine,
-		cfg:           cfg.withDefaults(),
 		flows:         make(map[netem.Addr]*amFlow),
 		segs:          tcp.NewSegmentPool(reg),
 		regDecoupled:  reg.Counter("wp2p.am.decoupled"),
@@ -162,7 +150,7 @@ func (f *AMFilter) Stats() AMStats {
 func (f *AMFilter) flow(remote netem.Addr) *amFlow {
 	fl, ok := f.flows[remote]
 	if !ok {
-		fl = &amFlow{rcvd: bt.NewRateEstimator(f.cfg.CwndWindow)}
+		fl = &amFlow{rcvd: bt.NewRateEstimator(amCwndWindow)}
 		f.flows[remote] = fl
 	}
 	fl.lastActive = f.engine.Now()
@@ -176,7 +164,7 @@ func (f *AMFilter) Status(remote netem.Addr) FlowStatus {
 	if !ok {
 		return FlowYoung
 	}
-	if fl.rcvd.Total(f.engine.Now()) < int64(f.cfg.GammaSegs*tcp.MSS) {
+	if fl.rcvd.Total(f.engine.Now()) < amGammaSegs*tcp.MSS {
 		return FlowYoung
 	}
 	return FlowMature
@@ -246,7 +234,7 @@ func (f *AMFilter) filterEgress(pkt *netem.Packet, out []*netem.Packet) []*netem
 		if seg.Ack == fl.lastAck {
 			// A DUPACK leaving the mobile host.
 			fl.dupCnt++
-			if status == FlowMature && fl.dupCnt%f.cfg.DropEveryN == 0 {
+			if status == FlowMature && fl.dupCnt%amDropEveryN == 0 {
 				// Thin one in N so the wireless leg's packet count halves
 				// after congestion instead of staying level. Returning out
 				// unchanged drops the packet; the interface recycles it.

@@ -36,13 +36,6 @@ func feedIngress(f *AMFilter, n int) {
 	f.observeIngress(&netem.Packet{Src: remote, Dst: mobile, Size: seg.WireSize(), Payload: seg}, nil)
 }
 
-func TestAMDefaults(t *testing.T) {
-	cfg := AMConfig{}.withDefaults()
-	if cfg.GammaSegs != 6 || cfg.DropEveryN != 4 || cfg.CwndWindow != 200*time.Millisecond {
-		t.Errorf("defaults = %+v", cfg)
-	}
-}
-
 func TestAMStatusYoungThenMature(t *testing.T) {
 	_, f := amFixture(1)
 	if got := f.Status(remote); got != FlowYoung {
@@ -205,10 +198,10 @@ func TestAMFlowStateEvictedOnConnClose(t *testing.T) {
 	e := sim.NewEngine(sim.WithSeed(11))
 	n := netem.NewNetwork(e, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond})
 	wired := netem.NewAccessLink(e, netem.AccessLinkConfig{UpRate: 1 * netem.MBps, DownRate: 1 * netem.MBps})
-	fixedStack := tcp.NewStack(e, n.Attach(2, wired, nil), tcp.Config{})
+	fixedStack := tcp.NewStack(e, n.Attach(2, wired, nil))
 	wl := netem.NewWirelessChannel(e, netem.WirelessConfig{Rate: 300 * netem.KBps})
 	mobIface := n.Attach(1, wl, nil)
-	mobStack := tcp.NewStack(e, mobIface, tcp.Config{})
+	mobStack := tcp.NewStack(e, mobIface)
 	f := NewAMFilter(e, AMConfig{})
 	f.Install(mobIface)
 	f.Track(mobStack)
@@ -242,10 +235,10 @@ func TestAMEndToEndImprovesLossyYoungFlow(t *testing.T) {
 		e := sim.NewEngine(sim.WithSeed(77))
 		n := netem.NewNetwork(e, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond})
 		wired := netem.NewAccessLink(e, netem.AccessLinkConfig{UpRate: 1 * netem.MBps, DownRate: 1 * netem.MBps})
-		fixedStack := tcp.NewStack(e, n.Attach(2, wired, nil), tcp.Config{})
+		fixedStack := tcp.NewStack(e, n.Attach(2, wired, nil))
 		wl := netem.NewWirelessChannel(e, netem.WirelessConfig{Rate: 300 * netem.KBps, BER: 8e-6})
 		mobIface := n.Attach(1, wl, nil)
-		mobStack := tcp.NewStack(e, mobIface, tcp.Config{})
+		mobStack := tcp.NewStack(e, mobIface)
 		if withAM {
 			NewAMFilter(e, AMConfig{}).Install(mobIface)
 		}

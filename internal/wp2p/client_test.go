@@ -38,7 +38,7 @@ func (v *env) wired() *tcp.Stack {
 	link := netem.NewAccessLink(v.engine, netem.AccessLinkConfig{
 		UpRate: 1 * netem.MBps, DownRate: 1 * netem.MBps, Delay: time.Millisecond,
 	})
-	return tcp.NewStack(v.engine, v.net.Attach(ip, link, nil), tcp.Config{})
+	return tcp.NewStack(v.engine, v.net.Attach(ip, link, nil))
 }
 
 func (v *env) wireless(cfg netem.WirelessConfig) *tcp.Stack {
@@ -48,7 +48,7 @@ func (v *env) wireless(cfg netem.WirelessConfig) *tcp.Stack {
 	ip := v.nextIP
 	v.nextIP++
 	ch := netem.NewWirelessChannel(v.engine, cfg)
-	return tcp.NewStack(v.engine, v.net.Attach(ip, ch, nil), tcp.Config{})
+	return tcp.NewStack(v.engine, v.net.Attach(ip, ch, nil))
 }
 
 func (v *env) btCfg(stack *tcp.Stack) bt.Config {

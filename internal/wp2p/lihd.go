@@ -24,13 +24,14 @@ type LIHDConfig struct {
 	Beta netem.Rate
 	// Period is the window between control updates (default 10 s).
 	Period time.Duration
-	// Epsilon is the relative dead band around the previous download rate:
-	// changes within ±ε are treated as noise and hold the cap steady.
-	// Swarm rates fluctuate at every choke round, and the paper's strict
-	// two-branch rule would ratchet the cap down on every wiggle; a small
-	// hysteresis keeps the controller at the peak it found. Default 5%.
-	Epsilon float64
 }
+
+// lihdEpsilon is the relative dead band around the previous download rate:
+// changes within ±ε are treated as noise and hold the cap steady. Swarm
+// rates fluctuate at every choke round, and the paper's strict two-branch
+// rule would ratchet the cap down on every wiggle; a small hysteresis keeps
+// the controller at the peak it found.
+const lihdEpsilon = 0.05
 
 func (c LIHDConfig) withDefaults() LIHDConfig {
 	if c.Umin == 0 {
@@ -44,9 +45,6 @@ func (c LIHDConfig) withDefaults() LIHDConfig {
 	}
 	if c.Period == 0 {
 		c.Period = 10 * time.Second
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.05
 	}
 	return c
 }
@@ -145,12 +143,12 @@ func (l *LIHD) update() {
 	dcur := l.source.DownloadRate()
 	if l.dprev != 0 {
 		switch {
-		case dcur > l.dprev*(1+l.cfg.Epsilon):
+		case dcur > l.dprev*(1+lihdEpsilon):
 			// Downloads improving: be conservative going up.
 			l.ucur += float64(l.cfg.Alpha)
 			l.decCnt = 0
 			l.regIncreases.Inc()
-		case dcur < l.dprev*(1-l.cfg.Epsilon):
+		case dcur < l.dprev*(1-lihdEpsilon):
 			// Downloads worse: back off with growing aggression.
 			l.decCnt++
 			l.ucur -= float64(l.cfg.Beta) * float64(l.decCnt)
