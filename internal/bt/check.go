@@ -57,6 +57,9 @@ func (c *Client) CheckState(report func(invariant, detail string)) {
 			fmt.Sprintf("%s: bytesHave %d, have bitfield sums to %d", id, c.bytesHave, bytes))
 	}
 
+	// The request index is bt's own, not an ordset.Set (DESIGN §17).
+	c.requested.checkCoherent(func(detail string) { report("bt.requested.index", id+": "+detail) })
+
 	// Availability counters are bounded by the connected-peer count.
 	for i, a := range c.avail {
 		if a < 0 || a > len(c.peers) {
@@ -90,7 +93,7 @@ func (c *Client) DigestInto(d *check.Digest) {
 		d.Bool(p.peerChoking)
 		d.Bool(p.amInterested)
 		d.Bool(p.peerInterested)
-		d.Int(p.requestsOut.Len())
+		d.Int(len(p.requestsOut))
 		d.I64(p.piecesRcvd)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/wp2p/wp2p/internal/netem"
-	"github.com/wp2p/wp2p/internal/ordset"
 	"github.com/wp2p/wp2p/internal/sim"
 	"github.com/wp2p/wp2p/internal/stats"
 	"github.com/wp2p/wp2p/internal/transport"
@@ -117,7 +116,10 @@ type Client struct {
 	// final blocks are requested from several peers and the losers are
 	// cancelled. The ordered index gives the stale-request sweep a
 	// deterministic walk without sorting.
-	requested ordset.Set[blockRef, []*peerConn]
+	requested requestIndex
+	// The block messages this client sends (see chunk).
+	requestMsgs chunk[msgRequest]
+	pieceMsgs   chunk[msgPiece]
 
 	peers   []*peerConn
 	known   []PeerInfo         // insertion-ordered tracker knowledge
@@ -199,6 +201,7 @@ func NewClient(cfg Config) *Client {
 	c.have = NewBitfield(n)
 	c.pending = NewBitfield(n)
 	c.avail = make([]int, n)
+	c.requested = newRequestIndex(c.torrent)
 	c.failedOnce = make(map[int]bool)
 	c.banned = make(map[PeerID]bool)
 	c.knownAt = make(map[netem.Addr]int)
@@ -555,6 +558,20 @@ func (c *Client) availReplace(old, new_ *Bitfield) {
 
 // --- request scheduling ---
 
+// wireBlock checks the block coordinates of a message off the wire — an
+// aligned offset inside the piece, exactly that block's length — before they
+// touch bt state: Length is counted and framed, a blockRef indexes requested.
+func (c *Client) wireBlock(piece, begin, length int) (blockRef, bool) {
+	if piece < 0 || piece >= c.have.Len() || begin < 0 || begin%BlockSize != 0 {
+		return blockRef{}, false
+	}
+	block := begin / BlockSize
+	if length <= 0 || length != c.torrent.BlockLen(piece, block) { // 0 past the last block
+		return blockRef{}, false
+	}
+	return blockRef{piece, block}, true
+}
+
 // endgameMaxDup bounds how many peers race for one block in endgame.
 const endgameMaxDup = 3
 
@@ -563,7 +580,7 @@ func (c *Client) fillRequests(p *peerConn) {
 	if c.stopped || p.closed || p.peerChoking || !p.amInterested {
 		return
 	}
-	for p.requestsOut.Len() < pipelineDepth {
+	for len(p.requestsOut) < pipelineDepth {
 		piece, block := c.pickBlock(p)
 		if piece < 0 {
 			// Endgame: every missing block is already in flight somewhere.
@@ -575,8 +592,8 @@ func (c *Client) fillRequests(p *peerConn) {
 			}
 		}
 		ref := blockRef{piece, block}
-		c.requested.Put(ref, append(c.requested.Val(ref), p))
-		p.request(piece, block)
+		c.requested.add(ref, p)
+		p.request(ref)
 	}
 }
 
@@ -600,10 +617,10 @@ func (c *Client) pickEndgameBlock(p *peerConn) (piece, block int) {
 				continue
 			}
 			ref := blockRef{prog.piece, b}
-			if p.requestsOut.Has(ref) {
+			if p.requestsOut.find(ref) >= 0 {
 				continue
 			}
-			if n := len(c.requested.Val(ref)); n < bestOwners {
+			if n := c.requested.owners(ref); n < bestOwners {
 				best, bestOwners = ref, n
 			}
 		}
@@ -656,7 +673,7 @@ func (c *Client) freeBlock(prog *pieceProgress) int {
 		if prog.received.Has(b) {
 			continue
 		}
-		if len(c.requested.Val(blockRef{prog.piece, b})) > 0 {
+		if c.requested.owners(blockRef{prog.piece, b}) > 0 {
 			continue
 		}
 		return b
@@ -669,10 +686,10 @@ func (c *Client) freeBlock(prog *pieceProgress) int {
 // a deterministic (request-order-derived) sequence with no sort and no
 // scratch allocation.
 func (c *Client) returnRequests(p *peerConn) {
-	for p.requestsOut.Len() > 0 {
-		ref := p.requestsOut.KeyAt(0)
-		p.requestsOut.Delete(ref)
-		c.dropRequester(ref, p)
+	for len(p.requestsOut) > 0 {
+		ref := p.requestsOut[0].ref
+		p.requestsOut.del(ref)
+		c.requested.drop(ref, p)
 	}
 	c.refillAll()
 }
@@ -685,35 +702,20 @@ func (c *Client) refillAll() {
 	}
 }
 
-// dropRequester removes p from a block's requester set.
-func (c *Client) dropRequester(ref blockRef, p *peerConn) {
-	owners := c.requested.Val(ref)
-	for i, q := range owners {
-		if q == p {
-			owners = append(owners[:i], owners[i+1:]...)
-			break
-		}
-	}
-	if len(owners) == 0 {
-		c.requested.Delete(ref)
-	} else {
-		c.requested.Put(ref, owners)
-	}
-}
-
 // onBlock accounts an arrived block and completes pieces. corrupt marks
 // payload from a faulty peer (it will fail the piece's hash check).
 func (c *Client) onBlock(p *peerConn, piece, block, length int, corrupt bool) {
 	ref := blockRef{piece, block}
-	// Cancel any endgame racers still fetching this block.
-	for _, q := range c.requested.Val(ref) {
+	// Cancel any endgame racers still fetching this block. The entry is
+	// taken out first so that nothing a send leads to can move it mid-walk.
+	owners := c.requested.take(ref)
+	for _, q := range owners.peers() {
 		if q == p || q.closed {
 			continue
 		}
-		q.requestsOut.Delete(ref)
+		q.requestsOut.del(ref)
 		q.send(msgCancel{Piece: piece, Begin: block * BlockSize, Length: length})
 	}
-	c.requested.Delete(ref)
 	c.downloaded += int64(length)
 	c.downTotal.Add(c.engine.Now(), int64(length))
 	var prog *pieceProgress
@@ -822,18 +824,17 @@ func (c *Client) sweep() {
 	var stale []staleReq
 	// The ordered index iterates deterministically (slot order is a pure
 	// function of the event history), so no sort is needed before acting.
-	c.requested.Range(func(ref blockRef, owners []*peerConn) bool {
+	c.requested.each(func(ref blockRef, owners []*peerConn) {
 		for _, p := range owners {
-			if at, ok := p.requestsOut.Get(ref); !ok || now-at > c.cfg.RequestTimeout {
+			if i := p.requestsOut.find(ref); i < 0 || now-p.requestsOut[i].at > c.cfg.RequestTimeout {
 				stale = append(stale, staleReq{ref: ref, p: p})
 			}
 		}
-		return true
 	})
 	for _, s := range stale {
-		c.dropRequester(s.ref, s.p)
+		c.requested.drop(s.ref, s.p)
 		if !s.p.closed {
-			s.p.requestsOut.Delete(s.ref)
+			s.p.requestsOut.del(s.ref)
 			s.p.send(msgCancel{
 				Piece:  s.ref.piece,
 				Begin:  s.ref.block * BlockSize,

@@ -44,11 +44,10 @@ func TestEndgameDuplicateCap(t *testing.T) {
 	violated := false
 	for i := 0; i < 120 && !leech.Complete(); i++ {
 		env.engine.RunFor(2 * time.Second)
-		leech.requested.Range(func(_ blockRef, owners []*peerConn) bool {
+		leech.requested.each(func(_ blockRef, owners []*peerConn) {
 			if len(owners) > endgameMaxDup {
 				violated = true
 			}
-			return true
 		})
 	}
 	if violated {

@@ -22,9 +22,21 @@ type Limiter struct {
 	drainFn func() // l.drain, bound once so re-arming never allocates a closure
 }
 
+// waiter is one queued acquisition: Acquire's callback, or — fn nil — the
+// block grant p.grant(m), by value so that a waiting block costs no closure.
 type waiter struct {
 	n  float64
 	fn func()
+	p  *peerConn
+	m  *msgRequest
+}
+
+func (w waiter) run() {
+	if w.fn != nil {
+		w.fn()
+	} else {
+		w.p.grant(w.m)
+	}
 }
 
 // DefaultBurst bounds how much a limiter can send back-to-back.
@@ -64,17 +76,21 @@ func (l *Limiter) SetRate(rate netem.Rate) {
 // Acquire runs fn once n bytes of budget are available, in FIFO order.
 // With an unlimited rate fn runs immediately.
 func (l *Limiter) Acquire(n int, fn func()) {
+	l.acquire(waiter{n: float64(n), fn: fn})
+}
+
+func (l *Limiter) acquire(w waiter) {
 	if l.rate <= 0 {
-		fn()
+		w.run()
 		return
 	}
 	l.refill()
-	if len(l.queue) == 0 && l.tokens >= float64(n) {
-		l.tokens -= float64(n)
-		fn()
+	if len(l.queue) == 0 && l.tokens >= w.n {
+		l.tokens -= w.n
+		w.run()
 		return
 	}
-	l.queue = append(l.queue, waiter{n: float64(n), fn: fn})
+	l.queue = append(l.queue, w)
 	l.reschedule()
 }
 
@@ -107,7 +123,7 @@ func (l *Limiter) reschedule() {
 		q := l.queue
 		l.queue = nil
 		for _, w := range q {
-			w.fn()
+			w.run()
 		}
 		return
 	}
@@ -126,10 +142,14 @@ func (l *Limiter) drain() {
 	l.drainEv = nil
 	l.refill()
 	for len(l.queue) > 0 && l.tokens >= l.queue[0].n {
+		// Pop by copy-down (reslicing from the front makes every later
+		// append reallocate) and before the grant, which can re-enter.
 		w := l.queue[0]
-		l.queue = l.queue[1:]
+		n := copy(l.queue, l.queue[1:])
+		l.queue[n] = waiter{}
+		l.queue = l.queue[:n]
 		l.tokens -= w.n
-		w.fn()
+		w.run()
 	}
 	l.reschedule()
 }

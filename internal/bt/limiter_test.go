@@ -106,6 +106,33 @@ func TestZeroAllocLimiterRearm(t *testing.T) {
 	if l.QueueLen() != 2 {
 		t.Fatalf("QueueLen = %d, want the 2 waiters still queued", l.QueueLen())
 	}
+
+	// Queued grants: a queue that fills and drains over and over stays in one
+	// backing array (drain pops by copy-down; reslicing from the front made
+	// every few appends reallocate), and a block's grant queues as a value,
+	// not a closure.
+	l.SetRate(0) // flush the two waiters above
+	l.SetRate(1 * netem.MBps)
+	granted := 0
+	fn := func() { granted++ }
+	p, m := &peerConn{closed: true}, &msgRequest{Length: BlockSize} // grant returns at once
+	cycle := func() {
+		for i := 0; i < 6; i++ { // past the burst, so most of them queue
+			l.Acquire(BlockSize, fn)
+			l.acquire(waiter{n: BlockSize, p: p, m: m})
+		}
+		if l.QueueLen() < 8 {
+			t.Fatalf("QueueLen = %d, want most of the 12 grants queued", l.QueueLen())
+		}
+		e.RunFor(time.Second)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("queued grants allocate %.1f per cycle, want 0", allocs)
+	}
+	if l.QueueLen() != 0 || granted != 6*102 {
+		t.Errorf("QueueLen = %d, granted = %d; want 0 and %d", l.QueueLen(), granted, 6*102)
+	}
 }
 
 func TestLedger(t *testing.T) {

@@ -4,15 +4,8 @@ import (
 	"time"
 
 	"github.com/wp2p/wp2p/internal/netem"
-	"github.com/wp2p/wp2p/internal/ordset"
 	"github.com/wp2p/wp2p/internal/transport"
 )
-
-// blockRef names one block of one piece.
-type blockRef struct {
-	piece int
-	block int
-}
 
 // peerConn is the client's view of one remote peer: wire-protocol state
 // (choke/interest in both directions), the remote piece map, transfer-rate
@@ -39,7 +32,7 @@ type peerConn struct {
 	// requestsOut tracks blocks we have asked this peer for, in request
 	// order — the deterministic iteration returnRequests and the stale
 	// sweep need without sorting.
-	requestsOut ordset.Set[blockRef, time.Duration]
+	requestsOut requestList
 	// cancelled marks inbound requests withdrawn while queued on the upload
 	// limiter.
 	cancelled map[blockRef]bool
@@ -56,6 +49,7 @@ type peerConn struct {
 	reqsRcvd        int64 // requests received from the peer
 	reqsDropChoked  int64 // requests ignored because the peer was choked
 	reqsDropNotHave int64 // requests for pieces we lack
+	badBlocks       int64 // requests and cancels dropped for naming no block of the torrent
 	piecesSent      int64 // blocks served
 	piecesRcvd      int64 // blocks received
 	piecesUnwanted  int64 // blocks received without a matching request
@@ -100,7 +94,7 @@ func (p *peerConn) drainSendQ() {
 			delete(p.cancelled, ref)
 			continue
 		}
-		p.send(m)
+		p.send(p.client.pieceMsgs.put(m))
 		p.piecesSent++
 		now := p.client.engine.Now()
 		p.upRate.Add(now, int64(m.Length))
@@ -157,12 +151,16 @@ func (p *peerConn) onMessage(v any) {
 		p.handleChoke()
 	case msgUnchoke:
 		p.handleUnchoke()
-	case msgRequest:
+	case *msgRequest:
 		p.handleRequest(m)
-	case msgPiece:
+	case *msgPiece:
 		p.handlePiece(m)
 	case msgCancel:
-		p.cancelled[blockRef{m.Piece, m.Begin / BlockSize}] = true
+		if ref, ok := p.client.wireBlock(m.Piece, m.Begin, m.Length); ok {
+			p.cancelled[ref] = true
+		} else {
+			p.badBlocks++
+		}
 	}
 }
 
@@ -216,10 +214,15 @@ func (p *peerConn) handleUnchoke() {
 	p.client.fillRequests(p)
 }
 
-// handleRequest serves one block through the upload limiter, provided the
-// peer is unchoked and we have the piece.
-func (p *peerConn) handleRequest(m msgRequest) {
+// handleRequest serves one block through the upload limiter, provided it is
+// a block of the torrent, the peer is unchoked and we have the piece.
+func (p *peerConn) handleRequest(m *msgRequest) {
 	p.reqsRcvd++
+	ref, ok := p.client.wireBlock(m.Piece, m.Begin, m.Length)
+	if !ok {
+		p.badBlocks++
+		return
+	}
 	if p.amChoking {
 		p.reqsDropChoked++
 		return
@@ -228,24 +231,23 @@ func (p *peerConn) handleRequest(m msgRequest) {
 		p.reqsDropNotHave++
 		return
 	}
-	ref := blockRef{m.Piece, m.Begin / BlockSize}
 	delete(p.cancelled, ref)
 	if lim := p.client.cfg.UploadLimiter; lim != nil {
-		// Only the limited path pays for a closure; the grant may fire
-		// later, after cancels or choking, so it re-checks both.
-		lim.Acquire(m.Length, func() { p.grant(ref, m) })
+		// The grant may fire later, after cancels or choking, so it
+		// re-checks both.
+		lim.acquire(waiter{n: float64(m.Length), p: p, m: m})
 		return
 	}
-	p.grant(ref, m)
+	p.grant(m)
 }
 
 // grant queues one granted block for transmission, unless the request was
 // withdrawn or the peer choked while the grant waited on the limiter.
-func (p *peerConn) grant(ref blockRef, m msgRequest) {
+func (p *peerConn) grant(m *msgRequest) {
 	if p.closed || p.amChoking {
 		return
 	}
-	if p.cancelled[ref] {
+	if ref := (blockRef{m.Piece, m.Begin / BlockSize}); p.cancelled[ref] {
 		delete(p.cancelled, ref)
 		return
 	}
@@ -256,18 +258,17 @@ func (p *peerConn) grant(ref blockRef, m msgRequest) {
 	p.drainSendQ()
 }
 
-func (p *peerConn) handlePiece(m msgPiece) {
-	ref := blockRef{m.Piece, m.Begin / BlockSize}
-	if !p.requestsOut.Has(ref) {
+func (p *peerConn) handlePiece(m *msgPiece) {
+	ref, ok := p.client.wireBlock(m.Piece, m.Begin, m.Length)
+	if !ok || !p.requestsOut.del(ref) {
 		p.piecesUnwanted++
-		return // unsolicited or already timed out
+		return // malformed, unsolicited or already timed out
 	}
 	p.piecesRcvd++
-	p.requestsOut.Delete(ref)
 	now := p.client.engine.Now()
 	p.downRate.Add(now, int64(m.Length))
 	p.client.ledger.Add(p.id, int64(m.Length), now)
-	p.client.onBlock(p, m.Piece, m.Begin/BlockSize, m.Length, m.Corrupt)
+	p.client.onBlock(p, ref.piece, ref.block, m.Length, m.Corrupt)
 }
 
 // updateInterest recomputes and, on transitions, announces our interest.
@@ -291,7 +292,7 @@ func (p *peerConn) setChoke(choke bool) {
 	p.amChoking = choke
 	if choke {
 		p.client.reg.chokes.Inc()
-		p.sendQ = nil // choked peers get nothing further
+		p.sendQ = p.sendQ[:0] // choked peers get nothing further
 		p.send(msgChoke{})
 	} else {
 		p.client.reg.unchokes.Inc()
@@ -301,8 +302,9 @@ func (p *peerConn) setChoke(choke bool) {
 }
 
 // request sends one block request and records it.
-func (p *peerConn) request(piece, block int) {
-	length := p.client.torrent.BlockLen(piece, block)
-	p.requestsOut.Put(blockRef{piece, block}, p.client.engine.Now())
-	p.send(msgRequest{Piece: piece, Begin: block * BlockSize, Length: length})
+func (p *peerConn) request(ref blockRef) {
+	c := p.client
+	p.requestsOut.put(ref, c.engine.Now())
+	length := c.torrent.BlockLen(ref.piece, ref.block)
+	p.send(c.requestMsgs.put(msgRequest{Piece: ref.piece, Begin: ref.block * BlockSize, Length: length}))
 }

@@ -1,0 +1,391 @@
+package bt
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"github.com/wp2p/wp2p/internal/netem"
+	"github.com/wp2p/wp2p/internal/ordset"
+	"github.com/wp2p/wp2p/internal/transport"
+)
+
+// TestRequestIndexMatchesOrdset pins the one property the digests depend on:
+// requestIndex and requestList assign slots exactly as the ordset.Sets they
+// replaced did. Both are driven beside a Set through a few hundred random
+// histories of the operations the client performs — first request, endgame
+// racer (an overwrite of the owner list), dropped requester, arrived block,
+// and returnRequests' drain of slot 0 — and every slot is compared after
+// every operation. ordset.Set itself is checked against a map-and-slot-array
+// model in its own package (TestSetMatchesReference).
+func TestRequestIndexMatchesOrdset(t *testing.T) {
+	torrent := NewMetaInfo("idx", 5*64*1024-20*1024, 64*1024) // 5 pieces of 4 blocks, the last piece 3
+	peers := make([]*peerConn, endgameMaxDup+2)
+	for i := range peers {
+		peers[i] = &peerConn{}
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		idx := newRequestIndex(torrent)
+		var ref ordset.Set[blockRef, []*peerConn]
+		var list requestList
+		var refList ordset.Set[blockRef, time.Duration]
+
+		same := func(step int) {
+			t.Helper()
+			if idx.Len() != ref.Len() || len(list) != refList.Len() {
+				t.Fatalf("seed %d step %d: Len = %d / %d, ordset %d / %d",
+					seed, step, idx.Len(), len(list), ref.Len(), refList.Len())
+			}
+			var slots []blockRef
+			idx.each(func(b blockRef, _ []*peerConn) { slots = append(slots, b) })
+			for i := 0; i < ref.Len(); i++ {
+				if slots[i] != ref.KeyAt(i) {
+					t.Fatalf("seed %d step %d: slot %d holds %v, ordset %v", seed, step, i, slots[i], ref.KeyAt(i))
+				}
+				got, want := idx.ents[i].peers(), ref.ValAt(i)
+				if len(got) != len(want) || idx.owners(ref.KeyAt(i)) != len(want) {
+					t.Fatalf("seed %d step %d: slot %d has %d owners, ordset %d", seed, step, i, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("seed %d step %d: slot %d owner %d differs", seed, step, i, j)
+					}
+				}
+			}
+			for i := 0; i < refList.Len(); i++ {
+				if list[i].ref != refList.KeyAt(i) || list[i].at != refList.ValAt(i) {
+					t.Fatalf("seed %d step %d: list slot %d holds %v, ordset (%v, %v)",
+						seed, step, i, list[i], refList.KeyAt(i), refList.ValAt(i))
+				}
+			}
+			idx.checkCoherent(func(detail string) { t.Fatalf("seed %d step %d: %s", seed, step, detail) })
+		}
+		refDrop := func(b blockRef, p *peerConn) { // the parent's dropRequester
+			var rest []*peerConn
+			for _, q := range ref.Val(b) {
+				if q != p {
+					rest = append(rest, q)
+				}
+			}
+			switch {
+			case len(rest) == 0:
+				ref.Delete(b)
+			case len(rest) < len(ref.Val(b)):
+				ref.Put(b, rest)
+			}
+		}
+
+		for step := 0; step < 200; step++ {
+			piece := rng.Intn(torrent.NumPieces())
+			b := blockRef{piece, rng.Intn(torrent.NumBlocks(piece))}
+			p := peers[rng.Intn(len(peers))]
+			at := time.Duration(step)
+			switch op := rng.Intn(10); {
+			case op < 5: // fillRequests: a first requester, or one more racer
+				owners := ref.Val(b)
+				racing := false
+				for _, q := range owners {
+					racing = racing || q == p
+				}
+				if !racing && len(owners) < endgameMaxDup {
+					idx.add(b, p)
+					ref.Put(b, append(append([]*peerConn(nil), owners...), p))
+				}
+				list.put(b, at) // a key already listed keeps its slot and takes the new time
+				refList.Put(b, at)
+			case op < 7: // sweep, or a peer returning its requests
+				idx.drop(b, p)
+				refDrop(b, p)
+				if got, want := list.del(b), refList.Has(b); got != want {
+					t.Fatalf("seed %d step %d: del(%v) = %v, ordset had it: %v", seed, step, b, got, want)
+				}
+				refList.Delete(b)
+			case op < 9: // onBlock
+				got, want := idx.take(b), ref.Val(b)
+				if len(got.peers()) != len(want) {
+					t.Fatalf("seed %d step %d: take(%v) returned %d owners, ordset %d", seed, step, b, len(got.peers()), len(want))
+				}
+				ref.Delete(b)
+			default: // returnRequests: drain slot 0
+				for n := rng.Intn(4); n > 0 && len(list) > 0; n-- {
+					head := list[0].ref
+					list.del(head)
+					refList.Delete(head)
+					same(step)
+				}
+			}
+			same(step)
+		}
+	}
+}
+
+// threeRacers builds a leech and three seeds whose upload limiters grant
+// nothing, on a one-piece torrent of four blocks: once every seed has
+// unchoked, each block is in flight with endgameMaxDup requesters.
+func threeRacers(t *testing.T) (env *swarmEnv, leech *Client, lims []*Limiter) {
+	env = newSwarmEnv(52, 4*BlockSize, 4*BlockSize)
+	for i := 0; i < endgameMaxDup; i++ {
+		lim := NewLimiter(env.engine, 1)     // 1 B/s: a grant takes hours
+		lim.Acquire(DefaultBurst, func() {}) // spend the opening burst
+		lims = append(lims, lim)
+		if err := env.client(Config{Seed: true, UploadLimiter: lim}).Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leech = env.client(Config{RequestTimeout: time.Hour})
+	if err := leech.Start(); err != nil {
+		t.Fatal(err)
+	}
+	env.engine.RunFor(15 * time.Second) // past the first choke round
+	return env, leech, lims
+}
+
+// TestEndgameThreeRacers walks requested through the life of a contested
+// block: the inline requester slots fill to endgameMaxDup in request order,
+// losing the middle racer keeps the other two in order, and the winner's
+// block cancels the last racer and empties the index.
+func TestEndgameThreeRacers(t *testing.T) {
+	env, leech, lims := threeRacers(t)
+	if leech.requested.Len() != 4 {
+		t.Fatalf("%d blocks in flight, want all 4", leech.requested.Len())
+	}
+	var first []*peerConn
+	leech.requested.each(func(ref blockRef, owners []*peerConn) {
+		if len(owners) != endgameMaxDup {
+			t.Fatalf("block %v has %d requesters, want %d", ref, len(owners), endgameMaxDup)
+		}
+		if first == nil {
+			first = append(first, owners...)
+		}
+		for i, p := range owners {
+			if p != first[i] {
+				t.Errorf("block %v requester %d differs from block 0's: request order lost", ref, i)
+			}
+			if p.requestsOut.find(ref) < 0 {
+				t.Errorf("block %v requester %d does not list it in requestsOut", ref, i)
+			}
+		}
+	})
+
+	first[1].close() // the middle racer goes away: returnRequests → drop
+	if leech.requested.Len() != 4 {
+		t.Fatalf("%d blocks in flight after one racer left, want 4", leech.requested.Len())
+	}
+	leech.requested.each(func(ref blockRef, owners []*peerConn) {
+		if len(owners) != 2 || owners[0] != first[0] || owners[1] != first[2] {
+			t.Errorf("block %v: requesters after the middle one left are not [first, third]", ref)
+		}
+	})
+	leech.CheckState(func(invariant, detail string) { t.Errorf("%s: %s", invariant, detail) })
+
+	for _, lim := range lims {
+		lim.SetRate(1 * netem.MBps) // whoever is still asked now serves
+	}
+	env.engine.RunFor(10 * time.Second)
+	if !leech.Complete() {
+		t.Fatalf("leech incomplete: %.0f%%", leech.Progress()*100)
+	}
+	if leech.requested.Len() != 0 {
+		t.Errorf("%d blocks still in flight after completion", leech.requested.Len())
+	}
+	for _, p := range leech.peers {
+		if len(p.requestsOut) != 0 {
+			t.Errorf("peer %s still has %d requests out", p.id, len(p.requestsOut))
+		}
+	}
+}
+
+// foreignPeer is a raw connection to a client's listening port: it sends a
+// handshake and hello, and then whatever the test sends.
+func foreignPeer(t *testing.T, env *swarmEnv, target *Client, hello ...wireMsg) (transport.Conn, *peerConn) {
+	t.Helper()
+	tr := transport.NewSim(env.wiredStack(0, 0))
+	conn, err := tr.Dial(target.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetOnEstablished(func() {
+		hs := msgHandshake{InfoHash: env.torrent.InfoHash(), PeerID: "-XX0000-foreign-peer"}
+		for _, m := range append([]wireMsg{hs}, hello...) {
+			conn.SendMessage(m, m.wireLen())
+		}
+	})
+	env.engine.RunFor(15 * time.Second) // handshake, then the first choke round
+	if len(target.peers) != 1 {
+		t.Fatalf("foreign peer not connected (%d peers)", len(target.peers))
+	}
+	return conn, target.peers[0]
+}
+
+// TestWireBlockCoordinatesChecked: a request or cancel naming no block of the
+// torrent is dropped at the door. The parent granted msgRequest{Length: 1<<40}
+// as a terabyte piece and stored any cancel it was sent.
+func TestWireBlockCoordinatesChecked(t *testing.T) {
+	env := newSwarmEnv(90, 500*1024, 64*1024) // 8 pieces; the last is 52 KB: blocks of 16, 16, 16, 4
+	seed := env.client(Config{Seed: true})
+	if err := seed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, p := foreignPeer(t, env, seed, msgBitfield{Bits: NewBitfield(env.torrent.NumPieces())}, msgInterested{})
+	if p.amChoking {
+		t.Fatal("foreign leech was not unchoked")
+	}
+	send := func(m wireMsg) { conn.SendMessage(m, m.wireLen()) }
+
+	bad := []msgRequest{
+		{Piece: -1, Begin: 0, Length: BlockSize},
+		{Piece: 8, Begin: 0, Length: BlockSize},
+		{Piece: 1 << 40, Begin: 0, Length: BlockSize},
+		{Piece: 0, Begin: -BlockSize, Length: BlockSize},
+		{Piece: 0, Begin: 100, Length: BlockSize},           // misaligned
+		{Piece: 0, Begin: 4 * BlockSize, Length: BlockSize}, // past the piece
+		{Piece: 0, Begin: 1 << 50, Length: BlockSize},
+		{Piece: 0, Begin: 0, Length: 1 << 40},
+		{Piece: 0, Begin: 0, Length: BlockSize - 1},
+		{Piece: 0, Begin: 0, Length: 0},
+		{Piece: 0, Begin: 0, Length: -BlockSize},
+		{Piece: 7, Begin: 3 * BlockSize, Length: BlockSize}, // the short block is 4 KB
+		{Piece: 7, Begin: 4 * BlockSize, Length: 4 * 1024},
+	}
+	for i := range bad {
+		send(&bad[i])
+		send(msgCancel(bad[i]))
+	}
+	env.engine.RunFor(2 * time.Second)
+	if want := int64(2 * len(bad)); p.badBlocks != want {
+		t.Errorf("badBlocks = %d, want %d", p.badBlocks, want)
+	}
+	if p.reqsRcvd != int64(len(bad)) {
+		t.Errorf("reqsRcvd = %d, want %d", p.reqsRcvd, len(bad))
+	}
+	if seed.Uploaded() != 0 || p.piecesSent != 0 || len(p.sendQ) != 0 || len(p.cancelled) != 0 {
+		t.Errorf("hostile block coordinates reached bt state: uploaded %d, sent %d, sendQ %d, cancelled %d",
+			seed.Uploaded(), p.piecesSent, len(p.sendQ), len(p.cancelled))
+	}
+
+	// The door is open to the real thing, short last block included.
+	var got []*msgPiece
+	conn.SetOnMessage(func(v any) {
+		if m, ok := v.(*msgPiece); ok {
+			got = append(got, m)
+		}
+	})
+	send(&msgRequest{Piece: 7, Begin: 3 * BlockSize, Length: 4 * 1024})
+	send(&msgRequest{Piece: 0, Begin: BlockSize, Length: BlockSize})
+	env.engine.RunFor(2 * time.Second)
+	if len(got) != 2 || got[0].Length != 4*1024 || got[1].Begin != BlockSize {
+		t.Fatalf("valid requests were served %d pieces, want the 2 asked for", len(got))
+	}
+	if want := int64(4*1024 + BlockSize); seed.Uploaded() != want || p.badBlocks != int64(2*len(bad)) {
+		t.Errorf("uploaded %d, want %d; badBlocks %d", seed.Uploaded(), want, p.badBlocks)
+	}
+	send(msgCancel{Piece: 7, Begin: 3 * BlockSize, Length: 4 * 1024})
+	env.engine.RunFor(time.Second)
+	if !p.cancelled[blockRef{7, 3}] {
+		t.Error("a valid cancel was not recorded")
+	}
+}
+
+// TestWirePieceCoordinatesChecked: a piece goes through the same door, so a
+// block we did ask for cannot be answered with a length that is not its own —
+// it would be counted into downloaded, the rate estimators and the ledger.
+func TestWirePieceCoordinatesChecked(t *testing.T) {
+	env := newSwarmEnv(92, 4*BlockSize, 4*BlockSize)
+	leech := env.client(Config{})
+	if err := leech.Start(); err != nil {
+		t.Fatal(err)
+	}
+	full := NewBitfield(env.torrent.NumPieces())
+	full.SetAll()
+	var reqs []*msgRequest
+	conn, p := foreignPeer(t, env, leech, msgBitfield{Bits: full}, msgUnchoke{})
+	conn.SetOnMessage(func(v any) {
+		if m, ok := v.(*msgRequest); ok {
+			reqs = append(reqs, m)
+		}
+	})
+	conn.SendMessage(msgChoke{}, msgOverhead) // have the requests sent again, now that we listen
+	conn.SendMessage(msgUnchoke{}, msgOverhead)
+	env.engine.RunFor(time.Second)
+	if len(reqs) != 4 || len(p.requestsOut) != 4 {
+		t.Fatalf("leech asked the foreign seed for %d blocks (%d out), want 4", len(reqs), len(p.requestsOut))
+	}
+	r := reqs[0]
+	const wire = msgOverhead + 8 + BlockSize // the sender lies about Length, not about the bytes it writes
+	conn.SendMessage(&msgPiece{Piece: r.Piece, Begin: r.Begin, Length: 1 << 40}, wire)
+	conn.SendMessage(&msgPiece{Piece: r.Piece, Begin: r.Begin + 1, Length: r.Length}, wire)
+	conn.SendMessage(&msgPiece{Piece: r.Piece, Begin: r.Begin, Length: -r.Length}, wire)
+	env.engine.RunFor(time.Second)
+	if leech.Downloaded() != 0 || p.piecesRcvd != 0 || p.piecesUnwanted != 3 || len(p.requestsOut) != 4 {
+		t.Errorf("malformed pieces reached bt state: downloaded %d, received %d, unwanted %d, out %d",
+			leech.Downloaded(), p.piecesRcvd, p.piecesUnwanted, len(p.requestsOut))
+	}
+	conn.SendMessage(&msgPiece{Piece: r.Piece, Begin: r.Begin, Length: r.Length}, wire)
+	env.engine.RunFor(time.Second)
+	if leech.Downloaded() != BlockSize || p.piecesRcvd != 1 {
+		t.Errorf("the well-formed piece was not taken: downloaded %d, received %d", leech.Downloaded(), p.piecesRcvd)
+	}
+}
+
+// blockPath is a seed behind an upload limiter that queues (400 KB/s under a
+// 1 MB/s link, so all but the opening burst of every pipeline waits for
+// budget) and one leech, with 1 MiB pieces so that per-piece work — a
+// pieceProgress, a have — is a sixty-fourth of a block's.
+type blockPath struct {
+	env   *swarmEnv
+	leech *Client
+}
+
+func newBlockPath(tb testing.TB, blocks int) *blockPath {
+	const pieceLen = 64 * BlockSize
+	pieces := (blocks + 63) / 64
+	env := newSwarmEnv(91, int64(pieces)*pieceLen, pieceLen)
+	seed := env.client(Config{Seed: true, UploadLimiter: NewLimiter(env.engine, 400*netem.KBps)})
+	leech := env.client(Config{})
+	for _, c := range []*Client{seed, leech} {
+		if err := c.Start(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return &blockPath{env: env, leech: leech}
+}
+
+// run advances the swarm until n more blocks have made the whole trip:
+// request → limiter → grant → piece → onBlock.
+func (bp *blockPath) run(tb testing.TB, n int) {
+	target := bp.leech.Downloaded() + int64(n)*BlockSize
+	for deadline := bp.env.engine.Now() + time.Hour; bp.leech.Downloaded() < target; {
+		if bp.env.engine.Now() > deadline {
+			tb.Fatalf("stalled at %d of %d bytes", bp.leech.Downloaded(), target)
+		}
+		bp.env.engine.RunFor(50 * time.Millisecond)
+	}
+}
+
+// TestZeroAllocBlockRoundTrip pins the block path: in steady state a block's
+// whole life allocates nothing of its own. What is left is per chunk of
+// msgChunk messages (two chunks, request and piece), per piece, and per
+// choke or announce round; the parent paid four objects a block.
+func TestZeroAllocBlockRoundTrip(t *testing.T) {
+	const perRun, runs = 512, 2
+	bp := newBlockPath(t, 256+(runs+1)*perRun+64)
+	bp.run(t, 256) // connect, unchoke, warm every pool and queue
+	perBlock := testing.AllocsPerRun(runs, func() { bp.run(t, perRun) }) / perRun
+	t.Logf("%.3f objects per block", perBlock)
+	if perBlock > 0.25 {
+		t.Errorf("block round trip allocates %.3f objects per block, want <= 0.25", perBlock)
+	}
+	if bp.leech.requested.Len() == 0 || bp.leech.HashFails() != 0 {
+		t.Errorf("swarm not mid-transfer: %d blocks in flight, %d hash fails",
+			bp.leech.requested.Len(), bp.leech.HashFails())
+	}
+}
+
+func BenchmarkBlockRoundTrip(b *testing.B) {
+	bp := newBlockPath(b, 256+b.N+64)
+	bp.run(b, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	bp.run(b, b.N)
+}

@@ -96,3 +96,23 @@ func (msgCancel) wireLen() int { return msgOverhead + 12 }
 
 // wireMsg is implemented by every peer protocol message.
 type wireMsg interface{ wireLen() int }
+
+// msgChunk is how many block messages share one allocation.
+const msgChunk = 32
+
+// chunk hands out the per-block messages (*msgRequest, *msgPiece) as pointers
+// into arrays of msgChunk, so that sending one boxes nothing. A slot is
+// written once, before the send, and a chunk is never recycled, so a message
+// is immutable to tcp retransmission, the net backend's queue and another
+// shard's engine without a Migrate copy or a release hook (DESIGN §9).
+type chunk[T any] struct{ unwritten []T }
+
+func (k *chunk[T]) put(v T) *T {
+	if len(k.unwritten) == 0 {
+		k.unwritten = make([]T, msgChunk)
+	}
+	m := &k.unwritten[0]
+	*m = v
+	k.unwritten = k.unwritten[1:]
+	return m
+}

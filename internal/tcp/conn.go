@@ -704,7 +704,7 @@ func (c *Conn) processData(seg *Segment) {
 	// Merge any buffered segments made contiguous.
 	for len(c.oooRecvd) > 0 && c.oooRecvd[0].start <= c.rcvNxt {
 		iv := c.oooRecvd[0]
-		c.oooRecvd = c.oooRecvd[1:]
+		c.oooRecvd = c.oooRecvd[:copy(c.oooRecvd, c.oooRecvd[1:])]
 		if iv.end > c.rcvNxt {
 			delivered += iv.end - c.rcvNxt
 			c.rcvNxt = iv.end
@@ -751,26 +751,31 @@ func (c *Conn) maybeFinish() {
 	}
 }
 
-// addInterval inserts iv into a sorted disjoint set, merging overlaps.
+// addInterval inserts iv into a sorted disjoint set, merging overlaps, in
+// set's own storage: a receiver in a loss episode calls it once a segment.
 func addInterval(set []interval, iv interval) []interval {
-	out := make([]interval, 0, len(set)+1)
-	i := 0
-	for i < len(set) && set[i].end < iv.start {
-		out = append(out, set[i])
-		i++
+	lo := 0
+	for lo < len(set) && set[lo].end < iv.start {
+		lo++
 	}
-	for i < len(set) && set[i].start <= iv.end {
-		if set[i].start < iv.start {
-			iv.start = set[i].start
+	hi := lo
+	for hi < len(set) && set[hi].start <= iv.end {
+		if set[hi].start < iv.start {
+			iv.start = set[hi].start
 		}
-		if set[i].end > iv.end {
-			iv.end = set[i].end
+		if set[hi].end > iv.end {
+			iv.end = set[hi].end
 		}
-		i++
+		hi++
 	}
-	out = append(out, iv)
-	out = append(out, set[i:]...)
-	return out
+	if hi == lo { // nothing merged: open a slot at lo
+		set = append(set, interval{})
+		copy(set[lo+1:], set[lo:])
+	} else { // set[lo:hi] collapse into one
+		set = append(set[:lo+1], set[hi:]...)
+	}
+	set[lo] = iv
+	return set
 }
 
 func boolToInt64(b bool) int64 {

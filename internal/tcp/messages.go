@@ -13,12 +13,29 @@ type AppMessage struct {
 	Val any
 }
 
+// pendingMsgsCap and rcvdMsgsCap are what a connection's two framing queues
+// start with, carved from one allocation by its first message: three in four
+// connections of the figure suite never hold more (a handshake and a bitfield
+// unacknowledged, one message awaiting its bytes), and one that carries no
+// message — most of a flash crowd's — pays nothing. A queue that outgrows its
+// share doubles on the heap.
+const pendingMsgsCap, rcvdMsgsCap = 2, 1
+
+func (c *Conn) makeMsgQueues() {
+	buf := make([]AppMessage, pendingMsgsCap+rcvdMsgsCap)
+	c.pendingMsgs = buf[:0:pendingMsgsCap]
+	c.rcvdMsgs = buf[pendingMsgsCap:pendingMsgsCap]
+}
+
 // SendMessage frames a message of wireLen bytes onto the stream and queues
 // it for transmission. Mixing SendMessage with raw Write on one connection
 // is unsupported. wireLen must be positive.
 func (c *Conn) SendMessage(val any, wireLen int) {
 	if c.closed || c.finQueued || wireLen <= 0 {
 		return
+	}
+	if c.pendingMsgs == nil {
+		c.makeMsgQueues()
 	}
 	c.sndBufTail += int64(wireLen)
 	c.pendingMsgs = append(c.pendingMsgs, AppMessage{End: c.sndBufTail, Val: val})
@@ -49,6 +66,9 @@ func (c *Conn) pruneMsgs() {
 // stashMsgs records framing carried by a received segment. Duplicates from
 // retransmissions are ignored.
 func (c *Conn) stashMsgs(msgs []AppMessage) {
+	if c.pendingMsgs == nil && len(msgs) > 0 {
+		c.makeMsgQueues()
+	}
 	for _, m := range msgs {
 		if m.End <= c.firedThrough {
 			continue

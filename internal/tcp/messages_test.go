@@ -257,3 +257,89 @@ func TestFireMsgsPopsBeforeReentry(t *testing.T) {
 		t.Errorf("vacated slots not cleared: %v", full)
 	}
 }
+
+// addIntervalCopy is the allocating addInterval this package had before the
+// in-place one: it builds the merged set in fresh storage.
+func addIntervalCopy(set []interval, iv interval) []interval {
+	out := make([]interval, 0, len(set)+1)
+	i := 0
+	for i < len(set) && set[i].end < iv.start {
+		out = append(out, set[i])
+		i++
+	}
+	for i < len(set) && set[i].start <= iv.end {
+		if set[i].start < iv.start {
+			iv.start = set[i].start
+		}
+		if set[i].end > iv.end {
+			iv.end = set[i].end
+		}
+		i++
+	}
+	out = append(out, iv)
+	return append(out, set[i:]...)
+}
+
+// TestAddIntervalInPlaceMatchesCopy: the out-of-order set reaches the stack's
+// digest interval by interval, so the in-place merge must build exactly what
+// the copying one did, over random arrival orders with overlaps, bridges and
+// duplicates — and, once the set has grown, without allocating.
+func TestAddIntervalInPlaceMatchesCopy(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got, want []interval
+		for step := 0; step < 60; step++ {
+			start := int64(rng.Intn(40)) * 10
+			iv := interval{start, start + int64(1+rng.Intn(4))*10}
+			got, want = addInterval(got, iv), addIntervalCopy(want, iv)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: got %v, want %v", seed, step, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d step %d: got %v, want %v", seed, step, got, want)
+				}
+			}
+		}
+	}
+	set := make([]interval, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		set = set[:0]
+		for _, s := range []int64{50, 10, 30, 70, 20, 0, 60, 40} {
+			set = addInterval(set, interval{s, s + 5})
+		}
+		set = addInterval(set, interval{0, 80})
+	})
+	if allocs != 0 || len(set) != 1 {
+		t.Errorf("in-place addInterval allocates %.1f per episode and ends with %v", allocs, set)
+	}
+}
+
+// TestMsgQueuesShareOneAllocation: the two framing queues are carved from one
+// array by the first message, and a queue that outgrows its share moves away
+// instead of writing into the other's.
+func TestMsgQueuesShareOneAllocation(t *testing.T) {
+	c := &Conn{}
+	allocs := testing.AllocsPerRun(1, func() {
+		c.pendingMsgs, c.rcvdMsgs, c.sndBufTail = nil, nil, 0
+		for i := 0; i < pendingMsgsCap; i++ {
+			c.SendMessage(nil, 10)
+		}
+		c.stashMsgs([]AppMessage{{End: 5}})
+	})
+	if allocs != 1 {
+		t.Errorf("a connection's first %d sent and %d received messages cost %.0f allocations, want 1",
+			pendingMsgsCap, rcvdMsgsCap, allocs)
+	}
+	c.SendMessage(nil, 10) // outgrows its share
+	c.stashMsgs([]AppMessage{{End: 7}})
+	if len(c.pendingMsgs) != pendingMsgsCap+1 || len(c.rcvdMsgs) != 2 ||
+		c.rcvdMsgs[0].End != 5 || c.rcvdMsgs[1].End != 7 {
+		t.Fatalf("queues overlap after growth: pending %v, rcvd %v", c.pendingMsgs, c.rcvdMsgs)
+	}
+	for i, m := range c.pendingMsgs {
+		if m.End != int64(10*(i+1)) {
+			t.Fatalf("pendingMsgs[%d].End = %d, want %d", i, m.End, 10*(i+1))
+		}
+	}
+}
