@@ -162,6 +162,19 @@ func TestRejectedBeforeAnyWorld(t *testing.T) {
 	}
 }
 
+// TestFailedShardedRunReportsOnce: a run that fails before any sharded world
+// exists has no barrier profile, and that is not a second error.
+func TestFailedShardedRunReportsOnce(t *testing.T) {
+	code, stdout, stderr := wp2p("scenario", "-scale", "0.05", "-shards", "2", "-barrierprofile", repoRoot+"/examples/scenarios/ed2k-churn.json")
+	want := "wp2p scenario: ed2k-churn: scenario: -shards supports only the bt protocol (got \"ed2k\")\n"
+	if code != 1 || stderr != want {
+		t.Errorf("exit %d, stderr:\n%swant exit 1 and:\n%s", code, stderr, want)
+	}
+	if simulated(stdout, stderr) {
+		t.Errorf("something ran:\n%s", stdout)
+	}
+}
+
 func TestLiveSwarmWritesProfile(t *testing.T) {
 	prof := filepath.Join(t.TempDir(), "cpu.prof")
 	code, stdout, stderr := wp2p("live", "-scale", "0.25", "-leeches", "2", "-cpuprofile", prof)

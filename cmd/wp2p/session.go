@@ -224,10 +224,10 @@ func (s *session) finish() int {
 			fmt.Fprintf(s.notes, "[wrote %s %s]\n", o.what, o.f.Name())
 		}
 	}
-	if s.barrierProf {
-		if err := experiments.WriteBarrierProfile(s.notes); err != nil {
-			s.fail(1, "%v", err)
-		}
+	// A run that failed before building a sharded world (or an experiment
+	// that has no sharded form) leaves no profile, and has said why.
+	if bp := experiments.BarrierProfileAggregate(); s.barrierProf && bp != nil {
+		bp.WriteTable(s.notes)
 	}
 	experiments.DisableTracing()
 	if s.check || s.digestPath != "" { // else WP2P_CHECK may have armed it

@@ -9,5 +9,6 @@
 // modelling decisions, and EXPERIMENTS.md for paper-vs-measured results.
 // The library lives under internal/; the runnable entry points are
 // cmd/wp2p (subcommands run, figures, scenario and live), the benchmark
-// under benchmark/, and the programs under examples/.
+// under benchmark/, and examples/ (one quickstart program, the scenario
+// spec library).
 package wp2p

@@ -14,11 +14,11 @@ func TestChokerCreditRanksKnownPeerAfterReconnect(t *testing.T) {
 	env := newSwarmEnv(40, 2*1024*1024, 64*1024)
 	c := env.client(Config{Seed: true, UnchokeSlots: 2})
 	now := env.engine.Now()
-	c.Ledger().Add("veteran-peer-id-0001", 10*1024*1024, now)
-	if c.Ledger().Rate("veteran-peer-id-0001", now) <= 0 {
+	c.ledger.Add("veteran-peer-id-0001", 10*1024*1024, now)
+	if c.ledger.Rate("veteran-peer-id-0001", now) <= 0 {
 		t.Fatal("credit rate not positive")
 	}
-	if c.Ledger().Rate("stranger-peer-id-01", now) != 0 {
+	if c.ledger.Rate("stranger-peer-id-01", now) != 0 {
 		t.Fatal("stranger has credit")
 	}
 }

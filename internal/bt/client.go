@@ -254,9 +254,6 @@ func (c *Client) Uploaded() int64 { return c.uploaded }
 // DownloadRate returns the recent download rate in bytes/second.
 func (c *Client) DownloadRate() float64 { return c.downTotal.Rate(c.engine.Now()) }
 
-// UploadRate returns the recent upload rate in bytes/second.
-func (c *Client) UploadRate() float64 { return c.upTotal.Rate(c.engine.Now()) }
-
 // Complete reports whether the file is fully downloaded.
 func (c *Client) Complete() bool { return c.have.Complete() }
 
@@ -266,30 +263,11 @@ func (c *Client) CompletedAt() time.Duration { return c.completedAt }
 // NumPeers returns the number of live wire connections.
 func (c *Client) NumPeers() int { return len(c.peers) }
 
-// KnownPeers returns the tracker-learned peer directory — the list wP2P's
-// role reversal redials after a handoff.
-func (c *Client) KnownPeers() []PeerInfo {
-	out := make([]PeerInfo, len(c.known))
-	copy(out, c.known)
-	return out
-}
-
-// Ledger returns the client's credit ledger.
-func (c *Client) Ledger() *CreditLedger { return c.ledger }
-
 // Addr returns the client's current announce address.
 func (c *Client) Addr() netem.Addr { return c.tr.Addr(c.cfg.Port) }
 
 // Restarts counts task re-initiations.
 func (c *Client) Restarts() int { return c.restarts }
-
-// SetPicker replaces the piece-selection strategy (used by adaptive
-// fetchers).
-func (c *Client) SetPicker(p Picker) {
-	if p != nil {
-		c.picker = p
-	}
-}
 
 // --- lifecycle ---
 
@@ -785,9 +763,6 @@ func (c *Client) removeActive(piece int) {
 
 // HashFails reports failed piece verifications.
 func (c *Client) HashFails() int { return c.hashFails }
-
-// Banned reports whether a peer-id has been banned for corruption.
-func (c *Client) Banned(id PeerID) bool { return c.banned[id] }
 
 // completePiece verifies a finished piece, records it, and announces it to
 // the swarm.

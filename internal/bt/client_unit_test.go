@@ -13,19 +13,19 @@ func TestAddKnownDedupesAndUpdates(t *testing.T) {
 	c.addKnown(PeerInfo{ID: "a", Addr: netem.Addr{IP: 5, Port: 1}})
 	c.addKnown(PeerInfo{ID: "a", Addr: netem.Addr{IP: 5, Port: 1}})
 	c.addKnown(PeerInfo{ID: "b", Addr: netem.Addr{IP: 6, Port: 1}})
-	if got := len(c.KnownPeers()); got != 2 {
+	if got := len(c.known); got != 2 {
 		t.Fatalf("known = %d, want 2", got)
 	}
 	// Same address, new identity (peer restarted behind the same IP):
 	// the entry updates in place.
 	c.addKnown(PeerInfo{ID: "a2", Addr: netem.Addr{IP: 5, Port: 1}})
-	kp := c.KnownPeers()
+	kp := c.known
 	if len(kp) != 2 || kp[0].ID != "a2" {
 		t.Errorf("entry not updated: %v", kp)
 	}
 	// Own id is never recorded.
 	c.addKnown(PeerInfo{ID: c.PeerID(), Addr: netem.Addr{IP: 7, Port: 1}})
-	if len(c.KnownPeers()) != 2 {
+	if len(c.known) != 2 {
 		t.Error("own id recorded")
 	}
 }
@@ -59,20 +59,6 @@ func TestSeedConfigIsCompleteImmediately(t *testing.T) {
 	}
 	if c.CompletedAt() != 0 {
 		t.Errorf("CompletedAt = %v", c.CompletedAt())
-	}
-}
-
-func TestSetPickerNilIgnored(t *testing.T) {
-	env := newSwarmEnv(83, 512*1024, 64*1024)
-	c := env.client(Config{})
-	before := c.picker
-	c.SetPicker(nil)
-	if c.picker != before {
-		t.Error("nil picker replaced the existing one")
-	}
-	c.SetPicker(Sequential{})
-	if _, ok := c.picker.(Sequential); !ok {
-		t.Error("SetPicker did not take effect")
 	}
 }
 
@@ -123,7 +109,7 @@ func TestDownloadUploadRateAccessors(t *testing.T) {
 	if leech.DownloadRate() <= 0 {
 		t.Error("leech download rate zero mid-transfer")
 	}
-	if seed.UploadRate() <= 0 {
+	if seed.upTotal.Rate(env.engine.Now()) <= 0 {
 		t.Error("seed upload rate zero mid-transfer")
 	}
 }

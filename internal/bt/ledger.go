@@ -86,12 +86,3 @@ func (l *CreditLedger) Credit(id PeerID, now time.Duration) float64 {
 func (l *CreditLedger) Rate(id PeerID, now time.Duration) float64 {
 	return l.Credit(id, now) / l.halfLife.Seconds()
 }
-
-// Known reports whether the peer-id has any history.
-func (l *CreditLedger) Known(id PeerID) bool {
-	_, ok := l.entries[id]
-	return ok
-}
-
-// Len returns the number of peer-ids with history.
-func (l *CreditLedger) Len() int { return len(l.entries) }

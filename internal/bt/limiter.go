@@ -94,9 +94,6 @@ func (l *Limiter) acquire(w waiter) {
 	l.reschedule()
 }
 
-// QueueLen reports pending acquisitions, for tests and introspection.
-func (l *Limiter) QueueLen() int { return len(l.queue) }
-
 func (l *Limiter) refill() {
 	now := l.engine.Now()
 	if l.rate > 0 {

@@ -78,12 +78,12 @@ func TestLimiterQueueLen(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		l.Acquire(32*1024, func() {})
 	}
-	if l.QueueLen() < 3 {
-		t.Errorf("QueueLen = %d, want >= 3 queued", l.QueueLen())
+	if len(l.queue) < 3 {
+		t.Errorf("QueueLen = %d, want >= 3 queued", len(l.queue))
 	}
 	e.Run()
-	if l.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d after drain", l.QueueLen())
+	if len(l.queue) != 0 {
+		t.Errorf("QueueLen = %d after drain", len(l.queue))
 	}
 }
 
@@ -103,8 +103,8 @@ func TestZeroAllocLimiterRearm(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("limiter re-arm allocates %.1f per op, want 0", allocs)
 	}
-	if l.QueueLen() != 2 {
-		t.Fatalf("QueueLen = %d, want the 2 waiters still queued", l.QueueLen())
+	if len(l.queue) != 2 {
+		t.Fatalf("QueueLen = %d, want the 2 waiters still queued", len(l.queue))
 	}
 
 	// Queued grants: a queue that fills and drains over and over stays in one
@@ -121,8 +121,8 @@ func TestZeroAllocLimiterRearm(t *testing.T) {
 			l.Acquire(BlockSize, fn)
 			l.acquire(waiter{n: BlockSize, p: p, m: m})
 		}
-		if l.QueueLen() < 8 {
-			t.Fatalf("QueueLen = %d, want most of the 12 grants queued", l.QueueLen())
+		if len(l.queue) < 8 {
+			t.Fatalf("QueueLen = %d, want most of the 12 grants queued", len(l.queue))
 		}
 		e.RunFor(time.Second)
 	}
@@ -130,14 +130,14 @@ func TestZeroAllocLimiterRearm(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("queued grants allocate %.1f per cycle, want 0", allocs)
 	}
-	if l.QueueLen() != 0 || granted != 6*102 {
-		t.Errorf("QueueLen = %d, granted = %d; want 0 and %d", l.QueueLen(), granted, 6*102)
+	if len(l.queue) != 0 || granted != 6*102 {
+		t.Errorf("QueueLen = %d, granted = %d; want 0 and %d", len(l.queue), granted, 6*102)
 	}
 }
 
 func TestLedger(t *testing.T) {
 	l := NewCreditLedger()
-	if l.Known("x") {
+	if l.entries["x"] != nil {
 		t.Error("fresh ledger knows a peer")
 	}
 	l.Add("x", 100, 0)
@@ -146,11 +146,11 @@ func TestLedger(t *testing.T) {
 	if got := l.Credit("x", 0); got != 150 {
 		t.Errorf("Credit(x) = %v, want 150", got)
 	}
-	if l.Known("y") {
+	if l.entries["y"] != nil {
 		t.Error("negative add created an entry")
 	}
-	if l.Len() != 1 {
-		t.Errorf("Len = %d, want 1", l.Len())
+	if len(l.entries) != 1 {
+		t.Errorf("Len = %d, want 1", len(l.entries))
 	}
 }
 

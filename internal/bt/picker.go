@@ -96,21 +96,3 @@ func (Sequential) PickPiece(ctx *PickContext) int {
 	}
 	return -1
 }
-
-// Random picks uniformly among eligible pieces.
-type Random struct{}
-
-// PickPiece implements Picker.
-func (Random) PickPiece(ctx *PickContext) int {
-	chosen := -1
-	seen := 0
-	for w := range ctx.PeerHas.bits {
-		for m := ctx.eligibleWord(w); m != 0; m &= m - 1 {
-			seen++
-			if ctx.Rand == nil || ctx.Rand.Intn(seen) == 0 {
-				chosen = w<<6 + bits.TrailingZeros64(m)
-			}
-		}
-	}
-	return chosen
-}

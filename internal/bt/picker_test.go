@@ -79,26 +79,9 @@ func TestSequentialPicksLowest(t *testing.T) {
 	}
 }
 
-func TestRandomPicksEligible(t *testing.T) {
-	ctx := pickCtx(10)
-	ctx.PeerHas.Set(4)
-	ctx.PeerHas.Set(7)
-	seen := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		p := (Random{}).PickPiece(ctx)
-		if p != 4 && p != 7 {
-			t.Fatalf("picked ineligible piece %d", p)
-		}
-		seen[p] = true
-	}
-	if !seen[4] || !seen[7] {
-		t.Errorf("random picker never picked one of the eligible pieces: %v", seen)
-	}
-}
-
 // Property: every picker returns either -1 or an eligible piece.
 func TestPropertyPickersReturnEligible(t *testing.T) {
-	pickers := []Picker{RarestFirst{}, Sequential{}, Random{}}
+	pickers := []Picker{RarestFirst{}, Sequential{}}
 	prop := func(haveBits, pendingBits, peerBits []bool, seed int64) bool {
 		n := 50
 		ctx := pickCtx(n)
@@ -180,21 +163,6 @@ func refSequential(ctx *PickContext) int {
 	return -1
 }
 
-func refRandom(ctx *PickContext) int {
-	chosen := -1
-	seen := 0
-	for i := 0; i < ctx.PeerHas.Len(); i++ {
-		if !refEligible(ctx, i) {
-			continue
-		}
-		seen++
-		if ctx.Rand == nil || ctx.Rand.Intn(seen) == 0 {
-			chosen = i
-		}
-	}
-	return chosen
-}
-
 // randomBitfield sets each of n pieces with probability density.
 func randomBitfield(r *rand.Rand, n int, density float64) *Bitfield {
 	b := NewBitfield(n)
@@ -223,7 +191,6 @@ func TestPickerMatchesReference(t *testing.T) {
 	}{
 		{"RarestFirst", RarestFirst{}, refRarestFirst},
 		{"Sequential", Sequential{}, refSequential},
-		{"Random", Random{}, refRandom},
 	}
 	sizes := []int{0, 1, 63, 64, 65, 100, 127, 128, 129, 1000, 4096}
 	densities := []float64{0, 0.02, 0.5, 0.98, 1}
@@ -283,7 +250,7 @@ func BenchmarkPicker(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		pick Picker
-	}{{"rarest", RarestFirst{}}, {"sequential", Sequential{}}, {"random", Random{}}} {
+	}{{"rarest", RarestFirst{}}, {"sequential", Sequential{}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			ctx := pickCtx(pieces)
 			ctx.PeerHas.SetAll()

@@ -182,13 +182,13 @@ func TestRestartWithNewIdentityLosesCredit(t *testing.T) {
 		t.Fatal("setup: leech should have completed")
 	}
 	oldID := leech.PeerID()
-	if seed.Ledger().Known(oldID) {
+	if seed.ledger.entries[oldID] != nil {
 		// Seed only downloads nothing; credit flows leech→seed only if the
 		// seed received payload, which it cannot. So check the other way:
 		t.Log("seed has credit entry for leech (unexpected but harmless)")
 	}
 	// The leech accumulated credit for the seed.
-	if !leech.Ledger().Known(seed.PeerID()) {
+	if leech.ledger.entries[seed.PeerID()] == nil {
 		t.Error("leech ledger does not know the seed")
 	}
 	leech.Restart(true)

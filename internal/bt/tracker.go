@@ -168,10 +168,6 @@ func NewTracker(engine *sim.Engine, cfg TrackerConfig) *Tracker {
 // Interval returns the announce interval the tracker hands to clients.
 func (t *Tracker) Interval() time.Duration { return t.interval }
 
-// Engine returns the engine the tracker schedules on — its home shard in a
-// sharded world.
-func (t *Tracker) Engine() *sim.Engine { return t.engine }
-
 // Announce registers or refreshes a peer and replies (after the simulated
 // RTT) with up to NumWant other swarm members.
 func (t *Tracker) Announce(req AnnounceRequest, cb func(AnnounceResponse)) {

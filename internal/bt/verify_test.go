@@ -23,10 +23,10 @@ func TestCorruptSeedGetsBannedAndDownloadCompletes(t *testing.T) {
 	if leech.HashFails() == 0 {
 		t.Error("no hash failures recorded despite a corrupt seed")
 	}
-	if !leech.Banned(corrupt.PeerID()) {
+	if !leech.banned[corrupt.PeerID()] {
 		t.Error("corrupt seed never banned")
 	}
-	if leech.Banned(honest.PeerID()) {
+	if leech.banned[honest.PeerID()] {
 		t.Error("honest seed banned")
 	}
 	// Banned peers stay disconnected.
@@ -69,7 +69,7 @@ func TestHonestContributorSurvivesSharedFailure(t *testing.T) {
 	if !leech.Complete() {
 		t.Fatalf("incomplete: %.0f%%", leech.Progress()*100)
 	}
-	if leech.Banned(honest.PeerID()) {
+	if leech.banned[honest.PeerID()] {
 		t.Error("honest co-contributor was banned")
 	}
 }

@@ -222,29 +222,14 @@ func NewClient(cfg Config) *Client {
 	return c
 }
 
-// Hash returns the client's current identity.
-func (c *Client) Hash() ClientHash { return c.hash }
-
 // Complete reports whether the file is fully downloaded.
 func (c *Client) Complete() bool { return c.haveCnt == c.nChunks }
-
-// Progress returns the downloaded fraction.
-func (c *Client) Progress() float64 { return float64(c.haveCnt) / float64(c.nChunks) }
 
 // Downloaded returns payload bytes received.
 func (c *Client) Downloaded() int64 { return c.downloaded }
 
 // Uploaded returns payload bytes served.
 func (c *Client) Uploaded() int64 { return c.uploaded }
-
-// NumPeers returns live wire connections.
-func (c *Client) NumPeers() int { return len(c.peers) }
-
-// QueueLen returns the upload queue length.
-func (c *Client) QueueLen() int { return len(c.queue) }
-
-// Restarts counts task re-initiations.
-func (c *Client) Restarts() int { return c.restarts }
 
 // Addr returns the client's current address.
 func (c *Client) Addr() netem.Addr { return c.tr.Addr(listenPort) }

@@ -133,6 +133,3 @@ func (s *Server) Query(id FileID, cb func([]SourceInfo)) {
 		s.engine.Schedule(serverRTT, func() { cb(out) })
 	})
 }
-
-// Sources reports how many sources the server lists for a file.
-func (s *Server) Sources(id FileID) int { return s.files[id].Len() }

@@ -92,8 +92,8 @@ func TestServerAnnounceQueryWithdraw(t *testing.T) {
 	}
 	v.server.Withdraw("f", "a")
 	v.engine.Run()
-	if v.server.Sources("f") != 1 {
-		t.Errorf("sources = %d after withdraw", v.server.Sources("f"))
+	if v.server.files["f"].Len() != 1 {
+		t.Errorf("sources = %d after withdraw", v.server.files["f"].Len())
 	}
 }
 
@@ -105,7 +105,7 @@ func TestDownloadFromSingleSeed(t *testing.T) {
 	leech.Start()
 	v.engine.RunFor(5 * time.Minute)
 	if !leech.Complete() {
-		t.Fatalf("incomplete: %.0f%% (peers=%d queue@seed=%d)", leech.Progress()*100, leech.NumPeers(), seed.QueueLen())
+		t.Fatalf("incomplete: %d/%d chunks (peers=%d queue@seed=%d)", leech.haveCnt, leech.nChunks, len(leech.peers), len(seed.queue))
 	}
 	if leech.Downloaded() != v.file.Size {
 		t.Errorf("downloaded %d, want %d", leech.Downloaded(), v.file.Size)
@@ -128,7 +128,7 @@ func TestMultiSourceDownloadAndReSharing(t *testing.T) {
 	v.engine.RunFor(15 * time.Minute)
 	for i, l := range leeches {
 		if !l.Complete() {
-			t.Errorf("leech %d incomplete: %.0f%%", i, l.Progress()*100)
+			t.Errorf("leech %d incomplete: %d/%d chunks", i, l.haveCnt, l.nChunks)
 		}
 	}
 	var leechUp int64
@@ -150,7 +150,7 @@ func TestCreditShortensQueueWait(t *testing.T) {
 	creditor := v.client(Config{})
 	stranger := v.client(Config{})
 	// Pre-load credit: the creditor has "uploaded" 4 MB to the seed.
-	seed.credit(creditor.Hash()).received = 4 * 1024 * 1024
+	seed.credit(creditor.hash).received = 4 * 1024 * 1024
 	stranger.Start()
 	v.engine.RunFor(30 * time.Second) // stranger queues first
 	creditor.Start()
@@ -158,8 +158,8 @@ func TestCreditShortensQueueWait(t *testing.T) {
 	// The creditor's 10x modifier should have let it overtake: by now it
 	// must have strictly more of the file than its later join would allow
 	// under FIFO.
-	if creditor.Progress() <= 0 {
-		t.Fatalf("creditor got nothing (progress %.0f%%)", creditor.Progress()*100)
+	if creditor.haveCnt == 0 {
+		t.Fatal("creditor got nothing")
 	}
 	if creditor.Downloaded() < stranger.Downloaded() {
 		t.Errorf("creditor (%d B) should outpace the stranger (%d B)", creditor.Downloaded(), stranger.Downloaded())
@@ -173,23 +173,23 @@ func TestRestartWithNewHashLosesStanding(t *testing.T) {
 	leech := v.client(Config{})
 	leech.Start()
 	v.engine.RunFor(time.Minute)
-	old := leech.Hash()
+	old := leech.hash
 	leech.Restart(true)
-	if leech.Hash() == old {
+	if leech.hash == old {
 		t.Fatal("hash retained on Restart(true)")
 	}
-	if leech.Restarts() != 1 {
-		t.Errorf("restarts = %d", leech.Restarts())
+	if leech.restarts != 1 {
+		t.Errorf("restarts = %d", leech.restarts)
 	}
 	leech.Restart(false)
-	h := leech.Hash()
+	h := leech.hash
 	leech.Restart(false)
-	if leech.Hash() != h {
+	if leech.hash != h {
 		t.Error("hash changed on Restart(false)")
 	}
 	v.engine.RunFor(10 * time.Minute)
 	if !leech.Complete() {
-		t.Errorf("incomplete after restarts: %.0f%%", leech.Progress()*100)
+		t.Errorf("incomplete after restarts: %d/%d chunks", leech.haveCnt, leech.nChunks)
 	}
 }
 
@@ -198,13 +198,13 @@ func TestStopWithdrawsFromServer(t *testing.T) {
 	seed := v.client(Config{Seed: true})
 	seed.Start()
 	v.engine.RunFor(time.Second)
-	if v.server.Sources("f") != 1 {
-		t.Fatalf("sources = %d", v.server.Sources("f"))
+	if v.server.files["f"].Len() != 1 {
+		t.Fatalf("sources = %d", v.server.files["f"].Len())
 	}
 	seed.Stop()
 	v.engine.RunFor(time.Second)
-	if v.server.Sources("f") != 0 {
-		t.Errorf("sources = %d after Stop", v.server.Sources("f"))
+	if v.server.files["f"].Len() != 0 {
+		t.Errorf("sources = %d after Stop", v.server.files["f"].Len())
 	}
 }
 

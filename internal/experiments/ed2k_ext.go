@@ -24,8 +24,8 @@ func ExtEd2kIdentity(scale float64) *Result {
 		competitors   = 6 // fixed leeches contending for queue slots
 		runs          = 3
 	)
-	fileSize := scaled(256*1024*1024, scale, 16*1024*1024)
-	horizon := scaledDur(40*time.Minute, scale, 10*time.Minute)
+	fileSize := Scaled(256*1024*1024, scale, 16*1024*1024)
+	horizon := ScaledDur(40*time.Minute, scale, 10*time.Minute)
 	res := &Result{
 		ID:     "ext-ed2k",
 		Title:  "eDonkey: identity loss under mobility (paper §3.7)",

@@ -221,13 +221,13 @@ func TestWorldHelpers(t *testing.T) {
 	if h1.Link == nil || h2.WLAN == nil {
 		t.Error("medium references not populated")
 	}
-	if scaled(100, 0.5, 1) != 50 || scaled(100, 0.001, 10) != 10 {
-		t.Error("scaled() wrong")
+	if Scaled(100, 0.5, 1) != 50 || Scaled(100, 0.001, 10) != 10 {
+		t.Error("Scaled() wrong")
 	}
-	if scaledDur(time.Minute, 0.5, time.Second) != 30*time.Second {
-		t.Error("scaledDur() wrong")
+	if ScaledDur(time.Minute, 0.5, time.Second) != 30*time.Second {
+		t.Error("ScaledDur() wrong")
 	}
-	if scaledDur(time.Minute, 0.001, time.Second) != time.Second {
+	if ScaledDur(time.Minute, 0.001, time.Second) != time.Second {
 		t.Error("scaledDur floor wrong")
 	}
 }

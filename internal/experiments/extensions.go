@@ -26,8 +26,8 @@ func AblationWP2P(scale float64) *Result {
 		leeches       = 10
 		runs          = 3 // averaged runs per variant
 	)
-	fileSize := scaled(256*1024*1024, scale, 16*1024*1024)
-	horizon := scaledDur(30*time.Minute, scale, 6*time.Minute)
+	fileSize := Scaled(256*1024*1024, scale, 16*1024*1024)
+	horizon := ScaledDur(30*time.Minute, scale, 6*time.Minute)
 	res := &Result{
 		ID:     "ablation",
 		Title:  "wP2P component ablation under loss + handoffs (extension)",
@@ -143,7 +143,7 @@ func (r *wp2pRestarter) Restart(bool) { r.c.OnAddressChange() }
 // driven by the foreground transfer's rate. scale is Registry's (1 = full).
 func ExtSeedLIHD(scale float64) *Result {
 	const rate = 150 * netem.KBps // shared channel bandwidth
-	horizon := scaledDur(15*time.Minute, scale, 5*time.Minute)
+	horizon := ScaledDur(15*time.Minute, scale, 5*time.Minute)
 	res := &Result{
 		ID:     "ext-seedlihd",
 		Title:  "LIHD protecting foreground traffic while seeding (paper §4.2 future work)",
@@ -155,7 +155,7 @@ func ExtSeedLIHD(scale float64) *Result {
 	run := func(seeding bool, lihd bool) (fgRate, upRate float64) {
 		w := NewWorld(1, time.Minute)
 		defer w.Finish(col)
-		tor := bt.NewMetaInfo("shared.iso", scaled(256*1024*1024, scale, 16*1024*1024), 256*1024)
+		tor := bt.NewMetaInfo("shared.iso", Scaled(256*1024*1024, scale, 16*1024*1024), 256*1024)
 		// Hungry leeches make upload demand on the mobile seed unbounded.
 		w.PopulateSwarm(tor, SwarmConfig{Seeds: 1, SeedCap: 10 * netem.KBps, Leeches: 8, Slots: 3})
 

@@ -32,7 +32,7 @@ func (c Fig2aConfig) withDefaults() Fig2aConfig {
 		c.BERs = []float64{0, 5e-6, 1e-5, 1.5e-5, 2e-5}
 	}
 	if c.Duration == 0 {
-		c.Duration = scaledDur(2*time.Minute, c.Scale, 20*time.Second)
+		c.Duration = ScaledDur(2*time.Minute, c.Scale, 20*time.Second)
 	}
 	if c.Runs == 0 {
 		c.Runs = 5
@@ -136,7 +136,7 @@ func Fig2bcPacketsAfterDrop(cfg Fig2bcConfig) *Result {
 		sample   = 100 * time.Millisecond // sampling period
 		queueCap = 10                     // small buffer to force congestion
 	)
-	duration := scaledDur(5*time.Second, cfg.Scale, 2*time.Second) // 5 s, as in the figure
+	duration := ScaledDur(5*time.Second, cfg.Scale, 2*time.Second) // 5 s, as in the figure
 	res := &Result{
 		ID:     "fig2bc",
 		Title:  "Packets on the wireless leg around buffer drops (paper Fig. 2b,c)",

@@ -83,8 +83,8 @@ func uploadCapPoint(cfg Fig3Config, seed int64, wireless bool, capFrac float64, 
 	}
 	shared := bt.NewLimiter(w.Engine, capRate)
 
-	fileSize := scaled(fig3FileBase, cfg.Scale, 4*1024*1024)
-	duration := scaledDur(10*time.Minute, cfg.Scale, 2*time.Minute)
+	fileSize := Scaled(fig3FileBase, cfg.Scale, 4*1024*1024)
+	duration := ScaledDur(10*time.Minute, cfg.Scale, 2*time.Minute)
 
 	var mine []*bt.Client
 	for task := 0; task < fig3Tasks; task++ {
@@ -192,9 +192,9 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 		handoffPeriod = 2 * time.Minute // IP change period under mobility (≈2 min)
 		leeches       = 6               // fixed leeches competing for slots
 	)
-	horizon := scaledDur(40*time.Minute, cfg.Scale, 6*time.Minute) // observation window (paper: 40 min)
+	horizon := ScaledDur(40*time.Minute, cfg.Scale, 6*time.Minute) // observation window (paper: 40 min)
 	samplePeriod := horizon / 20                                   // progress sampling (2 min at full scale)
-	fileSize := scaled(400*1024*1024, cfg.Scale, 24*1024*1024)     // paper: 100 MB
+	fileSize := Scaled(400*1024*1024, cfg.Scale, 24*1024*1024)     // paper: 100 MB
 	res := &Result{
 		ID:     "fig3c",
 		Title:  "Incentives under mobility (paper Fig. 3c)",

@@ -40,7 +40,7 @@ func (c Fig4aConfig) withDefaults() Fig4aConfig {
 func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 	cfg = cfg.withDefaults()
 	const seeds = 3 // mobile seeds serving the fixed peer (paper: 3)
-	horizon := scaledDur(20*time.Minute, cfg.Scale, 5*time.Minute)
+	horizon := ScaledDur(20*time.Minute, cfg.Scale, 5*time.Minute)
 	res := &Result{
 		ID:     "fig4a",
 		Title:  "Fixed-peer throughput vs server mobility (paper Fig. 4a)",
@@ -55,7 +55,7 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 		defer w.Finish(col)
 		// Large enough that the fixed peer cannot finish inside the horizon;
 		// the sweep measures sustained throughput.
-		tor := bt.NewMetaInfo("fig4a", scaled(1024*1024*1024, cfg.Scale, 64*1024*1024), 256*1024)
+		tor := bt.NewMetaInfo("fig4a", Scaled(1024*1024*1024, cfg.Scale, 64*1024*1024), 256*1024)
 		for i := 0; i < seeds; i++ {
 			mobile := i < mobileSeeds && period > 0
 			var host *Host
@@ -128,7 +128,7 @@ func (c FigPlayConfig) withDefaults() FigPlayConfig {
 	if len(c.FileSizes) == 0 {
 		c.FileSizes = []int64{
 			5 * 1024 * 1024,
-			scaled(100*1024*1024, c.Scale, 10*1024*1024),
+			Scaled(100*1024*1024, c.Scale, 10*1024*1024),
 		}
 	}
 	if c.Runs == 0 {

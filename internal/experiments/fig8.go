@@ -40,8 +40,8 @@ func (c Fig8aConfig) withDefaults() Fig8aConfig {
 // ≈20% more throughput across the sweep.
 func Fig8aAgeBasedManipulation(cfg Fig8aConfig) *Result {
 	cfg = cfg.withDefaults()
-	fileSize := scaled(100*1024*1024, cfg.Scale, 8*1024*1024) // paper: 100 MB, halves pre-seeded
-	duration := scaledDur(10*time.Minute, cfg.Scale, 3*time.Minute)
+	fileSize := Scaled(100*1024*1024, cfg.Scale, 8*1024*1024) // paper: 100 MB, halves pre-seeded
+	duration := ScaledDur(10*time.Minute, cfg.Scale, 3*time.Minute)
 	res := &Result{
 		ID:     "fig8a",
 		Title:  "Age-based manipulation under wireless losses (paper Fig. 8a)",
@@ -156,9 +156,9 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 		// RR watchdog reacts within its 2 s check interval instead.
 		detectionDelay = 15 * time.Second
 	)
-	fileSize := scaled(688*1024*1024, cfg.Scale, 48*1024*1024)     // paper: the 688 MB Fedora-7 image
-	fixedLeeches := int(scaled(12, cfg.Scale, 5))                  // contested swarm (paper: 200+ peers)
-	horizon := scaledDur(50*time.Minute, cfg.Scale, 8*time.Minute) // paper: 50 min
+	fileSize := Scaled(688*1024*1024, cfg.Scale, 48*1024*1024)     // paper: the 688 MB Fedora-7 image
+	fixedLeeches := int(Scaled(12, cfg.Scale, 5))                  // contested swarm (paper: 200+ peers)
+	horizon := ScaledDur(50*time.Minute, cfg.Scale, 8*time.Minute) // paper: 50 min
 	res := &Result{
 		ID:     "fig8b",
 		Title:  "Identity retention across handoffs (paper Fig. 8b)",
@@ -260,7 +260,7 @@ func (c Fig8cConfig) withDefaults() Fig8cConfig {
 // that still buys full reciprocation — the peak of Figure 3(b).
 func Fig8cLIHD(cfg Fig8cConfig) *Result {
 	cfg = cfg.withDefaults()
-	duration := scaledDur(10*time.Minute, cfg.Scale, 3*time.Minute)
+	duration := ScaledDur(10*time.Minute, cfg.Scale, 3*time.Minute)
 	res := &Result{
 		ID:     "fig8c",
 		Title:  "LIHD upload control vs channel bandwidth (paper Fig. 8c)",
@@ -279,7 +279,7 @@ func Fig8cLIHD(cfg Fig8cConfig) *Result {
 		// 200+ peers): achievable download scales with the channel, so the
 		// default client's uncapped uploads genuinely strangle it on narrow
 		// channels while LIHD finds the peak of Figure 3(b).
-		tor := bt.NewMetaInfo("fig8c", scaled(512*1024*1024, cfg.Scale, 32*1024*1024), 256*1024)
+		tor := bt.NewMetaInfo("fig8c", Scaled(512*1024*1024, cfg.Scale, 32*1024*1024), 256*1024)
 		w.PopulateSwarm(tor, SwarmConfig{
 			Seeds: 3, SeedCap: 80 * netem.KBps, Leeches: cfg.Leeches, Slots: 2,
 		})

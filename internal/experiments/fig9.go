@@ -71,8 +71,8 @@ func (c Fig9cConfig) withDefaults() Fig9cConfig {
 // paper reports up to +50% at 2-minute disruptions.
 func Fig9cRoleReversal(cfg Fig9cConfig) *Result {
 	cfg = cfg.withDefaults()
-	fileSize := scaled(512*1024*1024, cfg.Scale, 48*1024*1024)
-	horizon := scaledDur(30*time.Minute, cfg.Scale, 8*time.Minute)
+	fileSize := Scaled(512*1024*1024, cfg.Scale, 48*1024*1024)
+	horizon := ScaledDur(30*time.Minute, cfg.Scale, 8*time.Minute)
 	res := &Result{
 		ID:     "fig9c",
 		Title:  "Role reversal for mobile seeds (paper Fig. 9c)",

@@ -21,8 +21,8 @@ import (
 func ExtGnutellaServerMobility(scale float64) *Result {
 	const runs = 3
 	periods := []time.Duration{0, 2 * time.Minute, time.Minute, 30 * time.Second} // responder IP-change periods; 0 = static
-	fileSize := scaled(64*1024*1024, scale, 8*1024*1024)
-	horizon := scaledDur(20*time.Minute, scale, 8*time.Minute)
+	fileSize := Scaled(64*1024*1024, scale, 8*1024*1024)
+	horizon := ScaledDur(20*time.Minute, scale, 8*time.Minute)
 	res := &Result{
 		ID:     "ext-gnutella",
 		Title:  "Gnutella: responder mobility (paper §3.7, Fig. 4a analogue)",

@@ -199,16 +199,6 @@ func BarrierProfileAggregate() *sim.BarrierProfile {
 	return obs.profile
 }
 
-// WriteBarrierProfile renders the aggregate as the -barrierprofile table.
-func WriteBarrierProfile(w io.Writer) error {
-	bp := BarrierProfileAggregate()
-	if bp == nil {
-		return fmt.Errorf("experiments: no barrier profile collected (is the run sharded and -barrierprofile set?)")
-	}
-	bp.WriteTable(w)
-	return nil
-}
-
 // attach arms a freshly built world, shard by shard (a single-engine world
 // is one shard). Recorders and checkers go on before any host exists, so
 // they see every component the world registers.

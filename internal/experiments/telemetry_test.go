@@ -134,9 +134,7 @@ func TestBarrierProfileAggregation(t *testing.T) {
 		t.Error("profile recorded zero barrier windows")
 	}
 	var buf bytes.Buffer
-	if err := WriteBarrierProfile(&buf); err != nil {
-		t.Fatal(err)
-	}
+	bp.WriteTable(&buf)
 	out := buf.String()
 	for _, want := range []string{"barrier profile", "windows", "cross-shard events", "shard"} {
 		if !strings.Contains(out, want) {

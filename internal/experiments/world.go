@@ -288,13 +288,6 @@ func ScaledDur(d time.Duration, scale float64, lo time.Duration) time.Duration {
 	return v
 }
 
-// scaled and scaledDur keep the experiment files' original spelling.
-func scaled(n int64, scale float64, lo int64) int64 { return Scaled(n, scale, lo) }
-
-func scaledDur(d time.Duration, scale float64, lo time.Duration) time.Duration {
-	return ScaledDur(d, scale, lo)
-}
-
 // SwarmConfig describes the fixed-peer population of a contested swarm.
 type SwarmConfig struct {
 	Seeds   int        // full-content peers

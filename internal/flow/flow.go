@@ -184,9 +184,6 @@ func NewFabric(engine *sim.Engine, net *netem.Network, cfg Config) *Fabric {
 // recompute — a cardinality-safe stand-in for a per-link utilization lane.
 var utilBounds = []int64{10, 25, 50, 75, 90, 100}
 
-// Engine returns the engine the fabric runs on.
-func (f *Fabric) Engine() *sim.Engine { return f.engine }
-
 // Link is one host's fluid access link: a full-duplex pair of pipes, each
 // fair-shared among the streams crossing it. It implements netem.Medium, so
 // a host attaches behind it exactly as behind a packet-level AccessLink.
@@ -230,9 +227,6 @@ func (f *Fabric) NewLink(ip netem.IP, cfg netem.AccessLinkConfig) *Link {
 	return l
 }
 
-// IP returns the address the link was built for.
-func (l *Link) IP() netem.IP { return l.ip }
-
 // SetRate changes the link's capacity from now on; streams in flight are
 // re-shared immediately (this is one of the three rate-recompute triggers).
 // A zero direction keeps its current rate.
@@ -250,12 +244,6 @@ func (l *Link) SetRate(up, down netem.Rate) {
 		l.fab.recompute(&l.up, &l.down)
 	}
 }
-
-// InFlight reports packets enqueued on the link's pipes and still awaiting
-// their fluid crossing — the population the drop-tail cap applies to. An
-// end-to-end packet counts on both its source's up pipe and its
-// destination's down pipe until it crosses.
-func (l *Link) InFlight() int { return l.up.backlog + l.down.backlog }
 
 // SendUp accepts a packet leaving the host (netem.Medium). If the fabric
 // runs end to end and the destination is fluid too, the packet joins a

@@ -189,9 +189,6 @@ func NewNode(cfg Config) *Node {
 	return n
 }
 
-// ID returns the node's identity.
-func (n *Node) ID() NodeID { return n.id }
-
 // Addr returns the node's current service address.
 func (n *Node) Addr() netem.Addr { return n.tr.Addr(DefaultPort) }
 
@@ -203,15 +200,6 @@ func (n *Node) Uploaded() int64 { return n.uploaded }
 
 // Downloaded returns payload bytes received across downloads.
 func (n *Node) Downloaded() int64 { return n.downloaded }
-
-// Progress returns the contiguous fraction fetched for key, or 0.
-func (n *Node) Progress(key FileKey) float64 {
-	d, ok := n.downloads[key]
-	if !ok || d.size == 0 {
-		return 0
-	}
-	return float64(d.got) / float64(d.size)
-}
 
 // Complete reports whether the download of key finished.
 func (n *Node) Complete(key FileKey) bool {

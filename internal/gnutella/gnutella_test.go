@@ -66,7 +66,7 @@ func TestQueryFloodFindsDistantFile(t *testing.T) {
 	nodes[0].Search("song.mp3")
 	v.engine.RunFor(time.Minute)
 	if !nodes[0].Complete("song.mp3") {
-		t.Fatalf("download incomplete: %.0f%%", nodes[0].Progress("song.mp3")*100)
+		t.Fatalf("download incomplete: %d bytes", nodes[0].Downloaded())
 	}
 	if nodes[3].Uploaded() != 1<<20 {
 		t.Errorf("responder uploaded %d", nodes[3].Uploaded())
@@ -104,7 +104,7 @@ func TestDuplicateQueriesSuppressed(t *testing.T) {
 	a.Search("k")
 	v.engine.RunFor(30 * time.Second)
 	if !a.Complete("k") {
-		t.Fatalf("incomplete: %.0f%%", a.Progress("k")*100)
+		t.Fatalf("incomplete: %d bytes", a.Downloaded())
 	}
 	if a.Downloaded() != 4096 {
 		t.Errorf("downloaded %d, want exactly one copy", a.Downloaded())
@@ -130,7 +130,7 @@ func TestFailoverToSecondSourceResumesByOffset(t *testing.T) {
 	})
 	v.engine.RunFor(5 * time.Minute)
 	if !searcher.Complete("big") {
-		t.Fatalf("failover failed: %.0f%%", searcher.Progress("big")*100)
+		t.Fatalf("failover failed: %d bytes", searcher.Downloaded())
 	}
 	// Resume by offset: total downloaded equals the file size, no re-fetch
 	// of the prefix (at most one in-flight range wasted).
@@ -188,10 +188,10 @@ func TestMobileResponderDegradesDownload(t *testing.T) {
 func TestNodeAccessors(t *testing.T) {
 	v := newEnv(6)
 	n, _ := v.node(Config{})
-	if n.ID() == "" {
+	if n.id == "" {
 		t.Error("empty id")
 	}
-	if n.Progress("nope") != 0 || n.Complete("nope") {
+	if n.Complete("nope") {
 		t.Error("unknown download should be empty")
 	}
 	n.Stop()

@@ -62,13 +62,6 @@ func (c *Curve) Observe(have *bt.Bitfield) {
 	})
 }
 
-// Points returns the recorded curve.
-func (c *Curve) Points() []CurvePoint {
-	out := make([]CurvePoint, len(c.points))
-	copy(out, c.points)
-	return out
-}
-
 // PlayableAt interpolates the playable fraction at a downloaded fraction d,
 // using the last observation at or below d (step interpolation). Returns 0
 // before the first observation.

@@ -52,7 +52,7 @@ func TestCurveObserveAndInterpolate(t *testing.T) {
 	c.Observe(have) // downloaded 0.2, playable 0.1
 	have.Set(1)
 	c.Observe(have) // downloaded 0.3, playable 0.2
-	pts := c.Points()
+	pts := c.points
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}

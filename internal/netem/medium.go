@@ -114,9 +114,6 @@ func (l *AccessLink) SetRate(up, down Rate) {
 	}
 }
 
-// InFlight reports packets queued or being serialized in both directions.
-func (l *AccessLink) InFlight() int { return l.up.inFlight() + l.down.inFlight() }
-
 // WirelessChannel is a half-duplex shared medium: every packet — uplink or
 // downlink, from any attached station — serializes through the same
 // transmitter, so uploads and downloads contend for one bandwidth budget
@@ -208,9 +205,6 @@ func (c *WirelessChannel) BER() float64 { return c.ber }
 // InFlight reports packets queued or being serialized on the channel — the
 // "number of packets on the wireless leg" traced in Figure 2(b,c).
 func (c *WirelessChannel) InFlight() int { return c.x.inFlight() }
-
-// Stats returns channel counters.
-func (c *WirelessChannel) Stats() Stats { return c.x.stats }
 
 // OnDrop registers an observer for discarded packets (buffer drops and
 // corruption). Observers chain: each call appends, and every registered

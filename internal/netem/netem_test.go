@@ -238,8 +238,8 @@ func TestWirelessChannelCorruption(t *testing.T) {
 	if math.Abs(got-per) > 0.05 {
 		t.Errorf("empirical loss %.3f, want ≈ %.3f", got, per)
 	}
-	if ch.Stats().Corrupted != int64(n-delivered) {
-		t.Errorf("Corrupted = %d, want %d", ch.Stats().Corrupted, n-delivered)
+	if ch.x.stats.Corrupted != int64(n-delivered) {
+		t.Errorf("Corrupted = %d, want %d", ch.x.stats.Corrupted, n-delivered)
 	}
 }
 

@@ -186,9 +186,6 @@ func (n *Network) delayFor(src, dst IP) time.Duration {
 	return d
 }
 
-// Engine returns the simulation engine the network runs on.
-func (n *Network) Engine() *sim.Engine { return n.engine }
-
 // PathDelay returns the core one-way delay for one src→dst crossing,
 // consuming a jitter draw when jitter is configured — the same computation a
 // cloud hop uses. Exported for the flow fabric, which folds the cloud
@@ -213,9 +210,6 @@ func (n *Network) CountRouted() { n.regRouted.Inc() }
 // NewPacket draws a zeroed packet from the network's free-list. See
 // PacketPool for the ownership contract.
 func (n *Network) NewPacket() *Packet { return n.pool.Get() }
-
-// Pool returns the network's packet free-list.
-func (n *Network) Pool() *PacketPool { return n.pool }
 
 // Iface is a host's attachment to the network. All of the host's traffic
 // enters and leaves through its interface; egress and ingress filters can
@@ -350,14 +344,8 @@ func (n *Network) drop(pkt *Packet, reason DropReason) {
 // IP returns the interface's current address.
 func (ifc *Iface) IP() IP { return ifc.ip }
 
-// Network returns the network the interface is attached to.
-func (ifc *Iface) Network() *Network { return ifc.net }
-
 // NewPacket draws a zeroed packet from the interface's network pool.
 func (ifc *Iface) NewPacket() *Packet { return ifc.net.pool.Get() }
-
-// Stats returns the interface's egress counters.
-func (ifc *Iface) Stats() Stats { return ifc.stats }
 
 // SetHandler installs the packet consumer for the interface.
 func (ifc *Iface) SetHandler(h Handler) { ifc.handler = h }

@@ -61,9 +61,6 @@ func (pp *PacketPool) put(p *Packet) {
 	pp.free = append(pp.free, p)
 }
 
-// Live reports packets currently checked out of the pool.
-func (pp *PacketPool) Live() int64 { return pp.live }
-
 // checkState audits pool ownership: every struct ever minted is either
 // checked out (live) or parked in the free-list, never both, never neither.
 func (pp *PacketPool) checkState(report func(invariant, detail string)) {

@@ -40,7 +40,7 @@ func TestPacketPoolRecyclesThroughDelivery(t *testing.T) {
 	if *delivered != 100 {
 		t.Fatalf("delivered = %d, want 100", *delivered)
 	}
-	if live := n.Pool().Live(); live != 0 {
+	if live := n.pool.live; live != 0 {
 		t.Errorf("pool live = %d after drain, want 0 (leak)", live)
 	}
 	// A warmed second wave must be served entirely from the free-list.
@@ -109,7 +109,7 @@ func TestCloneAliasingRegression(t *testing.T) {
 	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
 		t.Fatalf("delivered %v, want [first second]", got)
 	}
-	if live := n.Pool().Live(); live != 0 {
+	if live := n.pool.live; live != 0 {
 		t.Errorf("pool live = %d, want 0", live)
 	}
 }
@@ -126,7 +126,7 @@ func TestFilterDropRecyclesStruct(t *testing.T) {
 	if *delivered != 0 {
 		t.Fatal("packet delivered through dropping filter")
 	}
-	if live := n.Pool().Live(); live != 0 {
+	if live := n.pool.live; live != 0 {
 		t.Errorf("pool live = %d after filter drop, want 0", live)
 	}
 }

@@ -411,13 +411,13 @@ func (inst *instance) restarter() mobility.Restarter {
 	case inst.ed != nil:
 		return inst.ed
 	default:
-		return gnRestarter{inst}
+		return gnRestarter{}
 	}
 }
 
 // gnRestarter maps task re-initiation onto a gnutella node: stop, then a
 // fresh node would re-bootstrap — the relinker ticker plays that role.
-type gnRestarter struct{ inst *instance }
+type gnRestarter struct{}
 
 func (r gnRestarter) Restart(bool) {
 	// A gnutella node has no identity to lose and no restart entry point;

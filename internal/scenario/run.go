@@ -27,18 +27,13 @@ type Options struct {
 	Fidelity string
 }
 
-// Run executes the scenario's full grid — every series variant at every
+// RunOpts executes the scenario's full grid — every series variant at every
 // sweep value, Runs averaged runs per cell — and returns the figure.
 //
 // The grid is fanned over the runner pool: every world is independently
 // seeded, results are reduced per cell in run order, and cells land in
 // (series, sweep-value) declaration order, so the output is bit-identical
 // at any -parallel setting.
-func Run(s *Spec, scale float64) (*experiments.Result, error) {
-	return RunOpts(s, scale, Options{})
-}
-
-// RunOpts is Run with execution options.
 func RunOpts(s *Spec, scale float64, opts Options) (*experiments.Result, error) {
 	sc := experiments.ShardWorkers(opts.ShardWorkers)
 	if sc.Workers > 0 {

@@ -34,7 +34,7 @@ func TestFig4aEquivalence(t *testing.T) {
 		t.Skip("two full fig4a sweeps")
 	}
 	spec := loadExample(t, "fig4a.json")
-	got, err := Run(spec, testScale)
+	got, err := RunOpts(spec, testScale, Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestBundledScenariosDeterministic(t *testing.T) {
 			export := func(workers int) []byte {
 				prev := runner.SetWorkers(workers)
 				defer runner.SetWorkers(prev)
-				res, err := Run(s, testScale)
+				res, err := RunOpts(s, testScale, Options{})
 				if err != nil {
 					t.Fatalf("Run (workers=%d): %v", workers, err)
 				}
@@ -118,7 +118,7 @@ func TestEventsShapeResults(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	s := loadExample(t, "partition.json")
-	res, err := Run(s, testScale)
+	res, err := RunOpts(s, testScale, Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestSampledSeriesMonotone(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	s := loadExample(t, "ber-ramp.json")
-	res, err := Run(s, testScale)
+	res, err := RunOpts(s, testScale, Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestShapedLinksMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(spec, 0.25)
+	res, err := RunOpts(spec, 0.25, Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -21,7 +21,7 @@ func TestHandoffStormTimeline(t *testing.T) {
 	t.Cleanup(experiments.DisableTelemetry)
 
 	spec := loadExample(t, "handoff-storm.json")
-	if _, err := Run(spec, 0.2); err != nil {
+	if _, err := RunOpts(spec, 0.2, Options{}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	e := experiments.TimeseriesExport()
@@ -116,7 +116,7 @@ func TestHandoffStormTimeline(t *testing.T) {
 func TestTimeseriesMatchesGolden(t *testing.T) {
 	experiments.EnableTelemetry(telemetry.Config{})
 	t.Cleanup(experiments.DisableTelemetry)
-	if _, err := Run(loadExample(t, "handoff-storm.json"), 0.05); err != nil {
+	if _, err := RunOpts(loadExample(t, "handoff-storm.json"), 0.05, Options{}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	var got bytes.Buffer

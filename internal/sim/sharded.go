@@ -181,12 +181,6 @@ func NewShardedEngine(cfg ShardedConfig) *ShardedEngine {
 // events and randomness only from this engine.
 func (s *ShardedEngine) Shard(i int) *Engine { return s.shards[i] }
 
-// NumShards reports the logical shard count.
-func (s *ShardedEngine) NumShards() int { return len(s.shards) }
-
-// Workers reports the worker-thread count.
-func (s *ShardedEngine) Workers() int { return s.workers }
-
 // Lookahead reports the barrier's window bound — the minimum cross-shard
 // interaction delay the model promised at construction.
 func (s *ShardedEngine) Lookahead() time.Duration { return s.lookahead }
@@ -240,9 +234,6 @@ func (s *ShardedEngine) ScheduleGlobal(at time.Duration, fn func()) {
 	s.globals = append(s.globals, globalEvent{at: at, seq: s.gseq, fn: fn})
 	s.gseq++
 }
-
-// RunFor advances the coordinated simulation by d of virtual time.
-func (s *ShardedEngine) RunFor(d time.Duration) { s.RunUntil(s.Now() + d) }
 
 // RunUntil advances every shard to deadline, firing events with timestamps
 // at or before it — the same contract as Engine.RunUntil, windowed. The

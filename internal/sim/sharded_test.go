@@ -45,7 +45,7 @@ func shardedTrace(t *testing.T, shards, workers int) []string {
 			logs[j] = append(logs[j], fmt.Sprintf("s%d global %v", j, s.Shard(j).Now()))
 		}
 	})
-	s.RunFor(200 * time.Millisecond)
+	s.RunUntil(s.Now() + 200*time.Millisecond)
 	var out []string
 	for _, l := range logs {
 		out = append(out, l...)
@@ -104,7 +104,7 @@ func TestShardedDeadlineHonored(t *testing.T) {
 	if late {
 		t.Error("post-deadline event fired early")
 	}
-	for i := 0; i < s.NumShards(); i++ {
+	for i := 0; i < len(s.shards); i++ {
 		if now := s.Shard(i).Now(); now != time.Second {
 			t.Errorf("shard %d clock = %v, want %v", i, now, time.Second)
 		}
@@ -150,7 +150,7 @@ func TestShardedGlobalTiming(t *testing.T) {
 	s.ScheduleGlobal(13*time.Millisecond, func() {
 		at0, at1 = s.Shard(0).Now(), s.Shard(1).Now()
 	})
-	s.RunFor(200 * time.Millisecond)
+	s.RunUntil(s.Now() + 200*time.Millisecond)
 	if at0 != 13*time.Millisecond || at1 != 13*time.Millisecond {
 		t.Fatalf("global saw clocks (%v, %v), want (13ms, 13ms)", at0, at1)
 	}
@@ -176,7 +176,7 @@ func TestShardedInjectDrainOrder(t *testing.T) {
 				}
 			})
 		}
-		s.RunFor(100 * time.Millisecond)
+		s.RunUntil(s.Now() + 100*time.Millisecond)
 		s.Close()
 		want := []string{"src1#0", "src1#1", "src2#0", "src2#1"}
 		if len(got) != len(want) {
@@ -206,7 +206,7 @@ func TestShardedCausalityAssertion(t *testing.T) {
 			t.Fatal("lookahead violation was not caught")
 		}
 	}()
-	s.RunFor(time.Second)
+	s.RunUntil(s.Now() + time.Second)
 }
 
 // TestShardedPanicPropagates: a panic in shard model code unwinds RunUntil
@@ -220,7 +220,7 @@ func TestShardedPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want the model panic", p)
 		}
 	}()
-	s.RunFor(time.Second)
+	s.RunUntil(s.Now() + time.Second)
 }
 
 // TestShardedRepeatedRuns: RunFor can be called in slices (the sampled
@@ -235,7 +235,7 @@ func TestShardedRepeatedRuns(t *testing.T) {
 		s.Inject(0, 1, at, func() { hits = append(hits, s.Shard(1).Now()) })
 	})
 	for i := 0; i < 4; i++ {
-		s.RunFor(50 * time.Millisecond)
+		s.RunUntil(s.Now() + 50*time.Millisecond)
 		if want := time.Duration(i+1) * 50 * time.Millisecond; s.Now() != want {
 			t.Fatalf("after slice %d: now = %v, want %v", i, s.Now(), want)
 		}

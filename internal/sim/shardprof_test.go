@@ -14,7 +14,7 @@ func buildProfiledWorld(t *testing.T, workers int) *ShardedEngine {
 	se := NewShardedEngine(ShardedConfig{Shards: 4, Workers: workers, Lookahead: 10 * time.Millisecond, Seed: 7})
 	t.Cleanup(se.Close)
 	se.EnableProfile()
-	for i := 0; i < se.NumShards(); i++ {
+	for i := 0; i < len(se.shards); i++ {
 		i := i
 		eng := se.Shard(i)
 		var tick func()
@@ -29,7 +29,7 @@ func buildProfiledWorld(t *testing.T, workers int) *ShardedEngine {
 		eng.Schedule(5*time.Millisecond, send)
 	}
 	se.ScheduleGlobal(42*time.Millisecond, func() {})
-	se.RunFor(100 * time.Millisecond)
+	se.RunUntil(se.Now() + 100*time.Millisecond)
 	return se
 }
 
@@ -109,7 +109,7 @@ func TestBarrierProfileMergeAndTable(t *testing.T) {
 func TestProfileNilWhenDisabled(t *testing.T) {
 	se := NewShardedEngine(ShardedConfig{Shards: 2, Workers: 1, Lookahead: time.Millisecond, Seed: 1})
 	defer se.Close()
-	se.RunFor(time.Millisecond)
+	se.RunUntil(se.Now() + time.Millisecond)
 	if se.Profile() != nil {
 		t.Fatal("Profile() must be nil without EnableProfile")
 	}

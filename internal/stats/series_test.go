@@ -36,8 +36,8 @@ func newSampledRun(rng *rand.Rand, n int64) *sampledRun {
 		note("m.count", KindCounter, i, c.Value())
 		h := r.Histogram("m.lat", []int64{10, 100})
 		h.Observe(rng.Int63n(300))
-		note("m.lat", KindHistCount, i, h.Count())
-		note("m.lat", KindHistSum, i, h.Sum())
+		note("m.lat", KindHistCount, i, h.count)
+		note("m.lat", KindHistSum, i, h.sum)
 		if hasGauge {
 			g := r.Gauge("m.peak")
 			g.Set(rng.Int63n(50))

@@ -96,12 +96,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Registry holds one engine's instruments, keyed by dotted lowercase names
 // ("tcp.retransmits"). Lookups get-or-create, so components sharing an
 // engine share counters — fifty wired links all feed
@@ -307,13 +301,6 @@ func (c *Collector) Add(r *Registry) {
 		c.addSeries(h.serCount.series(name, KindHistCount))
 		c.addSeries(h.serSum.series(name, KindHistSum))
 	}
-}
-
-// Runs reports how many registries have been merged.
-func (c *Collector) Runs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
 }
 
 // Snapshot returns the aggregate values in stable sorted order. A collector

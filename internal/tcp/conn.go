@@ -170,19 +170,6 @@ func (c *Conn) LocalAddr() netem.Addr { return c.local }
 // RemoteAddr returns the remote endpoint address.
 func (c *Conn) RemoteAddr() netem.Addr { return c.remote }
 
-// State returns the connection state.
-func (c *Conn) State() State { return c.state }
-
-// Stats returns a snapshot of the connection's counters.
-func (c *Conn) Stats() Stats { return c.stats }
-
-// Cwnd returns the current congestion window in bytes.
-func (c *Conn) Cwnd() int64 { return int64(c.cwnd) }
-
-// SRTT returns the smoothed round-trip time estimate (zero before the first
-// sample).
-func (c *Conn) SRTT() time.Duration { return c.srtt }
-
 // Buffered returns application bytes written but not yet acknowledged by the
 // peer. Senders use it to pace writes.
 func (c *Conn) Buffered() int64 { return c.sndBufTail - c.sndUna }

@@ -48,7 +48,7 @@ func TestListenerCloseStopsAccepting(t *testing.T) {
 	if refused == nil {
 		t.Error("dial after listener close was not refused")
 	}
-	if c1.State() != StateEstablished {
+	if c1.state != StateEstablished {
 		t.Error("existing connection was affected by listener close")
 	}
 }
@@ -111,8 +111,8 @@ func TestListenerCloseResetsInFlightSYN(t *testing.T) {
 	if !errors.Is(closeErr, ErrReset) {
 		t.Errorf("in-flight SYN close error = %v, want ErrReset", closeErr)
 	}
-	if c.State() != StateClosed {
-		t.Errorf("dialer state = %v, want closed", c.State())
+	if c.state != StateClosed {
+		t.Errorf("dialer state = %v, want closed", c.state)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestStatsCounters(t *testing.T) {
 	client, server := connect(t, w, sa, sb, 80)
 	client.Write(50_000)
 	w.engine.RunFor(10 * time.Second)
-	cs, ss := client.Stats(), server.Stats()
+	cs, ss := client.stats, server.stats
 	if cs.BytesSent != 50_000 || cs.BytesAcked != 50_000 {
 		t.Errorf("client stats: %+v", cs)
 	}
@@ -150,7 +150,7 @@ func TestStatsCounters(t *testing.T) {
 	if cs.SegsSent == 0 || cs.SegsRcvd == 0 {
 		t.Error("segment counters empty")
 	}
-	if client.SRTT() == 0 {
+	if client.srtt == 0 {
 		t.Error("no RTT estimate formed")
 	}
 	if client.LocalAddr().IP != 1 || client.RemoteAddr().IP != 2 {
@@ -188,7 +188,7 @@ func TestBidirectionalClose(t *testing.T) {
 	if !closedA || !closedB {
 		t.Errorf("both sides should close: a=%v b=%v", closedA, closedB)
 	}
-	if sa.NumConns() != 0 || sb.NumConns() != 0 {
-		t.Errorf("conns leaked: %d/%d", sa.NumConns(), sb.NumConns())
+	if len(sa.conns) != 0 || len(sb.conns) != 0 {
+		t.Errorf("conns leaked: %d/%d", len(sa.conns), len(sb.conns))
 	}
 }

@@ -35,7 +35,7 @@ func TestDelayedAckCoalescesPairs(t *testing.T) {
 		t.Fatalf("received %d", received)
 	}
 	segs := int64(274) // 400000 / 1460 rounded up
-	acks := server.Stats().PureAcksSent
+	acks := server.stats.PureAcksSent
 	if acks > segs*3/4 {
 		t.Errorf("receiver sent %d acks for %d segments; delayed ACKs should halve that", acks, segs)
 	}
@@ -55,8 +55,8 @@ func TestDelayedAckTimerFiresWhenIdle(t *testing.T) {
 	if client.Buffered() != 0 {
 		t.Fatalf("lone segment never acknowledged: buffered=%d", client.Buffered())
 	}
-	if client.Stats().Timeouts != 0 {
-		t.Errorf("sender RTOed %d times waiting for a delayed ack", client.Stats().Timeouts)
+	if client.stats.Timeouts != 0 {
+		t.Errorf("sender RTOed %d times waiting for a delayed ack", client.stats.Timeouts)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestPiggybackDominatesBidirectionalExchange(t *testing.T) {
 	if rx != 500_000 {
 		t.Fatalf("received %d", rx)
 	}
-	st := server.Stats()
+	st := server.stats
 	if st.PiggybackedAcks < st.PureAcksSent {
 		t.Errorf("piggybacked %d < pure %d; bidirectional exchange should piggyback most acks",
 			st.PiggybackedAcks, st.PureAcksSent)
@@ -107,8 +107,8 @@ func TestTimestampsRecoverRTOAfterBackoff(t *testing.T) {
 	if received != 2_000_000 {
 		t.Fatalf("received %d after link restoration, want all", received)
 	}
-	if client.State() != StateEstablished {
-		t.Fatalf("connection died during the outage: %v", client.State())
+	if client.state != StateEstablished {
+		t.Fatalf("connection died during the outage: %v", client.state)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestMessagesSurviveLoss(t *testing.T) {
 			t.Fatalf("message %d = %v, want %d (order broken)", i, got[i], i)
 		}
 	}
-	if client.Stats().Retransmits == 0 {
+	if client.stats.Retransmits == 0 {
 		t.Log("warning: no retransmissions occurred; loss test may be vacuous")
 	}
 }
@@ -146,8 +146,8 @@ func TestSendMessageOnClosedConnIsNoop(t *testing.T) {
 	w.engine.RunFor(time.Second)
 	client.SendMessage("late", 100) // must not panic or send
 	w.engine.RunFor(time.Second)
-	if client.State() != StateClosed {
-		t.Errorf("state = %v", client.State())
+	if client.state != StateClosed {
+		t.Errorf("state = %v", client.state)
 	}
 }
 

@@ -72,9 +72,6 @@ func (sp *SegmentPool) put(s *Segment) {
 	sp.free = append(sp.free, s)
 }
 
-// Live reports segments currently checked out of the pool.
-func (sp *SegmentPool) Live() int64 { return sp.live }
-
 // checkState audits pool ownership: every struct ever minted is either
 // checked out or parked in the free-list.
 func (sp *SegmentPool) checkState(report func(invariant, detail string)) {

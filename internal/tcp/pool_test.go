@@ -132,7 +132,7 @@ func TestPooledSegmentsSurviveRetransmission(t *testing.T) {
 	if received != 500*MSS {
 		t.Fatalf("received %d, want %d", received, 500*MSS)
 	}
-	if client.Stats().Retransmits == 0 {
+	if client.stats.Retransmits == 0 {
 		t.Fatal("filter did not force retransmissions")
 	}
 }
@@ -146,7 +146,7 @@ func BenchmarkSendAckCycle(b *testing.B) {
 	sb.MustListen(80, func(c *Conn) { server = c })
 	client := sa.MustDial(netem.Addr{IP: 2, Port: 80})
 	w.engine.RunFor(2 * time.Second)
-	if client.State() != StateEstablished || server == nil {
+	if client.state != StateEstablished || server == nil {
 		b.Fatal("not established")
 	}
 	client.Write(200 * MSS)

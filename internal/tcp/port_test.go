@@ -47,18 +47,18 @@ func TestAllocPortWraparoundSkipsLivePorts(t *testing.T) {
 
 	c2 := a.MustDial(netem.Addr{IP: 2, Port: 80})
 	w.engine.RunFor(2 * time.Second)
-	if c2.State() != StateEstablished {
-		t.Fatalf("post-wrap dial not established: %v", c2.State())
+	if c2.state != StateEstablished {
+		t.Fatalf("post-wrap dial not established: %v", c2.state)
 	}
 	if got := c2.LocalAddr().Port; got == first {
 		t.Fatalf("post-wrap dial reused live port %d: four-tuple collision", got)
 	}
 	// The original connection must still be reachable and intact.
-	if c1.State() != StateEstablished {
-		t.Errorf("original conn damaged by wraparound dial: %v", c1.State())
+	if c1.state != StateEstablished {
+		t.Errorf("original conn damaged by wraparound dial: %v", c1.state)
 	}
-	if a.NumConns() != 2 {
-		t.Errorf("NumConns = %d, want 2", a.NumConns())
+	if len(a.conns) != 2 {
+		t.Errorf("NumConns = %d, want 2", len(a.conns))
 	}
 	var report []string
 	a.CheckState(func(inv, detail string) { report = append(report, inv+": "+detail) })
@@ -76,14 +76,14 @@ func TestAllocPortReleasesClosedPorts(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c := a.MustDial(netem.Addr{IP: 2, Port: 80})
 		w.engine.RunFor(2 * time.Second)
-		if c.State() != StateEstablished {
+		if c.state != StateEstablished {
 			t.Fatalf("dial %d not established", i)
 		}
 		c.Close()
 		w.engine.RunFor(5 * time.Second)
 	}
-	if a.NumConns() != 0 {
-		t.Fatalf("%d conns still live after all closes", a.NumConns())
+	if len(a.conns) != 0 {
+		t.Fatalf("%d conns still live after all closes", len(a.conns))
 	}
 	for p := uint32(ephemeralBase); p <= 0xffff; p++ {
 		if a.portInUse(uint16(p)) {
@@ -130,8 +130,8 @@ func TestDialChurnPastPortSpace(t *testing.T) {
 		c.Abort()
 		w.engine.RunFor(time.Second)
 	}
-	if a.NumConns() != 0 {
-		t.Fatalf("%d conns leaked during churn", a.NumConns())
+	if len(a.conns) != 0 {
+		t.Fatalf("%d conns leaked during churn", len(a.conns))
 	}
 
 	// Now pin every port with a live dial (no teardown): the first 1<<14

@@ -455,9 +455,6 @@ func (s *Stack) removeConn(c *Conn) {
 	}
 }
 
-// NumConns returns the number of live connections, for tests and metrics.
-func (s *Stack) NumConns() int { return len(s.conns) }
-
 // ConnsTo counts live connections whose remote endpoint is addr.
 func (s *Stack) ConnsTo(addr netem.Addr) int {
 	n := 0

@@ -47,10 +47,10 @@ func connect(t *testing.T, w *testWorld, a, b *Stack, port uint16) (client, serv
 	b.MustListen(port, func(c *Conn) { server = c })
 	client = a.MustDial(netem.Addr{IP: b.Iface().IP(), Port: port})
 	w.engine.RunFor(2 * time.Second)
-	if client.State() != StateEstablished {
-		t.Fatalf("client state = %v, want established", client.State())
+	if client.state != StateEstablished {
+		t.Fatalf("client state = %v, want established", client.state)
 	}
-	if server == nil || server.State() != StateEstablished {
+	if server == nil || server.state != StateEstablished {
 		t.Fatalf("server not established")
 	}
 	return client, server
@@ -69,8 +69,8 @@ func TestHandshake(t *testing.T) {
 	if !clientUp || !serverUp {
 		t.Fatalf("established: client=%v server=%v", clientUp, serverUp)
 	}
-	if a.NumConns() != 1 || b.NumConns() != 1 {
-		t.Errorf("conns: a=%d b=%d, want 1 each", a.NumConns(), b.NumConns())
+	if len(a.conns) != 1 || len(b.conns) != 1 {
+		t.Errorf("conns: a=%d b=%d, want 1 each", len(a.conns), len(b.conns))
 	}
 }
 
@@ -114,7 +114,7 @@ func TestUnidirectionalTransfer(t *testing.T) {
 	if client.Buffered() != 0 {
 		t.Errorf("Buffered() = %d after full ack, want 0", client.Buffered())
 	}
-	st := server.Stats()
+	st := server.stats
 	if st.BytesDelivered != total {
 		t.Errorf("BytesDelivered = %d", st.BytesDelivered)
 	}
@@ -167,7 +167,7 @@ func TestBidirectionalSimultaneousTransfer(t *testing.T) {
 		t.Fatalf("rxClient=%d rxServer=%d, want %d each", rxClient, rxServer, total)
 	}
 	// Bidirectional flow must piggyback most acknowledgements on data.
-	if client.Stats().PiggybackedAcks == 0 {
+	if client.stats.PiggybackedAcks == 0 {
 		t.Error("no piggybacked acks on a bidirectional connection")
 	}
 }
@@ -202,15 +202,15 @@ func TestFastRetransmit(t *testing.T) {
 	if received != total {
 		t.Fatalf("received %d, want %d", received, total)
 	}
-	st := client.Stats()
+	st := client.stats
 	if st.FastRetransmits == 0 {
 		t.Error("expected a fast retransmit")
 	}
 	if st.Timeouts != 0 {
 		t.Errorf("expected recovery without RTO, got %d timeouts", st.Timeouts)
 	}
-	if server.Stats().DupAcksSent < 3 {
-		t.Errorf("receiver sent %d dupacks, want >= 3", server.Stats().DupAcksSent)
+	if server.stats.DupAcksSent < 3 {
+		t.Errorf("receiver sent %d dupacks, want >= 3", server.stats.DupAcksSent)
 	}
 }
 
@@ -242,8 +242,8 @@ func TestDupAcksAlwaysPure(t *testing.T) {
 	if received != 200_000 {
 		t.Fatalf("received %d", received)
 	}
-	if server.Stats().DupAcksSent < 3 {
-		t.Fatalf("receiver sent %d dupacks, want >= 3", server.Stats().DupAcksSent)
+	if server.stats.DupAcksSent < 3 {
+		t.Fatalf("receiver sent %d dupacks, want >= 3", server.stats.DupAcksSent)
 	}
 	// Find a run of >= 4 equal acks (original + dups). Data segments in the
 	// run legitimately repeat the ack number (they are not DUPACKs); the
@@ -295,7 +295,7 @@ func TestRTORecovery(t *testing.T) {
 	if received != 100_000 {
 		t.Fatalf("received %d, want 100000", received)
 	}
-	if client.Stats().Timeouts == 0 {
+	if client.stats.Timeouts == 0 {
 		t.Error("expected at least one RTO")
 	}
 }
@@ -304,13 +304,13 @@ func TestSlowStartGrowth(t *testing.T) {
 	w := newWorld(8)
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, _ := connect(t, w, sa, sb, 80)
-	if got := client.Cwnd(); got != 2*MSS {
+	if got := int64(client.cwnd); got != 2*MSS {
 		t.Fatalf("initial cwnd = %d, want %d", got, 2*MSS)
 	}
 	client.Write(1_000_000)
 	w.engine.RunFor(300 * time.Millisecond) // a few RTTs (RTT ≈ 24ms)
-	if client.Cwnd() < 8*MSS {
-		t.Errorf("cwnd = %d after several RTTs, want exponential growth", client.Cwnd())
+	if int64(client.cwnd) < 8*MSS {
+		t.Errorf("cwnd = %d after several RTTs, want exponential growth", int64(client.cwnd))
 	}
 }
 
@@ -330,7 +330,7 @@ func TestCwndHalvesOnFastRetransmit(t *testing.T) {
 		if !ok || seg.Len == 0 {
 			return append(out, p)
 		}
-		if c := client.Cwnd(); c > maxCwnd {
+		if c := int64(client.cwnd); c > maxCwnd {
 			maxCwnd = c
 		}
 		count++
@@ -338,8 +338,8 @@ func TestCwndHalvesOnFastRetransmit(t *testing.T) {
 			dropped = true
 			return out
 		}
-		if dropped && client.Cwnd() < minAfterLoss {
-			minAfterLoss = client.Cwnd()
+		if dropped && int64(client.cwnd) < minAfterLoss {
+			minAfterLoss = int64(client.cwnd)
 		}
 		return append(out, p)
 	}))
@@ -364,7 +364,7 @@ func TestRTTEstimate(t *testing.T) {
 	client, _ := connect(t, w, sa, sb, 80)
 	client.Write(50_000)
 	w.engine.RunFor(5 * time.Second)
-	srtt := client.SRTT()
+	srtt := client.srtt
 	// Path: 1ms + 10ms cloud + 1ms each way plus serialization ≈ 24ms+.
 	if srtt < 20*time.Millisecond || srtt > 200*time.Millisecond {
 		t.Errorf("SRTT = %v, want ~tens of ms", srtt)
@@ -393,8 +393,8 @@ func TestGracefulClose(t *testing.T) {
 	if !errors.Is(clientErr, ErrClosed) {
 		t.Errorf("client close err = %v, want ErrClosed", clientErr)
 	}
-	if sa.NumConns() != 0 || sb.NumConns() != 0 {
-		t.Errorf("conns not reaped: a=%d b=%d", sa.NumConns(), sb.NumConns())
+	if len(sa.conns) != 0 || len(sb.conns) != 0 {
+		t.Errorf("conns not reaped: a=%d b=%d", len(sa.conns), len(sb.conns))
 	}
 }
 

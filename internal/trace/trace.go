@@ -107,9 +107,6 @@ func NewRecorder(engine *sim.Engine, capacity int) *Recorder {
 // per-shard rings stay attributable after MergeEvents interleaves them.
 func (r *Recorder) SetShard(i int) { r.shard = i }
 
-// Shard reports the recorder's tag (-1 when untagged).
-func (r *Recorder) Shard() int { return r.shard }
-
 // SetFilter restricts recording to events the predicate accepts; nil accepts
 // everything. Filtered-out events are not retained and not counted in
 // Total.

@@ -63,7 +63,6 @@ const (
 type AMStats struct {
 	Decoupled      int64 // piggybacked ACKs split into pure ACK + data
 	DupAcksDropped int64 // DUPACKs thinned during mature-loss recovery
-	Flows          int   // flows currently tracked
 }
 
 // amFlow is per-connection filter state, keyed by the remote endpoint.
@@ -138,13 +137,6 @@ func (f *AMFilter) evict(remote netem.Addr) {
 func (f *AMFilter) Install(iface *netem.Iface) {
 	iface.AddEgressFilter(netem.FilterFunc(f.filterEgress))
 	iface.AddIngressFilter(netem.FilterFunc(f.observeIngress))
-}
-
-// Stats returns intervention counters.
-func (f *AMFilter) Stats() AMStats {
-	s := f.stats
-	s.Flows = len(f.flows)
-	return s
 }
 
 func (f *AMFilter) flow(remote netem.Addr) *amFlow {
@@ -302,14 +294,4 @@ func (f *AMFilter) sortedRemotes() []netem.Addr {
 		return addrs[i].Port < addrs[j].Port
 	})
 	return addrs
-}
-
-// Prune drops state for flows idle longer than age.
-func (f *AMFilter) Prune(age time.Duration) {
-	cutoff := f.engine.Now() - age
-	for k, fl := range f.flows {
-		if fl.lastActive < cutoff {
-			delete(f.flows, k)
-		}
-	}
 }

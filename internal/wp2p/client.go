@@ -32,12 +32,6 @@ func (s *IdentityStore) For(h bt.InfoHash, r interface{ Int63() int64 }) bt.Peer
 	return id
 }
 
-// Forget drops the stored id for a swarm.
-func (s *IdentityStore) Forget(h bt.InfoHash) { delete(s.ids, h) }
-
-// Len reports stored identities.
-func (s *IdentityStore) Len() int { return len(s.ids) }
-
 // Config assembles a wP2P client. BT configures the underlying BitTorrent
 // client; each component pointer enables that technique when non-nil, so
 // ablation studies can toggle them independently.
@@ -181,15 +175,6 @@ func (c *Client) OnAddressChange() {
 	c.BT.Restart(!c.retainID)
 	c.BT.RedialKnown()
 }
-
-// AM returns the Age-based Manipulation filter, or nil if disabled.
-func (c *Client) AM() *AMFilter { return c.am }
-
-// LIHD returns the upload-rate controller, or nil if disabled.
-func (c *Client) LIHD() *LIHD { return c.lihd }
-
-// MF returns the mobility-aware fetcher, or nil if disabled.
-func (c *Client) MF() *MobilityFetch { return c.mf }
 
 // RR returns the role-reversal watchdog, or nil if disabled.
 func (c *Client) RR() *RoleReversal { return c.rr }

@@ -73,7 +73,7 @@ func TestWP2PClientCompletesDownload(t *testing.T) {
 	if !c.BT.Complete() {
 		t.Fatalf("wP2P client incomplete: %.0f%%", c.BT.Progress()*100)
 	}
-	if c.AM() == nil || c.LIHD() == nil || c.MF() == nil || c.RR() == nil {
+	if c.am == nil || c.lihd == nil || c.mf == nil || c.RR() == nil {
 		t.Error("components missing")
 	}
 	c.Stop()
@@ -82,7 +82,7 @@ func TestWP2PClientCompletesDownload(t *testing.T) {
 func TestWP2PDisabledComponentsAreNil(t *testing.T) {
 	v := newEnv(2, 512*1024, 64*1024)
 	c := New(Config{BT: v.btCfg(v.wired())})
-	if c.AM() != nil || c.LIHD() != nil || c.MF() != nil || c.RR() != nil {
+	if c.am != nil || c.lihd != nil || c.mf != nil || c.RR() != nil {
 		t.Error("disabled components non-nil")
 	}
 	// Default picker must remain classic rarest-first behaviour (bt's own
@@ -152,7 +152,7 @@ func TestRoleReversalDetectsAddressChange(t *testing.T) {
 	}
 	v.net.Rebind(stack.Iface(), 210)
 	v.engine.RunFor(10 * time.Second)
-	if c.RR().Reversals() == 0 {
+	if c.rr.regReversals.Value() == 0 {
 		t.Fatal("RR never detected the address change")
 	}
 	if c.BT.PeerID() != id {
@@ -182,7 +182,7 @@ func TestRoleReversalDeadPeersTriggersRedial(t *testing.T) {
 	// Kill all connections without an address change (e.g. AP glitch).
 	seed.Stop()
 	v.engine.RunFor(2 * time.Minute)
-	if c.RR().Reversals() == 0 {
+	if c.rr.regReversals.Value() == 0 {
 		t.Error("RR never reacted to losing every live peer")
 	}
 }
@@ -205,7 +205,7 @@ func TestWP2PUnderPeriodicHandoffsCompletes(t *testing.T) {
 	h.Stop()
 	if !c.BT.Complete() {
 		t.Fatalf("incomplete under handoffs: %.0f%% (changes=%d reversals=%d)",
-			c.BT.Progress()*100, h.Changes(), c.RR().Reversals())
+			c.BT.Progress()*100, h.Changes(), c.rr.regReversals.Value())
 	}
 }
 

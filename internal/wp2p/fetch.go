@@ -108,8 +108,3 @@ func (m *MobilityFetch) PickPiece(ctx *bt.PickContext) int {
 	}
 	return m.seq.PickPiece(ctx)
 }
-
-// Picks reports how many decisions went to each strategy.
-func (m *MobilityFetch) Picks() (rarest, sequential int64) {
-	return m.rarestPicks, m.seqPicks
-}

@@ -36,7 +36,7 @@ func TestMFAllSequentialAtZeroProgress(t *testing.T) {
 			t.Fatalf("at progress 0 picked %d, want sequential (0)", got)
 		}
 	}
-	r, s := mf.Picks()
+	r, s := mf.rarestPicks, mf.seqPicks
 	if r != 0 || s != 50 {
 		t.Errorf("picks: rarest=%d seq=%d", r, s)
 	}
@@ -54,7 +54,7 @@ func TestMFAllRarestAtFullProgress(t *testing.T) {
 			t.Fatalf("at progress 1 picked %d, want rarest (70)", got)
 		}
 	}
-	r, s := mf.Picks()
+	r, s := mf.rarestPicks, mf.seqPicks
 	if s != 0 || r != 50 {
 		t.Errorf("picks: rarest=%d seq=%d", r, s)
 	}
@@ -146,11 +146,7 @@ func TestIdentityStore(t *testing.T) {
 	if got := s.For(h2, e.Rand()); got == id1 {
 		t.Error("different swarms share an id")
 	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	s.Forget(h1)
-	if got := s.For(h1, e.Rand()); got == id1 {
-		t.Error("Forget did not clear the id")
+	if len(s.ids) != 2 {
+		t.Errorf("stored ids = %d", len(s.ids))
 	}
 }

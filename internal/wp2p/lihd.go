@@ -80,10 +80,9 @@ type LIHD struct {
 	ticker  *sim.Ticker
 	engine  *sim.Engine
 
-	ucur    float64
-	dprev   float64
-	decCnt  int
-	updates int
+	ucur   float64
+	dprev  float64
+	decCnt int
 
 	regUpdates   *stats.Counter
 	regIncreases *stats.Counter
@@ -130,15 +129,8 @@ func (l *LIHD) Stop() {
 	}
 }
 
-// UploadCap returns the current upload limit in bytes/second.
-func (l *LIHD) UploadCap() netem.Rate { return netem.Rate(l.ucur) }
-
-// Updates counts control iterations.
-func (l *LIHD) Updates() int { return l.updates }
-
 // update is one controller iteration (Figure 6, Update block).
 func (l *LIHD) update() {
-	l.updates++
 	l.regUpdates.Inc()
 	dcur := l.source.DownloadRate()
 	if l.dprev != 0 {

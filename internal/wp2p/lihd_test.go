@@ -36,7 +36,7 @@ func lihdFixture(rates []float64, cfg LIHDConfig) (*sim.Engine, *bt.Limiter, *LI
 
 func TestLIHDInitialCapIsHalfUmax(t *testing.T) {
 	_, lim, l := lihdFixture(nil, LIHDConfig{Umax: 100 * netem.KBps})
-	if got := l.UploadCap(); got != 50*netem.KBps {
+	if got := netem.Rate(l.ucur); got != 50*netem.KBps {
 		t.Errorf("initial cap = %v, want 50 KBps", got)
 	}
 	if lim.Rate() != 50*netem.KBps {
@@ -53,7 +53,7 @@ func TestLIHDIncreasesWhileDownloadsImprove(t *testing.T) {
 	// (updates 3,4,5 see strictly increasing rates; update 2 compares with
 	// 1000 < 2000 → also +α) ⇒ 4 increases.
 	want := 50*netem.KBps + 4*10*netem.KBps
-	if got := l.UploadCap(); got != want {
+	if got := netem.Rate(l.ucur); got != want {
 		t.Errorf("cap = %v, want %v", got, want)
 	}
 }
@@ -65,11 +65,11 @@ func TestLIHDDecreaseAccelerates(t *testing.T) {
 	e.RunUntil(40 * time.Second)
 	// Updates: #1 records only. #2: worse → −β. #3: −2β. #4: −3β. Total −6β
 	// ⇒ 50 − 60 → clamped at the 1 KB/s default Umin.
-	if got, want := l.UploadCap(), 1*netem.KBps; got != want {
+	if got, want := netem.Rate(l.ucur), 1*netem.KBps; got != want {
 		t.Errorf("cap = %v, want %v", got, want)
 	}
-	if l.Updates() != 4 {
-		t.Errorf("updates = %d", l.Updates())
+	if l.regUpdates.Value() != 4 {
+		t.Errorf("updates = %d", l.regUpdates.Value())
 	}
 }
 
@@ -78,7 +78,7 @@ func TestLIHDHoldsInsideNoiseBand(t *testing.T) {
 	e, _, l := lihdFixture([]float64{1000, 1010, 995, 1005, 1000}, LIHDConfig{})
 	l.Start()
 	e.RunUntil(50 * time.Second)
-	if got, want := l.UploadCap(), 50*netem.KBps; got != want {
+	if got, want := netem.Rate(l.ucur), 50*netem.KBps; got != want {
 		t.Errorf("cap = %v, want unchanged %v", got, want)
 	}
 }
@@ -92,7 +92,7 @@ func TestLIHDClampsAtUmaxAndUmin(t *testing.T) {
 	e, _, l := lihdFixture(up, LIHDConfig{Umax: 60 * netem.KBps})
 	l.Start()
 	e.RunUntil(300 * time.Second)
-	if got := l.UploadCap(); got != 60*netem.KBps {
+	if got := netem.Rate(l.ucur); got != 60*netem.KBps {
 		t.Errorf("cap = %v, want clamp at 60 KBps", got)
 	}
 
@@ -104,7 +104,7 @@ func TestLIHDClampsAtUmaxAndUmin(t *testing.T) {
 	e2, _, l2 := lihdFixture(down, LIHDConfig{Umin: 2 * netem.KBps})
 	l2.Start()
 	e2.RunUntil(300 * time.Second)
-	if got := l2.UploadCap(); got != 2*netem.KBps {
+	if got := netem.Rate(l2.ucur); got != 2*netem.KBps {
 		t.Errorf("cap = %v, want clamp at Umin 2 KBps", got)
 	}
 }
@@ -117,12 +117,12 @@ func TestLIHDRecoveryResetsDecreaseHistory(t *testing.T) {
 	// #1 record. #2 worse −β (40). #3 worse −2β (20). #4 improve +α (30),
 	// reset. #5 worse −β (20) — NOT −3β: the improvement reset the history.
 	e.RunUntil(50 * time.Second)
-	if got, want := l.UploadCap(), 20*netem.KBps; got != want {
+	if got, want := netem.Rate(l.ucur), 20*netem.KBps; got != want {
 		t.Errorf("cap after update 5 = %v, want %v (decrease history not reset)", got, want)
 	}
 	// #6 worse −2β → 0, clamped at the default Umin of 1 KB/s.
 	e.RunUntil(60 * time.Second)
-	if got, want := l.UploadCap(), 1*netem.KBps; got != want {
+	if got, want := netem.Rate(l.ucur), 1*netem.KBps; got != want {
 		t.Errorf("cap after update 6 = %v, want %v", got, want)
 	}
 }
@@ -132,10 +132,10 @@ func TestLIHDStopFreezesCap(t *testing.T) {
 	l.Start()
 	e.RunUntil(20 * time.Second)
 	l.Stop()
-	capBefore := l.UploadCap()
+	capBefore := netem.Rate(l.ucur)
 	e.RunUntil(2 * time.Minute)
-	if l.UploadCap() != capBefore {
-		t.Errorf("cap moved after Stop: %v → %v", capBefore, l.UploadCap())
+	if netem.Rate(l.ucur) != capBefore {
+		t.Errorf("cap moved after Stop: %v → %v", capBefore, netem.Rate(l.ucur))
 	}
 }
 

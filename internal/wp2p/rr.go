@@ -51,7 +51,6 @@ type RoleReversal struct {
 	lastIP       netem.IP
 	deadSince    time.Duration
 	everAlive    bool
-	reversals    int
 	regReversals *stats.Counter
 
 	// OnReversal fires after each reconnect sweep, for tests and metrics.
@@ -86,9 +85,6 @@ func (r *RoleReversal) Stop() {
 	}
 }
 
-// Reversals counts reconnect sweeps performed.
-func (r *RoleReversal) Reversals() int { return r.reversals }
-
 func (r *RoleReversal) check() {
 	if ip := r.iface.IP(); ip != r.lastIP {
 		r.lastIP = ip
@@ -117,7 +113,6 @@ func (r *RoleReversal) check() {
 // reverse tears down the stale task state and immediately re-establishes
 // connections to every stored peer, announcing the new address as it goes.
 func (r *RoleReversal) reverse() {
-	r.reversals++
 	r.regReversals.Inc()
 	r.client.Restart(!r.cfg.RetainIdentity)
 	r.client.RedialKnown()
