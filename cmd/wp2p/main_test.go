@@ -125,6 +125,8 @@ func TestRejectedBeforeAnyWorld(t *testing.T) {
 		{"no scenario file", []string{"scenario", "-scale", "0.05"}, 2, "usage: wp2p scenario"},
 		{"missing scenario file", []string{"scenario", "-scale", "0.05", fig4aSpec, filepath.Join(dir, "none.json")}, 1, "none.json"},
 		{"bad sweep", []string{"scenario", "-sweep", "nonsense", fig4aSpec}, 2, "-sweep"},
+		// The loader's own rule, reached from the flag: this printed a table of zeros.
+		{"negative runs", []string{"scenario", "-scale", "0.05", "-runs", "-1", fig4aSpec}, 2, "runs: must be ≥ 0, got -1"},
 		{"figures with an argument", []string{"figures", "-scale", "0.05", "fig4a"}, 2, "unexpected argument"},
 		{"barrierprofile without shards", []string{"run", "-scale", "0.05", "-barrierprofile", anExperiment}, 2, "-barrierprofile needs -shards"},
 		{"sample-every without timeseries", []string{"run", "-scale", "0.05", "-sample-every", "1s", anExperiment}, 2, "-sample-every needs -timeseries"},
@@ -212,16 +214,17 @@ func TestOutputsAndObservers(t *testing.T) {
 	}
 }
 
-// TestFiguresReport also pins every registry experiment's wp2p.result.v1
-// export to the hashes in testdata/figures_scale003.sha256 (sha256sum format),
-// the standing gate for "no export moves unless the PR says which and why".
+// TestFiguresReport also pins the report text and every registry
+// experiment's wp2p.result.v1 export to the hashes in
+// testdata/figures_scale003.sha256 (sha256sum format), the standing gate for
+// "no number moves unless the PR says which and why".
 func TestFiguresReport(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all 16 experiments")
+		t.Skip("runs all 16 experiments, twice")
 	}
 	dir := t.TempDir()
-	report := filepath.Join(dir, "r.md")
-	code, stdout, stderr := wp2p("figures", "-scale", "0.03", "-json", dir, "-o", report)
+	report := filepath.Join(dir, "report.md")
+	code, stdout, stderr := wp2p("figures", "-scale", "0.03", "-parallel", "1", "-json", dir, "-o", report)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -235,8 +238,20 @@ func TestFiguresReport(t *testing.T) {
 	if n := strings.Count(string(md), "\n## "); n != 16 {
 		t.Errorf("report has %d sections, want 16", n)
 	}
-	if !strings.HasPrefix(string(md), "# Reproduced figures (scale 0.03)\n\nGenerated by `wp2p figures -scale 0.03`.") {
+	if !strings.HasPrefix(string(md), "# Reproduced figures (scale 0.03)\n\nGenerated by `wp2p figures -scale 0.03`,") {
 		t.Errorf("unexpected report header:\n%.200s", md)
+	}
+	// The report is a function of the command line alone: no timing, and the
+	// same bytes however the runs are scheduled.
+	if strings.Contains(string(md), "_runtime") {
+		t.Error("report still carries a _runtime line")
+	}
+	code, again, stderr := wp2p("figures", "-scale", "0.03", "-parallel", "4")
+	if code != 0 {
+		t.Fatalf("-parallel 4: exit %d, stderr:\n%s", code, stderr)
+	}
+	if !bytes.Equal(md, []byte(again)) {
+		t.Error("report differs between -parallel 1 -o file and -parallel 4 on stdout")
 	}
 
 	if runtime.GOARCH != "amd64" {
@@ -247,8 +262,8 @@ func TestFiguresReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(table)), "\n")
-	if len(lines) != 16 {
-		t.Fatalf("hash table has %d lines, want 16", len(lines))
+	if len(lines) != 17 {
+		t.Fatalf("hash table has %d lines, want 16 exports and report.md", len(lines))
 	}
 	for _, line := range lines {
 		want, name, _ := strings.Cut(line, "  ")

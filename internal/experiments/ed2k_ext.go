@@ -34,7 +34,9 @@ func ExtEd2kIdentity(scale float64) *Result {
 	}
 
 	col := stats.NewCollector()
-	run := func(retainHash bool, seed int64) (x, y []float64) {
+	sample := horizon / 20
+	x := minuteAxis(sample, horizon)
+	run := func(retainHash bool, seed int64) (y []float64) {
 		w := NewWorld(seed, 0)
 		defer w.Finish(col)
 		file := &ed2k.File{ID: "fedora.iso", Size: fileSize, ChunkLen: 256 * 1024}
@@ -81,34 +83,18 @@ func ExtEd2kIdentity(scale float64) *Result {
 		}
 		h.Start()
 
-		sample := horizon / 20
-		for t := sample; t <= horizon; t += sample {
+		for range x {
 			w.RunFor(sample)
-			x = append(x, t.Minutes())
 			y = append(y, mb(mobile.Downloaded()))
 		}
-		return x, y
-	}
-
-	type curve struct{ x, y []float64 }
-	average := func(retain bool) curve {
-		curves := runner.Map(runs, func(r int) curve {
-			xs, ys := run(retain, 1+int64(r)*601)
-			return curve{xs, ys}
-		})
-		avg := make([]float64, len(curves[0].y))
-		for _, c := range curves {
-			for i := range c.y {
-				avg[i] += c.y[i] / float64(runs)
-			}
-		}
-		return curve{curves[0].x, avg}
+		return y
 	}
 
 	// Retain-vs-regenerate are independent too; fan them along with runs.
-	both := runner.Map(2, func(i int) curve { return average(i == 1) })
-	x, defY := both[0].x, both[0].y
-	keepY := both[1].y
+	both := runner.Sweep([]bool{false, true}, func(_ int, retain bool) []float64 {
+		return runner.AverageSeries(runs, func(r int) []float64 { return run(retain, 1+int64(r)*601) })
+	})
+	defY, keepY := both[0], both[1]
 	res.AddSeries("new hash each handoff (default)", x, defY)
 	res.AddSeries("hash retained (wP2P principle)", x, keepY)
 	if n := len(x) - 1; n >= 0 && defY[n] > 0 {

@@ -85,6 +85,27 @@ func TestFig2bcShape(t *testing.T) {
 	}
 }
 
+// TestFig3aShape: on wired access, uploading more buys more download
+// (paper Fig. 3a, ≈1.9× from no upload to a 90% cap). The tit-for-tat
+// credit that produces the slope needs the full-scale horizon to build —
+// at -scale 0.1 the curve is flat — so the test keeps Scale 1 and thins
+// the cap axis instead.
+func TestFig3aShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twelve full-horizon swarms")
+	}
+	res := Fig3aUploadCapWired(Fig3Config{CapFractions: []float64{0, 0.3, 0.6, 0.9}})
+	y := res.Series[0].Y
+	for i := 1; i < len(y); i++ {
+		if y[i] < 0.95*y[i-1] { // monotone within seed noise
+			t.Errorf("download rate fell from %.1f to %.1f KB/s as the cap rose to %.0f%%: %v", y[i-1], y[i], res.Series[0].X[i], y)
+		}
+	}
+	if ratio := y[len(y)-1] / y[0]; ratio < 1.5 {
+		t.Errorf("90%% cap downloads %.2fx the no-upload rate, want ≥ 1.5x (paper ≈ 1.9x): %v", ratio, y)
+	}
+}
+
 func TestFig3cOrdering(t *testing.T) {
 	res := Fig3cIncentiveMobility(Fig3cConfig{Scale: 0.04})
 	noMobUp := res.Series[0].Y

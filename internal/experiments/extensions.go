@@ -54,8 +54,8 @@ func AblationWP2P(scale float64) *Result {
 	}
 
 	col := stats.NewCollector()
-	runVariant := func(i int, v variant, seed int64) (dlMB, playable float64) {
-		w := NewWorld(seed, 90*time.Second)
+	runVariant := func(i int, v variant, r int) (dlMB, playable float64) {
+		w := NewWorld(1+int64(r)*431, 90*time.Second)
 		defer w.Finish(col)
 		tor := bt.NewMetaInfo("ablation", fileSize, 256*1024)
 		w.PopulateSwarm(tor, SwarmConfig{Seeds: 3, SeedCap: 50 * netem.KBps, Leeches: leeches, Slots: 2})
@@ -82,25 +82,11 @@ func AblationWP2P(scale float64) *Result {
 		return mb(client.BT.Downloaded()), playable
 	}
 
-	pts := runner.Sweep(variants, func(i int, v variant) [2]float64 {
-		pairs := runner.Map(runs, func(r int) [2]float64 {
-			d, p := runVariant(i, v, 1+int64(r)*431)
-			return [2]float64{d, p}
-		})
-		var dl, play float64
-		for _, pair := range pairs {
-			dl += pair[0] / float64(runs)
-			play += pair[1] / float64(runs)
-		}
-		return [2]float64{dl, play}
-	})
-	var xs, mbs, plays []float64
+	mbs, plays := sweepPairs(variants, runs, runVariant)
+	var xs []float64
 	for i, v := range variants {
-		dl, play := pts[i][0], pts[i][1]
 		xs = append(xs, float64(i))
-		mbs = append(mbs, dl)
-		plays = append(plays, play)
-		res.Note("%d=%s: %.1f MB, playable %.0f%% of fetched (mean of %d runs)", i, v.name, dl, play, runs)
+		res.Note("%d=%s: %.1f MB, playable %.0f%% of fetched (mean of %d runs)", i, v.name, mbs[i], plays[i], runs)
 	}
 	res.AddSeries("MB downloaded", xs, mbs)
 	res.AddSeries("playable % of fetched", xs, plays)

@@ -90,22 +90,10 @@ func Fig2aBiVsUniTCP(cfg Fig2aConfig) *Result {
 		return float64(rcvd) / (w.Engine.Now() - start).Seconds()
 	}
 
-	pts := runner.Sweep(cfg.BERs, func(_ int, ber float64) [2]float64 {
-		pairs := runner.Map(cfg.Runs, func(r int) [2]float64 {
-			return [2]float64{measure(true, ber, r), measure(false, ber, r)}
-		})
-		var bi, uni float64
-		for _, pair := range pairs {
-			bi += pair[0]
-			uni += pair[1]
-		}
-		return [2]float64{kbps(bi / float64(cfg.Runs)), kbps(uni / float64(cfg.Runs))}
+	biY, uniY := sweepPairs(cfg.BERs, cfg.Runs, func(_ int, ber float64, r int) (float64, float64) {
+		return measure(true, ber, r), measure(false, ber, r)
 	})
-	biY := make([]float64, len(pts))
-	uniY := make([]float64, len(pts))
-	for i, pt := range pts {
-		biY[i], uniY[i] = pt[0], pt[1]
-	}
+	inKBps(biY, uniY)
 	res.AddSeries("Bi-TCP", cfg.BERs, biY)
 	res.AddSeries("Uni-TCP", cfg.BERs, uniY)
 	if n := len(cfg.BERs) - 1; n > 0 && biY[n] > 0 {

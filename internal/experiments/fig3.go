@@ -203,7 +203,8 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 	}
 
 	col := stats.NewCollector()
-	runOnce := func(mobile, uploading bool, rngSeed int64) (x, y []float64) {
+	x := minuteAxis(samplePeriod, horizon)
+	runOnce := func(mobile, uploading bool, rngSeed int64) (y []float64) {
 		w := NewWorld(rngSeed, time.Minute)
 		defer w.Finish(col)
 		tor := bt.NewMetaInfo("fig3c", fileSize, 256*1024)
@@ -225,27 +226,11 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 			mobility.DefaultReaction(w.Engine, h, me, 5*time.Second)
 			h.Start()
 		}
-		for t := samplePeriod; t <= horizon; t += samplePeriod {
+		for range x {
 			w.RunFor(samplePeriod)
-			x = append(x, t.Minutes())
 			y = append(y, mb(me.Downloaded()))
 		}
-		return x, y
-	}
-
-	type curve struct{ x, y []float64 }
-	run := func(mobile, uploading bool) curve {
-		curves := runner.Map(cfg.Runs, func(r int) curve {
-			xs, ys := runOnce(mobile, uploading, 1+int64(r)*811)
-			return curve{xs, ys}
-		})
-		avg := make([]float64, len(curves[0].y))
-		for _, c := range curves {
-			for i := range c.y {
-				avg[i] += c.y[i] / float64(cfg.Runs)
-			}
-		}
-		return curve{curves[0].x, avg}
+		return y
 	}
 
 	// The four incentive × mobility cells are independent worlds too, so
@@ -260,14 +245,15 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 		{"mobility, uploading", true, true},
 		{"mobility, no uploading", true, false},
 	}
-	cells := runner.Sweep(combos, func(_ int, c combo) curve {
-		return run(c.mobile, c.uploading)
+	cells := runner.Sweep(combos, func(_ int, c combo) []float64 {
+		return runner.AverageSeries(cfg.Runs, func(r int) []float64 {
+			return runOnce(c.mobile, c.uploading, 1+int64(r)*811)
+		})
 	})
-	x := cells[0].x
 	for i, c := range combos {
-		res.AddSeries(c.label, x, cells[i].y)
+		res.AddSeries(c.label, x, cells[i])
 	}
-	y, y2, y3, y4 := cells[0].y, cells[1].y, cells[2].y, cells[3].y
+	y, y2, y3, y4 := cells[0], cells[1], cells[2], cells[3]
 	last := len(x) - 1
 	if last >= 0 {
 		res.Note("final MB: noMob/up=%.1f noMob/noUp=%.1f mob/up=%.1f mob/noUp=%.1f",

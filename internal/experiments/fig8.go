@@ -50,7 +50,7 @@ func Fig8aAgeBasedManipulation(cfg Fig8aConfig) *Result {
 	}
 
 	col := stats.NewCollector()
-	run := func(ber float64, r int) (defRate, wpRate float64) {
+	run := func(_ int, ber float64, r int) (defRate, wpRate float64) {
 		w := NewWorld(1+int64(r)*977, time.Minute)
 		defer w.Finish(col)
 		tor := bt.NewMetaInfo("fig8a", fileSize, 256*1024)
@@ -92,23 +92,8 @@ func Fig8aAgeBasedManipulation(cfg Fig8aConfig) *Result {
 		return rate(def.Downloaded(), def.CompletedAt()), rate(wpc.BT.Downloaded(), wpc.BT.CompletedAt())
 	}
 
-	pts := runner.Sweep(cfg.BERs, func(_ int, ber float64) [2]float64 {
-		pairs := runner.Map(cfg.Runs, func(r int) [2]float64 {
-			dr, pr := run(ber, r)
-			return [2]float64{dr, pr}
-		})
-		var d, p float64
-		for _, pair := range pairs {
-			d += pair[0]
-			p += pair[1]
-		}
-		return [2]float64{kbps(d / float64(cfg.Runs)), kbps(p / float64(cfg.Runs))}
-	})
-	defY := make([]float64, len(pts))
-	wpY := make([]float64, len(pts))
-	for i, pt := range pts {
-		defY[i], wpY[i] = pt[0], pt[1]
-	}
+	defY, wpY := sweepPairs(cfg.BERs, cfg.Runs, run)
+	inKBps(defY, wpY)
 	res.AddSeries("Default P2P", cfg.BERs, defY)
 	res.AddSeries("wP2P (AM)", cfg.BERs, wpY)
 	var gain float64
@@ -167,7 +152,11 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 	}
 
 	col := stats.NewCollector()
-	run := func(seed int64) (x, defY, wpY []float64) {
+	sample := horizon / 25
+	x := minuteAxis(sample, horizon)
+	// run returns both curves of one world as one series: the default
+	// client's samples, then the wP2P client's.
+	run := func(seed int64) []float64 {
 		w := NewWorld(seed, 90*time.Second)
 		defer w.Finish(col)
 		tor := bt.NewMetaInfo("fedora-7-live", fileSize, 256*1024)
@@ -195,30 +184,17 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 		hWp := mobility.NewHandoff(w.Engine, w.Net, wpHost.Iface, mobility.NewIPAllocator(3000), handoffPeriod)
 		hWp.Start() // RR detects the change itself
 
-		sample := horizon / 25
-		for t := sample; t <= horizon; t += sample {
+		var defY, wpY []float64
+		for range x {
 			w.RunFor(sample)
-			x = append(x, t.Minutes())
 			defY = append(defY, mb(def.Downloaded()))
 			wpY = append(wpY, mb(wpc.BT.Downloaded()))
 		}
-		return x, defY, wpY
+		return append(defY, wpY...)
 	}
 
-	type curves struct{ x, def, wp []float64 }
-	all := runner.Map(cfg.Runs, func(r int) curves {
-		xs, d, p := run(1 + int64(r)*733)
-		return curves{xs, d, p}
-	})
-	x := all[0].x
-	defAvg := make([]float64, len(all[0].def))
-	wpAvg := make([]float64, len(all[0].wp))
-	for _, c := range all {
-		for i := range c.def {
-			defAvg[i] += c.def[i] / float64(cfg.Runs)
-			wpAvg[i] += c.wp[i] / float64(cfg.Runs)
-		}
-	}
+	avg := runner.AverageSeries(cfg.Runs, func(r int) []float64 { return run(1 + int64(r)*733) })
+	defAvg, wpAvg := avg[:len(x)], avg[len(x):]
 	res.AddSeries("Default P2P", x, defAvg)
 	res.AddSeries("wP2P (identity retention)", x, wpAvg)
 	if n := len(x) - 1; n >= 0 {
@@ -312,22 +288,10 @@ func Fig8cLIHD(cfg Fig8cConfig) *Result {
 	for i, bw := range cfg.Bandwidths {
 		x[i] = float64(bw) / 1000
 	}
-	pts := runner.Sweep(cfg.Bandwidths, func(_ int, bw netem.Rate) [2]float64 {
-		pairs := runner.Map(cfg.Runs, func(r int) [2]float64 {
-			return [2]float64{run(bw, false, r), run(bw, true, r)}
-		})
-		var d, p float64
-		for _, pair := range pairs {
-			d += pair[0]
-			p += pair[1]
-		}
-		return [2]float64{kbps(d / float64(cfg.Runs)), kbps(p / float64(cfg.Runs))}
+	defY, wpY := sweepPairs(cfg.Bandwidths, cfg.Runs, func(_ int, bw netem.Rate, r int) (float64, float64) {
+		return run(bw, false, r), run(bw, true, r)
 	})
-	defY := make([]float64, len(pts))
-	wpY := make([]float64, len(pts))
-	for i, pt := range pts {
-		defY[i], wpY[i] = pt[0], pt[1]
-	}
+	inKBps(defY, wpY)
 	res.AddSeries("Default P2P", x, defY)
 	res.AddSeries("wP2P (LIHD)", x, wpY)
 	if n := len(x) - 1; n >= 0 && defY[n] > 0 {

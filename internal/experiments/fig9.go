@@ -6,7 +6,6 @@ import (
 	"github.com/wp2p/wp2p/internal/bt"
 	"github.com/wp2p/wp2p/internal/mobility"
 	"github.com/wp2p/wp2p/internal/netem"
-	"github.com/wp2p/wp2p/internal/runner"
 	"github.com/wp2p/wp2p/internal/stats"
 	"github.com/wp2p/wp2p/internal/wp2p"
 )
@@ -118,23 +117,11 @@ func Fig9cRoleReversal(cfg Fig9cConfig) *Result {
 	for i, p := range cfg.Periods {
 		x[i] = p.Minutes()
 	}
-	pts := runner.Sweep(cfg.Periods, func(_ int, p time.Duration) [2]float64 {
-		pairs := runner.Map(cfg.Runs, func(r int) [2]float64 {
-			seed := 1 + int64(r)*547
-			return [2]float64{run(p, false, seed), run(p, true, seed)}
-		})
-		var d, wpv float64
-		for _, pair := range pairs {
-			d += pair[0]
-			wpv += pair[1]
-		}
-		return [2]float64{kbps(d / float64(cfg.Runs)), kbps(wpv / float64(cfg.Runs))}
+	defY, wpY := sweepPairs(cfg.Periods, cfg.Runs, func(_ int, p time.Duration, r int) (float64, float64) {
+		seed := 1 + int64(r)*547
+		return run(p, false, seed), run(p, true, seed)
 	})
-	defY := make([]float64, len(pts))
-	wpY := make([]float64, len(pts))
-	for i, pt := range pts {
-		defY[i], wpY[i] = pt[0], pt[1]
-	}
+	inKBps(defY, wpY)
 	res.AddSeries("Default P2P", x, defY)
 	res.AddSeries("wP2P (RR)", x, wpY)
 	if n := len(x) - 1; n >= 0 && defY[n] > 0 {

@@ -8,6 +8,7 @@ import (
 	"github.com/wp2p/wp2p/internal/check"
 	"github.com/wp2p/wp2p/internal/flow"
 	"github.com/wp2p/wp2p/internal/netem"
+	"github.com/wp2p/wp2p/internal/runner"
 	"github.com/wp2p/wp2p/internal/sim"
 	"github.com/wp2p/wp2p/internal/stats"
 	"github.com/wp2p/wp2p/internal/tcp"
@@ -354,8 +355,42 @@ func (w *World) RandomHave(tor *bt.MetaInfo, fraction float64) *bt.Bitfield {
 	return have
 }
 
+// sweepPairs fans xs over the pool and, at each point, measures a pair of
+// values per run (two clients of one world, or one world each) and averages
+// both through runner.AverageSeries. It returns one y column per value.
+func sweepPairs[X any](xs []X, runs int, measure func(i int, x X, run int) (a, b float64)) (as, bs []float64) {
+	pts := runner.Sweep(xs, func(i int, x X) []float64 {
+		return runner.AverageSeries(runs, func(r int) []float64 {
+			a, b := measure(i, x, r)
+			return []float64{a, b}
+		})
+	})
+	for _, pt := range pts {
+		as, bs = append(as, pt[0]), append(bs, pt[1])
+	}
+	return as, bs
+}
+
+// minuteAxis is the x axis of a progress curve sampled every period up to
+// the horizon; a run records one y per element.
+func minuteAxis(period, horizon time.Duration) (x []float64) {
+	for t := period; t <= horizon; t += period {
+		x = append(x, t.Minutes())
+	}
+	return x
+}
+
 // kbps converts bytes/second to KB/s for reporting.
 func kbps(bytesPerSec float64) float64 { return bytesPerSec / 1000 }
+
+// inKBps converts columns of bytes/second in place.
+func inKBps(cols ...[]float64) {
+	for _, ys := range cols {
+		for i := range ys {
+			ys[i] = kbps(ys[i])
+		}
+	}
+}
 
 // mb converts bytes to megabytes for reporting.
 func mb(bytes int64) float64 { return float64(bytes) / 1e6 }

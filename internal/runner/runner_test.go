@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -82,6 +84,31 @@ func TestParallelMatchesSequentialReduction(t *testing.T) {
 	for i := range seqS {
 		if seqS[i] != parS[i] {
 			t.Fatalf("AverageSeries diverged at %d: %v vs %v", i, seqS, parS)
+		}
+	}
+}
+
+// TestAverageSeriesRoundsLikeAverage pins the one rounding rule every
+// reproduced mean goes through: Σ in run order, then ÷ n, element-wise
+// bit-equal between the scalar and the series reducer.
+func TestAverageSeriesRoundsLikeAverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		runs, width := 1+rng.Intn(12), 1+rng.Intn(8)
+		data := make([][]float64, runs)
+		for r := range data {
+			data[r] = make([]float64, width)
+			for i := range data[r] {
+				// Magnitudes from bytes/s to fractions, so sums round.
+				data[r][i] = rng.Float64() * math.Pow(10, float64(rng.Intn(12)-3))
+			}
+		}
+		series := AverageSeries(runs, func(r int) []float64 { return data[r] })
+		for i := 0; i < width; i++ {
+			scalar := Average(runs, func(r int) float64 { return data[r][i] })
+			if math.Float64bits(series[i]) != math.Float64bits(scalar) {
+				t.Fatalf("trial %d, runs %d: AverageSeries[%d] = %v, Average = %v", trial, runs, i, series[i], scalar)
+			}
 		}
 	}
 }

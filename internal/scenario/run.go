@@ -117,34 +117,20 @@ func RunOpts(s *Spec, scale float64, opts Options) (*experiments.Result, error) 
 		return res, nil
 	}
 
-	// Scalar mode: flatten (series × value × run) into one fan-out, then
-	// reduce sequentially in index order.
-	type job struct{ spec *Spec }
-	var jobs []job
-	for si := range grid {
-		for vi := range grid[si] {
-			for r := 0; r < runs; r++ {
-				jobs = append(jobs, job{spec: grid[si][vi].spec})
-			}
-		}
-	}
-	ys := runner.Map(len(jobs), func(i int) float64 {
-		return runScalar(jobs[i].spec, scale, seed+int64(i%runs)*seedStride, col, sc, opts.Fidelity)
+	// Scalar mode: series, sweep values and runs all fan out together.
+	ys := runner.Sweep(grid, func(_ int, row []cell) []float64 {
+		return runner.Sweep(row, func(_ int, c cell) float64 {
+			return runner.Average(runs, func(r int) float64 {
+				return runScalar(c.spec, scale, seed+int64(r)*seedStride, col, sc, opts.Fidelity)
+			})
+		})
 	})
-	k := 0
 	for si, sv := range series {
 		x := make([]float64, len(grid[si]))
-		y := make([]float64, len(grid[si]))
-		for vi := range grid[si] {
-			sum := 0.0
-			for r := 0; r < runs; r++ {
-				sum += ys[k]
-				k++
-			}
-			x[vi] = grid[si][vi].x
-			y[vi] = sum / float64(runs)
+		for vi, c := range grid[si] {
+			x[vi] = c.x
 		}
-		res.AddSeries(sv.Label, x, y)
+		res.AddSeries(sv.Label, x, ys[si])
 	}
 	res.Stats = col.Snapshot()
 	return res, nil
