@@ -2,12 +2,12 @@ package bt
 
 import "fmt"
 
-// Bitfield tracks piece possession. The zero value is unusable; create
+// Bitfield tracks piece possession. The zero value covers no pieces; create
 // bitfields with NewBitfield.
 type Bitfield struct {
-	bits []uint64
-	n    int // number of pieces
-	set  int // population count, maintained incrementally
+	bits []uint64 // nil while a map made without words (peerConn.remoteHas) is still empty
+	n    int      // number of pieces
+	set  int      // population count, maintained incrementally
 }
 
 // NewBitfield returns an empty bitfield over n pieces.
@@ -18,6 +18,14 @@ func NewBitfield(n int) *Bitfield {
 	return &Bitfield{bits: make([]uint64, (n+63)/64), n: n}
 }
 
+// words returns the backing words, making them on first use.
+func (b *Bitfield) words() []uint64 {
+	if b.bits == nil {
+		b.bits = make([]uint64, (b.n+63)/64)
+	}
+	return b.bits
+}
+
 // Len returns the number of pieces the bitfield covers.
 func (b *Bitfield) Len() int { return b.n }
 
@@ -26,7 +34,8 @@ func (b *Bitfield) Has(i int) bool {
 	if i < 0 || i >= b.n {
 		return false
 	}
-	return b.bits[i/64]&(1<<uint(i%64)) != 0
+	w := uint(i) / 64
+	return w < uint(len(b.bits)) && b.bits[w]&(1<<(uint(i)%64)) != 0
 }
 
 // Set marks piece i present. Out-of-range indexes panic.
@@ -35,15 +44,15 @@ func (b *Bitfield) Set(i int) {
 		panic(fmt.Sprintf("bt: Set(%d) out of range [0,%d)", i, b.n))
 	}
 	w, m := i/64, uint64(1)<<uint(i%64)
-	if b.bits[w]&m == 0 {
-		b.bits[w] |= m
+	if bits := b.words(); bits[w]&m == 0 {
+		bits[w] |= m
 		b.set++
 	}
 }
 
 // Clear marks piece i absent.
 func (b *Bitfield) Clear(i int) {
-	if i < 0 || i >= b.n {
+	if i < 0 || i >= b.n || b.bits == nil {
 		return
 	}
 	w, m := i/64, uint64(1)<<uint(i%64)
@@ -61,9 +70,23 @@ func (b *Bitfield) Complete() bool { return b.set == b.n }
 
 // Clone returns an independent copy.
 func (b *Bitfield) Clone() *Bitfield {
-	c := &Bitfield{bits: make([]uint64, len(b.bits)), n: b.n, set: b.set}
-	copy(c.bits, b.bits)
+	c := &Bitfield{n: b.n}
+	c.copyFrom(b)
 	return c
+}
+
+// copyFrom overwrites b with src, a map over the same number of pieces, in
+// b's own words.
+func (b *Bitfield) copyFrom(src *Bitfield) {
+	if src.n != b.n {
+		panic(fmt.Sprintf("bt: copyFrom a map of %d pieces into one of %d", src.n, b.n))
+	}
+	if src.set == 0 { // nothing to hold: b's words, if any, stay its own
+		clear(b.bits)
+	} else {
+		copy(b.words(), src.bits)
+	}
+	b.set = src.set
 }
 
 // hasAnyNotIn reports whether b holds a piece that other lacks — b &^ other
@@ -83,6 +106,7 @@ func (b *Bitfield) hasAnyNotIn(other *Bitfield) bool {
 
 // SetAll marks every piece present.
 func (b *Bitfield) SetAll() {
+	b.words()
 	for i := range b.bits {
 		b.bits[i] = ^uint64(0)
 	}

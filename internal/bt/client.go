@@ -107,10 +107,14 @@ type Client struct {
 	picker  Picker
 	ledger  *CreditLedger
 
-	have    *Bitfield
-	pending *Bitfield // pieces currently active (being fetched)
-	avail   []int     // per-piece count over connected peers
-	active  []*pieceProgress
+	have *Bitfield
+	// haveSent is the copy of have that handshakes carry: immutable once
+	// sent, shared by every handshake until the next piece verifies, and nil
+	// when have has moved past it.
+	haveSent *Bitfield
+	pending  *Bitfield // pieces currently active (being fetched)
+	avail    []int     // per-piece count over connected peers
+	active   []*pieceProgress
 	// requested maps each in-flight block to its requesters, in request
 	// order. Outside endgame every block has exactly one; in endgame the
 	// final blocks are requested from several peers and the losers are
@@ -417,28 +421,16 @@ func (c *Client) dial(pi PeerInfo) {
 	}
 	c.dialing++
 	p := newPeerConn(c, conn, pi.Addr, false)
-	pendingDial := true
-	settle := func() {
-		if pendingDial {
-			pendingDial = false
-			c.dialing--
-		}
+	p.dialing = true
+	conn.SetOnEstablished(p.onEstablished)
+}
+
+// haveMsg is the bitfield message of a handshake sent now.
+func (c *Client) haveMsg() msgBitfield {
+	if c.haveSent == nil {
+		c.haveSent = c.have.Clone()
 	}
-	conn.SetOnEstablished(func() {
-		settle()
-		if len(c.peers) >= c.cfg.MaxPeers {
-			p.close()
-			return
-		}
-		c.peers = append(c.peers, p)
-		p.sendHandshake()
-	})
-	// newPeerConn installed the peer teardown handler; wrap it so a dial
-	// that fails before ever establishing still settles the dialing count.
-	conn.SetOnClose(func(err error) {
-		settle()
-		p.onConnClose(err)
-	})
+	return msgBitfield{Bits: c.haveSent}
 }
 
 func (c *Client) onAccept(conn transport.Conn) {
@@ -478,10 +470,16 @@ func (c *Client) peerReady(p *peerConn) {
 	if p.id < winner {
 		winner = p.id
 	}
-	for _, q := range append([]*peerConn(nil), c.peers...) {
-		if q == p || !q.gotHandshake || q.id != p.id {
-			continue
+	// Closing a peer edits c.peers, so the duplicates are picked out first;
+	// there is almost never one, and then the walk allocates nothing.
+	var buf [4]*peerConn
+	dups := buf[:0]
+	for _, q := range c.peers {
+		if q != p && q.gotHandshake && q.id == p.id {
+			dups = append(dups, q)
 		}
+	}
+	for _, q := range dups {
 		switch {
 		case initiator(p) == initiator(q):
 			q.close() // same direction: the older one is stale
@@ -492,7 +490,9 @@ func (c *Client) peerReady(p *peerConn) {
 			return
 		}
 	}
-	c.backoff[p.addr] = 0
+	// The address answered: forget its cool-down. (Storing a zero here kept
+	// one entry per address ever seen — every IP a mobile peer ever held.)
+	delete(c.backoff, p.addr)
 }
 
 func (c *Client) removePeer(p *peerConn) {
@@ -501,7 +501,7 @@ func (c *Client) removePeer(p *peerConn) {
 	}
 	p.closed = true
 	c.returnRequests(p)
-	c.availReplace(p.remoteHas, nil)
+	c.availReplace(&p.remoteHas, nil)
 	for i, q := range c.peers {
 		if q == p {
 			c.peers = append(c.peers[:i], c.peers[i+1:]...)
@@ -623,7 +623,7 @@ func (c *Client) pickBlock(p *peerConn) (piece, block int) {
 	ctx := &PickContext{
 		Have:     c.have,
 		Pending:  c.pending,
-		PeerHas:  p.remoteHas,
+		PeerHas:  &p.remoteHas,
 		Avail:    c.avail,
 		Progress: c.Progress(),
 		Rand:     c.engine.Rand(),
@@ -772,6 +772,7 @@ func (c *Client) completePiece(piece int) {
 	c.pending.Clear(piece)
 	delete(c.failedOnce, piece)
 	c.have.Set(piece)
+	c.haveSent = nil
 	c.bytesHave += int64(c.torrent.PieceSize(piece))
 	for _, p := range c.peers {
 		p.send(msgHave{Piece: piece})

@@ -113,3 +113,26 @@ func TestDownloadUploadRateAccessors(t *testing.T) {
 		t.Error("seed upload rate zero mid-transfer")
 	}
 }
+
+// TestBackoffForgetsAddressesThatAnswered: a mobile peer dials a fixed one
+// from every address it ever holds, and the fixed peer's dial cool-downs must
+// not remember them all. The parent cleared a cool-down by storing a zero, so
+// Client.backoff kept one entry per address ever shaken hands with: 200 here.
+func TestBackoffForgetsAddressesThatAnswered(t *testing.T) {
+	env := newSwarmEnv(95, 8*BlockSize, BlockSize)
+	fixed := env.client(Config{})
+	if err := fixed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		conn, _ := foreignPeer(t, env, fixed) // a fresh host: the mobile after one more handoff
+		if n := len(fixed.backoff); n > len(fixed.peers) {
+			t.Fatalf("after %d addresses: %d cool-downs for %d live peers", i+1, n, len(fixed.peers))
+		}
+		conn.Abort()
+		env.engine.RunFor(time.Second)
+	}
+	if len(fixed.peers) != 0 || len(fixed.backoff) != 0 {
+		t.Errorf("%d peers and %d cool-downs left after every address went away", len(fixed.peers), len(fixed.backoff))
+	}
+}

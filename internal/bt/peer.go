@@ -11,12 +11,12 @@ import (
 // (choke/interest in both directions), the remote piece map, transfer-rate
 // estimators, and the request pipelines in both directions.
 type peerConn struct {
-	client  *Client
-	conn    transport.Conn
-	addr    netem.Addr // remote wire address
-	inbound bool
+	client *Client
+	conn   transport.Conn
+	addr   netem.Addr // remote wire address
 
 	id           PeerID
+	inbound      bool // beside the other flags: one word for all, and the struct stays in its 320 B size class
 	gotHandshake bool
 
 	amChoking      bool
@@ -24,17 +24,25 @@ type peerConn struct {
 	peerChoking    bool
 	peerInterested bool
 
-	remoteHas *Bitfield
+	// dialing is set from our Dial until the connection is established or
+	// dies, whichever comes first: while it is, the peer counts in
+	// Client.dialing and not yet in Client.peers.
+	dialing bool
 
-	upRate   *RateEstimator // payload bytes we sent to this peer
-	downRate *RateEstimator // payload bytes received from this peer
+	// The piece map and the estimators are held by value, and the map's
+	// words are made by its first Set or copyFrom: a connection is one object
+	// here, and most connections of a crowd never learn of a piece.
+	remoteHas Bitfield
+
+	upRate   RateEstimator // payload bytes we sent to this peer
+	downRate RateEstimator // payload bytes received from this peer
 
 	// requestsOut tracks blocks we have asked this peer for, in request
 	// order — the deterministic iteration returnRequests and the stale
 	// sweep need without sorting.
 	requestsOut requestList
 	// cancelled marks inbound requests withdrawn while queued on the upload
-	// limiter.
+	// limiter; nil until the first cancel arrives.
 	cancelled map[blockRef]bool
 	// sendQ holds granted blocks awaiting room in the TCP send buffer.
 	// Writing them all at once would head-of-line-block our own requests
@@ -50,6 +58,7 @@ type peerConn struct {
 	reqsDropChoked  int64 // requests ignored because the peer was choked
 	reqsDropNotHave int64 // requests for pieces we lack
 	badBlocks       int64 // requests and cancels dropped for naming no block of the torrent
+	badBitfields    int64 // bitfields refused for being absent or not the torrent's length
 	piecesSent      int64 // blocks served
 	piecesRcvd      int64 // blocks received
 	piecesUnwanted  int64 // blocks received without a matching request
@@ -63,10 +72,9 @@ func newPeerConn(c *Client, conn transport.Conn, addr netem.Addr, inbound bool) 
 		inbound:     inbound,
 		amChoking:   true,
 		peerChoking: true,
-		remoteHas:   NewBitfield(c.torrent.NumPieces()),
-		upRate:      NewRateEstimator(DefaultRateWindow),
-		downRate:    NewRateEstimator(DefaultRateWindow),
-		cancelled:   make(map[blockRef]bool),
+		remoteHas:   Bitfield{n: c.torrent.NumPieces()},
+		upRate:      RateEstimator{window: DefaultRateWindow},
+		downRate:    RateEstimator{window: DefaultRateWindow},
 		connectedAt: c.engine.Now(),
 	}
 	conn.SetOnMessage(p.onMessage)
@@ -117,10 +125,32 @@ func (p *peerConn) sendHandshake() {
 		PeerID:   p.client.peerID,
 		Seed:     p.client.have.Complete(),
 	})
-	p.send(msgBitfield{Bits: p.client.have.Clone()})
+	p.send(p.client.haveMsg())
+}
+
+// onEstablished runs when a connection we dialled completes its transport
+// handshake.
+func (p *peerConn) onEstablished() {
+	c := p.client
+	p.settleDial()
+	if len(c.peers) >= c.cfg.MaxPeers {
+		p.close()
+		return
+	}
+	c.peers = append(c.peers, p)
+	p.sendHandshake()
+}
+
+// settleDial takes the peer out of the client's count of dials in progress.
+func (p *peerConn) settleDial() {
+	if p.dialing {
+		p.dialing = false
+		p.client.dialing--
+	}
 }
 
 func (p *peerConn) onConnClose(error) {
+	p.settleDial() // a dial that failed before ever establishing
 	p.client.removePeer(p)
 }
 
@@ -157,6 +187,9 @@ func (p *peerConn) onMessage(v any) {
 		p.handlePiece(m)
 	case msgCancel:
 		if ref, ok := p.client.wireBlock(m.Piece, m.Begin, m.Length); ok {
+			if p.cancelled == nil {
+				p.cancelled = make(map[blockRef]bool)
+			}
 			p.cancelled[ref] = true
 		} else {
 			p.badBlocks++
@@ -183,9 +216,15 @@ func (p *peerConn) handleBitfield(m msgBitfield) {
 		p.close()
 		return
 	}
-	old := p.remoteHas
-	p.remoteHas = m.Bits.Clone()
-	p.client.availReplace(old, p.remoteHas)
+	// The map is whatever the wire carried: one that is absent or not the
+	// torrent's length would answer Has for pieces that do not exist.
+	if m.Bits == nil || m.Bits.Len() != p.remoteHas.Len() {
+		p.badBitfields++
+		p.close()
+		return
+	}
+	p.client.availReplace(&p.remoteHas, m.Bits)
+	p.remoteHas.copyFrom(m.Bits) // the sender's map is shared and immutable
 	p.updateInterest()
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/ordset"
+	"github.com/wp2p/wp2p/internal/sim"
 	"github.com/wp2p/wp2p/internal/transport"
 )
 
@@ -325,6 +326,137 @@ func TestWirePieceCoordinatesChecked(t *testing.T) {
 	env.engine.RunFor(time.Second)
 	if leech.Downloaded() != BlockSize || p.piecesRcvd != 1 {
 		t.Errorf("the well-formed piece was not taken: downloaded %d, received %d", leech.Downloaded(), p.piecesRcvd)
+	}
+}
+
+// wireBackend is the little of a transport the bitfield test needs to run
+// once on the simulated stack and once over real loopback sockets.
+type wireBackend struct {
+	name   string
+	engine *sim.Engine
+	host   func() transport.Interface
+	do     func(fn func())             // runs fn on the event goroutine
+	wait   func(cond func() bool) bool // advances until cond holds; false on timeout
+	close  func()
+}
+
+func simWireBackend() *wireBackend {
+	env := newSwarmEnv(94, 1, 1)
+	return &wireBackend{
+		name:   "sim",
+		engine: env.engine,
+		host:   func() transport.Interface { return transport.NewSim(env.wiredStack(0, 0)) },
+		do:     func(fn func()) { fn() },
+		wait: func(cond func() bool) bool {
+			for i := 0; i < 600 && !cond(); i++ {
+				env.engine.RunFor(100 * time.Millisecond)
+			}
+			return cond()
+		},
+		close: func() {},
+	}
+}
+
+func netWireBackend() *wireBackend {
+	g := transport.NewGroup(94)
+	nextIP := netem.IP(10)
+	return &wireBackend{
+		name:   "net",
+		engine: g.Engine(),
+		host:   func() transport.Interface { nextIP++; return g.Host(nextIP) },
+		do:     g.Do,
+		wait: func(cond func() bool) bool {
+			ok := false
+			for deadline := time.Now().Add(20 * time.Second); !ok && time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+				g.Do(func() { ok = cond() })
+			}
+			return ok
+		},
+		close: g.Close,
+	}
+}
+
+// TestWireBitfieldChecked: the piece map in a msgBitfield is whatever the
+// wire carried. A peer that sends none, or one of another length, is closed
+// and counted; the parent dereferenced the nil and adopted the other — a map
+// whose Has answers for pieces the torrent does not have.
+func TestWireBitfieldChecked(t *testing.T) {
+	for _, mk := range []func() *wireBackend{simWireBackend, netWireBackend} {
+		b := mk()
+		t.Run(b.name, func(t *testing.T) {
+			defer b.close()
+			tor := NewMetaInfo("test-file", 8*BlockSize, BlockSize) // 8 pieces
+			var target *Client
+			var err error // do may run its func on another goroutine, where t.Fatal must not
+			b.do(func() {
+				target = NewClient(Config{
+					Transport: b.host(), Torrent: tor,
+					Tracker: NewTracker(b.engine, TrackerConfig{Interval: 30 * time.Second}),
+				})
+				err = target.Start()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// hello connects a raw peer that handshakes and, once the target
+			// knows it, sends bits.
+			hello := func(bits *Bitfield) (p *peerConn, hungUp *bool) {
+				hungUp = new(bool)
+				var conn transport.Conn
+				b.do(func() {
+					if conn, err = b.host().Dial(target.Addr()); err != nil {
+						return
+					}
+					conn.SetOnClose(func(error) { *hungUp = true })
+					conn.SetOnEstablished(func() {
+						conn.SendMessage(msgHandshake{InfoHash: tor.InfoHash(), PeerID: "-XX0000-foreign-peer"}, handshakeLen)
+					})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !b.wait(func() bool { return len(target.peers) == 1 && target.peers[0].gotHandshake }) {
+					t.Fatal("the raw peer's handshake was not taken")
+				}
+				b.do(func() {
+					p = target.peers[0]
+					conn.SendMessage(msgBitfield{Bits: bits}, msgOverhead+1) // not wireLen: it reads Bits
+				})
+				return p, hungUp
+			}
+
+			full := NewBitfield(8)
+			full.SetAll()
+			long := NewBitfield(9)
+			long.SetAll()
+			for i, bad := range []*Bitfield{nil, long, NewBitfield(7), NewBitfield(0)} {
+				p, hungUp := hello(bad)
+				if !b.wait(func() bool { return *hungUp }) {
+					t.Fatalf("case %d: the peer was not hung up on", i)
+				}
+				b.do(func() {
+					if !p.closed || p.badBitfields != 1 || len(target.peers) != 0 || p.remoteHas.Count() != 0 {
+						t.Errorf("case %d: closed=%v badBitfields=%d peers=%d remoteHas=%v; want the peer closed and counted, its map untouched",
+							i, p.closed, p.badBitfields, len(target.peers), &p.remoteHas)
+					}
+					for piece, a := range target.avail {
+						if a != 0 {
+							t.Errorf("case %d: availability of piece %d is %d after the refusal", i, piece, a)
+						}
+					}
+				})
+			}
+			// The door is open to the real thing.
+			p, _ := hello(full)
+			if !b.wait(func() bool { return p.closed || p.remoteHas.Count() > 0 }) {
+				t.Fatal("the well-formed bitfield was neither taken nor refused")
+			}
+			b.do(func() {
+				if p.closed || p.badBitfields != 0 || !p.remoteHas.Complete() || target.avail[7] != 1 {
+					t.Errorf("a well-formed bitfield was not taken: closed=%v badBitfields=%d remoteHas=%v", p.closed, p.badBitfields, &p.remoteHas)
+				}
+			})
+		})
 	}
 }
 

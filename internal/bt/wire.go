@@ -54,15 +54,13 @@ type msgHave struct{ Piece int }
 
 func (msgHave) wireLen() int { return msgOverhead + 4 }
 
-// msgBitfield announces the full piece map right after the handshake.
+// msgBitfield announces the full piece map right after the handshake. Bits is
+// never written after the send (Client.haveMsg), so one map serves every
+// handshake, tcp retransmission and another shard's engine, and the receiver
+// copies it into its own (handleBitfield).
 type msgBitfield struct{ Bits *Bitfield }
 
 func (m msgBitfield) wireLen() int { return msgOverhead + (m.Bits.Len()+7)/8 }
-
-// Migrate deep-copies the bitfield for cross-shard delivery
-// (netem.Migratable): the sender keeps mutating its own Bitfield as pieces
-// verify, so the copy must not share storage.
-func (m msgBitfield) Migrate() any { return msgBitfield{Bits: m.Bits.Clone()} }
 
 // msgRequest asks for one block.
 type msgRequest struct {

@@ -21,14 +21,59 @@ type laneProg struct {
 	nextID int
 	live   []liveEvent // cancellable events still pending, in schedule order
 	timers []*Timer
-	budget int // events callbacks may still spawn
-	steps  int // afterStep invocations
+	owned  [4]progTimer // embedded Timers, or their Schedule twins on the reference side
+	budget int          // events callbacks may still spawn
+	steps  int          // afterStep invocations
 	fired  int
 }
 
 type liveEvent struct {
 	id int
 	ev *Event
+}
+
+// progTimer is a timer the program owns by value. With lanes it is an embedded
+// Timer bound in place, fired by the engine through OnTimer; on the reference
+// side it is what a Timer was before the engine knew of timers: a Schedule of a
+// closure that drops the handle, cancelled and scheduled afresh on every reset.
+type progTimer struct {
+	Timer
+	p   *laneProg
+	id  int
+	ref *Event
+}
+
+func (pt *progTimer) OnTimer(*Timer) { pt.p.onFire(pt.id) }
+
+func (pt *progTimer) reset(d time.Duration) {
+	if pt.p.lanes != nil {
+		pt.Reset(d)
+		return
+	}
+	pt.stop()
+	pt.ref = pt.p.e.Schedule(d, func() {
+		pt.ref = nil
+		pt.p.onFire(pt.id)
+	})
+}
+
+func (pt *progTimer) stop() {
+	if pt.p.lanes != nil {
+		pt.Stop()
+		return
+	}
+	pt.p.e.Cancel(pt.ref)
+	pt.ref = nil
+}
+
+func (pt *progTimer) when() (time.Duration, bool) {
+	if pt.p.lanes != nil {
+		return pt.When()
+	}
+	if pt.ref == nil {
+		return 0, false
+	}
+	return pt.ref.At(), true
 }
 
 func newLaneProg(seed int64, delays []time.Duration, useLanes bool) *laneProg {
@@ -46,6 +91,13 @@ func newLaneProg(seed int64, delays []time.Duration, useLanes bool) *laneProg {
 	for i := 0; i < 3; i++ {
 		id := -(i + 1)
 		p.timers = append(p.timers, NewTimer(p.e, func() { p.onFire(id) }))
+	}
+	for i := range p.owned {
+		pt := &p.owned[i]
+		pt.p, pt.id = p, -(len(p.timers) + i + 1)
+		if useLanes {
+			pt.Bind(p.e, pt)
+		}
 	}
 	p.e.SetAfterStep(func() { p.steps++ })
 	return p
@@ -71,7 +123,9 @@ func (p *laneProg) onFire(id int) {
 
 // op performs one random scheduling operation at the current instant.
 func (p *laneProg) op() {
-	switch k := p.rng.Intn(10); {
+	switch k := p.rng.Intn(12); {
+	case k >= 10:
+		p.timerStorm()
 	case k < 5:
 		p.laneEvent(p.rng.Intn(len(p.delays)))
 	case k < 8: // a heap event, half the time at a lane's delay to force ties
@@ -93,6 +147,22 @@ func (p *laneProg) op() {
 	default:
 		p.timers[p.rng.Intn(len(p.timers))].Reset(p.delays[p.rng.Intn(len(p.delays))])
 	}
+}
+
+// timerStorm re-arms and stops one owned timer several times at one instant,
+// as tcp does with its RTO timer on every ACK of a burst: each Reset must take
+// a fresh seq and hand the old Event back, and only the last arming may fire.
+func (p *laneProg) timerStorm() {
+	pt := &p.owned[p.rng.Intn(len(p.owned))]
+	for n := 1 + p.rng.Intn(5); n > 0; n-- {
+		if p.rng.Intn(4) == 0 {
+			pt.stop()
+		} else {
+			pt.reset(p.delays[p.rng.Intn(len(p.delays))])
+		}
+	}
+	at, armed := pt.when()
+	p.log = append(p.log, fmt.Sprintf("storm %d: armed=%v at=%d seq=%d", pt.id, armed, at, p.e.Seq()))
 }
 
 // burst schedules n events back to back on one lane, growing its ring.
@@ -160,6 +230,7 @@ func (p *laneProg) run(t *testing.T, rounds int) {
 		p.e.CheckInvariants(func(inv, detail string) {
 			t.Fatalf("round %d: invariant %s: %s", r, inv, detail)
 		})
+		requireFreeListForgets(t, p.e)
 	}
 	p.e.Run()
 	for p.e.Pending() > 0 { // a callback stopped the drain; resume it
@@ -168,9 +239,10 @@ func (p *laneProg) run(t *testing.T, rounds int) {
 	p.snapshot("drained")
 }
 
-// TestLaneDifferential runs random programs on an engine with lanes and on
-// one where every lane call is a plain Schedule: the firing sequence and the
-// Now/Seq/Pending/PeekNext readings after every step must be identical.
+// TestLaneDifferential runs random programs on an engine with lanes and
+// embedded Timers and on one where every lane call and every timer arming is
+// a plain Schedule of a closure: the firing sequence and the Now/Seq/Pending/
+// PeekNext readings after every step must be identical.
 func TestLaneDifferential(t *testing.T) {
 	pool := []time.Duration{
 		0, 20 * time.Microsecond, time.Microsecond, 50 * time.Microsecond, 7 * time.Microsecond,
@@ -178,6 +250,7 @@ func TestLaneDifferential(t *testing.T) {
 		250 * time.Microsecond, 2 * time.Microsecond, 31 * time.Microsecond,
 	}
 	var grew, wrapped, overflowed bool
+	storms := 0
 	for seed := int64(1); seed <= 36; seed++ {
 		delays := pool[:1+int(seed-1)%len(pool)]
 		a := newLaneProg(seed, delays, true)
@@ -206,12 +279,20 @@ func TestLaneDifferential(t *testing.T) {
 			grew = grew || len(l.buf) > laneInitCap
 			wrapped = wrapped || l.head > 0
 		}
+		for _, line := range a.log {
+			if strings.HasPrefix(line, "storm") {
+				storms++
+			}
+		}
 		if want := min(len(delays), maxLanes); len(a.e.lanes) != want {
 			t.Errorf("seed %d: %d ring lanes for %d delays, want %d", seed, len(a.e.lanes), len(delays), want)
 		}
 	}
 	if !grew || !wrapped || !overflowed {
 		t.Errorf("coverage: ring grew=%v, head moved=%v, lane past the cap=%v; want all three", grew, wrapped, overflowed)
+	}
+	if storms < 1000 {
+		t.Errorf("coverage: %d timer storms in 36 programs, want 1000+", storms)
 	}
 }
 

@@ -153,12 +153,16 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // cancelled. After that the engine recycles the struct for a later
 // Schedule call, so a retained handle may suddenly describe an unrelated
 // pending event. Holders that outlive their event must drop the handle
-// when it fires (as Timer does, by clearing its field inside the
-// callback) and must not Cancel or inspect it afterwards.
+// when it fires (fire does that for a Timer, before calling its owner)
+// and must not Cancel or inspect it afterwards.
+//
+// A pending event names exactly one of a callback (Schedule) and a timer
+// (Timer.Reset); fire dispatches on which, and release clears both.
 type Event struct {
 	at      time.Duration
 	seq     uint64
 	fn      func()
+	timer   *Timer
 	index   int // position in the heap, -1 once removed
 	expired bool
 }
@@ -177,6 +181,11 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
 	}
+	return e.schedule(delay, fn, nil)
+}
+
+// schedule queues an event that fires fn, or timer when fn is nil.
+func (e *Engine) schedule(delay time.Duration, fn func(), timer *Timer) *Event {
 	if delay < 0 {
 		delay = 0
 	}
@@ -193,6 +202,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
 	ev.at = e.now + delay
 	ev.seq = e.seq
 	ev.fn = fn
+	ev.timer = timer
 	e.seq++
 	e.push(ev)
 	e.statsScheduled.Inc()
@@ -262,8 +272,14 @@ func (e *Engine) fire(lane *Lane) {
 	ev := e.pop()
 	ev.expired = true
 	e.now = ev.at
-	fn := ev.fn
-	fn()
+	if t := ev.timer; t != nil {
+		// The timer forgets the handle before its owner runs, so the owner
+		// may Reset it.
+		t.ev = nil
+		t.owner.OnTimer(t)
+	} else {
+		ev.fn()
+	}
 	e.release(ev)
 }
 
@@ -352,6 +368,11 @@ func (e *Engine) CheckInvariants(report func(invariant, detail string)) {
 		if ev.at < e.now {
 			report("sim.event_in_past", fmt.Sprintf("queue[%d] at=%v behind clock %v", i, ev.at, e.now))
 		}
+		if (ev.fn == nil) == (ev.timer == nil) {
+			report("sim.event_target", fmt.Sprintf("queue[%d] (at=%v seq=%d) must name a callback or a timer, not both or neither", i, ev.at, ev.seq))
+		} else if ev.timer != nil && ev.timer.ev != ev {
+			report("sim.event_target", fmt.Sprintf("queue[%d] (at=%v seq=%d) fires a timer that no longer holds it", i, ev.at, ev.seq))
+		}
 		if i > 0 {
 			if parent := e.queue[(i-1)/2]; eventLess(ev, parent) {
 				report("sim.heap_order", fmt.Sprintf("queue[%d] (at=%v seq=%d) sorts before its parent (at=%v seq=%d)",
@@ -366,6 +387,7 @@ func (e *Engine) CheckInvariants(report func(invariant, detail string)) {
 // bounded by the peak number of simultaneously pending events.
 func (e *Engine) release(ev *Event) {
 	ev.fn = nil
+	ev.timer = nil
 	ev.index = -1
 	e.free = append(e.free, ev)
 }

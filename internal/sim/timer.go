@@ -2,13 +2,25 @@ package sim
 
 import "time"
 
+// TimerOwner is what a firing Timer calls. The engine dispatches a timer's
+// event to its owner directly, so arming a timer binds no closure.
+type TimerOwner interface {
+	OnTimer(t *Timer)
+}
+
+// timerFunc adapts a plain func to TimerOwner. A func value is pointer-shaped,
+// so storing one in the interface allocates nothing.
+type timerFunc func()
+
+func (f timerFunc) OnTimer(*Timer) { f() }
+
 // Timer is a re-armable one-shot timer bound to an engine, analogous to
-// time.Timer but in virtual time. The zero value is not usable; create
-// timers with NewTimer.
+// time.Timer but in virtual time. The zero value is unarmed and unbound:
+// create timers with NewTimer, or embed one by value and Bind it in place.
+// A bound Timer must not be copied — its pending Event points back at it.
 type Timer struct {
 	engine *Engine
-	fn     func()
-	fire   func() // bound once so Reset never allocates a closure
+	owner  TimerOwner
 	ev     *Event
 }
 
@@ -17,18 +29,27 @@ func NewTimer(engine *Engine, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer called with nil function")
 	}
-	t := &Timer{engine: engine, fn: fn}
-	t.fire = func() {
-		t.ev = nil
-		t.fn()
-	}
+	t := &Timer{}
+	t.Bind(engine, timerFunc(fn))
 	return t
+}
+
+// Bind attaches an embedded, unarmed timer to its engine and to the owner
+// its firings call. It is called once, before the first Reset.
+func (t *Timer) Bind(engine *Engine, owner TimerOwner) {
+	if owner == nil {
+		panic("sim: Timer.Bind called with nil owner")
+	}
+	if t.ev != nil {
+		panic("sim: Timer.Bind called on an armed timer")
+	}
+	t.engine, t.owner = engine, owner
 }
 
 // Reset arms the timer to fire after d, replacing any pending firing.
 func (t *Timer) Reset(d time.Duration) {
 	t.Stop()
-	t.ev = t.engine.Schedule(d, t.fire)
+	t.ev = t.engine.schedule(d, nil, t)
 }
 
 // Stop disarms the timer. Stopping an unarmed timer is a no-op.
@@ -55,11 +76,9 @@ func (t *Timer) When() (time.Duration, bool) {
 // Ticker repeatedly invokes a callback at a fixed virtual-time interval.
 // The zero value is not usable; create tickers with NewTicker.
 type Ticker struct {
-	engine   *Engine
+	timer    Timer // owned by the ticker itself: each firing re-arms it
 	interval time.Duration
 	fn       func()
-	tick     func() // bound once so re-arming never allocates a closure
-	ev       *Event
 	stopped  bool
 }
 
@@ -72,29 +91,30 @@ func NewTicker(engine *Engine, interval time.Duration, fn func()) *Ticker {
 	if fn == nil {
 		panic("sim: NewTicker called with nil function")
 	}
-	t := &Ticker{engine: engine, interval: interval, fn: fn}
-	t.tick = func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	}
-	t.arm()
+	t := &Ticker{interval: interval, fn: fn}
+	t.timer.Bind(engine, (*tickerOwner)(t))
+	t.timer.Reset(interval)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.engine.Schedule(t.interval, t.tick)
+// tickerOwner is a Ticker seen as the owner of its timer, so that Ticker
+// itself exports no OnTimer.
+type tickerOwner Ticker
+
+// OnTimer runs one tick and re-arms.
+func (o *tickerOwner) OnTimer(*Timer) {
+	t := (*Ticker)(o)
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.timer.Reset(t.interval)
+	}
 }
 
 // Stop permanently halts the ticker.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.ev != nil {
-		t.engine.Cancel(t.ev)
-		t.ev = nil
-	}
+	t.timer.Stop()
 }

@@ -99,7 +99,7 @@ type Conn struct {
 	srtt      time.Duration
 	rttvar    time.Duration
 	hasSample bool
-	rtxTimer  *sim.Timer
+	rtxTimer  sim.Timer // embedded: bound in newConn, never copied
 	retries   int
 	tsRecent  time.Duration // latest in-order TSval from the peer
 	lastRTT   time.Duration
@@ -110,7 +110,7 @@ type Conn struct {
 	rcvdFin     bool
 	finRecvd    int64 // sequence of the peer's FIN
 	ackOwed     int   // in-order segments received since we last conveyed an ACK
-	delAckTimer *sim.Timer
+	delAckTimer sim.Timer
 
 	closed   bool
 	closeErr error
@@ -155,13 +155,25 @@ func newConn(s *Stack, local, remote netem.Addr, active bool) *Conn {
 	} else {
 		c.state = StateSynRcvd
 	}
-	c.rtxTimer = sim.NewTimer(s.engine, c.onRTO)
-	c.delAckTimer = sim.NewTimer(s.engine, func() {
-		if !c.closed && c.ackOwed > 0 {
-			c.sendPureAck(false)
-		}
-	})
+	c.rtxTimer.Bind(s.engine, (*rtxOwner)(c))
+	c.delAckTimer.Bind(s.engine, (*delAckOwner)(c))
 	return c
+}
+
+// rtxOwner and delAckOwner are a Conn seen as the owner of one of its two
+// embedded timers: a pointer conversion tells the firings apart without a
+// closure per timer or an exported method on Conn.
+type (
+	rtxOwner    Conn
+	delAckOwner Conn
+)
+
+func (o *rtxOwner) OnTimer(*sim.Timer) { (*Conn)(o).onRTO() }
+
+func (o *delAckOwner) OnTimer(*sim.Timer) {
+	if c := (*Conn)(o); !c.closed && c.ackOwed > 0 {
+		c.sendPureAck(false)
+	}
 }
 
 // LocalAddr returns the local endpoint address.

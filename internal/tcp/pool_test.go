@@ -3,6 +3,7 @@ package tcp
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/wp2p/wp2p/internal/netem"
 )
@@ -156,5 +157,43 @@ func BenchmarkSendAckCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		client.Write(MSS)
 		w.engine.RunFor(500 * time.Millisecond)
+	}
+}
+
+// TestConnIsOneObject pins what a connection costs the heap, pools warm: the
+// Conn and nothing else, on the side that dials and on the side that accepts.
+// Its two timers are embedded and fired by the engine through the Conn itself;
+// the parent made seven objects a Conn (the struct, two sim.Timers, their two
+// fire closures, the onRTO method value and the delayed-ACK closure).
+func TestConnIsOneObject(t *testing.T) {
+	w := newWorld(46)
+	sa, sb := w.wiredHost(1), w.wiredHost(2)
+	accepted := 0
+	sb.MustListen(80, func(*Conn) { accepted++ })
+	refused := func() { // SYN → RST: the active side alone
+		sa.MustDial(netem.Addr{IP: 2, Port: 81})
+		w.engine.RunFor(time.Second)
+	}
+	aborted := func() { // SYN → SYN-ACK → ACK, then RST: one Conn a side
+		c := sa.MustDial(netem.Addr{IP: 2, Port: 80})
+		w.engine.RunFor(time.Second)
+		c.Abort()
+		w.engine.RunFor(time.Second)
+	}
+	for i := 0; i < 20; i++ { // warm the segment and packet pools, the conns maps, the event free-list
+		refused()
+		aborted()
+	}
+	if got := testing.AllocsPerRun(50, refused); got != 1 {
+		t.Errorf("a refused dial allocates %.1f objects, want 1 (the Conn)", got)
+	}
+	if got := testing.AllocsPerRun(50, aborted); got != 2 {
+		t.Errorf("a connection opened and reset allocates %.1f objects, want 2 (a Conn on each side)", got)
+	}
+	if size := unsafe.Sizeof(Conn{}); size > 576 {
+		t.Errorf("Conn is %d B, past the 576 B size class", size)
+	}
+	if accepted != 20+51 || len(sa.conns) != 0 || len(sb.conns) != 0 {
+		t.Errorf("accepted %d connections, %d and %d still open; want %d, 0 and 0", accepted, len(sa.conns), len(sb.conns), 20+51)
 	}
 }
