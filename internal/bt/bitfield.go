@@ -26,6 +26,18 @@ func (b *Bitfield) words() []uint64 {
 	return b.bits
 }
 
+// reset empties b and resizes it to n pieces, in its own words when they
+// are enough.
+func (b *Bitfield) reset(n int) {
+	if w := (n + 63) / 64; cap(b.bits) >= w {
+		b.bits = b.bits[:w]
+		clear(b.bits)
+	} else {
+		b.bits = make([]uint64, w)
+	}
+	b.n, b.set = n, 0
+}
+
 // Len returns the number of pieces the bitfield covers.
 func (b *Bitfield) Len() int { return b.n }
 

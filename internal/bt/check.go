@@ -42,6 +42,14 @@ func (c *Client) CheckState(report func(invariant, detail string)) {
 			report("bt.pieces.have",
 				fmt.Sprintf("%s: piece %d both complete and in-flight", id, pp.piece))
 		}
+		// A spare record that is also active would be handed to a second
+		// piece by the next pick.
+		for _, sp := range c.spare {
+			if sp == pp {
+				report("bt.pieces.free",
+					fmt.Sprintf("%s: the record of in-flight piece %d is also spare", id, pp.piece))
+			}
+		}
 	}
 
 	// bytesHave feeds the download-time figures; recompute it from the have

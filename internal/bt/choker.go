@@ -1,6 +1,6 @@
 package bt
 
-import "sort"
+import "slices"
 
 // choker implements tit-for-tat: every choke interval it unchokes the
 // interested peers that serve us best (as a leech) or that we can push data
@@ -25,6 +25,19 @@ type choker struct {
 type rankedPeer struct {
 	p     *peerConn
 	score float64
+}
+
+// byScoreDesc ranks the better score first: a goes before b exactly when
+// a.score > b.score. A stable sort's result is fixed by that order alone, so
+// ties (equal or cold rates) keep their order in interested.
+func byScoreDesc(a, b rankedPeer) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case b.score > a.score:
+		return 1
+	}
+	return 0
 }
 
 func (ck *choker) run() {
@@ -67,7 +80,7 @@ func (ck *choker) run() {
 		rs = append(rs, rankedPeer{p: p, score: score})
 	}
 	ck.rs = rs
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].score > rs[j].score })
+	slices.SortStableFunc(rs, byScoreDesc)
 
 	// Fill the regular (tit-for-tat) slots from the ranking, then add the
 	// optimistic unchoke on top. Per BEP-3 (and the Legout et al.

@@ -1,6 +1,9 @@
 package bt
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -165,5 +168,31 @@ func TestReconnectWithRetainedIDReplacesZombie(t *testing.T) {
 	}
 	if !mobile.Complete() {
 		t.Errorf("mobile stalled after handoff: %.0f%%", mobile.Progress()*100)
+	}
+}
+
+// TestChokerRankingMatchesSliceStable: the choker ranks with
+// slices.SortStableFunc and byScoreDesc where it used sort.SliceStable with
+// "score greater", so every unchoke slot, and every digest after it, rests on
+// the two giving one order. Rankings here are mostly ties — zero rates, equal
+// ledger credit — which is where a stable sort's order shows.
+func TestChokerRankingMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	scores := []float64{0, 0, 0, 16384, 16384, 65536, 1e-9, 3.5e5}
+	peers := make([]peerConn, 48)
+	for trial := 0; trial < 2000; trial++ {
+		rs := make([]rankedPeer, rng.Intn(len(peers)+1))
+		for i := range rs {
+			rs[i] = rankedPeer{p: &peers[i], score: scores[rng.Intn(len(scores))]}
+		}
+		want := append([]rankedPeer(nil), rs...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].score > want[j].score })
+		slices.SortStableFunc(rs, byScoreDesc)
+		for i := range rs {
+			if rs[i] != want[i] {
+				t.Fatalf("trial %d: rank %d holds peer %p (score %g), sort.SliceStable put %p (score %g) there",
+					trial, i, rs[i].p, rs[i].score, want[i].p, want[i].score)
+			}
+		}
 	}
 }

@@ -76,21 +76,33 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// pieceProgress tracks block arrival for one in-flight piece.
+// pieceProgress tracks block arrival for one in-flight piece. Records are
+// recycled through Client.spare, so a fresh piece reuses an old one's words.
 type pieceProgress struct {
 	piece    int
-	received *Bitfield // block granularity
+	received Bitfield // block granularity
 	// tainted is set if any block came from a peer that serves corrupt
 	// data; the piece will fail verification when complete.
 	tainted bool
-	// contributors are the peer-ids that supplied blocks. A failed check
-	// cannot be attributed when several peers contributed, so the piece is
-	// re-fetched exclusively from one peer; a second failure is then
-	// definitive.
-	contributors map[PeerID]bool
+	// contributors are the distinct peer-ids that supplied blocks, in
+	// arrival order; a piece has a handful at most, so a scan dedupes them.
+	// A failed check cannot be attributed when several peers contributed, so
+	// the piece is re-fetched exclusively from one peer; a second failure is
+	// then definitive.
+	contributors []PeerID
 	// exclusive, when set, restricts all block requests for this piece to
 	// one peer-id (attribution mode after a hash failure).
 	exclusive PeerID
+}
+
+// contributed records id as a contributor of the piece.
+func (pp *pieceProgress) contributed(id PeerID) {
+	for _, q := range pp.contributors {
+		if q == id {
+			return
+		}
+	}
+	pp.contributors = append(pp.contributors, id)
 }
 
 // Client is a BitTorrent peer: it announces to the tracker, maintains a
@@ -115,15 +127,31 @@ type Client struct {
 	pending  *Bitfield // pieces currently active (being fetched)
 	avail    []int     // per-piece count over connected peers
 	active   []*pieceProgress
+	// spare holds the records of finished pieces for reuse. A record goes
+	// back only when failPiece or completePiece returns: a ban inside
+	// failPiece reaches pickBlock, which must not be handed the record
+	// failPiece is still reading.
+	spare []*pieceProgress
+	// pick is pickBlock's context, rewritten for every pick.
+	pick PickContext
 	// requested maps each in-flight block to its requesters, in request
 	// order. Outside endgame every block has exactly one; in endgame the
 	// final blocks are requested from several peers and the losers are
 	// cancelled. The ordered index gives the stale-request sweep a
 	// deterministic walk without sorting.
 	requested requestIndex
-	// The block messages this client sends (see chunk).
+	// stale is sweep's scratch list of timed-out requests.
+	stale []staleReq
+
+	// The messages this client sends, each written once before its first
+	// send and never again (see chunk): block messages and cancels from
+	// chunks, haves from a table made on the first verified piece, and the
+	// handshake rebuilt only when the peer-id or the seed bit changes.
 	requestMsgs chunk[msgRequest]
 	pieceMsgs   chunk[msgPiece]
+	cancelMsgs  chunk[msgCancel]
+	haves       []msgHave
+	handshake   *msgHandshake
 
 	peers   []*peerConn
 	known   []PeerInfo         // insertion-ordered tracker knowledge
@@ -433,6 +461,28 @@ func (c *Client) haveMsg() msgBitfield {
 	return msgBitfield{Bits: c.haveSent}
 }
 
+// handshakeMsg is the handshake sent now: shared by every handshake until
+// the peer-id or the seed bit it carries changes.
+func (c *Client) handshakeMsg() *msgHandshake {
+	seed := c.have.Complete()
+	if hs := c.handshake; hs == nil || hs.PeerID != c.peerID || hs.Seed != seed {
+		c.handshake = &msgHandshake{InfoHash: c.torrent.InfoHash(), PeerID: c.peerID, Seed: seed}
+	}
+	return c.handshake
+}
+
+// haveFor is the have message announcing a verified piece. The table is
+// made whole on the first piece, so no entry is written after it is sent.
+func (c *Client) haveFor(piece int) *msgHave {
+	if c.haves == nil {
+		c.haves = make([]msgHave, c.have.Len())
+		for i := range c.haves {
+			c.haves[i].Piece = i
+		}
+	}
+	return &c.haves[piece]
+}
+
 func (c *Client) onAccept(conn transport.Conn) {
 	if c.stopped || len(c.peers) >= c.cfg.MaxPeers {
 		conn.Abort()
@@ -620,7 +670,7 @@ func (c *Client) pickBlock(p *peerConn) (piece, block int) {
 			return prog.piece, b
 		}
 	}
-	ctx := &PickContext{
+	c.pick = PickContext{
 		Have:     c.have,
 		Pending:  c.pending,
 		PeerHas:  &p.remoteHas,
@@ -628,21 +678,34 @@ func (c *Client) pickBlock(p *peerConn) (piece, block int) {
 		Progress: c.Progress(),
 		Rand:     c.engine.Rand(),
 	}
-	pc := c.picker.PickPiece(ctx)
+	pc := c.picker.PickPiece(&c.pick)
 	if pc < 0 {
 		return -1, -1
 	}
-	prog := &pieceProgress{
-		piece:        pc,
-		received:     NewBitfield(c.torrent.NumBlocks(pc)),
-		contributors: make(map[PeerID]bool),
-	}
+	prog := c.newProgress(pc)
 	if c.failedOnce[pc] {
 		prog.exclusive = p.id
 	}
 	c.active = append(c.active, prog)
 	c.pending.Set(pc)
 	return pc, 0
+}
+
+// newProgress returns an empty record for piece, a spare one if there is.
+func (c *Client) newProgress(piece int) *pieceProgress {
+	var prog *pieceProgress
+	if n := len(c.spare); n > 0 {
+		prog = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		prog = new(pieceProgress)
+	}
+	prog.piece = piece
+	prog.received.reset(c.torrent.NumBlocks(piece))
+	prog.tainted = false
+	prog.contributors = prog.contributors[:0]
+	prog.exclusive = ""
+	return prog
 }
 
 // freeBlock returns an unreceived, unrequested block of prog, or -1.
@@ -692,7 +755,7 @@ func (c *Client) onBlock(p *peerConn, piece, block, length int, corrupt bool) {
 			continue
 		}
 		q.requestsOut.del(ref)
-		q.send(msgCancel{Piece: piece, Begin: block * BlockSize, Length: length})
+		q.send(c.cancelMsgs.put(msgCancel{Piece: piece, Begin: block * BlockSize, Length: length}))
 	}
 	c.downloaded += int64(length)
 	c.downTotal.Add(c.engine.Now(), int64(length))
@@ -709,12 +772,12 @@ func (c *Client) onBlock(p *peerConn, piece, block, length int, corrupt bool) {
 	}
 	prog.received.Set(block)
 	prog.tainted = prog.tainted || corrupt
-	prog.contributors[p.id] = true
+	prog.contributed(p.id)
 	if prog.received.Complete() {
 		if prog.tainted {
 			c.failPiece(prog)
 		} else {
-			c.completePiece(piece)
+			c.completePiece(prog)
 		}
 	}
 	c.fillRequests(p)
@@ -727,17 +790,16 @@ func (c *Client) onBlock(p *peerConn, piece, block, length int, corrupt bool) {
 func (c *Client) failPiece(prog *pieceProgress) {
 	c.hashFails++
 	c.reg.hashFails.Inc()
-	c.removeActive(prog.piece)
+	c.removeActive(prog)
 	c.pending.Clear(prog.piece)
 	if len(prog.contributors) == 1 {
-		for id := range prog.contributors {
-			c.ban(id)
-		}
+		c.ban(prog.contributors[0])
 		delete(c.failedOnce, prog.piece)
 	} else {
 		c.failedOnce[prog.piece] = true
 	}
 	c.refillAll()
+	c.spare = append(c.spare, prog)
 }
 
 func (c *Client) ban(id PeerID) {
@@ -752,9 +814,11 @@ func (c *Client) ban(id PeerID) {
 	}
 }
 
-func (c *Client) removeActive(piece int) {
+// removeActive takes prog off the active list. The caller hands it to spare
+// once it has stopped reading it.
+func (c *Client) removeActive(prog *pieceProgress) {
 	for i, pr := range c.active {
-		if pr.piece == piece {
+		if pr == prog {
 			c.active = append(c.active[:i], c.active[i+1:]...)
 			return
 		}
@@ -766,16 +830,18 @@ func (c *Client) HashFails() int { return c.hashFails }
 
 // completePiece verifies a finished piece, records it, and announces it to
 // the swarm.
-func (c *Client) completePiece(piece int) {
+func (c *Client) completePiece(prog *pieceProgress) {
+	piece := prog.piece
 	c.reg.piecesCompleted.Inc()
-	c.removeActive(piece)
+	c.removeActive(prog)
 	c.pending.Clear(piece)
 	delete(c.failedOnce, piece)
 	c.have.Set(piece)
 	c.haveSent = nil
 	c.bytesHave += int64(c.torrent.PieceSize(piece))
+	have := c.haveFor(piece)
 	for _, p := range c.peers {
-		p.send(msgHave{Piece: piece})
+		p.send(have)
 		p.updateInterest()
 	}
 	if c.OnPieceComplete != nil {
@@ -788,16 +854,19 @@ func (c *Client) completePiece(piece int) {
 			c.OnComplete()
 		}
 	}
+	c.spare = append(c.spare, prog)
+}
+
+// staleReq is one timed-out request: a block and the peer it was asked of.
+type staleReq struct {
+	ref blockRef
+	p   *peerConn
 }
 
 // sweep handles request timeouts and keeps the connection set topped up.
 func (c *Client) sweep() {
 	now := c.engine.Now()
-	type staleReq struct {
-		ref blockRef
-		p   *peerConn
-	}
-	var stale []staleReq
+	stale := c.stale[:0]
 	// The ordered index iterates deterministically (slot order is a pure
 	// function of the event history), so no sort is needed before acting.
 	c.requested.each(func(ref blockRef, owners []*peerConn) {
@@ -811,13 +880,14 @@ func (c *Client) sweep() {
 		c.requested.drop(s.ref, s.p)
 		if !s.p.closed {
 			s.p.requestsOut.del(s.ref)
-			s.p.send(msgCancel{
+			s.p.send(c.cancelMsgs.put(msgCancel{
 				Piece:  s.ref.piece,
 				Begin:  s.ref.block * BlockSize,
 				Length: c.torrent.BlockLen(s.ref.piece, s.ref.block),
-			})
+			}))
 		}
 	}
+	c.stale = stale[:0]
 	if len(stale) > 0 {
 		c.refillAll()
 	}

@@ -50,20 +50,21 @@ func (cp *connPath) cycle(tb testing.TB) {
 // TestHandshakeObjects pins what a connection costs above the transport, pools
 // warm, on a swarm with no piece to talk about: no bitfield is cloned to send
 // or to receive one, no piece-map words, estimator or cancel set is made that
-// nothing will use, and the dial closes over nothing. What is left, on both
-// clients: 2 tcp.Conns and their 2 framed-message queues, 2 peerConns, the 7
+// nothing will use, the dial closes over nothing, and both handshakes are
+// each client's one shared msgHandshake. What is left, on both clients: 2
+// tcp.Conns and their 2 framed-message queues, 2 peerConns and the 7
 // callbacks the seam has them register (3 each and the dialer's
-// onEstablished) and 2 boxed msgHandshakes: 15. The parent made 50.
+// onEstablished): 13. The parent made 15, two of them boxed handshakes.
 func TestHandshakeObjects(t *testing.T) {
 	cp := newConnPath(t, Config{})
 	for i := 0; i < 10; i++ {
 		cp.cycle(t)
 	}
-	sent := cp.dialer.haveSent
+	sent, hs := cp.dialer.haveSent, cp.dialer.handshake
 	got := testing.AllocsPerRun(50, func() { cp.cycle(t) })
 	t.Logf("%.0f objects per connection, both ends", got)
-	if got > 15 {
-		t.Errorf("a connection allocates %.0f objects, want <= 15", got)
+	if got > 13 {
+		t.Errorf("a connection allocates %.0f objects, want <= 13", got)
 	}
 	// Most connections of a crowd are refused or reset unused, so a byte in
 	// the struct is paid twenty thousand times: stay inside the size class.
@@ -73,13 +74,17 @@ func TestHandshakeObjects(t *testing.T) {
 	if sent == nil || cp.dialer.haveSent != sent {
 		t.Error("handshakes at an unchanged have did not share one bitfield")
 	}
+	if hs == nil || cp.dialer.handshake != hs {
+		t.Error("handshakes at an unchanged peer-id did not share one msgHandshake")
+	}
 }
 
 // TestRefusedDialObjects: most connections of a flash crowd are dials the
 // far side refuses at its MaxPeers — it accepts at the transport, then
 // resets — after our handshake is already on its way. Such a dial costs the
-// dialer its tcp.Conn and framed-message queue, its peerConn, 4 callbacks and
-// 1 boxed msgHandshake, and the target its tcp.Conn: 9. The parent made 31.
+// dialer its tcp.Conn and framed-message queue, its peerConn and 4 callbacks,
+// and the target its tcp.Conn: 8. The parent made 9, one of them a boxed
+// handshake.
 func TestRefusedDialObjects(t *testing.T) {
 	cp := newConnPath(t, Config{MaxPeers: 1})
 	_, held := foreignPeer(t, cp.env, cp.target) // the target's one slot
@@ -95,8 +100,8 @@ func TestRefusedDialObjects(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(50, refused)
 	t.Logf("%.0f objects per refused dial, both ends", got)
-	if got > 9 {
-		t.Errorf("a refused dial allocates %.0f objects, want <= 9", got)
+	if got > 8 {
+		t.Errorf("a refused dial allocates %.0f objects, want <= 8", got)
 	}
 	if n := len(cp.dialer.backoff); n != 1 {
 		t.Errorf("dialer backs off %d addresses after dialling one", n)

@@ -120,11 +120,7 @@ func (p *peerConn) send(m wireMsg) {
 }
 
 func (p *peerConn) sendHandshake() {
-	p.send(msgHandshake{
-		InfoHash: p.client.torrent.InfoHash(),
-		PeerID:   p.client.peerID,
-		Seed:     p.client.have.Complete(),
-	})
+	p.send(p.client.handshakeMsg())
 	p.send(p.client.haveMsg())
 }
 
@@ -162,16 +158,19 @@ func (p *peerConn) close() {
 	p.conn.Abort() // triggers onConnClose → removePeer
 }
 
+// onMessage dispatches one message off the wire. The pointer forms are
+// whatever the wire carried, nil included, so each handler checks for nil
+// before it reads.
 func (p *peerConn) onMessage(v any) {
 	if p.closed {
 		return
 	}
 	switch m := v.(type) {
-	case msgHandshake:
+	case *msgHandshake:
 		p.handleHandshake(m)
 	case msgBitfield:
 		p.handleBitfield(m)
-	case msgHave:
+	case *msgHave:
 		p.handleHave(m)
 	case msgInterested:
 		p.peerInterested = true
@@ -185,20 +184,13 @@ func (p *peerConn) onMessage(v any) {
 		p.handleRequest(m)
 	case *msgPiece:
 		p.handlePiece(m)
-	case msgCancel:
-		if ref, ok := p.client.wireBlock(m.Piece, m.Begin, m.Length); ok {
-			if p.cancelled == nil {
-				p.cancelled = make(map[blockRef]bool)
-			}
-			p.cancelled[ref] = true
-		} else {
-			p.badBlocks++
-		}
+	case *msgCancel:
+		p.handleCancel(m)
 	}
 }
 
-func (p *peerConn) handleHandshake(m msgHandshake) {
-	if m.InfoHash != p.client.torrent.InfoHash() {
+func (p *peerConn) handleHandshake(m *msgHandshake) {
+	if m == nil || m.InfoHash != p.client.torrent.InfoHash() {
 		p.close()
 		return
 	}
@@ -228,8 +220,8 @@ func (p *peerConn) handleBitfield(m msgBitfield) {
 	p.updateInterest()
 }
 
-func (p *peerConn) handleHave(m msgHave) {
-	if m.Piece < 0 || m.Piece >= p.remoteHas.Len() {
+func (p *peerConn) handleHave(m *msgHave) {
+	if m == nil || m.Piece < 0 || m.Piece >= p.remoteHas.Len() {
 		return
 	}
 	if !p.remoteHas.Has(m.Piece) {
@@ -257,6 +249,10 @@ func (p *peerConn) handleUnchoke() {
 // a block of the torrent, the peer is unchoked and we have the piece.
 func (p *peerConn) handleRequest(m *msgRequest) {
 	p.reqsRcvd++
+	if m == nil {
+		p.badBlocks++
+		return
+	}
 	ref, ok := p.client.wireBlock(m.Piece, m.Begin, m.Length)
 	if !ok {
 		p.badBlocks++
@@ -297,7 +293,28 @@ func (p *peerConn) grant(m *msgRequest) {
 	p.drainSendQ()
 }
 
+// handleCancel withdraws a request still queued on the upload limiter.
+func (p *peerConn) handleCancel(m *msgCancel) {
+	if m == nil {
+		p.badBlocks++
+		return
+	}
+	ref, ok := p.client.wireBlock(m.Piece, m.Begin, m.Length)
+	if !ok {
+		p.badBlocks++
+		return
+	}
+	if p.cancelled == nil {
+		p.cancelled = make(map[blockRef]bool)
+	}
+	p.cancelled[ref] = true
+}
+
 func (p *peerConn) handlePiece(m *msgPiece) {
+	if m == nil {
+		p.piecesUnwanted++
+		return
+	}
 	ref, ok := p.client.wireBlock(m.Piece, m.Begin, m.Length)
 	if !ok || !p.requestsOut.del(ref) {
 		p.piecesUnwanted++

@@ -20,7 +20,9 @@ const (
 	msgOverhead  = 5  // 4-byte length prefix + 1-byte id
 )
 
-// msgHandshake opens the peer wire session in each direction.
+// msgHandshake opens the peer wire session in each direction. A client
+// sends its one Client.handshake, written once and shared until the peer-id
+// or the seed bit changes.
 type msgHandshake struct {
 	InfoHash InfoHash
 	PeerID   PeerID
@@ -49,7 +51,8 @@ type msgNotInterested struct{}
 
 func (msgNotInterested) wireLen() int { return msgOverhead }
 
-// msgHave announces possession of one verified piece.
+// msgHave announces possession of one verified piece. A client sends an entry
+// of its Client.haves table, which is made whole before the first send.
 type msgHave struct{ Piece int }
 
 func (msgHave) wireLen() int { return msgOverhead + 4 }
@@ -83,7 +86,8 @@ type msgPiece struct {
 
 func (m msgPiece) wireLen() int { return msgOverhead + 8 + m.Length }
 
-// msgCancel withdraws a pending request.
+// msgCancel withdraws a pending request. Cancels come from a chunk, as block
+// messages do.
 type msgCancel struct {
 	Piece  int
 	Begin  int
@@ -98,8 +102,8 @@ type wireMsg interface{ wireLen() int }
 // msgChunk is how many block messages share one allocation.
 const msgChunk = 32
 
-// chunk hands out the per-block messages (*msgRequest, *msgPiece) as pointers
-// into arrays of msgChunk, so that sending one boxes nothing. A slot is
+// chunk hands out the per-block messages (*msgRequest, *msgPiece, *msgCancel)
+// as pointers into arrays of msgChunk, so that sending one boxes nothing. A slot is
 // written once, before the send, and a chunk is never recycled, so a message
 // is immutable to tcp retransmission, the net backend's queue and another
 // shard's engine without a Migrate copy or a release hook (DESIGN §9).

@@ -908,7 +908,7 @@ func checkPipe(p *pipe, dir string, report func(invariant, detail string)) {
 
 // DigestInto hashes the fabric state (check.Digestable) in a canonical
 // order, so fluid-vs-packet (or worker-count) divergence localizes with
-// tools/digest-bisect like any other layer.
+// `wp2p bisect` like any other layer.
 func (f *Fabric) DigestInto(d *check.Digest) {
 	d.Str("flow.Fabric")
 	d.I64(f.offered)

@@ -16,22 +16,22 @@ func TestTxTimeGolden(t *testing.T) {
 		size int
 		want time.Duration
 	}{
-		{rate: 125000, size: 40, want: 320000},       // 1 Mbps, pure ACK
-		{rate: 125000, size: 1500, want: 12000000},   // 1 Mbps, full data packet
-		{rate: 1000000, size: 40, want: 40000},       // 1 MBps
-		{rate: 1000000, size: 1460, want: 1460000},   // 1 MBps, MSS payload
-		{rate: 1000000, size: 1500, want: 1500000},   //
-		{rate: 3125000, size: 3, want: 960},          // float formula gave 959
-		{rate: 3125000, size: 1500, want: 480000},    // 25 Mbps
-		{rate: 687500, size: 1500, want: 2181818},    // 5.5 Mbps 802.11b
-		{rate: 687500, size: 40, want: 58181},        //
-		{rate: 250000, size: 1000, want: 4000000},    // 2 Mbps
-		{rate: 125, size: 1, want: 8000000},          // 1 kbps
-		{rate: 1, size: 1, want: 1000000000},         // degenerate 1 B/s
-		{rate: 0, size: 1500, want: 0},               // no rate: instantaneous
-		{rate: -5, size: 1500, want: 0},              //
-		{rate: 1000, size: 0, want: 0},               // nothing to send
-		{rate: 1000, size: -1, want: 0},              //
+		{rate: 125000, size: 40, want: 320000},     // 1 Mbps, pure ACK
+		{rate: 125000, size: 1500, want: 12000000}, // 1 Mbps, full data packet
+		{rate: 1000000, size: 40, want: 40000},     // 1 MBps
+		{rate: 1000000, size: 1460, want: 1460000}, // 1 MBps, MSS payload
+		{rate: 1000000, size: 1500, want: 1500000}, //
+		{rate: 3125000, size: 3, want: 960},        // float formula gave 959
+		{rate: 3125000, size: 1500, want: 480000},  // 25 Mbps
+		{rate: 687500, size: 1500, want: 2181818},  // 5.5 Mbps 802.11b
+		{rate: 687500, size: 40, want: 58181},      //
+		{rate: 250000, size: 1000, want: 4000000},  // 2 Mbps
+		{rate: 125, size: 1, want: 8000000},        // 1 kbps
+		{rate: 1, size: 1, want: 1000000000},       // degenerate 1 B/s
+		{rate: 0, size: 1500, want: 0},             // no rate: instantaneous
+		{rate: -5, size: 1500, want: 0},            //
+		{rate: 1000, size: 0, want: 0},             // nothing to send
+		{rate: 1000, size: -1, want: 0},            //
 	}
 	for _, tt := range cases {
 		if got := tt.rate.txTime(tt.size); got != tt.want {
