@@ -130,7 +130,7 @@ func TestRejectedBeforeAnyWorld(t *testing.T) {
 		{"figures with an argument", []string{"figures", "-scale", "0.05", "fig4a"}, 2, "unexpected argument"},
 		{"barrierprofile without shards", []string{"run", "-scale", "0.05", "-barrierprofile", anExperiment}, 2, "-barrierprofile needs -shards"},
 		{"sample-every without timeseries", []string{"run", "-scale", "0.05", "-sample-every", "1s", anExperiment}, 2, "-sample-every needs -timeseries"},
-		{"digestevery without digest", []string{"scenario", "-scale", "0.05", "-digestevery", "64", fig4aSpec}, 2, "-digestevery needs -digest"},
+		{"digestevery is gone", []string{"scenario", "-scale", "0.05", "-digestevery", "64", fig4aSpec}, 2, "not defined: -digestevery"},
 		{"tracecap without trace", []string{"run", "-scale", "0.05", "-tracecap", "16", anExperiment}, 2, "-tracecap needs -trace"},
 		{"unwritable digest", []string{"run", "-scale", "0.05", "-digest", bad, anExperiment}, 1, bad},
 		{"unwritable timeseries", []string{"scenario", "-scale", "0.05", "-timeseries", bad, fig4aSpec}, 1, bad},
@@ -469,7 +469,7 @@ func TestTextReportMatchesGolden(t *testing.T) {
 // shared flag exactly once, and live lists only the ones that apply to it.
 func TestSharedFlagsRegisteredOnce(t *testing.T) {
 	shared := []string{"scale", "parallel", "shards", "fidelity", "stats", "json", "check", "digest",
-		"digestevery", "timeseries", "sample-every", "barrierprofile", "cpuprofile", "memprofile", "trace", "tracecap"}
+		"timeseries", "sample-every", "barrierprofile", "cpuprofile", "memprofile", "trace", "tracecap"}
 	count := func(help, name string) int {
 		return len(regexp.MustCompile(`(?m)^  -`+regexp.QuoteMeta(name)+`( |$)`).FindAllString(help, -1))
 	}

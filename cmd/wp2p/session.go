@@ -25,7 +25,7 @@ type session struct {
 	exit           int       // exit status so far: 0, or the highest failure
 
 	scale                                            float64
-	parallel, shards, digestEvery, traceCap          int
+	parallel, shards, traceCap                       int
 	stats, check, barrierProf                        bool
 	sampleEvery                                      time.Duration
 	fidelity, jsonDir, traceSpec                     string
@@ -61,7 +61,7 @@ func newSession(name string, sim bool, defaultScale float64, stdout, stderr io.W
 	if !sim {
 		return s
 	}
-	fs.IntVar(&s.parallel, "parallel", runtime.GOMAXPROCS(0), "worker-pool size for concurrent runs; 1 = fully sequential")
+	fs.IntVar(&s.parallel, "parallel", runtime.GOMAXPROCS(0), "how many runs execute at once, nested sweep points and seeds included; 1 = fully sequential")
 	fs.IntVar(&s.shards, "shards", 0, "shard each world across this many engine workers (fig4a and bt scenarios; 0 = single engine); results are identical at any value")
 	fs.StringVar(&s.fidelity, "fidelity", "", "wired-core transport model, \"packet\" or \"flow\" (wireless/mobile peers stay packet-level): for fig2a and fig4a, default packet; for scenarios, overrides every group's fidelity field")
 	fs.BoolVar(&s.stats, "stats", false, "print each result's cross-layer stats summary")
@@ -70,7 +70,6 @@ func newSession(name string, sim bool, defaultScale float64, stdout, stderr io.W
 	fs.IntVar(&s.traceCap, "tracecap", 0, "flight-recorder ring capacity per world (0 = default 1024; needs -trace)")
 	fs.BoolVar(&s.check, "check", false, "sweep runtime invariants every few thousand events; violations abort with the seed")
 	fs.StringVar(&s.digestPath, "digest", "", "write a wp2p.digest.v1 determinism digest stream to this file (implies -check)")
-	fs.IntVar(&s.digestEvery, "digestevery", 0, "events between digest samples (0 = default 4096; needs -digest)")
 	fs.StringVar(&s.tsPath, "timeseries", "", "sample metric series over sim time and write wp2p.timeseries.v1 JSON to this file")
 	fs.DurationVar(&s.sampleEvery, "sample-every", 0, "sim-time interval between telemetry samples (0 = 5s; needs -timeseries)")
 	fs.BoolVar(&s.barrierProf, "barrierprofile", false, "print the sharded-engine barrier profile table after the runs (needs -shards ≥ 1)")
@@ -122,7 +121,7 @@ func (s *session) start() bool {
 	if s.barrierProf && s.shards < 1 {
 		s.fail(2, "-barrierprofile needs -shards ≥ 1 (the single engine has no barrier)")
 	}
-	for _, need := range [][2]string{{"sample-every", "timeseries"}, {"digestevery", "digest"}, {"tracecap", "trace"}} {
+	for _, need := range [][2]string{{"sample-every", "timeseries"}, {"tracecap", "trace"}} {
 		if s.isSet(need[0]) && !s.isSet(need[1]) {
 			s.fail(2, "-%s needs -%s", need[0], need[1])
 		}
@@ -159,7 +158,7 @@ func (s *session) start() bool {
 		experiments.EnableChecking(0)
 	}
 	if s.digestPath != "" {
-		experiments.EnableDigests(s.digestEvery)
+		experiments.EnableDigests()
 	}
 	if s.tsPath != "" {
 		experiments.EnableTelemetry(telemetry.Config{Every: s.sampleEvery})

@@ -132,10 +132,3 @@ func (ck *choker) pickOptimistic(interested []*peerConn) *peerConn {
 	}
 	return candidates[ck.client.engine.Rand().Intn(len(candidates))]
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -98,10 +98,7 @@ func (l *Limiter) refill() {
 	now := l.engine.Now()
 	if l.rate > 0 {
 		l.tokens += l.rate * (now - l.lastAt).Seconds()
-		cap := maxFloat(l.burst, 0)
-		if l.tokens > cap {
-			l.tokens = cap
-		}
+		l.tokens = min(l.tokens, max(l.burst, 0))
 	}
 	l.lastAt = now
 }
@@ -149,11 +146,4 @@ func (l *Limiter) drain() {
 		w.run()
 	}
 	l.reschedule()
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

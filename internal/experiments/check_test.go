@@ -19,7 +19,7 @@ func withChecking(t *testing.T, digests bool) {
 	t.Helper()
 	EnableChecking(0)
 	if digests {
-		EnableDigests(0)
+		EnableDigests()
 	}
 	t.Cleanup(DisableChecking)
 }

@@ -137,6 +137,11 @@ func writeAligned(b *strings.Builder, headers []string, rows [][]string) {
 // Runner is the signature every experiment exposes.
 type Runner func() *Result
 
+type experiment struct {
+	id  string
+	run Runner
+}
+
 // RegistryOptions tunes how registry experiments execute without changing
 // what they compute.
 type RegistryOptions struct {
@@ -151,6 +156,32 @@ type RegistryOptions struct {
 	Fidelity string
 }
 
+// registry is the one list of experiments, in run order: the paper's
+// figures, then the extensions (the ablation its design invites, the
+// seed-mode LIHD it defers (§4.2), the §3.7 protocols).
+func registry(scale float64, opts RegistryOptions) []experiment {
+	return []experiment{
+		{"fig2a", func() *Result { return Fig2aBiVsUniTCP(Fig2aConfig{Scale: scale, Fidelity: opts.Fidelity}) }},
+		{"fig2bc", func() *Result { return Fig2bcPacketsAfterDrop(Fig2bcConfig{Scale: scale}) }},
+		{"fig3a", func() *Result { return Fig3aUploadCapWired(Fig3Config{Scale: scale}) }},
+		{"fig3b", func() *Result { return Fig3bUploadCapWireless(Fig3Config{Scale: scale}) }},
+		{"fig3c", func() *Result { return Fig3cIncentiveMobility(Fig3cConfig{Scale: scale}) }},
+		{"fig4a", func() *Result {
+			return Fig4aServerMobility(Fig4aConfig{Scale: scale, Shards: opts.Shards, Fidelity: opts.Fidelity})
+		}},
+		{"fig4bc", func() *Result { return Fig4bcRarestPlayability(FigPlayConfig{Scale: scale}) }},
+		{"fig8a", func() *Result { return Fig8aAgeBasedManipulation(Fig8aConfig{Scale: scale}) }},
+		{"fig8b", func() *Result { return Fig8bIdentityRetention(Fig8bConfig{Scale: scale}) }},
+		{"fig8c", func() *Result { return Fig8cLIHD(Fig8cConfig{Scale: scale}) }},
+		{"fig9ab", func() *Result { return Fig9abMobilityAwareFetch(FigPlayConfig{Scale: scale}) }},
+		{"fig9c", func() *Result { return Fig9cRoleReversal(Fig9cConfig{Scale: scale}) }},
+		{"ablation", func() *Result { return AblationWP2P(scale) }},
+		{"ext-seedlihd", func() *Result { return ExtSeedLIHD(scale) }},
+		{"ext-ed2k", func() *Result { return ExtEd2kIdentity(scale) }},
+		{"ext-gnutella", func() *Result { return ExtGnutellaServerMobility(scale) }},
+	}
+}
+
 // Registry maps experiment ids to runners built with the given scale
 // (1.0 = paper-faithful sizes, smaller = faster benchmark-friendly runs)
 // and execution options; the zero RegistryOptions is the default.
@@ -158,38 +189,17 @@ func Registry(scale float64, opts RegistryOptions) map[string]Runner {
 	if scale <= 0 {
 		scale = 1
 	}
-	return map[string]Runner{
-		"fig2a":  func() *Result { return Fig2aBiVsUniTCP(Fig2aConfig{Scale: scale, Fidelity: opts.Fidelity}) },
-		"fig2bc": func() *Result { return Fig2bcPacketsAfterDrop(Fig2bcConfig{Scale: scale}) },
-		"fig3a":  func() *Result { return Fig3aUploadCapWired(Fig3Config{Scale: scale}) },
-		"fig3b":  func() *Result { return Fig3bUploadCapWireless(Fig3Config{Scale: scale}) },
-		"fig3c":  func() *Result { return Fig3cIncentiveMobility(Fig3cConfig{Scale: scale}) },
-		"fig4a": func() *Result {
-			return Fig4aServerMobility(Fig4aConfig{Scale: scale, Shards: opts.Shards, Fidelity: opts.Fidelity})
-		},
-		"fig4bc": func() *Result { return Fig4bcRarestPlayability(FigPlayConfig{Scale: scale}) },
-		"fig8a":  func() *Result { return Fig8aAgeBasedManipulation(Fig8aConfig{Scale: scale}) },
-		"fig8b":  func() *Result { return Fig8bIdentityRetention(Fig8bConfig{Scale: scale}) },
-		"fig8c":  func() *Result { return Fig8cLIHD(Fig8cConfig{Scale: scale}) },
-		"fig9ab": func() *Result { return Fig9abMobilityAwareFetch(FigPlayConfig{Scale: scale}) },
-		"fig9c":  func() *Result { return Fig9cRoleReversal(Fig9cConfig{Scale: scale}) },
-
-		// Extensions beyond the paper's figures: the component ablation its
-		// design section invites, and the seed-mode LIHD it defers to
-		// future work (§4.2).
-		"ablation":     func() *Result { return AblationWP2P(scale) },
-		"ext-seedlihd": func() *Result { return ExtSeedLIHD(scale) },
-		"ext-ed2k":     func() *Result { return ExtEd2kIdentity(scale) },
-		"ext-gnutella": func() *Result { return ExtGnutellaServerMobility(scale) },
+	reg := map[string]Runner{}
+	for _, e := range registry(scale, opts) {
+		reg[e.id] = e.run
 	}
+	return reg
 }
 
-// IDs returns the registry's experiment ids in run order: first the paper's
-// figures, then the extensions.
-func IDs() []string {
-	return []string{
-		"fig2a", "fig2bc", "fig3a", "fig3b", "fig3c",
-		"fig4a", "fig4bc", "fig8a", "fig8b", "fig8c", "fig9ab", "fig9c",
-		"ablation", "ext-seedlihd", "ext-ed2k", "ext-gnutella",
+// IDs returns the registry's experiment ids in run order.
+func IDs() (ids []string) {
+	for _, e := range registry(1, RegistryOptions{}) {
+		ids = append(ids, e.id)
 	}
+	return ids
 }

@@ -29,12 +29,11 @@ type observers struct {
 	capacity int       // recorder ring size (0 = recorder default)
 	sink     io.Writer // where finished worlds dump their recorder tails
 
-	checking    bool
-	checkEvery  int // sweep period in events (0 = check package default)
-	digests     bool
-	digestEvery int
-	violations  int
-	streams     []check.Stream
+	checking   bool
+	checkEvery int // sweep period in events (0 = check package default)
+	digests    bool
+	violations int
+	streams    []check.Stream
 
 	sampleEvery time.Duration    // sim time between samples; 0 = sampling off
 	series      *stats.Collector // the sampled registries of finished worlds
@@ -85,13 +84,13 @@ func EnableChecking(every int) {
 	obs.checking, obs.checkEvery = true, every
 }
 
-// EnableDigests additionally records determinism digests every `every`
-// events (0 selects the check package default); streams accumulate across
-// worlds and are written with WriteDigests. Implies EnableChecking.
-func EnableDigests(every int) {
+// EnableDigests additionally records determinism digests at the check
+// package's default period; streams accumulate across worlds and are
+// written with WriteDigests. Implies EnableChecking.
+func EnableDigests() {
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	obs.digests, obs.digestEvery = true, every
+	obs.digests = true
 	if !obs.checking {
 		obs.checking, obs.checkEvery = true, 0
 	}
@@ -225,7 +224,6 @@ func (o *observers) attach(w *World) {
 			w.chks[i] = check.Attach(p.Engine, check.Config{
 				Every:       int64(o.checkEvery),
 				Digests:     o.digests,
-				DigestEvery: int64(o.digestEvery),
 				OnViolation: w.onViolation,
 			})
 		}

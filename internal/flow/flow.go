@@ -157,9 +157,7 @@ func NewFabric(engine *sim.Engine, net *netem.Network, cfg Config) *Fabric {
 	if quantum == 0 {
 		quantum = DefaultQuantum
 	}
-	if quantum < 0 {
-		quantum = 0
-	}
+	quantum = max(quantum, 0)
 	f := &Fabric{
 		engine:   engine,
 		net:      net,
@@ -688,14 +686,7 @@ func (s *stream) deliverTime(head *flowPkt, now time.Duration) (at time.Duration
 	default:
 		tc = now + time.Duration((head.size-s.partial)/s.rate*float64(time.Second))
 	}
-	at = tc + head.path
-	if at < s.lastDeliver {
-		at = s.lastDeliver
-	}
-	if at < now {
-		at = now
-	}
-	return at, true
+	return max(tc+head.path, s.lastDeliver, now), true
 }
 
 // arm schedules the next delivery. It never delivers inline — a zero delay

@@ -162,9 +162,7 @@ func (s *Set[K, V]) SampleExcluding(r *rand.Rand, want int, exclude K, visit fun
 		s.Swap(i, m-1)
 		m--
 	}
-	if want > m {
-		want = m
-	}
+	want = min(want, m)
 	for i := 0; i < want; i++ {
 		// No draw for a forced choice, so tiny swarms consume no RNG —
 		// matching the old full-shuffle's draw count on the figure-scale

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrderAndCoverage(t *testing.T) {
@@ -174,5 +175,92 @@ func TestSetWorkers(t *testing.T) {
 	}
 	if Workers() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers() = %d, want GOMAXPROCS default", Workers())
+	}
+}
+
+// gauge counts the bodies running at once and remembers the peak.
+type gauge struct{ live, peak atomic.Int64 }
+
+// body runs for d while counted, and returns its seed so reductions have
+// something to reduce.
+func (g *gauge) body(seed int, d time.Duration) float64 {
+	n := g.live.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+	time.Sleep(d)
+	g.live.Add(-1)
+	return float64(seed)
+}
+
+// TestNestedPoolsShareOneBudget: the CLI's shape — Stream(N) over jobs that
+// Sweep points that AverageSeries runs, under SetWorkers(N) — never runs more
+// than N bodies at once, and does reach N, with more jobs than workers and
+// with one job whose nested calls must recruit.
+func TestNestedPoolsShareOneBudget(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		for _, jobs := range []int{2*n + 1, 1} {
+			prev := SetWorkers(n)
+			var g gauge
+			consumed := 0
+			Stream(n, jobs, func(j int) []float64 {
+				return Sweep([]int{0, 1, 2}, func(_ int, x int) float64 {
+					return AverageSeries(3, func(r int) []float64 {
+						return []float64{g.body(j+x+r, time.Millisecond)}
+					})[0]
+				})
+			}, func(i int, ys []float64) {
+				if i != consumed || ys[2] != float64(i+3) {
+					t.Errorf("N=%d jobs=%d: consume(%d, %v) after %d results", n, jobs, i, ys, consumed)
+				}
+				consumed++
+			})
+			SetWorkers(prev)
+			slots.L.Lock()
+			h := taken
+			slots.L.Unlock()
+			if h != 0 {
+				t.Errorf("N=%d jobs=%d: %d slots still taken after the call", n, jobs, h)
+			}
+			if consumed != jobs {
+				t.Errorf("N=%d jobs=%d: consumed %d results", n, jobs, consumed)
+			}
+			if p := g.peak.Load(); p != int64(n) {
+				t.Errorf("N=%d jobs=%d: peak %d bodies at once, want %d", n, jobs, p, n)
+			}
+		}
+	}
+}
+
+// TestMapWorkersOwnsItsWorkers: an explicit pool size is not capped by the
+// budget, so a two-worker speedup can be timed under SetWorkers(1).
+func TestMapWorkersOwnsItsWorkers(t *testing.T) {
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	var g gauge
+	MapWorkers(2, 8, func(i int) float64 { return g.body(i, 2*time.Millisecond) })
+	if p := g.peak.Load(); p != 2 {
+		t.Fatalf("MapWorkers(2) under SetWorkers(1): peak %d bodies at once, want 2", p)
+	}
+}
+
+// TestFreedSlotsArePickedUp: once the short job is done, whichever goroutine
+// ran it — the caller, now only waiting to consume, or a helper, now gone —
+// leaves its slot to the long job's sweep, which runs two points at once.
+func TestFreedSlotsArePickedUp(t *testing.T) {
+	prev := SetWorkers(2)
+	defer SetWorkers(prev)
+	for trial := 0; trial < 4; trial++ {
+		var long gauge
+		Stream(2, 2, func(j int) int {
+			if j != trial%2 {
+				time.Sleep(time.Millisecond)
+				return 0
+			}
+			Sweep(make([]int, 12), func(i, _ int) float64 { return long.body(i, 2*time.Millisecond) })
+			return 0
+		}, func(int, int) {})
+		if p := long.peak.Load(); p != 2 {
+			t.Fatalf("trial %d: the long job ran %d points at once, want 2", trial, p)
+		}
 	}
 }

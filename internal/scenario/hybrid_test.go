@@ -19,7 +19,7 @@ func flowCrowdWith(t *testing.T, shardWorkers int) (*experiments.Result, []byte)
 		t.Fatal(err)
 	}
 	experiments.EnableChecking(0)
-	experiments.EnableDigests(0)
+	experiments.EnableDigests()
 	t.Cleanup(experiments.DisableChecking)
 	res, err := RunOpts(spec, 0.05, Options{ShardWorkers: shardWorkers, Fidelity: FidelityFlow})
 	if err != nil {

@@ -184,7 +184,7 @@ func TestValidateExamples(t *testing.T) {
 // carried its own copies of randomHave and the wired-link defaults; the
 // shared experiments code must build the same world.
 func TestShapedLinksMatchGolden(t *testing.T) {
-	experiments.EnableDigests(0)
+	experiments.EnableDigests()
 	t.Cleanup(experiments.DisableChecking)
 	spec, err := LoadFile("testdata/partial-shaped-links.json")
 	if err != nil {

@@ -146,10 +146,7 @@ func (c *compiled) storm(inst *instance, ev *Event) {
 	for k := 0; k < n; k++ {
 		at := time.Duration(k) * period
 		if jitter > 0 {
-			at += time.Duration(c.w.Engine.Rand().Int63n(int64(2*jitter)+1)) - jitter
-			if at < 0 {
-				at = 0
-			}
+			at = max(at+time.Duration(c.w.Engine.Rand().Int63n(int64(2*jitter)+1))-jitter, 0)
 		}
 		inst.host.Engine.Schedule(at, inst.handoff.Trigger)
 	}

@@ -17,7 +17,7 @@ func flashCrowdWith(t *testing.T, workers int) (*experiments.Result, []byte) {
 		t.Fatal(err)
 	}
 	experiments.EnableChecking(0)
-	experiments.EnableDigests(0)
+	experiments.EnableDigests()
 	t.Cleanup(experiments.DisableChecking)
 	res, err := RunOpts(spec, 0.05, Options{ShardWorkers: workers})
 	if err != nil {

@@ -58,9 +58,7 @@ type laneItem struct {
 // caller asking for the same delay shares one lane. A negative delay is
 // treated as zero.
 func (e *Engine) Lane(delay time.Duration) *Lane {
-	if delay < 0 {
-		delay = 0
-	}
+	delay = max(delay, 0)
 	for _, l := range e.lanes {
 		if l.delay == delay {
 			return l

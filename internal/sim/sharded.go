@@ -150,12 +150,7 @@ func NewShardedEngine(cfg ShardedConfig) *ShardedEngine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Shards {
-		workers = cfg.Shards
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, cfg.Shards), 1)
 	s := &ShardedEngine{
 		lookahead: cfg.Lookahead,
 		workers:   workers,
@@ -276,9 +271,7 @@ func (s *ShardedEngine) RunUntil(deadline time.Duration) {
 			wend = g
 			s.regGlobalCap.Inc()
 		}
-		if wend > deadline {
-			wend = deadline
-		}
+		wend = min(wend, deadline)
 		s.runRound(wend, false)
 		drained, globalsRun := s.barrier2()
 		s.regWindows.Inc()
@@ -429,10 +422,7 @@ func (s *ShardedEngine) runRound(wend time.Duration, inclusive bool) {
 		t0 = time.Now()
 	}
 	n := len(s.shards)
-	w := s.workers
-	if w > n {
-		w = n
-	}
+	w := min(s.workers, n)
 	if w <= 1 || n == 1 {
 		for i, sh := range s.shards {
 			var e0 time.Time

@@ -108,10 +108,7 @@ func (s *ShardedEngine) Profile() *BarrierProfile {
 	}
 	for i, sh := range s.shards {
 		exec := p.execNS[i]
-		wait := p.roundNS - exec
-		if wait < 0 {
-			wait = 0
-		}
+		wait := max(p.roundNS-exec, 0)
 		bp.PerShard[i] = ShardProfile{
 			Events:     sh.Stats().Counter("sim.events_fired").Value() - p.baseFired[i],
 			ExecWallNS: exec,

@@ -186,9 +186,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
 
 // schedule queues an event that fires fn, or timer when fn is nil.
 func (e *Engine) schedule(delay time.Duration, fn func(), timer *Timer) *Event {
-	if delay < 0 {
-		delay = 0
-	}
+	delay = max(delay, 0)
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]

@@ -372,7 +372,7 @@ func (c *Conn) trySend() int {
 		if avail <= 0 {
 			break
 		}
-		n := int(min64(avail, MSS))
+		n := int(min(avail, MSS))
 		seg := c.stack.pool.Get()
 		seg.Seq, seg.Len, seg.Ack, seg.HasAck = c.sndNxt, n, c.rcvNxt, true
 		seg.Msgs = c.appendMsgs(seg.Msgs[:0], seg.Seq, seg.Seq+int64(n))
@@ -434,7 +434,7 @@ func (c *Conn) retransmit(seq int64, fast bool) {
 		c.sendSegment(seg)
 		return
 	}
-	n := int(min64(min64(c.dataTail(), c.sndNxt)-seq, MSS))
+	n := int(min(min(c.dataTail(), c.sndNxt)-seq, MSS))
 	if n <= 0 {
 		return
 	}
@@ -465,14 +465,7 @@ func (c *Conn) takeSample(rtt time.Duration) {
 		c.rttvar = (3*c.rttvar + diff) / 4
 		c.srtt = (7*c.srtt + rtt) / 8
 	}
-	rto := c.srtt + 4*c.rttvar
-	if rto < minRTO {
-		rto = minRTO
-	}
-	if rto > maxRTO {
-		rto = maxRTO
-	}
-	c.rto = rto
+	c.rto = min(max(c.srtt+4*c.rttvar, minRTO), maxRTO)
 }
 
 func (c *Conn) armRTO() { c.rtxTimer.Reset(c.rto) }
@@ -488,10 +481,7 @@ func (c *Conn) onRTO() {
 	c.retries++
 	c.stats.Timeouts++
 	c.stack.reg.rtos.Inc()
-	c.rto *= 2
-	if c.rto > maxRTO {
-		c.rto = maxRTO
-	}
+	c.rto = min(2*c.rto, maxRTO)
 	switch c.state {
 	case StateSynSent:
 		seg := c.stack.pool.Get()
@@ -503,7 +493,7 @@ func (c *Conn) onRTO() {
 		c.sendSegment(seg)
 	case StateEstablished:
 		flight := float64(c.sndNxt - c.sndUna)
-		c.ssthresh = maxf(flight/2, 2*MSS)
+		c.ssthresh = max(flight/2, 2*MSS)
 		c.cwnd = MSS
 		c.inRecovery = false
 		c.dupAcks = 0
@@ -630,13 +620,13 @@ func (c *Conn) onNewAck(ack int64, seg *Segment) {
 		} else {
 			// Partial acknowledgement: the next hole is lost too.
 			c.retransmit(ack, true)
-			c.cwnd = maxf(c.cwnd-float64(acked)+MSS, MSS)
+			c.cwnd = max(c.cwnd-float64(acked)+MSS, MSS)
 		}
 	} else {
 		c.dupAcks = 0
 		if c.cwnd < c.ssthresh {
 			// Slow start: one MSS per ACK (bounded by bytes acked).
-			c.cwnd += minf(float64(acked), MSS)
+			c.cwnd += min(float64(acked), MSS)
 		} else {
 			// Congestion avoidance: ~one MSS per RTT.
 			c.cwnd += MSS * MSS / c.cwnd
@@ -665,7 +655,7 @@ func (c *Conn) onDupAck() {
 	c.dupAcks++
 	if c.dupAcks == 3 {
 		flight := float64(c.sndNxt - c.sndUna)
-		c.ssthresh = maxf(flight/2, 2*MSS)
+		c.ssthresh = max(flight/2, 2*MSS)
 		c.recover = c.sndNxt
 		c.inRecovery = true
 		c.cwnd = c.ssthresh + 3*MSS
@@ -782,25 +772,4 @@ func boolToInt64(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -362,10 +362,7 @@ const ephemeralBase = 49152
 func (s *Stack) allocPort() (uint16, error) {
 	for tries := 0; tries < 1<<14; tries++ {
 		p := s.nextPort
-		s.nextPort++
-		if s.nextPort < ephemeralBase {
-			s.nextPort = ephemeralBase
-		}
+		s.nextPort = max(s.nextPort+1, ephemeralBase)
 		if _, taken := s.listeners[p]; taken {
 			continue
 		}

@@ -123,9 +123,7 @@ func sparkline(v []float64, width int) string {
 	if len(v) == 0 {
 		return ""
 	}
-	if width > len(v) {
-		width = len(v)
-	}
+	width = min(width, len(v))
 	cells := make([]float64, width)
 	for i := range cells {
 		lo, hi := i*len(v)/width, (i+1)*len(v)/width // hi > lo: width ≤ len(v)

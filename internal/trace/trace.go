@@ -155,7 +155,7 @@ func ParseFilter(spec string) func(source, kind string) bool {
 // args must not be mutated after the call; pass value copies (or types like
 // PacketInfo) for data that lives on.
 func (r *Recorder) Emit(source, kind, format string, args ...any) {
-	if r.filter != nil && !r.filter(source, kind) {
+	if !r.wants(source, kind) {
 		return
 	}
 	rec := &r.ring[r.next]
@@ -171,6 +171,12 @@ func (r *Recorder) Emit(source, kind, format string, args ...any) {
 		r.next = 0
 		r.wrapped = true
 	}
+}
+
+// wants reports whether the filter keeps an event: watch points ask before
+// they snapshot a packet, so a filtered-out one costs no work.
+func (r *Recorder) wants(source, kind string) bool {
+	return r.filter == nil || r.filter(source, kind)
 }
 
 // Total reports how many events were ever emitted (including evicted ones,
@@ -292,15 +298,20 @@ func WatchIface(r *Recorder, name string, iface *netem.Iface) {
 	reg := r.engine.Stats()
 	egress := reg.Counter("trace.watch." + name + ".egress")
 	ingress := reg.Counter("trace.watch." + name + ".ingress")
-	iface.AddEgressFilter(netem.FilterFunc(func(p *netem.Packet, out []*netem.Packet) []*netem.Packet {
+	out, in := name+"/egress", name+"/ingress"
+	iface.AddEgressFilter(netem.FilterFunc(func(p *netem.Packet, pass []*netem.Packet) []*netem.Packet {
 		egress.Inc()
-		r.Emit(name+"/egress", "pkt", "%v", packetInfo(p))
-		return append(out, p)
+		if r.wants(out, "pkt") {
+			r.Emit(out, "pkt", "%v", packetInfo(p))
+		}
+		return append(pass, p)
 	}))
-	iface.AddIngressFilter(netem.FilterFunc(func(p *netem.Packet, out []*netem.Packet) []*netem.Packet {
+	iface.AddIngressFilter(netem.FilterFunc(func(p *netem.Packet, pass []*netem.Packet) []*netem.Packet {
 		ingress.Inc()
-		r.Emit(name+"/ingress", "pkt", "%v", packetInfo(p))
-		return append(out, p)
+		if r.wants(in, "pkt") {
+			r.Emit(in, "pkt", "%v", packetInfo(p))
+		}
+		return append(pass, p)
 	}))
 }
 
@@ -308,22 +319,14 @@ func WatchIface(r *Recorder, name string, iface *netem.Iface) {
 // wireless channel and feeds the "trace.watch.<name>.drops" counter. The
 // observer chains with any already installed (netem's OnDrop contract).
 func WatchWireless(r *Recorder, name string, ch *netem.WirelessChannel) {
-	drops := r.engine.Stats().Counter("trace.watch." + name + ".drops")
-	ch.OnDrop(func(p *netem.Packet, reason netem.DropReason) {
-		drops.Inc()
-		r.Emit(name, "drop", "%v %v", reason, packetInfo(p))
-	})
+	ch.OnDrop(dropWatch(r, name))
 }
 
 // WatchLink records every drop on a wired access link and feeds the
 // "trace.watch.<name>.drops" counter. The observer chains with any already
 // installed.
 func WatchLink(r *Recorder, name string, l *netem.AccessLink) {
-	drops := r.engine.Stats().Counter("trace.watch." + name + ".drops")
-	l.OnDrop(func(p *netem.Packet, reason netem.DropReason) {
-		drops.Inc()
-		r.Emit(name, "drop", "%v %v", reason, packetInfo(p))
-	})
+	l.OnDrop(dropWatch(r, name))
 }
 
 // WatchFlow records stream lifecycle events (open/close/rate changes) and
@@ -331,26 +334,33 @@ func WatchLink(r *Recorder, name string, l *netem.AccessLink) {
 // ".drops" counters. Observers chain with any already installed.
 func WatchFlow(r *Recorder, name string, f *flow.Fabric) {
 	streams := r.engine.Stats().Counter("trace.watch." + name + ".streams")
-	drops := r.engine.Stats().Counter("trace.watch." + name + ".drops")
+	drop := dropWatch(r, name)
 	f.OnStream(func(ev flow.StreamEvent) {
 		if ev.Kind == "open" {
 			streams.Inc()
 		}
-		r.Emit(name, ev.Kind, "%v→%v up=%v rate=%.0fB/s", ev.Src, ev.Dst, ev.Up, ev.Rate)
+		if r.wants(name, ev.Kind) {
+			r.Emit(name, ev.Kind, "%v→%v up=%v rate=%.0fB/s", ev.Src, ev.Dst, ev.Up, ev.Rate)
+		}
 	})
-	f.OnDrop(func(p *netem.Packet, reason netem.DropReason) {
-		drops.Inc()
-		r.Emit(name, "drop", "%v %v", reason, packetInfo(p))
-	})
+	f.OnDrop(drop)
 }
 
 // WatchNetwork records packets blackholed by the routing layer (no-route
 // after a handoff) and feeds the "trace.watch.<name>.drops" counter. The
 // observer chains with any already installed.
 func WatchNetwork(r *Recorder, name string, n *netem.Network) {
+	n.OnDrop(dropWatch(r, name))
+}
+
+// dropWatch is the drop observer every watch point installs: it feeds the
+// "trace.watch.<name>.drops" counter and records the drop.
+func dropWatch(r *Recorder, name string) func(*netem.Packet, netem.DropReason) {
 	drops := r.engine.Stats().Counter("trace.watch." + name + ".drops")
-	n.OnDrop(func(p *netem.Packet, reason netem.DropReason) {
+	return func(p *netem.Packet, reason netem.DropReason) {
 		drops.Inc()
-		r.Emit(name, "drop", "%v %v", reason, packetInfo(p))
-	})
+		if r.wants(name, "drop") {
+			r.Emit(name, "drop", "%v %v", reason, packetInfo(p))
+		}
+	}
 }

@@ -368,3 +368,35 @@ func TestDumpMerged(t *testing.T) {
 		t.Fatalf("merged dump = %q", b.String())
 	}
 }
+
+// TestFilteredWatchCostsNothing: a packet whose watch events the filter
+// rejects is counted, but neither named nor snapshotted, so the watched
+// packet path stays allocation-free.
+func TestFilteredWatchCostsNothing(t *testing.T) {
+	e := sim.NewEngine()
+	n := netem.NewNetwork(e, netem.NetworkConfig{CloudDelay: time.Millisecond})
+	link := func() *netem.AccessLink {
+		return netem.NewAccessLink(e, netem.AccessLinkConfig{UpRate: netem.MBps, DownRate: netem.MBps, Delay: time.Millisecond})
+	}
+	a := n.Attach(1, link(), nil)
+	b := n.Attach(2, link(), netem.HandlerFunc(func(*netem.Packet) {}))
+	r := NewRecorder(e, 8)
+	r.SetFilter(func(source, kind string) bool { return source == "elsewhere" })
+	WatchIface(r, "a", a)
+	WatchIface(r, "b", b)
+	send := func() {
+		p := n.NewPacket()
+		p.Dst, p.Size = netem.Addr{IP: 2}, 1000
+		a.Send(p)
+		e.Run()
+	}
+	for i := 0; i < 50; i++ { // warm the packet, event and queue pools
+		send()
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("a filtered-out watched packet allocates %.1f, want 0", allocs)
+	}
+	if r.Total() != 0 {
+		t.Errorf("Total = %d, want 0", r.Total())
+	}
+}

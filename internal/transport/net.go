@@ -312,10 +312,7 @@ func (t *Net) Addr(port uint16) netem.Addr { return netem.Addr{IP: t.ip, Port: p
 func (t *Net) allocPort() (uint16, error) {
 	for tries := 0; tries < 1<<14; tries++ {
 		p := t.nextPort
-		t.nextPort++
-		if t.nextPort < ephemeralBase {
-			t.nextPort = ephemeralBase
-		}
+		t.nextPort = max(t.nextPort+1, ephemeralBase)
 		if _, taken := t.listeners[p]; taken {
 			continue
 		}
@@ -653,9 +650,7 @@ func (c *netConn) SendMessage(val any, wireLen int) {
 	seq := c.sendSeq
 	c.sendSeq++
 	c.pair.q[c.dirOut].push(val)
-	if wireLen < frameHdr {
-		wireLen = frameHdr
-	}
+	wireLen = max(wireLen, frameHdr)
 	c.buffered.Add(int64(wireLen))
 	c.enqueue(frame{kind: kindMsg, seq: seq, n: wireLen})
 }

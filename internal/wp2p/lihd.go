@@ -149,12 +149,7 @@ func (l *LIHD) update() {
 			// Within the noise band: hold at the peak we found.
 		}
 	}
-	if l.ucur > float64(l.cfg.Umax) {
-		l.ucur = float64(l.cfg.Umax)
-	}
-	if l.ucur < float64(l.cfg.Umin) {
-		l.ucur = float64(l.cfg.Umin)
-	}
+	l.ucur = max(min(l.ucur, float64(l.cfg.Umax)), float64(l.cfg.Umin))
 	l.limiter.SetRate(netem.Rate(l.ucur))
 	l.dprev = dcur
 }
