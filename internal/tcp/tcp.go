@@ -167,10 +167,11 @@ const (
 	minRTO       = 200 * time.Millisecond // RTO floor
 	maxRTO       = 60 * time.Second       // RTO backoff ceiling
 	// maxRetries is how many consecutive RTOs are tolerated before the
-	// connection fails with ErrTimeout. With a 200 ms post-sample RTO
-	// floor, exponential backoff makes the sender persist for one to two
-	// minutes — the "several minutes" a fixed peer keeps trying a vanished
-	// mobile server (paper §3.5).
+	// connection fails with ErrTimeout: the eleventh expiry tears it down.
+	// Doubling from the 200 ms floor up to maxRTO, an established
+	// connection persists 0.2+0.4+…+51.2+60+60 = 222.2 s; a SYN, starting
+	// from initRTO, 1+2+4+8+16+32+5×60 = 363 s — the "several minutes" a
+	// fixed peer keeps trying a vanished mobile server (paper §3.5).
 	maxRetries = 10
 	// delAckTimeout is the delayed-ACK timer (RFC 1122): an ACK for
 	// in-order data is withheld until a second segment arrives, reverse

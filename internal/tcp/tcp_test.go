@@ -91,11 +91,17 @@ func TestDialBlackholeTimesOut(t *testing.T) {
 	w := newWorld(1)
 	sa := w.wiredHost(1)
 	var gotErr error
+	var closedAt time.Duration
+	dialAt := w.engine.Now()
 	c := sa.MustDial(netem.Addr{IP: 99, Port: 80}) // nobody home
-	c.OnClose = func(err error) { gotErr = err }
+	c.OnClose = func(err error) { gotErr, closedAt = err, w.engine.Now() }
 	w.engine.RunFor(10 * time.Minute)
 	if !errors.Is(gotErr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", gotErr)
+	}
+	// A SYN's lifetime: initRTO doubling to maxRTO, maxRetries+1 expiries.
+	if got, want := closedAt-dialAt, 363*time.Second; got != want {
+		t.Errorf("SYN gave up %v after the dial, want %v", got, want)
 	}
 }
 
