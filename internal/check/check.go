@@ -43,14 +43,6 @@ type Digestable interface {
 	DigestInto(d *Digest)
 }
 
-// Strict is implemented by components with data-path assertions too hot to
-// run unconditionally (generation-stamp verification on pooled packets, for
-// example). Attach flips them on; they stay compiled out of the default
-// path behind a plain bool.
-type Strict interface {
-	SetCheckEnabled(on bool)
-}
-
 // Violation is one failed invariant.
 type Violation struct {
 	Invariant string        // dotted name, e.g. "netem.wired.up.conservation"
@@ -97,10 +89,10 @@ type Checker struct {
 }
 
 // Attach wires a Checker into the engine: after-step clock monotonicity,
-// periodic invariant sweeps over every registered Checkable, strict
-// data-path assertions on every Strict component (including ones registered
-// later — worlds attach the checker before building hosts), and periodic
-// digest records when cfg.Digests is set.
+// periodic invariant sweeps over every registered Checkable, and periodic
+// digest records when cfg.Digests is set. The data path's own assertions
+// (use-after-release of pooled packets and segments, barrier causality)
+// run whether or not a Checker is attached.
 func Attach(e *sim.Engine, cfg Config) *Checker {
 	if cfg.Every == 0 {
 		cfg.Every = 4096
@@ -109,18 +101,6 @@ func Attach(e *sim.Engine, cfg Config) *Checker {
 		cfg.DigestEvery = 4096
 	}
 	c := &Checker{engine: e, cfg: cfg, lastNow: e.Now()}
-	if cfg.Every > 0 {
-		for _, comp := range e.Components() {
-			if s, ok := comp.(Strict); ok {
-				s.SetCheckEnabled(true)
-			}
-		}
-		e.OnRegister(func(comp any) {
-			if s, ok := comp.(Strict); ok {
-				s.SetCheckEnabled(true)
-			}
-		})
-	}
 	e.SetAfterStep(c.afterStep)
 	return c
 }

@@ -95,37 +95,20 @@ func TestFirstDivergence(t *testing.T) {
 	}
 }
 
-// brokenComponent reports a violation on every sweep and counts strict
-// toggles, standing in for a model component with corrupted state.
-type brokenComponent struct {
-	strictOn int
-}
+// brokenComponent reports a violation on every sweep, standing in for a
+// model component with corrupted state.
+type brokenComponent struct{}
 
 func (c *brokenComponent) CheckState(report func(invariant, detail string)) {
 	report("test.broken", "state is corrupt")
 }
 
-func (c *brokenComponent) SetCheckEnabled(on bool) {
-	if on {
-		c.strictOn++
-	}
-}
-
-func TestCheckerDetectsViolationAndArmsStrict(t *testing.T) {
+func TestCheckerDetectsViolation(t *testing.T) {
 	e := sim.NewEngine(sim.WithSeed(1))
-	before := &brokenComponent{}
-	e.Register(before)
+	e.Register(&brokenComponent{})
 	var got []Violation
 	c := Attach(e, Config{Every: 10, OnViolation: func(v Violation) { got = append(got, v) }})
-	after := &brokenComponent{}
-	e.Register(after)
-
-	if before.strictOn != 1 {
-		t.Errorf("component registered before Attach armed %d times, want 1", before.strictOn)
-	}
-	if after.strictOn != 1 {
-		t.Errorf("component registered after Attach armed %d times, want 1", after.strictOn)
-	}
+	e.Register(&brokenComponent{})
 
 	var tick func()
 	tick = func() {

@@ -154,10 +154,10 @@ func ExtSeedLIHD(scale float64) *Result {
 		fgRx := bt.NewRateEstimator(0)
 		var fgTotal int64
 		dl := mob.Stack.MustDial(netem.Addr{IP: server.Iface.IP(), Port: 8080})
-		dl.OnDeliver = func(n int) {
+		dl.SetOnDeliver(func(n int) {
 			fgTotal += int64(n)
 			fgRx.Add(w.Engine.Now(), int64(n))
-		}
+		})
 		w.RunFor(2 * time.Second)
 		if fgConn != nil {
 			fgConn.Write(1 << 30)

@@ -79,7 +79,7 @@ func Fig2aBiVsUniTCP(cfg Fig2aConfig) *Result {
 			return 0
 		}
 		var rcvd int64
-		client.OnDeliver = func(n int) { rcvd += int64(n) }
+		client.SetOnDeliver(func(n int) { rcvd += int64(n) })
 		const plenty = 1 << 30
 		server.Write(plenty) // fixed peer streams to the mobile
 		if bidirectional {

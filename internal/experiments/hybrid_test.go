@@ -98,7 +98,7 @@ func TestFluidBoundaryBytesDelivered(t *testing.T) {
 			t.Fatal("connection not established")
 		}
 		var rcvd int64
-		cl.OnDeliver = func(n int) { rcvd += int64(n) }
+		cl.SetOnDeliver(func(n int) { rcvd += int64(n) })
 		conn.Write(1 << 30)
 		w.RunFor(20 * time.Second)
 		return rcvd

@@ -227,9 +227,6 @@ func (o *observers) attach(w *World) {
 				OnViolation: w.onViolation,
 			})
 		}
-		if w.Sharded != nil {
-			w.Sharded.SetCheckEnabled(true)
-		}
 	}
 	w.sampleEvery = o.sampleEvery
 	if o.profiling && w.Sharded != nil {

@@ -66,7 +66,7 @@ const DefaultQuantum = 100 * time.Microsecond
 const Exact time.Duration = -1
 
 // Fabric owns every fluid link on one engine (one shard) and the streams
-// crossing them. It implements check.Checkable/Digestable/Strict and
+// crossing them. It implements check.Checkable/Digestable and
 // registers itself on the engine, so invariant sweeps and determinism
 // digests cover the fluid state like any other component.
 type Fabric struct {
@@ -88,7 +88,6 @@ type Fabric struct {
 	nextPipeID int
 
 	activeStreams int
-	checkEnabled  bool
 
 	// Packet-conservation ledger: everything offered to the fabric is
 	// eventually delivered, dropped, or still queued.
@@ -385,7 +384,7 @@ func (f *Fabric) enqueue(streams map[netem.IP]*stream, peer netem.IP, up, down *
 		streams[peer] = s
 		f.streams = append(f.streams, s)
 	}
-	if f.checkEnabled && (s.up != up || s.down != down) {
+	if s.up != up || s.down != down {
 		panic("flow: stream re-opened across different pipes")
 	}
 	if s.active {
@@ -846,9 +845,6 @@ func (f *Fabric) deliverPkt(p flowPkt) {
 	f.net.CountRouted()
 	dst.Deliver(pkt)
 }
-
-// SetCheckEnabled arms strict data-path assertions (check.Strict).
-func (f *Fabric) SetCheckEnabled(on bool) { f.checkEnabled = on }
 
 // CheckState audits the fabric (check.Checkable): capacity conservation
 // (Σ stream rates on a pipe ≤ its capacity), non-negative rates, fluid

@@ -396,6 +396,25 @@ func TestEndToEndPartitionDrop(t *testing.T) {
 	}
 }
 
+// TestAssertStreamReopenedAcrossPipes: a stream keyed by its peer's address
+// must keep the pipes it opened with. A fluid link created for an address
+// that already has an up-leg stream aimed at it would re-open that stream
+// end to end; the fabric refuses, with no checker attached.
+func TestAssertStreamReopenedAcrossPipes(t *testing.T) {
+	r := newRig(t, Config{EndToEnd: true}, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond})
+	cfg := netem.AccessLinkConfig{UpRate: 1 * netem.MBps, DownRate: 1 * netem.MBps, Delay: time.Millisecond}
+	a, _, _ := r.fluidHost(cfg)
+	b, _ := r.packetHost(cfg) // not fluid: a's stream to b crosses a's up pipe only
+	r.send(a, b, 1000)
+	r.fab.NewLink(b.IP(), cfg)
+	defer func() {
+		if msg, _ := recover().(string); msg != "flow: stream re-opened across different pipes" {
+			t.Fatalf("panic = %q, want the stream re-open check", msg)
+		}
+	}()
+	r.send(a, b, 1000)
+}
+
 // Invariants hold mid-run and the ledger balances at the end.
 func TestCheckStateClean(t *testing.T) {
 	r := newRig(t, Config{EndToEnd: true}, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond})
@@ -408,7 +427,6 @@ func TestCheckStateClean(t *testing.T) {
 	b, _, _ := r.fluidHost(netem.AccessLinkConfig{
 		UpRate: 1 * netem.MBps, DownRate: 200 * netem.KBps, Delay: time.Millisecond,
 	})
-	r.fab.SetCheckEnabled(true)
 	r.eng.Schedule(0, func() {
 		for i := 0; i < 8; i++ {
 			r.send(a1, b, 2000)

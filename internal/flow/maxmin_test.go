@@ -68,7 +68,6 @@ type fluidWorld struct {
 
 func newFluidWorld(t *testing.T, rnd *rand.Rand, hosts, streams int, pick func(i int) (src, dst int)) *fluidWorld {
 	w := &fluidWorld{r: newRig(t, Config{EndToEnd: true}, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond})}
-	w.r.fab.SetCheckEnabled(true)
 	for h := 0; h < hosts; h++ {
 		up, down := netem.Rate(20+rnd.Intn(980))*netem.KBps, netem.Rate(20+rnd.Intn(980))*netem.KBps
 		ifc, _, _ := w.r.fluidHost(netem.AccessLinkConfig{UpRate: up, DownRate: down, Delay: time.Millisecond})

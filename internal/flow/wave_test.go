@@ -42,7 +42,6 @@ func (r *rig) echoHost(cfg netem.AccessLinkConfig, reply int) (*netem.Iface, *Li
 // armed, and they would never arrive.
 func TestDrainWaterfillsEverySeedPipe(t *testing.T) {
 	r := newRig(t, Config{EndToEnd: true}, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond})
-	r.fab.SetCheckEnabled(true)
 	cfg := netem.AccessLinkConfig{UpRate: 100 * netem.KBps, DownRate: 1 * netem.MBps, Delay: time.Millisecond}
 	const pairs = 100
 	var srcs, dsts [pairs]*netem.Iface
@@ -147,7 +146,6 @@ func exactTrace(t *testing.T) string {
 	r := newRig(t, Config{EndToEnd: true, Quantum: Exact}, netem.NetworkConfig{
 		CloudDelay: 15 * time.Millisecond, Jitter: 5 * time.Millisecond,
 	})
-	r.fab.SetCheckEnabled(true)
 	var out []byte
 	r.fab.OnStream(func(ev StreamEvent) {
 		out = fmt.Appendf(out, "%d %s %s %s %v %.3f\n", r.eng.Now(), ev.Kind, ev.Src, ev.Dst, ev.Up, ev.Rate)

@@ -56,13 +56,6 @@ func NewAccessLink(engine *sim.Engine, cfg AccessLinkConfig) *AccessLink {
 	return l
 }
 
-// SetCheckEnabled arms the strict data-path assertions on both directions
-// (check.Strict).
-func (l *AccessLink) SetCheckEnabled(on bool) {
-	l.up.checkEnabled = on
-	l.down.checkEnabled = on
-}
-
 // CheckState audits byte conservation in both directions (check.Checkable).
 func (l *AccessLink) CheckState(report func(invariant, detail string)) {
 	l.up.checkState("netem.wired.up", report)
@@ -156,9 +149,6 @@ func NewWirelessChannel(engine *sim.Engine, cfg WirelessConfig) *WirelessChannel
 	engine.Register(c)
 	return c
 }
-
-// SetCheckEnabled arms the strict data-path assertions (check.Strict).
-func (c *WirelessChannel) SetCheckEnabled(on bool) { c.x.checkEnabled = on }
 
 // CheckState audits byte conservation on the shared channel
 // (check.Checkable).

@@ -39,10 +39,6 @@ type Network struct {
 	hopFree   *cloudHop
 	cloudLane *sim.Lane
 
-	// checkEnabled arms the strict data-path assertions (generation-stamp
-	// verification across the cloud crossing); see SetCheckEnabled.
-	checkEnabled bool
-
 	// Sharded-world plumbing (nil/zero on a single-engine network). dir maps
 	// addresses to shards, fabric carries cross-shard deliveries, peers holds
 	// every shard's network indexed by shard id, and lookahead is the
@@ -422,7 +418,7 @@ func (h *cloudHop) run() {
 	h.pkt = nil
 	h.next = n.hopFree
 	n.hopFree = h
-	if n.checkEnabled && (pkt.pooled || pkt.gen != gen) {
+	if pkt.pooled || pkt.gen != gen {
 		panic("netem: packet recycled while crossing the cloud (use-after-release)")
 	}
 	if len(n.blocked) > 0 && n.blocked[pairOf(pkt.Src.IP, pkt.Dst.IP)] {
@@ -506,10 +502,6 @@ func (ifc *Iface) Deliver(pkt *Packet) {
 		in.Release()
 	}
 }
-
-// SetCheckEnabled arms the strict data-path assertions on the routing core
-// (check.Strict).
-func (n *Network) SetCheckEnabled(on bool) { n.checkEnabled = on }
 
 // CheckState audits the routing layer (check.Checkable): packet-pool
 // ownership, interface-map coherence, and route-cache entries that survived

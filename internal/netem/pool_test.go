@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -77,6 +78,47 @@ func TestPacketDoubleReleasePanics(t *testing.T) {
 		}
 	}()
 	pkt.Release()
+}
+
+// releaseInFlight sends one pooled packet from host 1 to host 2 across 10 ms
+// access links and a 50 ms cloud, releases it at virtual time at — a
+// use-after-release by its sender — and returns what the run panicked with.
+// No checker is attached: the data path's generation checks always run.
+func releaseInFlight(at time.Duration) (panicked any) {
+	e := sim.NewEngine(sim.WithSeed(1))
+	n := NewNetwork(e, NetworkConfig{CloudDelay: 50 * time.Millisecond})
+	mk := func() *AccessLink {
+		return NewAccessLink(e, AccessLinkConfig{UpRate: 1 * MBps, DownRate: 1 * MBps, Delay: 10 * time.Millisecond})
+	}
+	a := n.Attach(1, mk(), nil)
+	n.Attach(2, mk(), HandlerFunc(func(*Packet) {}))
+	pkt := n.NewPacket()
+	pkt.Dst = Addr{IP: 2}
+	pkt.Size = 1000
+	a.Send(pkt)
+	e.Schedule(at, pkt.Release)
+	defer func() { panicked = recover() }()
+	e.Run()
+	return nil
+}
+
+// TestAssertReleasedDuringPropagation: a packet released while it crosses
+// the uplink's propagation delay (serialized by ~1 ms, delivered at ~11 ms)
+// fails the run at the hop.
+func TestAssertReleasedDuringPropagation(t *testing.T) {
+	got := releaseInFlight(6 * time.Millisecond)
+	if msg, _ := got.(string); !strings.Contains(msg, "propagation delay (use-after-release)") {
+		t.Fatalf("panic = %v, want the propagation hop's use-after-release", got)
+	}
+}
+
+// TestAssertReleasedCrossingCloud: a packet released while it crosses the
+// cloud (~11 ms to ~61 ms) fails the run at the cloud hop.
+func TestAssertReleasedCrossingCloud(t *testing.T) {
+	got := releaseInFlight(30 * time.Millisecond)
+	if msg, _ := got.(string); !strings.Contains(msg, "crossing the cloud (use-after-release)") {
+		t.Fatalf("panic = %v, want the cloud hop's use-after-release", got)
+	}
 }
 
 // TestCloneAliasingRegression is the recycled-Packet aliasing regression

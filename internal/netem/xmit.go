@@ -55,10 +55,6 @@ type transmitter struct {
 	offered      int64
 	delivered    int64
 	propInFlight int64
-	// checkEnabled arms the strict data-path assertions (generation-stamp
-	// verification across the propagation hop); set via the owning medium's
-	// SetCheckEnabled.
-	checkEnabled bool
 
 	// cur is the packet being serialized, valid while busy; onTxDone is the
 	// pre-bound completion consuming it.
@@ -98,7 +94,7 @@ func (h *xmitHop) run() {
 	x.hopFree = h
 	x.propInFlight--
 	x.delivered++
-	if x.checkEnabled && (pkt.pooled || pkt.gen != gen) {
+	if pkt.pooled || pkt.gen != gen {
 		panic("netem: packet recycled while crossing propagation delay (use-after-release)")
 	}
 	deliver.Deliver(pkt)

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/wp2p/wp2p/internal/experiments"
 	"github.com/wp2p/wp2p/internal/runner"
@@ -212,5 +213,87 @@ func TestShapedLinksMatchGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: output differs from the golden (%d bytes, golden %d)", golden, len(got), len(want))
 		}
+	}
+}
+
+// TestFieldCoverageSpec gives each spec field that no bundled scenario sets
+// an observable effect: network.cloud_delay and jitter, peers[].start_at and
+// arrival_interval, a wired link's down rate, wp2p.am and wp2p.mf, and
+// events[].index.
+func TestFieldCoverageSpec(t *testing.T) {
+	spec, err := LoadFile("testdata/field-coverage.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := compile(spec, 1, spec.Seed, experiments.ShardConfig{}, "")
+	eng := c.w.Engine
+	crowd := c.groups["crowd"]
+
+	// am and mf register their counters when the wP2P client is built; the
+	// same spec without the wp2p block registers none.
+	bare := *spec
+	bare.Peers = append([]PeerGroup(nil), spec.Peers...)
+	bare.Peers[1].WP2P = nil
+	for _, tc := range []struct {
+		c    *compiled
+		want bool
+	}{{c, true}, {compile(&bare, 1, spec.Seed, experiments.ShardConfig{}, ""), false}} {
+		for _, prefix := range []string{"wp2p.am.", "wp2p.mf."} {
+			has := false
+			for _, cn := range tc.c.w.Engine.Stats().Snapshot().Counters {
+				has = has || strings.HasPrefix(cn.Name, prefix)
+			}
+			if has != tc.want {
+				t.Errorf("%s* counters registered = %v, want %v", prefix, has, tc.want)
+			}
+		}
+	}
+
+	// Arrival k starts at start_at + k·arrival_interval.
+	for k, inst := range crowd {
+		at := 10*time.Second + time.Duration(k)*5*time.Second
+		eng.RunUntil(at - time.Millisecond)
+		if inst.started {
+			t.Errorf("crowd[%d] started before %v", k, at)
+		}
+		eng.RunUntil(at)
+		if !inst.started {
+			t.Errorf("crowd[%d] not started at %v", k, at)
+		}
+	}
+
+	// The leave event at 60 s picks instance 1 alone; the others keep
+	// downloading, each as fast as its 50 KB/s downlink allows.
+	eng.RunUntil(60*time.Second + time.Millisecond)
+	var before [3]int64
+	for k, inst := range crowd {
+		before[k] = inst.bt.Downloaded()
+	}
+	eng.RunUntil(120 * time.Second)
+	for k, inst := range crowd {
+		got := inst.bt.Downloaded() - before[k]
+		if k == 1 {
+			if got != 0 || inst.bt.NumPeers() != 0 {
+				t.Errorf("crowd[1] after leaving: +%d bytes, %d peers, want none", got, inst.bt.NumPeers())
+			}
+			continue
+		}
+		if capped := int64(50_000 * 60); got > capped || got < capped*8/10 {
+			t.Errorf("crowd[%d] downloaded %d bytes in 60 s, want within 80-100%% of its downlink's %d", k, got, capped)
+		}
+	}
+
+	// Every cloud crossing takes cloud_delay plus a jitter draw in [0, 10ms).
+	a, b := crowd[0].host.Iface.IP(), crowd[2].host.Iface.IP()
+	seen := map[time.Duration]bool{}
+	for range 50 {
+		d := c.w.Net.PathDelay(a, b)
+		if d < 40*time.Millisecond || d >= 50*time.Millisecond {
+			t.Fatalf("path delay %v outside [40ms, 50ms)", d)
+		}
+		seen[d] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("50 crossings drew %d distinct delays, want jitter", len(seen))
 	}
 }

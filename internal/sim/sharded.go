@@ -60,8 +60,6 @@ type ShardedEngine struct {
 	// cross-shard bookkeeping like the netem address directory.
 	barrierHooks []func()
 
-	checkEnabled bool
-
 	// Persistent worker pool, spawned lazily at the first parallel window
 	// and torn down by Close.
 	work    chan *windowRound
@@ -184,12 +182,6 @@ func (s *ShardedEngine) Lookahead() time.Duration { return s.lookahead }
 // clock equals it.
 func (s *ShardedEngine) Now() time.Duration { return s.shards[0].Now() }
 
-// SetCheckEnabled arms the barrier's strict assertions: causality of
-// injected timestamps and the bounded-wait guarantee (a barrier round that
-// neither fires events, drains queues, runs globals, nor advances time is a
-// livelock and panics instead of spinning).
-func (s *ShardedEngine) SetCheckEnabled(on bool) { s.checkEnabled = on }
-
 // OnBarrier registers fn to run on the coordinator at every barrier, with
 // all workers parked. Hooks run in registration order at RunUntil entry and
 // after every window.
@@ -205,7 +197,7 @@ func (s *ShardedEngine) OnBarrier(fn func()) {
 // safe exactly where model code runs: on shard src's worker during a window,
 // or on the coordinator (construction, global events, barrier hooks). at
 // must be at least Lookahead past shard src's clock when called from inside
-// a window; the barrier asserts this under SetCheckEnabled.
+// a window; the barrier panics on an item stamped behind its clock.
 func (s *ShardedEngine) Inject(src, dst int, at time.Duration, fn func()) {
 	if fn == nil {
 		panic("sim: Inject with nil function")
@@ -276,7 +268,7 @@ func (s *ShardedEngine) RunUntil(deadline time.Duration) {
 		drained, globalsRun := s.barrier2()
 		s.regWindows.Inc()
 		s.regWindowNS.Add(int64(wend - t))
-		if s.checkEnabled && wend == t && drained == 0 && globalsRun == 0 {
+		if wend == t && drained == 0 && globalsRun == 0 {
 			// Bounded-wait assertion: a degenerate window that moved no
 			// time and did no work would repeat forever.
 			panic(fmt.Sprintf("sim: sharded barrier made no progress at t=%v (lookahead %v)", t, s.lookahead))
@@ -394,7 +386,7 @@ func (s *ShardedEngine) drainAll() int {
 			}
 			for i := range q.items {
 				it := q.items[i]
-				if s.checkEnabled && it.at < now {
+				if it.at < now {
 					panic(fmt.Sprintf("sim: cross-shard event from shard %d to %d stamped %v, behind the barrier at %v — the sender violated the lookahead bound", src, dst, it.at, now))
 				}
 				e.ScheduleAt(it.at, it.fn)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -190,12 +191,11 @@ func TestShardedInjectDrainOrder(t *testing.T) {
 	}
 }
 
-// TestShardedCausalityAssertion: under check mode, an injection stamped
-// behind the barrier panics instead of silently firing late.
+// TestShardedCausalityAssertion: an injection stamped behind the barrier
+// panics instead of silently firing late, with no checker attached.
 func TestShardedCausalityAssertion(t *testing.T) {
 	s := NewShardedEngine(ShardedConfig{Shards: 2, Workers: 1, Lookahead: 10 * time.Millisecond, Seed: 1})
 	defer s.Close()
-	s.SetCheckEnabled(true)
 	s.Shard(0).Schedule(5*time.Millisecond, func() {
 		// Violates the lookahead bound: stamped for "now", which is behind
 		// the next barrier.
@@ -207,6 +207,22 @@ func TestShardedCausalityAssertion(t *testing.T) {
 		}
 	}()
 	s.RunUntil(s.Now() + time.Second)
+}
+
+// TestShardedNoProgressAssertion: a barrier round that fires nothing,
+// drains nothing, runs no global and moves no clock would repeat forever. A
+// one-shard engine is the only one allowed a zero lookahead, and the only
+// way to size such a window; the barrier panics instead of spinning.
+func TestShardedNoProgressAssertion(t *testing.T) {
+	s := NewShardedEngine(ShardedConfig{Shards: 1, Seed: 1})
+	defer s.Close()
+	s.Shard(0).Schedule(time.Millisecond, func() {})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "made no progress") {
+			t.Fatalf("panic = %q, want the barrier's no-progress check", msg)
+		}
+	}()
+	s.RunUntil(time.Second)
 }
 
 // TestShardedPanicPropagates: a panic in shard model code unwinds RunUntil

@@ -60,8 +60,7 @@ type Engine struct {
 	// compBuf backs components for small worlds so registration costs no
 	// heap allocation; engines hosting more than its length spill into a
 	// grown slice the usual way.
-	compBuf    [24]any
-	onRegister func(c any)
+	compBuf [24]any
 	// afterStep, when non-nil, runs after every fired event. It is the only
 	// hook the hot path pays for — a single nil check per Step — and is how
 	// the runtime invariant checker (internal/check) observes the run.
@@ -120,20 +119,11 @@ func (e *Engine) Register(c any) {
 		e.components = e.compBuf[:0]
 	}
 	e.components = append(e.components, c)
-	if e.onRegister != nil {
-		e.onRegister(c)
-	}
 }
 
 // Components returns the registered components in registration order. The
 // returned slice is the engine's own; callers must not mutate it.
 func (e *Engine) Components() []any { return e.components }
-
-// OnRegister installs a hook invoked for every component registered after
-// this call (components already present are not replayed; callers wanting
-// them walk Components themselves). A nil fn clears the hook. At most one
-// hook is active at a time.
-func (e *Engine) OnRegister(fn func(c any)) { e.onRegister = fn }
 
 // SetAfterStep installs a hook that runs after every fired event, with the
 // clock already advanced and the event callback returned. A nil fn clears

@@ -53,8 +53,8 @@ type Stats struct {
 }
 
 // Conn is one endpoint of a bidirectional TCP connection. Applications write
-// abstract bytes with Write and learn of in-order arrivals through
-// OnDeliver. A single Conn carries data in both directions simultaneously —
+// abstract bytes with Write and learn of in-order arrivals through the
+// SetOnDeliver callback. A single Conn carries data in both directions simultaneously —
 // the mode P2P exercises and the paper studies.
 type Conn struct {
 	stack  *Stack
@@ -63,16 +63,17 @@ type Conn struct {
 	state  State
 	active bool // true if this side sent the initial SYN
 
-	// Callbacks. Set them immediately after Dial/accept.
-	OnEstablished func()
-	OnDeliver     func(n int) // n new in-order payload bytes
-	OnMessage     func(val any)
-	OnClose       func(err error)
-	// OnWritable fires whenever acknowledged progress shrinks the send
+	// Callbacks, set through the SetOn* setters immediately after
+	// Dial/accept.
+	onEstablished func()
+	onDeliver     func(n int) // n new in-order payload bytes
+	onMessage     func(val any)
+	onClose       func(err error)
+	// onWritable fires whenever acknowledged progress shrinks the send
 	// buffer, letting applications pace writes against Buffered() instead
 	// of queueing unboundedly (which would head-of-line-block their own
 	// control messages behind bulk data).
-	OnWritable func()
+	onWritable func()
 
 	// Framed-message state (see messages.go).
 	pendingMsgs  []AppMessage // sent, not yet fully acknowledged
@@ -118,24 +119,23 @@ type Conn struct {
 	stats Stats
 }
 
-// Callback setters. They mirror the public fields so *Conn satisfies the
-// transport.Conn interface — protocol code written against the transport
-// seam uses these; sim-internal code may keep assigning the fields.
+// Callback setters, the one way to set a callback; they make *Conn satisfy
+// the transport.Conn interface.
 
 // SetOnEstablished sets the handshake-completion callback.
-func (c *Conn) SetOnEstablished(fn func()) { c.OnEstablished = fn }
+func (c *Conn) SetOnEstablished(fn func()) { c.onEstablished = fn }
 
 // SetOnDeliver sets the in-order-payload callback.
-func (c *Conn) SetOnDeliver(fn func(n int)) { c.OnDeliver = fn }
+func (c *Conn) SetOnDeliver(fn func(n int)) { c.onDeliver = fn }
 
 // SetOnMessage sets the framed-message callback.
-func (c *Conn) SetOnMessage(fn func(val any)) { c.OnMessage = fn }
+func (c *Conn) SetOnMessage(fn func(val any)) { c.onMessage = fn }
 
 // SetOnClose sets the teardown-notify callback.
-func (c *Conn) SetOnClose(fn func(err error)) { c.OnClose = fn }
+func (c *Conn) SetOnClose(fn func(err error)) { c.onClose = fn }
 
 // SetOnWritable sets the send-buffer-drained callback.
-func (c *Conn) SetOnWritable(fn func()) { c.OnWritable = fn }
+func (c *Conn) SetOnWritable(fn func()) { c.onWritable = fn }
 
 // interval is a half-open byte range [start, end).
 type interval struct{ start, end int64 }
@@ -238,8 +238,8 @@ func (c *Conn) teardown(err error) {
 	for _, fn := range c.stack.closeObs {
 		fn(c, err)
 	}
-	if c.OnClose != nil {
-		c.OnClose(err)
+	if c.onClose != nil {
+		c.onClose(err)
 	}
 }
 
@@ -573,8 +573,8 @@ func (c *Conn) establish() {
 	c.state = StateEstablished
 	c.retries = 0
 	c.rtxTimer.Stop()
-	if c.OnEstablished != nil {
-		c.OnEstablished()
+	if c.onEstablished != nil {
+		c.onEstablished()
 	}
 }
 
@@ -640,8 +640,8 @@ func (c *Conn) onNewAck(ack int64, seg *Segment) {
 		c.maybeFinish()
 	}
 	c.trySend()
-	if acked > 0 && c.OnWritable != nil && !c.closed {
-		c.OnWritable()
+	if acked > 0 && c.onWritable != nil && !c.closed {
+		c.onWritable()
 	}
 }
 
@@ -707,8 +707,8 @@ func (c *Conn) processData(seg *Segment) {
 
 	if delivered > 0 {
 		c.stats.BytesDelivered += delivered
-		if c.OnDeliver != nil {
-			c.OnDeliver(int(delivered))
+		if c.onDeliver != nil {
+			c.onDeliver(int(delivered))
 		}
 		c.fireMsgs()
 	}

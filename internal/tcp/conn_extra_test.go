@@ -14,12 +14,12 @@ func TestOnWritableFiresAsBufferDrains(t *testing.T) {
 	client, _ := connect(t, w, sa, sb, 80)
 	fired := 0
 	var minBuffered int64 = 1 << 62
-	client.OnWritable = func() {
+	client.SetOnWritable(func() {
 		fired++
 		if b := client.Buffered(); b < minBuffered {
 			minBuffered = b
 		}
-	}
+	})
 	client.Write(100_000)
 	w.engine.RunFor(10 * time.Second)
 	if fired == 0 {
@@ -40,7 +40,7 @@ func TestListenerCloseStopsAccepting(t *testing.T) {
 	l.Close()
 	var refused error
 	c2 := sa.MustDial(netem.Addr{IP: 2, Port: 80})
-	c2.OnClose = func(err error) { refused = err }
+	c2.SetOnClose(func(err error) { refused = err })
 	w.engine.RunFor(2 * time.Second)
 	if accepted != 1 {
 		t.Errorf("accepted = %d, want 1", accepted)
@@ -101,7 +101,7 @@ func TestListenerCloseResetsInFlightSYN(t *testing.T) {
 	// Dial now: the SYN is queued on the wire ...
 	c := sa.MustDial(netem.Addr{IP: 2, Port: 80})
 	var closeErr error
-	c.OnClose = func(err error) { closeErr = err }
+	c.SetOnClose(func(err error) { closeErr = err })
 	// ... and the listener closes before it arrives.
 	l.Close()
 	w.engine.RunFor(2 * time.Second)
@@ -163,7 +163,7 @@ func TestWriteAfterCloseIgnored(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	client.Write(1000)
 	client.Close()
 	client.Write(5000) // after Close: must be ignored
@@ -178,8 +178,8 @@ func TestBidirectionalClose(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	closedA, closedB := false, false
-	client.OnClose = func(error) { closedA = true }
-	server.OnClose = func(error) { closedB = true }
+	client.SetOnClose(func(error) { closedA = true })
+	server.SetOnClose(func(error) { closedB = true })
 	client.Write(10_000)
 	server.Write(10_000)
 	client.Close()

@@ -28,7 +28,7 @@ func TestDelayedAckCoalescesPairs(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	client.Write(400_000)
 	w.engine.RunFor(30 * time.Second)
 	if received != 400_000 {
@@ -68,7 +68,7 @@ func TestPiggybackDominatesBidirectionalExchange(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	rx := 0
-	server.OnDeliver = func(n int) { rx += n }
+	server.SetOnDeliver(func(n int) { rx += n })
 	client.Write(500_000)
 	server.Write(500_000)
 	w.engine.RunFor(60 * time.Second)
@@ -90,7 +90,7 @@ func TestTimestampsRecoverRTOAfterBackoff(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	blocked := false
 	sa.Iface().AddEgressFilter(netem.FilterFunc(func(p *netem.Packet, out []*netem.Packet) []*netem.Packet {
 		if blocked {

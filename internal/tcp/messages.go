@@ -86,7 +86,7 @@ func (c *Conn) stashMsgs(msgs []AppMessage) {
 // fireMsgs delivers messages whose bytes have arrived in order. The queue is
 // a few entries long and pops by copying down, not by reslicing from the
 // front, so stashMsgs keeps appending into the same backing array. The pop is
-// complete before OnMessage runs, which may re-enter.
+// complete before onMessage runs, which may re-enter.
 func (c *Conn) fireMsgs() {
 	for len(c.rcvdMsgs) > 0 && c.rcvdMsgs[0].End <= c.rcvNxt {
 		m := c.rcvdMsgs[0]
@@ -94,8 +94,8 @@ func (c *Conn) fireMsgs() {
 		c.rcvdMsgs[n] = AppMessage{}
 		c.rcvdMsgs = c.rcvdMsgs[:n]
 		c.firedThrough = m.End
-		if c.OnMessage != nil && !c.closed {
-			c.OnMessage(m.Val)
+		if c.onMessage != nil && !c.closed {
+			c.onMessage(m.Val)
 		}
 	}
 }

@@ -15,7 +15,7 @@ func TestMessagesDeliveredInOrder(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	var got []any
-	server.OnMessage = func(v any) { got = append(got, v) }
+	server.SetOnMessage(func(v any) { got = append(got, v) })
 	sizes := []int{4, 100, MSS, MSS + 1, 16*1024 + 13, 5, 4}
 	for i, n := range sizes {
 		client.SendMessage(fmt.Sprintf("msg-%d", i), n)
@@ -36,7 +36,7 @@ func TestManySmallMessagesInOneSegment(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	count := 0
-	server.OnMessage = func(v any) { count++ }
+	server.SetOnMessage(func(v any) { count++ })
 	for i := 0; i < 50; i++ {
 		client.SendMessage(i, 10) // 500 bytes: fits in one MSS
 	}
@@ -52,7 +52,7 @@ func TestMessagesSurviveLoss(t *testing.T) {
 	sb, _ := w.wirelessHost(2, netem.WirelessConfig{Rate: 500 * netem.KBps, BER: 4e-6})
 	client, server := connect(t, w, sa, sb, 80)
 	var got []any
-	server.OnMessage = func(v any) { got = append(got, v) }
+	server.SetOnMessage(func(v any) { got = append(got, v) })
 	const n = 40
 	for i := 0; i < n; i++ {
 		client.SendMessage(i, 8000)
@@ -76,8 +76,8 @@ func TestBidirectionalMessages(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	var fromClient, fromServer int
-	server.OnMessage = func(v any) { fromClient++ }
-	client.OnMessage = func(v any) { fromServer++ }
+	server.SetOnMessage(func(v any) { fromClient++ })
+	client.SetOnMessage(func(v any) { fromServer++ })
 	for i := 0; i < 20; i++ {
 		client.SendMessage(i, 5000)
 		server.SendMessage(i, 5000)
@@ -117,7 +117,7 @@ func TestPropertyMessagesReliableUnderLoss(t *testing.T) {
 			}
 		}
 		var got []any
-		server.OnMessage = func(v any) { got = append(got, v) }
+		server.SetOnMessage(func(v any) { got = append(got, v) })
 		for i, s := range rawSizes {
 			client.SendMessage(i, int(s%9000)+1)
 		}
@@ -203,7 +203,7 @@ func TestStashMsgsDedupes(t *testing.T) {
 func TestZeroAllocStashFireCycle(t *testing.T) {
 	c := &Conn{}
 	fired := 0
-	c.OnMessage = func(any) { fired++ }
+	c.SetOnMessage(func(any) { fired++ })
 	val := any("m")
 	seg := make([]AppMessage, 2)
 	cycle := func() {
@@ -236,7 +236,7 @@ func TestZeroAllocStashFireCycle(t *testing.T) {
 func TestFireMsgsPopsBeforeReentry(t *testing.T) {
 	c := &Conn{}
 	var got []any
-	c.OnMessage = func(v any) {
+	c.SetOnMessage(func(v any) {
 		got = append(got, v)
 		if v == "a" {
 			if len(c.rcvdMsgs) != 1 || c.rcvdMsgs[0].Val != "b" {
@@ -246,7 +246,7 @@ func TestFireMsgsPopsBeforeReentry(t *testing.T) {
 			c.rcvNxt = 300
 			c.fireMsgs()
 		}
-	}
+	})
 	c.stashMsgs([]AppMessage{{End: 100, Val: "a"}, {End: 200, Val: "b"}})
 	c.rcvNxt = 200
 	c.fireMsgs()

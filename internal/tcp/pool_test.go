@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -17,7 +18,7 @@ func TestSegmentPoolReuseAfterAck(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 
 	// Warm: several bulk exchanges fill both free-lists and let cwnd grow
 	// past the burst size, so later waves have the same peak flight.
@@ -61,6 +62,24 @@ func TestSegmentDoubleReleasePanics(t *testing.T) {
 	seg.Release()
 }
 
+// TestAssertReleasedSegmentHandled: a segment already back in its free-list
+// reaching HandlePacket fails at once, with no checker attached.
+func TestAssertReleasedSegmentHandled(t *testing.T) {
+	w := newWorld(45)
+	s := w.wiredHost(1)
+	seg := s.pool.Get()
+	seg.Release()
+	pkt := w.net.NewPacket()
+	pkt.Dst = s.Addr(80)
+	pkt.Payload = seg
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "use-after-release") {
+			t.Fatalf("panic = %q, want HandlePacket's use-after-release", msg)
+		}
+	}()
+	s.HandlePacket(pkt)
+}
+
 func TestSegmentSnapshotDetaches(t *testing.T) {
 	w := newWorld(42)
 	s := w.wiredHost(1)
@@ -91,7 +110,7 @@ func TestZeroAllocSendAckCycle(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 
 	// Warm pools, queues, cwnd, and the RTT estimator.
 	client.Write(200 * MSS)
@@ -117,7 +136,7 @@ func TestPooledSegmentsSurviveRetransmission(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	drop := 0
 	sa.Iface().AddEgressFilter(netem.FilterFunc(func(p *netem.Packet, out []*netem.Packet) []*netem.Packet {
 		if seg, ok := p.Payload.(*Segment); ok && seg.Len > 0 {

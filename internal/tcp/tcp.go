@@ -31,7 +31,7 @@ const (
 	HeaderSize = 40
 )
 
-// Errors reported through the OnClose callback.
+// Errors reported through the SetOnClose callback.
 var (
 	// ErrTimeout indicates the retransmission limit was exhausted (the peer
 	// is unreachable, e.g. after a handoff blackholed its address).
@@ -198,10 +198,6 @@ type Stack struct {
 	// closeObs observe every connection teardown, in registration order —
 	// the hook wP2P's AM filter uses to evict per-flow state.
 	closeObs []func(c *Conn, err error)
-
-	// checkEnabled arms the strict per-segment assertions; see
-	// SetCheckEnabled.
-	checkEnabled bool
 
 	// One-entry demux cache: bulk transfer delivers long runs of segments
 	// for the same connection, so remembering the last match skips hashing
@@ -393,7 +389,7 @@ func (s *Stack) HandlePacket(pkt *netem.Packet) {
 	if !ok {
 		return // not TCP traffic
 	}
-	if s.checkEnabled && seg.pooled {
+	if seg.pooled {
 		panic("tcp: segment arrived while parked in a free-list (use-after-release)")
 	}
 	s.dispatch(pkt, seg)
@@ -467,13 +463,10 @@ func (s *Stack) ConnsTo(addr netem.Addr) int {
 // OnConnClose registers an observer invoked whenever one of the stack's
 // connections tears down, after the connection has been removed from the
 // demux tables (so ConnsTo no longer counts it) and before the conn's own
-// OnClose callback. Observers chain in registration order.
+// SetOnClose callback. Observers chain in registration order.
 func (s *Stack) OnConnClose(fn func(c *Conn, err error)) {
 	s.closeObs = append(s.closeObs, fn)
 }
-
-// SetCheckEnabled arms the strict per-segment assertions (check.Strict).
-func (s *Stack) SetCheckEnabled(on bool) { s.checkEnabled = on }
 
 // CheckState audits the stack (check.Checkable): demux-cache coherence,
 // segment-pool ownership, and every connection's sequence-space

@@ -61,10 +61,10 @@ func TestHandshake(t *testing.T) {
 	a, b := w.wiredHost(1), w.wiredHost(2)
 	var clientUp, serverUp bool
 	b.MustListen(80, func(c *Conn) {
-		c.OnEstablished = func() { serverUp = true }
+		c.SetOnEstablished(func() { serverUp = true })
 	})
 	c := a.MustDial(netem.Addr{IP: 2, Port: 80})
-	c.OnEstablished = func() { clientUp = true }
+	c.SetOnEstablished(func() { clientUp = true })
 	w.engine.RunFor(time.Second)
 	if !clientUp || !serverUp {
 		t.Fatalf("established: client=%v server=%v", clientUp, serverUp)
@@ -80,7 +80,7 @@ func TestDialRefusedByRST(t *testing.T) {
 	_ = sb // host exists but nothing listens on the port
 	var gotErr error
 	c := sa.MustDial(netem.Addr{IP: 2, Port: 81})
-	c.OnClose = func(err error) { gotErr = err }
+	c.SetOnClose(func(err error) { gotErr = err })
 	w.engine.RunFor(time.Second)
 	if !errors.Is(gotErr, ErrReset) {
 		t.Fatalf("err = %v, want ErrReset", gotErr)
@@ -94,7 +94,7 @@ func TestDialBlackholeTimesOut(t *testing.T) {
 	var closedAt time.Duration
 	dialAt := w.engine.Now()
 	c := sa.MustDial(netem.Addr{IP: 99, Port: 80}) // nobody home
-	c.OnClose = func(err error) { gotErr, closedAt = err, w.engine.Now() }
+	c.SetOnClose(func(err error) { gotErr, closedAt = err, w.engine.Now() })
 	w.engine.RunFor(10 * time.Minute)
 	if !errors.Is(gotErr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", gotErr)
@@ -111,7 +111,7 @@ func TestUnidirectionalTransfer(t *testing.T) {
 	client, server := connect(t, w, sa, sb, 80)
 	const total = 200_000
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	client.Write(total)
 	w.engine.RunFor(30 * time.Second)
 	if received != total {
@@ -140,12 +140,12 @@ func TestTransferCompletesNearLinkRate(t *testing.T) {
 	const total = 500_000 // 0.5 MB at 1 MB/s up ≈ 0.5s + slow-start ramp
 	received := 0
 	var doneAt time.Duration
-	server.OnDeliver = func(n int) {
+	server.SetOnDeliver(func(n int) {
 		received += n
 		if received == total {
 			doneAt = w.engine.Now()
 		}
-	}
+	})
 	start := w.engine.Now()
 	client.Write(total)
 	w.engine.RunFor(60 * time.Second)
@@ -164,8 +164,8 @@ func TestBidirectionalSimultaneousTransfer(t *testing.T) {
 	client, server := connect(t, w, sa, sb, 80)
 	const total = 100_000
 	rxClient, rxServer := 0, 0
-	client.OnDeliver = func(n int) { rxClient += n }
-	server.OnDeliver = func(n int) { rxServer += n }
+	client.SetOnDeliver(func(n int) { rxClient += n })
+	server.SetOnDeliver(func(n int) { rxServer += n })
 	client.Write(total)
 	server.Write(total)
 	w.engine.RunFor(60 * time.Second)
@@ -202,7 +202,7 @@ func TestFastRetransmit(t *testing.T) {
 	sa.Iface().AddEgressFilter(dropNth(10))
 	const total = 300_000
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	client.Write(total)
 	w.engine.RunFor(60 * time.Second)
 	if received != total {
@@ -241,7 +241,7 @@ func TestDupAcksAlwaysPure(t *testing.T) {
 		return append(out, p)
 	}))
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	client.Write(200_000)
 	server.Write(200_000)
 	w.engine.RunFor(60 * time.Second)
@@ -295,7 +295,7 @@ func TestRTORecovery(t *testing.T) {
 		return append(out, p)
 	}))
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	client.Write(100_000)
 	w.engine.RunFor(2 * time.Minute)
 	if received != 100_000 {
@@ -325,7 +325,7 @@ func TestCwndHalvesOnFastRetransmit(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 
 	var maxCwnd int64
 	var minAfterLoss int64 = 1 << 60
@@ -383,10 +383,10 @@ func TestGracefulClose(t *testing.T) {
 	client, server := connect(t, w, sa, sb, 80)
 	received := 0
 	var serverErr error = errors.New("sentinel")
-	server.OnDeliver = func(n int) { received += n }
-	server.OnClose = func(err error) { serverErr = err }
+	server.SetOnDeliver(func(n int) { received += n })
+	server.SetOnClose(func(err error) { serverErr = err })
 	var clientErr error
-	client.OnClose = func(err error) { clientErr = err }
+	client.SetOnClose(func(err error) { clientErr = err })
 	client.Write(50_000)
 	client.Close()
 	w.engine.RunFor(30 * time.Second)
@@ -409,7 +409,7 @@ func TestAbortSendsRST(t *testing.T) {
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
 	client, server := connect(t, w, sa, sb, 80)
 	var serverErr error
-	server.OnClose = func(err error) { serverErr = err }
+	server.SetOnClose(func(err error) { serverErr = err })
 	client.Abort()
 	w.engine.RunFor(time.Second)
 	if !errors.Is(serverErr, ErrReset) {
@@ -425,7 +425,7 @@ func TestTransferUnderWirelessLoss(t *testing.T) {
 	client, server := connect(t, w, sa, sb, 80)
 	const total = 300_000
 	received := 0
-	server.OnDeliver = func(n int) { received += n }
+	server.SetOnDeliver(func(n int) { received += n })
 	client.Write(total)
 	w.engine.RunFor(5 * time.Minute)
 	if received != total {

@@ -18,11 +18,9 @@ type Sim struct {
 // NewSim wraps a modelled TCP stack.
 func NewSim(stack *tcp.Stack) *Sim { return &Sim{stack: stack} }
 
-// Stack exposes the underlying modelled stack (StackProvider).
+// Stack exposes the underlying modelled stack, for packet-level machinery
+// (wp2p's AM filter) that only the simulated backend can offer.
 func (t *Sim) Stack() *tcp.Stack { return t.stack }
-
-// Iface exposes the underlying network interface (IfaceProvider).
-func (t *Sim) Iface() *netem.Iface { return t.stack.Iface() }
 
 // Engine returns the simulation engine.
 func (t *Sim) Engine() *sim.Engine { return t.stack.Engine() }
@@ -52,12 +50,10 @@ func (t *Sim) Listen(port uint16, onAccept func(Conn)) (Listener, error) {
 	return l, nil
 }
 
-// Interface-satisfaction pins: the adapter, the modelled conn and listener,
-// and the optional capabilities.
+// Interface-satisfaction pins: the adapter and the modelled conn and
+// listener.
 var (
-	_ Interface     = (*Sim)(nil)
-	_ IfaceProvider = (*Sim)(nil)
-	_ StackProvider = (*Sim)(nil)
-	_ Conn          = (*tcp.Conn)(nil)
-	_ Listener      = (*tcp.Listener)(nil)
+	_ Interface = (*Sim)(nil)
+	_ Conn      = (*tcp.Conn)(nil)
+	_ Listener  = (*tcp.Listener)(nil)
 )

@@ -120,17 +120,3 @@ type Interface interface {
 	// Callbacks for the new Conn should be set inside onAccept.
 	Listen(port uint16, onAccept func(Conn)) (Listener, error)
 }
-
-// IfaceProvider is an optional capability of transports backed by a
-// simulated network interface. Packet-level machinery (wp2p's AM filter and
-// redundant-request probing) requires it; such features are sim-only and
-// must type-assert.
-type IfaceProvider interface {
-	Iface() *netem.Iface
-}
-
-// StackProvider is an optional capability of transports backed by the
-// modelled TCP stack, for packet-level observers (wp2p's flow tracker).
-type StackProvider interface {
-	Stack() *tcp.Stack
-}

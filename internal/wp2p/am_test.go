@@ -237,7 +237,7 @@ func TestAMEndToEndImprovesLossyYoungFlow(t *testing.T) {
 			t.Fatal("no connection")
 		}
 		var rcvd int64
-		client.OnDeliver = func(nb int) { rcvd += int64(nb) }
+		client.SetOnDeliver(func(nb int) { rcvd += int64(nb) })
 		// Bidirectional: mobile uploads while downloading, so its ACKs ride
 		// on data packets — the piggybacking regime AM targets.
 		server.Write(2_000_000)

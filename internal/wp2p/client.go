@@ -2,8 +2,8 @@ package wp2p
 
 import (
 	"github.com/wp2p/wp2p/internal/bt"
-	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/sim"
+	"github.com/wp2p/wp2p/internal/tcp"
 	"github.com/wp2p/wp2p/internal/transport"
 )
 
@@ -76,31 +76,31 @@ type Client struct {
 	rr   *RoleReversal
 
 	engine     *sim.Engine
-	iface      *netem.Iface
 	retainID   bool
 	identities *IdentityStore
 }
 
 // New assembles a wP2P client. The BT config must carry Transport, Torrent,
-// and Tracker, as for bt.NewClient. AM and RR operate on the simulated
-// packet interface, so they require a transport backed by the modelled
-// stack (transport.Sim); enabling them on any other backend panics.
+// and Tracker, as for bt.NewClient. AM filters the simulated packet
+// interface and tracks the modelled stack's flows, so it requires the
+// modelled-stack backend (*transport.Sim); enabling it on any other backend
+// panics.
 func New(cfg Config) *Client {
 	if cfg.BT.Transport == nil {
 		panic("wp2p: Config.BT.Transport is required")
 	}
 	engine := cfg.BT.Transport.Engine()
-	var iface *netem.Iface
-	if p, ok := cfg.BT.Transport.(transport.IfaceProvider); ok {
-		iface = p.Iface()
-	}
-	if iface == nil && (cfg.AM != nil || cfg.RR != nil) {
-		panic("wp2p: AM and RR are packet-level (sim-only) components and need a transport.IfaceProvider backend")
+	var stack *tcp.Stack
+	if cfg.AM != nil {
+		st, ok := cfg.BT.Transport.(*transport.Sim)
+		if !ok {
+			panic("wp2p: AM is a packet-level (sim-only) component and needs a *transport.Sim backend")
+		}
+		stack = st.Stack()
 	}
 
 	c := &Client{
 		engine:     engine,
-		iface:      iface,
 		retainID:   cfg.RetainIdentity,
 		identities: cfg.Identities,
 	}
@@ -126,10 +126,8 @@ func New(cfg Config) *Client {
 
 	if cfg.AM != nil {
 		c.am = NewAMFilter(engine, *cfg.AM)
-		c.am.Install(iface)
-		if sp, ok := cfg.BT.Transport.(transport.StackProvider); ok {
-			c.am.Track(sp.Stack())
-		}
+		c.am.Install(stack.Iface())
+		c.am.Track(stack)
 	}
 	if cfg.LIHD != nil {
 		c.lihd = NewLIHD(engine, cfg.BT.UploadLimiter, c.BT, *cfg.LIHD)
@@ -137,7 +135,7 @@ func New(cfg Config) *Client {
 	if cfg.RR != nil {
 		rrCfg := *cfg.RR
 		rrCfg.RetainIdentity = cfg.RetainIdentity
-		c.rr = NewRoleReversal(engine, c.BT, iface, rrCfg)
+		c.rr = NewRoleReversal(engine, c.BT, rrCfg)
 	}
 	return c
 }

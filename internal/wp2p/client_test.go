@@ -217,3 +217,39 @@ func TestWP2PPanicsWithoutTransport(t *testing.T) {
 	}()
 	New(Config{})
 }
+
+// TestWP2POnNetBackend: RR reads the host's address through the transport
+// seam, so it runs on a real-socket host; AM filters the simulated packet
+// interface and still refuses one.
+func TestWP2POnNetBackend(t *testing.T) {
+	g := transport.NewGroup(1)
+	defer g.Close()
+	var (
+		rrPanic, amPanic any
+		lastIP           netem.IP
+	)
+	g.Do(func() {
+		cfg := bt.Config{
+			Transport: g.Host(10),
+			Torrent:   bt.NewMetaInfo("w", 64*1024, 16*1024),
+			Tracker:   bt.NewTracker(g.Engine(), bt.TrackerConfig{}),
+		}
+		func() {
+			defer func() { rrPanic = recover() }()
+			lastIP = New(Config{BT: cfg, RR: &RRConfig{}}).RR().lastIP
+		}()
+		func() {
+			defer func() { amPanic = recover() }()
+			New(Config{BT: cfg, AM: &AMConfig{}})
+		}()
+	})
+	if rrPanic != nil {
+		t.Fatalf("RR on a net host panicked: %v", rrPanic)
+	}
+	if lastIP != 10 {
+		t.Errorf("RR watches %v, want the host's address 10", lastIP)
+	}
+	if amPanic == nil {
+		t.Error("AM on a net host did not panic")
+	}
+}

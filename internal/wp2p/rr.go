@@ -44,7 +44,6 @@ func (c RRConfig) withDefaults() RRConfig {
 type RoleReversal struct {
 	engine *sim.Engine
 	client *bt.Client
-	iface  *netem.Iface
 	cfg    RRConfig
 
 	ticker       *sim.Ticker
@@ -58,13 +57,12 @@ type RoleReversal struct {
 }
 
 // NewRoleReversal builds the watchdog; call Start to begin monitoring.
-func NewRoleReversal(engine *sim.Engine, client *bt.Client, iface *netem.Iface, cfg RRConfig) *RoleReversal {
+func NewRoleReversal(engine *sim.Engine, client *bt.Client, cfg RRConfig) *RoleReversal {
 	return &RoleReversal{
 		engine:       engine,
 		client:       client,
-		iface:        iface,
 		cfg:          cfg.withDefaults(),
-		lastIP:       iface.IP(),
+		lastIP:       client.Addr().IP,
 		regReversals: engine.Stats().Counter("wp2p.rr.reversals"),
 	}
 }
@@ -86,7 +84,7 @@ func (r *RoleReversal) Stop() {
 }
 
 func (r *RoleReversal) check() {
-	if ip := r.iface.IP(); ip != r.lastIP {
+	if ip := r.client.Addr().IP; ip != r.lastIP {
 		r.lastIP = ip
 		r.reverse()
 		return
