@@ -97,8 +97,7 @@ func TestViolationDumpsRecorderTailAndPanicsWithSeed(t *testing.T) {
 			EnableChecking(1) // sweep after every event
 			t.Cleanup(DisableChecking)
 
-			w := NewWorldSharded(41, time.Minute,
-				netem.NetworkConfig{CloudDelay: 15 * time.Millisecond}, ShardWorkers(workers))
+			w := NewWorldSharded(41, time.Minute, netem.NetworkConfig{}, ShardConfig{Workers: workers})
 			if w.Sharded != nil {
 				defer w.Sharded.Close()
 			}

@@ -94,26 +94,6 @@ func AblationWP2P(scale float64) *Result {
 	return res
 }
 
-// playableShareOfFetched is the in-order prefix as a share of what was
-// fetched (not of the whole file), isolating fetch-ordering quality from
-// throughput.
-func playableShareOfFetched(have *bt.Bitfield, tor *bt.MetaInfo) float64 {
-	fetched := 0.0
-	prefix := 0.0
-	for i := 0; i < have.Len(); i++ {
-		if have.Has(i) {
-			fetched += float64(tor.PieceSize(i))
-		}
-	}
-	for i := 0; i < have.PrefixLen(); i++ {
-		prefix += float64(tor.PieceSize(i))
-	}
-	if fetched == 0 {
-		return 0
-	}
-	return prefix / fetched
-}
-
 // wp2pRestarter adapts a wp2p.Client to the mobility.Restarter interface,
 // routing through OnAddressChange so identity policy is honoured.
 type wp2pRestarter struct{ c *wp2p.Client }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/wp2p/wp2p/internal/bt"
-	"github.com/wp2p/wp2p/internal/media"
 	"github.com/wp2p/wp2p/internal/mobility"
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/runner"
@@ -50,8 +49,7 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 
 	col := stats.NewCollector()
 	run := func(period time.Duration, mobileSeeds int) float64 {
-		w := NewWorldSharded(1, 2*time.Minute,
-			netem.NetworkConfig{CloudDelay: 15 * time.Millisecond}, ShardWorkers(cfg.Shards))
+		w := NewWorldSharded(1, 2*time.Minute, netem.NetworkConfig{}, ShardConfig{Workers: cfg.Shards})
 		defer w.Finish(col)
 		// Large enough that the fixed peer cannot finish inside the horizon;
 		// the sweep measures sustained throughput.
@@ -153,8 +151,8 @@ func playabilityCurve(seed int64, fileSize int64, picker bt.Picker, col *stats.C
 		Transport: w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps}).Transport,
 		Torrent:   tor, Tracker: w.Tracker, Picker: picker,
 	})
-	curve := media.NewCurve(tor)
-	leech.OnPieceComplete = func(int) { curve.Observe(leech.Have()) }
+	curve := &playableCurve{tor: tor}
+	leech.OnPieceComplete = func(int) { curve.observe(leech.Have()) }
 	mustStart(leech.Start())
 	// Generously long: stop as soon as complete.
 	deadline := w.Engine.Now() + 4*time.Hour
@@ -163,7 +161,7 @@ func playabilityCurve(seed int64, fileSize int64, picker bt.Picker, col *stats.C
 	}
 	out := make([]float64, 0, 10)
 	for d := 10; d <= 100; d += 10 {
-		out = append(out, 100*curve.PlayableAt(float64(d)/100))
+		out = append(out, 100*curve.playableAt(float64(d)/100))
 	}
 	return out
 }

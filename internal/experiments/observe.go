@@ -208,8 +208,8 @@ func (o *observers) attach(w *World) {
 		// Rings are single-engine structures, so each shard's model code
 		// emits only into its own recorder, tagged with the shard id.
 		filter := trace.ParseFilter(o.spec)
-		w.recs = make([]*trace.Recorder, len(w.parts))
-		for i, p := range w.parts {
+		w.recs = make([]*trace.Recorder, len(w.Shards))
+		for i, p := range w.Shards {
 			w.recs[i] = trace.NewRecorder(p.Engine, o.capacity)
 			if w.Sharded != nil {
 				w.recs[i].SetShard(i)
@@ -219,8 +219,8 @@ func (o *observers) attach(w *World) {
 		}
 	}
 	if o.checking {
-		w.chks = make([]*check.Checker, len(w.parts))
-		for i, p := range w.parts {
+		w.chks = make([]*check.Checker, len(w.Shards))
+		for i, p := range w.Shards {
 			w.chks[i] = check.Attach(p.Engine, check.Config{
 				Every:       int64(o.checkEvery),
 				Digests:     o.digests,
@@ -266,7 +266,7 @@ func (o *observers) finish(w *World, col *stats.Collector) {
 		}
 	}
 	sampled := w.sampleEvery > 0 && o.series != nil
-	for i, p := range w.parts {
+	for i, p := range w.Shards {
 		reg := p.Engine.Stats()
 		if col != nil {
 			col.Add(reg)

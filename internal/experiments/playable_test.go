@@ -1,4 +1,4 @@
-package media
+package experiments
 
 import (
 	"math"
@@ -16,17 +16,20 @@ func torrentOf(nPieces int) *bt.MetaInfo {
 func TestPlayableFractionPrefix(t *testing.T) {
 	tor := torrentOf(10)
 	have := bt.NewBitfield(10)
-	if got := PlayableFraction(have, tor); got != 0 {
+	if got := prefixBytes(have, tor); got != 0 {
 		t.Errorf("empty: %v", got)
 	}
 	have.Set(0)
 	have.Set(1)
 	have.Set(5) // not contiguous: does not count
-	if got := PlayableFraction(have, tor); math.Abs(got-0.2) > 1e-9 {
-		t.Errorf("prefix 2/10: got %v, want 0.2", got)
+	if got := prefixBytes(have, tor); got != 2*256*1024 {
+		t.Errorf("prefix 2/10: got %d bytes, want 2 pieces", got)
 	}
-	if got := DownloadedFraction(have, tor); math.Abs(got-0.3) > 1e-9 {
-		t.Errorf("downloaded 3/10: got %v, want 0.3", got)
+	if got := fetchedBytes(have, tor); got != 3*256*1024 {
+		t.Errorf("downloaded 3/10: got %d bytes, want 3 pieces", got)
+	}
+	if got := playableShareOfFetched(have, tor); math.Abs(got-2.0/3) > 1e-12 {
+		t.Errorf("share of fetched = %v, want 2/3", got)
 	}
 }
 
@@ -34,40 +37,41 @@ func TestPlayableBytesShortLastPiece(t *testing.T) {
 	tor := bt.NewMetaInfo("m", 256*1024+100, 256*1024) // 2 pieces, last = 100 B
 	have := bt.NewBitfield(2)
 	have.SetAll()
-	if got := PlayableBytes(have, tor); got != 256*1024+100 {
-		t.Errorf("PlayableBytes = %d", got)
+	if got := prefixBytes(have, tor); got != 256*1024+100 {
+		t.Errorf("prefixBytes = %d", got)
 	}
-	if got := PlayableFraction(have, tor); got != 1 {
+	c := &playableCurve{tor: tor}
+	c.observe(have)
+	if got := c.playableAt(1); got != 1 {
 		t.Errorf("complete file playable = %v", got)
 	}
 }
 
 func TestCurveObserveAndInterpolate(t *testing.T) {
 	tor := torrentOf(10)
-	c := NewCurve(tor)
+	c := &playableCurve{tor: tor}
 	have := bt.NewBitfield(10)
 	have.Set(5)
-	c.Observe(have) // downloaded 0.1, playable 0
+	c.observe(have) // downloaded 0.1, playable 0
 	have.Set(0)
-	c.Observe(have) // downloaded 0.2, playable 0.1
+	c.observe(have) // downloaded 0.2, playable 0.1
 	have.Set(1)
-	c.Observe(have) // downloaded 0.3, playable 0.2
-	pts := c.points
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
+	c.observe(have) // downloaded 0.3, playable 0.2
+	if len(c.points) != 3 {
+		t.Fatalf("points = %d", len(c.points))
 	}
-	if got := c.PlayableAt(0.25); math.Abs(got-0.1) > 1e-9 {
-		t.Errorf("PlayableAt(0.25) = %v, want 0.1", got)
+	if got := c.playableAt(0.25); math.Abs(got-0.1) > 1e-9 {
+		t.Errorf("playableAt(0.25) = %v, want 0.1", got)
 	}
-	if got := c.PlayableAt(0.05); got != 0 {
-		t.Errorf("PlayableAt(0.05) = %v, want 0", got)
+	if got := c.playableAt(0.05); got != 0 {
+		t.Errorf("playableAt(0.05) = %v, want 0", got)
 	}
-	if got := c.PlayableAt(1.0); math.Abs(got-0.2) > 1e-9 {
-		t.Errorf("PlayableAt(1.0) = %v, want 0.2", got)
+	if got := c.playableAt(1.0); math.Abs(got-0.2) > 1e-9 {
+		t.Errorf("playableAt(1.0) = %v, want 0.2", got)
 	}
 }
 
-// Property: playable <= downloaded, both within [0,1]; playable equals
+// Property: playable <= downloaded, both within the file; playable equals
 // downloaded exactly when the have-set is a pure prefix.
 func TestPropertyPlayableNeverExceedsDownloaded(t *testing.T) {
 	prop := func(bits []bool) bool {
@@ -93,12 +97,12 @@ func TestPropertyPlayableNeverExceedsDownloaded(t *testing.T) {
 				sawGap = true
 			}
 		}
-		p := PlayableFraction(have, tor)
-		d := DownloadedFraction(have, tor)
-		if p < 0 || p > 1 || d < 0 || d > 1 || p > d+1e-12 {
+		p := prefixBytes(have, tor)
+		d := fetchedBytes(have, tor)
+		if p < 0 || d > tor.Length || p > d {
 			return false
 		}
-		if prefix && math.Abs(p-d) > 1e-12 {
+		if prefix && p != d {
 			return false
 		}
 		return true

@@ -22,21 +22,13 @@ type ShardConfig struct {
 	// Logical is the partition count (0 = DefaultLogicalShards). Changing it
 	// changes the trajectory, like changing the seed.
 	Logical int
-	// Workers is the worker-thread count; 0 selects the legacy single-engine
-	// world. Any positive value replays the same sharded trajectory.
+	// Workers is the worker-thread count; 0 or less selects the
+	// single-engine world. Any positive value replays the same sharded
+	// trajectory.
 	Workers int
 }
 
-// ShardWorkers maps a CLI -shards value to a ShardConfig: 0 keeps the legacy
-// single-engine path, n ≥ 1 runs the sharded world on n worker threads.
-func ShardWorkers(n int) ShardConfig {
-	if n <= 0 {
-		return ShardConfig{}
-	}
-	return ShardConfig{Workers: n}
-}
-
-// Shard is one partition of a sharded world.
+// Shard is one partition of a world.
 type Shard struct {
 	Engine *sim.Engine
 	Net    *netem.Network
@@ -46,26 +38,19 @@ type Shard struct {
 // the seed.
 const hostShardSalt = 0x5bd1e995
 
-// NewWorldSharded is NewWorldNet with a shard configuration. A zero
-// ShardConfig returns the plain single-engine world, byte-identical to
-// NewWorldNet; otherwise the world is partitioned into sc.Logical shards
-// driven by sc.Workers threads, with the tracker living on shard 0 and hosts
-// assigned to shards by a seed-derived permutation.
-func NewWorldSharded(seed int64, announce time.Duration, netCfg netem.NetworkConfig, sc ShardConfig) *World {
-	if sc.Workers <= 0 {
-		return NewWorldNet(seed, announce, netCfg)
-	}
+// partition builds a sharded world's coordinator and shards. The core
+// propagation delay is the minimum cross-shard interaction latency — every
+// packet between shards crosses the cloud — so it is the barrier lookahead
+// (DESIGN.md §14 derives this).
+func (w *World) partition(seed int64, netCfg netem.NetworkConfig, sc ShardConfig) {
 	logical := sc.Logical
 	if logical <= 0 {
 		logical = DefaultLogicalShards
 	}
 	cloud := netCfg.CloudDelay
-	if cloud == 0 {
-		cloud = netem.DefaultCloudDelay
+	if bt.DefaultTrackerRTT < cloud {
+		panic(fmt.Sprintf("experiments: tracker RTT %v below the shard lookahead %v — announce injections would violate the barrier bound", bt.DefaultTrackerRTT, cloud))
 	}
-	// The core propagation delay is the minimum cross-shard interaction
-	// latency — every packet between shards crosses the cloud — so it is the
-	// barrier lookahead (DESIGN.md §14 derives this).
 	se := sim.NewShardedEngine(sim.ShardedConfig{
 		Shards: logical, Workers: sc.Workers, Lookahead: cloud, Seed: seed,
 	})
@@ -80,46 +65,28 @@ func NewWorldSharded(seed int64, announce time.Duration, netCfg netem.NetworkCon
 	se.OnBarrier(dir.Apply)
 	se.Shard(0).Register(dir)
 
-	w := &World{
-		Engine:  se.Shard(0),
-		Net:     nets[0],
-		Tracker: bt.NewTracker(se.Shard(0), bt.TrackerConfig{Interval: announce}),
-		Sharded: se,
-		dir:     dir,
-		seed:    seed,
-		nextIP:  netem.IP(10),
-	}
-	if bt.DefaultTrackerRTT < cloud {
-		panic(fmt.Sprintf("experiments: tracker RTT %v below the shard lookahead %v — announce injections would violate the barrier bound", bt.DefaultTrackerRTT, cloud))
-	}
+	w.Sharded = se
 	w.Shards = make([]Shard, logical)
 	for i := range w.Shards {
 		w.Shards[i] = Shard{Engine: se.Shard(i), Net: nets[i]}
 	}
 	w.perm = rand.New(rand.NewSource(seed ^ hostShardSalt)).Perm(logical)
-
-	w.parts = w.Shards
-	obs.attach(w)
-	return w
 }
 
-// place assigns the next host to a shard. Single-engine worlds always place
-// on the world engine; sharded worlds walk the seed-derived permutation so
-// the peer→shard assignment is reproducible and roughly balanced.
+// place assigns the next host to a shard by walking the seed-derived
+// permutation, so the peer→shard assignment is reproducible and roughly
+// balanced (a single-engine world's permutation is just shard 0).
 func (w *World) place() (shard int, eng *sim.Engine, net *netem.Network) {
-	if w.Sharded == nil {
-		return 0, w.Engine, w.Net
-	}
 	s := w.perm[w.nextHost%len(w.perm)]
 	w.nextHost++
 	return s, w.Shards[s].Engine, w.Shards[s].Net
 }
 
 // Announcer returns the tracker handle for a host: the tracker itself on its
-// home shard (and always in single-engine worlds), a fabric-relaying proxy
+// home shard 0 (every host of a single-engine world), a fabric-relaying proxy
 // elsewhere.
 func (w *World) Announcer(h *Host) bt.Announcer {
-	if w.Sharded == nil || h.Shard == 0 {
+	if h.Shard == 0 {
 		return w.Tracker
 	}
 	return &remoteAnnouncer{w: w, shard: h.Shard}
@@ -166,7 +133,7 @@ func (w *World) RunUntil(t time.Duration) {
 	if w.sampleEvery > 0 {
 		for nb := time.Duration(w.samples+1) * w.sampleEvery; nb <= t; nb += w.sampleEvery {
 			w.runUntil(nb)
-			for _, p := range w.parts {
+			for _, p := range w.Shards {
 				p.Engine.Stats().Sample()
 			}
 			w.samples++
@@ -206,15 +173,10 @@ func (w *World) ScheduleControl(delay time.Duration, fn func()) {
 	w.Engine.Schedule(delay, fn)
 }
 
-// SetPairBlocked partitions (or heals) a pair world-wide. Sharded worlds
-// broadcast to every shard's network: the source-side check runs wherever
-// the sender lives.
+// SetPairBlocked partitions (or heals) a pair world-wide by telling every
+// shard's network: the source-side check runs wherever the sender lives.
 func (w *World) SetPairBlocked(a, b netem.IP, blocked bool) {
-	if w.Sharded != nil {
-		for i := range w.Shards {
-			w.Shards[i].Net.SetPairBlocked(a, b, blocked)
-		}
-		return
+	for i := range w.Shards {
+		w.Shards[i].Net.SetPairBlocked(a, b, blocked)
 	}
-	w.Net.SetPairBlocked(a, b, blocked)
 }

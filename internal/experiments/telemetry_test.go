@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +74,36 @@ func TestTimeseriesIdenticalAcrossShardWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(one, four) {
 		t.Error("timeseries differs between -shards 2 and -shards 4 (with -parallel 4)")
+	}
+}
+
+// TestTracingLeavesExportsAlone pins "tracing never perturbs results" at the
+// files a run writes: fig8a with a flight recorder on every world exports the
+// same wp2p.result.v1 and wp2p.timeseries.v1 bytes as without one.
+func TestTracingLeavesExportsAlone(t *testing.T) {
+	export := func(traced bool) (result, series []byte) {
+		withTelemetry(t, telemetry.Config{})
+		if traced {
+			EnableTracing("", 0, io.Discard)
+			defer DisableTracing()
+		}
+		var rb, sb bytes.Buffer
+		if err := Registry(0.05, RegistryOptions{})["fig8a"]().WriteJSON(&rb); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteTimeseries(&sb); err != nil {
+			t.Fatal(err)
+		}
+		DisableTelemetry()
+		return rb.Bytes(), sb.Bytes()
+	}
+	plainRes, plainTS := export(false)
+	tracedRes, tracedTS := export(true)
+	if !bytes.Equal(plainRes, tracedRes) {
+		t.Error("tracing changed the fig8a wp2p.result.v1 export")
+	}
+	if !bytes.Equal(plainTS, tracedTS) {
+		t.Error("tracing changed the fig8a timeseries export")
 	}
 }
 

@@ -25,16 +25,14 @@ type World struct {
 	Tracker *bt.Tracker
 
 	// Sharded is the coordinator of a sharded world (NewWorldSharded with
-	// Workers ≥ 1), nil on the single-engine path. Engine and Net then alias
-	// shard 0, where the tracker lives.
+	// Workers ≥ 1), nil in a single-engine world.
 	Sharded *sim.ShardedEngine
-	// Shards holds every partition of a sharded world (empty otherwise).
+	// Shards holds every partition of the world: one in a single-engine
+	// world, sc.Logical in a sharded one. Engine and Net alias shard 0, where
+	// the tracker lives.
 	Shards []Shard
 
-	// parts is every partition of the world, the form the observers iterate:
-	// Shards in a sharded world, the one {Engine, Net} pair otherwise.
-	parts []Shard
-	// What obs.attach armed, one entry per part; nil when that observer is off.
+	// What obs.attach armed, one entry per shard; nil when that observer is off.
 	recs []*trace.Recorder
 	chks []*check.Checker
 	// Sampling state: the cadence (0 = off), samples taken, timeline markers.
@@ -42,7 +40,6 @@ type World struct {
 	samples     int64
 	ann         []telemetry.Annotation
 
-	dir      *netem.Directory
 	perm     []int
 	nextHost int
 	fabrics  []*flow.Fabric // lazy per-shard fluid fabrics (FluidHost)
@@ -51,24 +48,40 @@ type World struct {
 	nextIP netem.IP
 }
 
-// NewWorld builds a world with the given seed and tracker announce
-// interval (zero selects the bt default).
+// NewWorld builds a single-engine world with the given seed and tracker
+// announce interval (zero selects the bt default).
 func NewWorld(seed int64, announce time.Duration) *World {
-	return NewWorldNet(seed, announce, netem.NetworkConfig{CloudDelay: 15 * time.Millisecond})
+	return NewWorldSharded(seed, announce, netem.NetworkConfig{}, ShardConfig{})
 }
 
-// NewWorldNet is NewWorld with an explicit network config, for callers (the
-// scenario engine) that shape the routing cloud themselves.
-func NewWorldNet(seed int64, announce time.Duration, netCfg netem.NetworkConfig) *World {
-	e := sim.NewEngine(sim.WithSeed(seed))
-	w := &World{
-		Engine:  e,
-		Net:     netem.NewNetwork(e, netCfg),
-		Tracker: bt.NewTracker(e, bt.TrackerConfig{Interval: announce}),
-		seed:    seed,
-		nextIP:  netem.IP(10),
+// coreDelay is the one-way core delay of a world whose network config leaves
+// CloudDelay zero: every registry experiment and every scenario that sets no
+// cloud_delay runs with it.
+const coreDelay = 15 * time.Millisecond
+
+// oneShard is the host→shard permutation of every single-engine world,
+// shared because place only reads it.
+var oneShard = []int{0}
+
+// NewWorldSharded builds every world. sc.Workers ≤ 0 gives a single-engine
+// world: one shard, no coordinator. Otherwise the world is partitioned into
+// sc.Logical shards (0 = DefaultLogicalShards) driven by sc.Workers threads,
+// with hosts assigned to shards by a seed-derived permutation. Either way the
+// tracker lives on shard 0, and a zero netCfg.CloudDelay is coreDelay.
+func NewWorldSharded(seed int64, announce time.Duration, netCfg netem.NetworkConfig, sc ShardConfig) *World {
+	if netCfg.CloudDelay == 0 {
+		netCfg.CloudDelay = coreDelay
 	}
-	w.parts = []Shard{{Engine: e, Net: w.Net}}
+	w := &World{seed: seed, nextIP: netem.IP(10)}
+	if sc.Workers <= 0 {
+		e := sim.NewEngine(sim.WithSeed(seed))
+		w.Shards = []Shard{{Engine: e, Net: netem.NewNetwork(e, netCfg)}}
+		w.perm = oneShard
+	} else {
+		w.partition(seed, netCfg, sc)
+	}
+	w.Engine, w.Net = w.Shards[0].Engine, w.Shards[0].Net
+	w.Tracker = bt.NewTracker(w.Engine, bt.TrackerConfig{Interval: announce})
 	obs.attach(w)
 	return w
 }
@@ -105,9 +118,8 @@ func (w *World) NextIP() netem.IP {
 }
 
 // Host is one machine: its interface, medium, and TCP stack. Engine and Net
-// are the shard the host lives on (the world's own on the single-engine
-// path); all of the host's model code — timers, limiters, mobility — must
-// schedule there.
+// are the shard the host lives on; all of the host's model code — timers,
+// limiters, mobility — must schedule there.
 type Host struct {
 	Stack *tcp.Stack
 	// Transport is the stack behind the protocol-facing seam (a
@@ -174,11 +186,7 @@ func (w *World) WiredHostLink(cfg netem.AccessLinkConfig) *Host {
 // what keeps digests worker-count-invariant.
 func (w *World) flowFabric(shard int, eng *sim.Engine, net *netem.Network) *flow.Fabric {
 	if w.fabrics == nil {
-		n := 1
-		if len(w.Shards) > 0 {
-			n = len(w.Shards)
-		}
-		w.fabrics = make([]*flow.Fabric, n)
+		w.fabrics = make([]*flow.Fabric, len(w.Shards))
 	}
 	f := w.fabrics[shard]
 	if f == nil {

@@ -74,7 +74,7 @@ type instance struct {
 // compile builds the world for one run of the spec. The spec must have
 // passed validation; structural impossibilities here are bugs, not user
 // errors, and panic like the layers below.
-func compile(s *Spec, scale float64, seed int64, sc experiments.ShardConfig, fidelity string) *compiled {
+func compile(s *Spec, scale float64, seed int64, opts Options) *compiled {
 	if scale <= 0 {
 		scale = 1
 	}
@@ -83,13 +83,11 @@ func compile(s *Spec, scale float64, seed int64, sc experiments.ShardConfig, fid
 		CloudDelay: s.Network.CloudDelay.D(),
 		Jitter:     s.Network.Jitter.D(),
 	}
-	if netCfg.CloudDelay == 0 {
-		netCfg.CloudDelay = DefaultCloudDelay
-	}
+	sc := experiments.ShardConfig{Logical: s.Shards, Workers: opts.ShardWorkers}
 	c := &compiled{
 		spec:     s,
 		w:        experiments.NewWorldSharded(seed, s.AnnounceInterval.D(), netCfg, sc),
-		fidelity: fidelity,
+		fidelity: opts.Fidelity,
 		horizon:  horizon,
 		tscale:   float64(horizon) / float64(s.Duration.D()),
 		groups:   make(map[string][]*instance),

@@ -35,12 +35,8 @@ type Options struct {
 // (series, sweep-value) declaration order, so the output is bit-identical
 // at any -parallel setting.
 func RunOpts(s *Spec, scale float64, opts Options) (*experiments.Result, error) {
-	sc := experiments.ShardWorkers(opts.ShardWorkers)
-	if sc.Workers > 0 {
-		if s.Workload.Protocol != "" && s.Workload.Protocol != ProtoBT {
-			return nil, fmt.Errorf("scenario: -shards supports only the bt protocol (got %q)", s.Workload.Protocol)
-		}
-		sc.Logical = s.Shards
+	if opts.ShardWorkers > 0 && s.Workload.Protocol != "" && s.Workload.Protocol != ProtoBT {
+		return nil, fmt.Errorf("scenario: -shards supports only the bt protocol (got %q)", s.Workload.Protocol)
 	}
 	switch opts.Fidelity {
 	case "", FidelityPacket, FidelityFlow:
@@ -109,7 +105,7 @@ func RunOpts(s *Spec, scale float64, opts Options) (*experiments.Result, error) 
 			spec := grid[si][0].spec
 			x := sampleAxis(spec, scale)
 			y := runner.AverageSeries(runs, func(r int) []float64 {
-				return runSampled(spec, scale, seed+int64(r)*seedStride, len(x), col, sc, opts.Fidelity)
+				return runSampled(spec, scale, seed+int64(r)*seedStride, len(x), col, opts)
 			})
 			res.AddSeries(sv.Label, x, y)
 		}
@@ -121,7 +117,7 @@ func RunOpts(s *Spec, scale float64, opts Options) (*experiments.Result, error) 
 	ys := runner.Sweep(grid, func(_ int, row []cell) []float64 {
 		return runner.Sweep(row, func(_ int, c cell) float64 {
 			return runner.Average(runs, func(r int) float64 {
-				return runScalar(c.spec, scale, seed+int64(r)*seedStride, col, sc, opts.Fidelity)
+				return runScalar(c.spec, scale, seed+int64(r)*seedStride, col, opts)
 			})
 		})
 	})
@@ -163,8 +159,8 @@ func sweepX(sw *SweepSpec, vi int) float64 {
 }
 
 // runScalar runs one world to the horizon and measures it.
-func runScalar(s *Spec, scale float64, seed int64, col *stats.Collector, sc experiments.ShardConfig, fidelity string) float64 {
-	c := compile(s, scale, seed, sc, fidelity)
+func runScalar(s *Spec, scale float64, seed int64, col *stats.Collector, opts Options) float64 {
+	c := compile(s, scale, seed, opts)
 	defer c.w.Finish(col)
 	c.w.RunFor(c.horizon)
 	return c.measure(c.horizon)
@@ -188,8 +184,8 @@ func sampleAxis(s *Spec, scale float64) []float64 {
 
 // runSampled runs one world, pausing every sample period to record the
 // metric — a trajectory instead of an endpoint.
-func runSampled(s *Spec, scale float64, seed int64, points int, col *stats.Collector, sc experiments.ShardConfig, fidelity string) []float64 {
-	c := compile(s, scale, seed, sc, fidelity)
+func runSampled(s *Spec, scale float64, seed int64, points int, col *stats.Collector, opts Options) []float64 {
+	c := compile(s, scale, seed, opts)
 	defer c.w.Finish(col)
 	sample := time.Duration(float64(s.Measure.Sample.D()) * c.tscale)
 	out := make([]float64, 0, points)

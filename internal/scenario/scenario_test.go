@@ -225,7 +225,7 @@ func TestFieldCoverageSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := compile(spec, 1, spec.Seed, experiments.ShardConfig{}, "")
+	c := compile(spec, 1, spec.Seed, Options{})
 	eng := c.w.Engine
 	crowd := c.groups["crowd"]
 
@@ -237,7 +237,7 @@ func TestFieldCoverageSpec(t *testing.T) {
 	for _, tc := range []struct {
 		c    *compiled
 		want bool
-	}{{c, true}, {compile(&bare, 1, spec.Seed, experiments.ShardConfig{}, ""), false}} {
+	}{{c, true}, {compile(&bare, 1, spec.Seed, Options{}), false}} {
 		for _, prefix := range []string{"wp2p.am.", "wp2p.mf."} {
 			has := false
 			for _, cn := range tc.c.w.Engine.Stats().Snapshot().Counters {

@@ -167,16 +167,13 @@ type Spec struct {
 
 // NetworkSpec shapes the routing cloud between access media.
 type NetworkSpec struct {
-	// CloudDelay is the one-way core delay (default 15ms, the value every
-	// registry experiment runs with).
+	// CloudDelay is the one-way core delay; zero takes the world builder's
+	// (experiments.NewWorldSharded), the value every registry experiment
+	// runs with.
 	CloudDelay Duration `json:"cloud_delay,omitempty"`
 	// Jitter adds a uniform random extra delay in [0, Jitter) per crossing.
 	Jitter Duration `json:"jitter,omitempty"`
 }
-
-// DefaultCloudDelay is the core delay used when NetworkSpec.CloudDelay is
-// zero — the same 15 ms the experiments package builds its worlds with.
-const DefaultCloudDelay = 15 * time.Millisecond
 
 // Workload protocols.
 const (

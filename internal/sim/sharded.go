@@ -265,7 +265,7 @@ func (s *ShardedEngine) RunUntil(deadline time.Duration) {
 		}
 		wend = min(wend, deadline)
 		s.runRound(wend, false)
-		drained, globalsRun := s.barrier2()
+		drained, globalsRun := s.barrier()
 		s.regWindows.Inc()
 		s.regWindowNS.Add(int64(wend - t))
 		if wend == t && drained == 0 && globalsRun == 0 {
@@ -333,12 +333,9 @@ func (s *ShardedEngine) popGlobalDue(now time.Duration) (globalEvent, bool) {
 
 // barrier runs one full coordinator round: drain, hooks, due globals, and a
 // final drain so work the hooks or globals injected is in the heaps before
-// the next window is sized.
-func (s *ShardedEngine) barrier() {
-	s.barrier2()
-}
-
-func (s *ShardedEngine) barrier2() (drained, globalsRun int) {
+// the next window is sized. It reports the cross-shard events drained and
+// the globals run, the work the no-progress assertion looks for.
+func (s *ShardedEngine) barrier() (drained, globalsRun int) {
 	drained = s.drainAll()
 	for _, h := range s.barrierHooks {
 		h()

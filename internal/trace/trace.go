@@ -10,10 +10,10 @@
 // Emit must not be mutated afterwards. Watch helpers comply by passing
 // value-copied packet descriptions (see PacketInfo).
 //
-// Watch points also feed the engine's stats registry ("trace.watch.<name>…"
-// counters), so a filtered recording still leaves a cheap quantitative
-// footprint, and a SetFilter predicate (see ParseFilter for the CLI's
-// "source=kind" syntax) restricts which events are retained at all.
+// A recorder writes nothing into the engine's stats registry, so tracing
+// leaves every counter, series and export of a run as it was; a SetFilter
+// predicate (see ParseFilter for the CLI's "source=kind" syntax) restricts
+// which events are retained at all.
 //
 // Typical use while debugging a scenario:
 //
@@ -34,7 +34,6 @@ import (
 	"github.com/wp2p/wp2p/internal/flow"
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/sim"
-	"github.com/wp2p/wp2p/internal/stats"
 	"github.com/wp2p/wp2p/internal/tcp"
 )
 
@@ -86,8 +85,6 @@ type Recorder struct {
 	wrapped bool
 	total   int64
 	filter  func(source, kind string) bool
-
-	regEmitted *stats.Counter
 }
 
 // NewRecorder builds a recorder keeping the most recent capacity events.
@@ -96,10 +93,9 @@ func NewRecorder(engine *sim.Engine, capacity int) *Recorder {
 		capacity = 1024
 	}
 	return &Recorder{
-		engine:     engine,
-		shard:      -1,
-		ring:       make([]record, capacity),
-		regEmitted: engine.Stats().Counter("trace.emitted"),
+		engine: engine,
+		shard:  -1,
+		ring:   make([]record, capacity),
 	}
 }
 
@@ -166,7 +162,6 @@ func (r *Recorder) Emit(source, kind, format string, args ...any) {
 	rec.args = append(rec.args[:0], args...)
 	r.next++
 	r.total++
-	r.regEmitted.Inc()
 	if r.next == len(r.ring) {
 		r.next = 0
 		r.wrapped = true
@@ -292,22 +287,16 @@ func packetInfo(p *netem.Packet) PacketInfo {
 }
 
 // WatchIface records every packet entering and leaving an interface. The
-// name labels the watch point in the trace, and the watch feeds the
-// "trace.watch.<name>.egress"/".ingress" counters.
+// name labels the watch point in the trace.
 func WatchIface(r *Recorder, name string, iface *netem.Iface) {
-	reg := r.engine.Stats()
-	egress := reg.Counter("trace.watch." + name + ".egress")
-	ingress := reg.Counter("trace.watch." + name + ".ingress")
 	out, in := name+"/egress", name+"/ingress"
 	iface.AddEgressFilter(netem.FilterFunc(func(p *netem.Packet, pass []*netem.Packet) []*netem.Packet {
-		egress.Inc()
 		if r.wants(out, "pkt") {
 			r.Emit(out, "pkt", "%v", packetInfo(p))
 		}
 		return append(pass, p)
 	}))
 	iface.AddIngressFilter(netem.FilterFunc(func(p *netem.Packet, pass []*netem.Packet) []*netem.Packet {
-		ingress.Inc()
 		if r.wants(in, "pkt") {
 			r.Emit(in, "pkt", "%v", packetInfo(p))
 		}
@@ -316,49 +305,39 @@ func WatchIface(r *Recorder, name string, iface *netem.Iface) {
 }
 
 // WatchWireless records every drop (queue overflow or corruption) on a
-// wireless channel and feeds the "trace.watch.<name>.drops" counter. The
-// observer chains with any already installed (netem's OnDrop contract).
+// wireless channel. The observer chains with any already installed (netem's
+// OnDrop contract).
 func WatchWireless(r *Recorder, name string, ch *netem.WirelessChannel) {
 	ch.OnDrop(dropWatch(r, name))
 }
 
-// WatchLink records every drop on a wired access link and feeds the
-// "trace.watch.<name>.drops" counter. The observer chains with any already
-// installed.
+// WatchLink records every drop on a wired access link. The observer chains
+// with any already installed.
 func WatchLink(r *Recorder, name string, l *netem.AccessLink) {
 	l.OnDrop(dropWatch(r, name))
 }
 
 // WatchFlow records stream lifecycle events (open/close/rate changes) and
-// drops on a fluid fabric, feeding the "trace.watch.<name>.streams" and
-// ".drops" counters. Observers chain with any already installed.
+// drops on a fluid fabric. Observers chain with any already installed.
 func WatchFlow(r *Recorder, name string, f *flow.Fabric) {
-	streams := r.engine.Stats().Counter("trace.watch." + name + ".streams")
-	drop := dropWatch(r, name)
 	f.OnStream(func(ev flow.StreamEvent) {
-		if ev.Kind == "open" {
-			streams.Inc()
-		}
 		if r.wants(name, ev.Kind) {
 			r.Emit(name, ev.Kind, "%v→%v up=%v rate=%.0fB/s", ev.Src, ev.Dst, ev.Up, ev.Rate)
 		}
 	})
-	f.OnDrop(drop)
+	f.OnDrop(dropWatch(r, name))
 }
 
 // WatchNetwork records packets blackholed by the routing layer (no-route
-// after a handoff) and feeds the "trace.watch.<name>.drops" counter. The
-// observer chains with any already installed.
+// after a handoff). The observer chains with any already installed.
 func WatchNetwork(r *Recorder, name string, n *netem.Network) {
 	n.OnDrop(dropWatch(r, name))
 }
 
-// dropWatch is the drop observer every watch point installs: it feeds the
-// "trace.watch.<name>.drops" counter and records the drop.
+// dropWatch is the drop observer every watch point installs: it records the
+// drop.
 func dropWatch(r *Recorder, name string) func(*netem.Packet, netem.DropReason) {
-	drops := r.engine.Stats().Counter("trace.watch." + name + ".drops")
 	return func(p *netem.Packet, reason netem.DropReason) {
-		drops.Inc()
 		if r.wants(name, "drop") {
 			r.Emit(name, "drop", "%v %v", reason, packetInfo(p))
 		}
