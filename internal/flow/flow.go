@@ -107,6 +107,10 @@ type Fabric struct {
 	scratch []*stream // waterfill sort scratch
 	touched []*stream // streams whose rate moved in the wave in progress
 
+	// flights is the free list of detached flights: never longer than the
+	// peak number of streams active at once.
+	flights []*flight
+
 	// The delivery calendar (quantized mode): buckets maps a grid tick to
 	// the streams due on it. Entries go stale when a stream re-times — the
 	// bucket firing skips any stream whose registered tick moved on.
@@ -148,6 +152,12 @@ const rateEps = 1.0
 
 // byteEps absorbs float rounding when comparing served bytes to packet sizes.
 const byteEps = 1e-6
+
+// spareListCap is the largest stream list a drained calendar bucket keeps
+// when it goes back to the spare pool; a longer one (a crowd's join tick can
+// carry thousands of streams) is dropped rather than held by every tick that
+// reuses the bucket.
+const spareListCap = 64
 
 // NewFabric builds an empty fabric on the engine and registers it for
 // invariant checking and digests.
@@ -320,21 +330,36 @@ type flowPkt struct {
 	crossAt time.Duration // when the fluid finished this packet (once crossed)
 }
 
-// stream is the fluid state of one (src, dst, leg) transfer: a FIFO of
-// packets drained at the max-min fair rate. A firing (from the delivery
-// calendar, or the per-stream timer in exact mode) drains every packet
-// whose delivery time has been reached.
+// stream is one (src, dst, leg) transfer: a FIFO of packets drained at the
+// max-min fair rate. A firing (from the delivery calendar, or the per-stream
+// timer in exact mode) drains every packet whose delivery time has been
+// reached. An idle stream keeps only its identity, delivery clamp and
+// (zeroed) grants: the queue, frontier and calendar tick of a transfer in
+// progress live in its flight, attached on activation and returned to the
+// fabric's free list on deactivation.
 type stream struct {
 	fab      *Fabric
 	key      streamKey
 	up, down *pipe // crossed pipes (nil where the leg does not apply)
+	*flight        // nil while idle
 
+	// The grants and rate stay here, not in the flight: a waterfill reads
+	// them for every stream sharing the pipe, and keeping them beside up and
+	// down spares that loop a second pointer per stream.
 	grantUp, grantDown float64 // per-pipe fair shares; +Inf for absent pipes
 	rate               float64 // min of the grants, bytes/second
 
+	lastDeliver time.Duration // monotone delivery clamp
+	timer       *sim.Timer    // exact mode only; nil when quantized
+	active      bool
+	armPending  bool // queued on Fabric.touched for one arm at wave end
+}
+
+// flight is the state only an active stream uses.
+type flight struct {
 	// q[head:] is the live FIFO; the delivered prefix is reused in place
 	// (compacted before a growing append) so steady-state traffic enqueues
-	// without reallocating.
+	// without reallocating. The array stays with the flight across streams.
 	q    []flowPkt
 	head int
 
@@ -349,15 +374,16 @@ type stream struct {
 	partial float64
 	lastT   time.Duration
 
-	lastDeliver time.Duration // monotone delivery clamp
-	timer       *sim.Timer    // exact mode only; nil when quantized
-	tick        int64         // registered calendar tick; -1 = unarmed
-	active      bool
-	armPending  bool // queued on Fabric.touched for one arm at wave end
+	tick int64 // registered calendar tick; -1 = unarmed
 }
 
-// qLen is the live queue length.
-func (s *stream) qLen() int { return len(s.q) - s.head }
+// qLen is the live queue length (zero while idle).
+func (s *stream) qLen() int {
+	if s.flight == nil {
+		return 0
+	}
+	return len(s.q) - s.head
+}
 
 // enqueue admits a packet to its stream — found in (or added to) the link's
 // per-peer map — activating the stream (a flow arrival, triggering a rate
@@ -377,7 +403,7 @@ func (f *Fabric) enqueue(streams map[netem.IP]*stream, peer netem.IP, up, down *
 	s := streams[peer]
 	if s == nil {
 		key := streamKey{src: pkt.Src.IP, dst: pkt.Dst.IP, up: up != nil}
-		s = &stream{fab: f, key: key, up: up, down: down, tick: -1}
+		s = &stream{fab: f, key: key, up: up, down: down}
 		if f.quantum <= 0 {
 			s.timer = sim.NewTimer(f.engine, s.fire)
 		}
@@ -391,6 +417,8 @@ func (f *Fabric) enqueue(streams map[netem.IP]*stream, peer netem.IP, up, down *
 		// Advance the frontier first: the new packet's crossing starts at its
 		// arrival, not at wherever the previous one finished in the past.
 		s.settle(f.engine.Now())
+	} else {
+		f.attach(s)
 	}
 	if s.head > 0 && len(s.q) == cap(s.q) {
 		// Reclaim the delivered prefix instead of growing the backing array.
@@ -410,14 +438,26 @@ func (f *Fabric) enqueue(streams map[netem.IP]*stream, peer netem.IP, up, down *
 	}
 }
 
+// attach gives an idle stream a flight from the free list (or a new one),
+// reset to an empty queue, no grants, zero rate and no calendar tick.
+func (f *Fabric) attach(s *stream) {
+	var fl *flight
+	if n := len(f.flights); n > 0 {
+		fl = f.flights[n-1]
+		f.flights = f.flights[:n-1]
+	} else {
+		fl = new(flight)
+	}
+	*fl = flight{q: fl.q[:0], lastT: f.engine.Now(), tick: -1}
+	s.flight = fl
+	s.grantUp, s.grantDown = math.Inf(1), math.Inf(1)
+	s.rate = 0
+}
+
 // activate marks a flow arrival: the stream joins its pipes' sharing sets
 // and a relaxation wave re-shares the affected capacity.
 func (f *Fabric) activate(s *stream) {
 	s.active = true
-	s.crossed, s.partial = 0, 0
-	s.lastT = f.engine.Now()
-	s.grantUp, s.grantDown = math.Inf(1), math.Inf(1)
-	s.rate = 0
 	if s.up != nil {
 		s.up.streams = append(s.up.streams, s)
 	}
@@ -431,29 +471,34 @@ func (f *Fabric) activate(s *stream) {
 	f.recompute(s.up, s.down)
 }
 
-// deactivate marks a flow departure (queue drained) and re-shares the
-// capacity it frees.
+// deactivate marks a flow departure (queue drained), returns the stream's
+// flight to the free list and re-shares the capacity it frees.
 func (f *Fabric) deactivate(s *stream) {
 	s.active = false
 	s.disarm()
 	removeStream(s.up, s)
 	removeStream(s.down, s)
 	s.rate, s.grantUp, s.grantDown = 0, 0, 0
-	s.crossed, s.partial = 0, 0
-	s.q, s.head = s.q[:0], 0
 	f.activeStreams--
 	f.regActive.Set(int64(f.activeStreams))
 	f.notify("close", s)
+	f.flights = append(f.flights, s.flight)
+	s.flight = nil
 	f.recompute(s.up, s.down)
 }
 
+// removeStream takes s out of p's sharing set, clearing the slot it vacates
+// so the pipe's array holds no stale stream.
 func removeStream(p *pipe, s *stream) {
 	if p == nil {
 		return
 	}
 	for i, t := range p.streams {
 		if t == s {
-			p.streams = append(p.streams[:i], p.streams[i+1:]...)
+			last := len(p.streams) - 1
+			copy(p.streams[i:], p.streams[i+1:])
+			p.streams[last] = nil
+			p.streams = p.streams[:last]
 			return
 		}
 	}
@@ -766,7 +811,7 @@ func (b *bucket) drain() {
 	delete(f.buckets, b.tick)
 	f.draining = true
 	for i, s := range b.streams {
-		if s.tick == b.tick && s.active {
+		if s.active && s.tick == b.tick {
 			s.fire()
 		}
 		b.streams[i] = nil
@@ -774,6 +819,9 @@ func (b *bucket) drain() {
 	f.draining = false
 	f.relax()
 	b.streams = b.streams[:0]
+	if cap(b.streams) > spareListCap {
+		b.streams = nil
+	}
 	f.spare = append(f.spare, b)
 }
 
@@ -846,7 +894,8 @@ func (f *Fabric) deliverPkt(p flowPkt) {
 	dst.Deliver(pkt)
 }
 
-// CheckState audits the fabric (check.Checkable): capacity conservation
+// CheckState audits the fabric (check.Checkable): a flight on exactly the
+// active streams, each with a non-empty queue, capacity conservation
 // (Σ stream rates on a pipe ≤ its capacity), non-negative rates, fluid
 // accounts within their queues, backlog/queue agreement, and the packet
 // ledger.
@@ -858,10 +907,16 @@ func (f *Fabric) CheckState(report func(invariant, detail string)) {
 		checkPipe(&l.down, "down", report)
 	}
 	for _, s := range f.streams {
+		if s.flight == nil {
+			if s.active {
+				report("flow.stream_active", fmt.Sprintf("stream %s→%s active without a flight", s.key.src, s.key.dst))
+			}
+			continue
+		}
 		n := s.qLen()
 		queued += int64(n)
-		if s.active != (n > 0) {
-			report("flow.stream_active", fmt.Sprintf("stream %s→%s active=%v with %d queued", s.key.src, s.key.dst, s.active, n))
+		if !s.active || n == 0 {
+			report("flow.stream_active", fmt.Sprintf("stream %s→%s active=%v holds a flight with %d queued", s.key.src, s.key.dst, s.active, n))
 		}
 		if s.rate < 0 {
 			report("flow.rate_sign", fmt.Sprintf("stream %s→%s has negative rate %g", s.key.src, s.key.dst, s.rate))
