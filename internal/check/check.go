@@ -8,8 +8,9 @@
 // ownership, slot accounting. Violations fail fast (panic) unless
 // Config.OnViolation intercepts them.
 //
-// The digest side hashes a canonical serialization of all DigestInto hooks
-// plus the stats registry into a Record every Config.DigestEvery events.
+// The digest side hashes the engine's clock and scheduler progress plus a
+// canonical serialization of all DigestInto hooks (the stats registry is not
+// part of it) into a Record every Config.DigestEvery events.
 // Two same-seed runs must produce identical records; Stream/WriteStreams/
 // ParseStreams give the `wp2p.digest.v1` interchange format, FirstDivergence
 // binary-searches two streams to the first diverging event window, and

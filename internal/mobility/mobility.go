@@ -207,9 +207,3 @@ func DefaultReaction(engine *sim.Engine, h *Handoff, client Restarter, detection
 		engine.Schedule(detectionDelay, func() { client.Restart(true) })
 	})
 }
-
-// ObliviousReaction models a client that never notices address changes (the
-// paper's default mobile seed): connections die by timeout and the swarm
-// learns the new address only from periodic tracker announces. It installs
-// no hook; it exists to document the choice at call sites.
-func ObliviousReaction(*Handoff) {}

@@ -49,25 +49,34 @@ type compiled struct {
 	hub *instance
 }
 
-// instance is one live peer: its host plus whichever protocol client the
-// workload selected (exactly one of bt/wp/ed/gn is non-nil; wp wraps its BT
-// field).
-type instance struct {
-	group *PeerGroup
-	index int
-	host  *experiments.Host
+// client is what the compiler drives on every protocol's peer: *bt.Client,
+// *wp2p.Client, *ed2k.Client and *gnutella.Node all satisfy it.
+type client interface {
+	Start() error
+	Stop()
+	Downloaded() int64
+	Uploaded() int64
+}
 
-	bt *bt.Client
+// instance is one live peer: its host plus the protocol client the workload
+// selected. wp and gn are typed handles to the same client for the
+// operations only that protocol has (the wP2P reaction; gnutella's hub,
+// search and relink), nil on every other peer.
+type instance struct {
+	group  *PeerGroup
+	index  int
+	host   *experiments.Host
+	client client
+
 	wp *wp2p.Client
-	ed *ed2k.Client
 	gn *gnutella.Node
 
 	handoff *mobility.Handoff
 	disc    *mobility.Disconnection
 
 	started bool
-	// completedAt mirrors bt.Client.CompletedAt for the protocols that
-	// don't track it; -1 until the completion watcher sees it finish.
+	// completedAt is when the client's own completion callback fired: 0
+	// for a peer that starts complete (role seed), -1 while incomplete.
 	completedAt time.Duration
 }
 
@@ -96,14 +105,14 @@ func compile(s *Spec, scale float64, seed int64, opts Options) *compiled {
 	needH := s.eventDrivenHandoffGroups()
 	for gi := range s.Peers {
 		g := &s.Peers[gi]
-		for i := 0; i < count(g); i++ {
-			c.buildInstance(g, i, needH[g.Name])
+		insts := make([]instance, count(g))
+		for i := range insts {
+			c.buildInstance(&insts[i], g, i, needH[g.Name])
 		}
 	}
 	if s.Workload.Protocol == ProtoGnutella {
 		c.armRelinker()
 	}
-	c.armCompletionWatch()
 	c.armEvents()
 	return c
 }
@@ -169,8 +178,11 @@ func (c *compiled) buildContent(scale float64) {
 
 // buildInstance constructs one peer: host, client, start, mobility — in
 // that order (see the determinism note on compiled).
-func (c *compiled) buildInstance(g *PeerGroup, i int, eventDriven bool) {
-	inst := &instance{group: g, index: i, completedAt: -1}
+func (c *compiled) buildInstance(inst *instance, g *PeerGroup, i int, eventDriven bool) {
+	*inst = instance{group: g, index: i, completedAt: -1}
+	if g.Role == RoleSeed {
+		inst.completedAt = 0
+	}
 	switch g.Link.Kind {
 	case "wired":
 		link := netem.AccessLinkConfig{
@@ -236,15 +248,21 @@ func (c *compiled) buildMobility(inst *instance, m *MobilitySpec, eventDriven bo
 	if m.Jitter > 0 {
 		h.SetJitter(m.Jitter.D())
 	}
+	// The oblivious reaction installs nothing: connections die by timeout
+	// and the swarm relearns the address from announces.
 	switch m.Reaction {
-	case "", ReactOblivious:
-		mobility.ObliviousReaction(h)
 	case ReactRestart:
 		delay := m.DetectionDelay.D()
 		if delay == 0 {
 			delay = 15 * time.Second
 		}
-		mobility.DefaultReaction(inst.host.Engine, h, inst.restarter(), delay)
+		// The validator admits restart only on bt and ed2k peers; a wP2P
+		// client restarts through its BT half.
+		r, ok := inst.client.(mobility.Restarter)
+		if !ok {
+			r = inst.wp.BT
+		}
+		mobility.DefaultReaction(inst.host.Engine, h, r, delay)
 	case ReactWP2P:
 		h.OnChange(func(_, _ netem.IP) { inst.wp.OnAddressChange() })
 	}
@@ -275,7 +293,8 @@ func (s *Spec) eventDrivenHandoffGroups() map[string]bool {
 	return out
 }
 
-// buildClient constructs the protocol client for an instance.
+// buildClient constructs the protocol client for an instance and hooks its
+// completion callback.
 func (c *compiled) buildClient(inst *instance) {
 	g := inst.group
 	switch c.spec.Workload.Protocol {
@@ -292,7 +311,9 @@ func (c *compiled) buildClient(inst *instance) {
 			cfg.InitialHave = c.w.RandomHave(c.tor, g.InitialHave)
 		}
 		if g.WP2P == nil {
-			inst.bt = bt.NewClient(cfg)
+			b := bt.NewClient(cfg)
+			b.OnComplete = inst.complete
+			inst.client = b
 			return
 		}
 		wcfg := wp2p.Config{BT: cfg, RetainIdentity: g.WP2P.RetainIdentity}
@@ -312,7 +333,8 @@ func (c *compiled) buildClient(inst *instance) {
 			wcfg.RR = &wp2p.RRConfig{}
 		}
 		inst.wp = wp2p.New(wcfg)
-		inst.bt = inst.wp.BT
+		inst.wp.BT.OnComplete = inst.complete
+		inst.client = inst.wp
 	case ProtoEd2k:
 		cfg := ed2k.Config{
 			Transport: inst.host.Transport, Server: c.edSrv, File: c.edFile,
@@ -327,9 +349,21 @@ func (c *compiled) buildClient(inst *instance) {
 			}
 			cfg.InitialChunks = chunks
 		}
-		inst.ed = ed2k.NewClient(cfg)
+		e := ed2k.NewClient(cfg)
+		e.OnComplete = inst.complete
+		inst.client = e
 	case ProtoGnutella:
 		inst.gn = gnutella.NewNode(gnutella.Config{Transport: inst.host.Transport})
+		inst.gn.OnComplete = func(gnutella.FileKey) { inst.complete() }
+		inst.client = inst.gn
+	}
+}
+
+// complete records the instant the client finished its download; ed2k
+// repeats the callback for blocks still in flight, so only the first counts.
+func (inst *instance) complete() {
+	if inst.completedAt < 0 {
+		inst.completedAt = inst.host.Engine.Now()
 	}
 }
 
@@ -345,38 +379,30 @@ func (inst *instance) start(c *compiled) {
 	}
 	// Scenario worlds assign every instance its own host, so a listen
 	// conflict is a compiler bug; fail loudly with the offending instance.
-	mustStart := func(err error) {
-		if err != nil {
-			panic(fmt.Sprintf("scenario: start %s: %v", inst.group.Name, err))
-		}
+	if err := inst.client.Start(); err != nil {
+		panic(fmt.Sprintf("scenario: start %s: %v", inst.group.Name, err))
 	}
-	switch {
-	case inst.wp != nil:
-		mustStart(inst.wp.Start())
-	case inst.bt != nil:
-		mustStart(inst.bt.Start())
-	case inst.ed != nil:
-		mustStart(inst.ed.Start())
-	case inst.gn != nil:
-		mustStart(inst.gn.Start())
-		if inst.group.Role == RoleSeed {
-			inst.gn.Share(gnutella.Shared{
-				Key:  gnutella.FileKey(c.spec.contentName()),
-				Size: c.contentSize,
-			})
-		}
-		if inst != c.hub {
-			// Stagger overlay joins so the hub's accept path isn't one
-			// burst; searchers flood once the link settles.
-			c.w.Engine.Schedule(100*time.Millisecond, func() {
-				inst.gn.ConnectNeighbor(c.hub.gn.Addr())
-			})
-		}
-		if inst.group.Role != RoleSeed {
-			c.w.Engine.Schedule(2*time.Second, func() {
-				inst.gn.Search(gnutella.FileKey(c.spec.contentName()))
-			})
-		}
+	if inst.gn != nil {
+		c.joinOverlay(inst)
+	}
+}
+
+// joinOverlay links a gnutella node into the star overlay: seeds share the
+// content, every other node links to the hub, and searchers flood once the
+// link settles.
+func (c *compiled) joinOverlay(inst *instance) {
+	key := gnutella.FileKey(c.spec.contentName())
+	if inst.group.Role == RoleSeed {
+		inst.gn.Share(gnutella.Shared{Key: key, Size: c.contentSize})
+	}
+	if inst != c.hub {
+		// Stagger overlay joins so the hub's accept path isn't one burst.
+		c.w.Engine.Schedule(100*time.Millisecond, func() {
+			inst.gn.ConnectNeighbor(c.hub.gn.Addr())
+		})
+	}
+	if inst.group.Role != RoleSeed {
+		c.w.Engine.Schedule(2*time.Second, func() { inst.gn.Search(key) })
 	}
 }
 
@@ -385,41 +411,10 @@ func (inst *instance) stop() {
 	if !inst.started {
 		return
 	}
-	switch {
-	case inst.wp != nil:
-		inst.wp.Stop()
-	case inst.bt != nil:
-		inst.bt.Stop()
-	case inst.ed != nil:
-		inst.ed.Stop()
-	case inst.gn != nil:
-		inst.gn.Stop()
-	}
+	inst.client.Stop()
 	if inst.handoff != nil {
 		inst.handoff.Stop()
 	}
-}
-
-// restarter adapts the instance to mobility.Restarter for the default
-// (restart) reaction.
-func (inst *instance) restarter() mobility.Restarter {
-	switch {
-	case inst.bt != nil:
-		return inst.bt
-	case inst.ed != nil:
-		return inst.ed
-	default:
-		return gnRestarter{}
-	}
-}
-
-// gnRestarter maps task re-initiation onto a gnutella node: stop, then a
-// fresh node would re-bootstrap — the relinker ticker plays that role.
-type gnRestarter struct{}
-
-func (r gnRestarter) Restart(bool) {
-	// A gnutella node has no identity to lose and no restart entry point;
-	// its stalled downloads already re-flood. Nothing to do.
 }
 
 // armRelinker keeps the gnutella star overlay connected: any node whose
@@ -436,87 +431,6 @@ func (c *compiled) relink() {
 		}
 	}
 	c.w.Engine.Schedule(10*time.Second, func() { c.relink() })
-}
-
-// armCompletionWatch samples completion for protocols that don't record a
-// completion time, only when a metric needs it. Polling granularity is 5 s
-// of sim time — coarse, but completion_s is a minutes-scale metric.
-func (c *compiled) armCompletionWatch() {
-	if c.spec.Workload.Protocol == ProtoBT {
-		return
-	}
-	m := c.spec.Measure.Metric
-	if m != MetricCompletionS && m != MetricDownloadKBps && m != MetricCompleted {
-		return
-	}
-	var tick func()
-	tick = func() {
-		done := true
-		for _, inst := range c.groups[c.spec.Measure.Peers] {
-			if inst.completedAt >= 0 {
-				continue
-			}
-			if inst.complete(c) {
-				inst.completedAt = c.w.Engine.Now()
-			} else {
-				done = false
-			}
-		}
-		if !done {
-			c.w.Engine.Schedule(5*time.Second, tick)
-		}
-	}
-	c.w.Engine.Schedule(5*time.Second, tick)
-}
-
-// complete reports whether the instance finished the download.
-func (inst *instance) complete(c *compiled) bool {
-	switch {
-	case inst.bt != nil:
-		return inst.bt.Complete()
-	case inst.ed != nil:
-		return inst.ed.Complete()
-	case inst.gn != nil:
-		return inst.gn.Complete(gnutella.FileKey(c.spec.contentName()))
-	}
-	return false
-}
-
-// downloaded returns payload bytes received.
-func (inst *instance) downloaded() int64 {
-	switch {
-	case inst.bt != nil:
-		return inst.bt.Downloaded()
-	case inst.ed != nil:
-		return inst.ed.Downloaded()
-	case inst.gn != nil:
-		return inst.gn.Downloaded()
-	}
-	return 0
-}
-
-// uploaded returns payload bytes served.
-func (inst *instance) uploaded() int64 {
-	switch {
-	case inst.bt != nil:
-		return inst.bt.Uploaded()
-	case inst.ed != nil:
-		return inst.ed.Uploaded()
-	case inst.gn != nil:
-		return inst.gn.Uploaded()
-	}
-	return 0
-}
-
-// finishedAt returns the completion time, or -1 while incomplete.
-func (inst *instance) finishedAt() time.Duration {
-	if inst.bt != nil {
-		if at := inst.bt.CompletedAt(); at > 0 {
-			return at
-		}
-		return -1
-	}
-	return inst.completedAt
 }
 
 // targets resolves an event's instance selection.

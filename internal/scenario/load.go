@@ -214,7 +214,14 @@ func (s *Spec) validateGroup(e *errs, path string, g *PeerGroup, seen map[string
 			e.add(mp+".first", "must be within [0, count], got %d", m.First)
 		}
 		switch m.Reaction {
-		case "", ReactOblivious, ReactRestart:
+		case "", ReactOblivious:
+		case ReactRestart:
+			if s.Workload.Protocol == ProtoGnutella {
+				e.add(mp+".reaction", "%q needs a client with a restart entry point; a %s node has none", ReactRestart, ProtoGnutella)
+			}
+			if g.WP2P != nil && g.WP2P.RetainIdentity {
+				e.add(mp+".reaction", "%q re-initiates with a fresh peer-id, so wp2p.retain_identity would never apply (use %q)", ReactRestart, ReactWP2P)
+			}
 		case ReactWP2P:
 			if g.WP2P == nil {
 				e.add(mp+".reaction", "%q requires the group to enable wp2p", ReactWP2P)

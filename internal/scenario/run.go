@@ -210,25 +210,25 @@ func (c *compiled) measure(window time.Duration) float64 {
 	case MetricDownloadKBps:
 		for _, inst := range insts {
 			win := window
-			if at := inst.finishedAt(); at > 0 && at < win {
+			if at := inst.completedAt; at > 0 && at < win {
 				win = at
 			}
-			sum += float64(inst.downloaded()) / win.Seconds() / 1000
+			sum += float64(inst.client.Downloaded()) / win.Seconds() / 1000
 		}
 		return sum / n
 	case MetricUploadKBps:
 		for _, inst := range insts {
-			sum += float64(inst.uploaded()) / window.Seconds() / 1000
+			sum += float64(inst.client.Uploaded()) / window.Seconds() / 1000
 		}
 		return sum / n
 	case MetricDownloadedMB:
 		for _, inst := range insts {
-			sum += float64(inst.downloaded()) / 1e6
+			sum += float64(inst.client.Downloaded()) / 1e6
 		}
 		return sum / n
 	case MetricCompletionS:
 		for _, inst := range insts {
-			if at := inst.finishedAt(); at >= 0 {
+			if at := inst.completedAt; at >= 0 {
 				sum += at.Seconds()
 			} else {
 				// Incomplete counts as the full window — a floor on the
@@ -239,7 +239,7 @@ func (c *compiled) measure(window time.Duration) float64 {
 		return sum / n
 	case MetricCompleted:
 		for _, inst := range insts {
-			if inst.complete(c) {
+			if inst.completedAt >= 0 {
 				sum++
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wp2p/wp2p/internal/ed2k"
 	"github.com/wp2p/wp2p/internal/experiments"
 	"github.com/wp2p/wp2p/internal/runner"
 )
@@ -267,14 +268,14 @@ func TestFieldCoverageSpec(t *testing.T) {
 	eng.RunUntil(60*time.Second + time.Millisecond)
 	var before [3]int64
 	for k, inst := range crowd {
-		before[k] = inst.bt.Downloaded()
+		before[k] = inst.client.Downloaded()
 	}
 	eng.RunUntil(120 * time.Second)
 	for k, inst := range crowd {
-		got := inst.bt.Downloaded() - before[k]
+		got := inst.client.Downloaded() - before[k]
 		if k == 1 {
-			if got != 0 || inst.bt.NumPeers() != 0 {
-				t.Errorf("crowd[1] after leaving: +%d bytes, %d peers, want none", got, inst.bt.NumPeers())
+			if peers := inst.wp.BT.NumPeers(); got != 0 || peers != 0 {
+				t.Errorf("crowd[1] after leaving: +%d bytes, %d peers, want none", got, peers)
 			}
 			continue
 		}
@@ -295,5 +296,48 @@ func TestFieldCoverageSpec(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Errorf("50 crossings drew %d distinct delays, want jitter", len(seen))
+	}
+}
+
+// TestCompletionIsClientInstant: a peer's completion time is the instant its
+// own client finished, read from the client's callback, on the protocols
+// that do not record one themselves.
+func TestCompletionIsClientInstant(t *testing.T) {
+	for _, tc := range []struct {
+		proto string
+		done  func(inst *instance) bool
+	}{
+		{ProtoGnutella, func(inst *instance) bool { return inst.gn.Complete("f") }},
+		{ProtoEd2k, func(inst *instance) bool { return inst.client.(*ed2k.Client).Complete() }},
+	} {
+		t.Run(tc.proto, func(t *testing.T) {
+			m := minimal()
+			m["workload"] = map[string]any{
+				"protocol": tc.proto,
+				"torrent":  map[string]any{"name": "f", "size_bytes": 1 << 20},
+			}
+			s, err := Load(mustJSON(t, m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := compile(s, 1, 1, Options{})
+			seed, leech := c.groups["seed"][0], c.groups["leech"][0]
+			if seed.completedAt != 0 {
+				t.Errorf("seed completedAt = %v, want 0", seed.completedAt)
+			}
+			eng := c.w.Engine
+			for !tc.done(leech) {
+				if !eng.Step() || eng.Now() > s.Duration.D() {
+					t.Fatalf("leech incomplete at %v", eng.Now())
+				}
+				if leech.completedAt >= 0 && !tc.done(leech) {
+					t.Fatalf("completedAt %v recorded before the client completed", leech.completedAt)
+				}
+			}
+			t.Logf("%s leech completed at %v", tc.proto, eng.Now())
+			if leech.completedAt != eng.Now() {
+				t.Errorf("completedAt = %v, want the completing event's %v", leech.completedAt, eng.Now())
+			}
+		})
 	}
 }

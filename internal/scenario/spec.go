@@ -337,8 +337,9 @@ type MobilitySpec struct {
 	// "oblivious" (default — connections die by timeout, the swarm
 	// relearns the address from announces), "restart" (task re-initiation
 	// with a fresh identity after DetectionDelay, the paper's default
-	// client), or "wp2p" (immediate reconnect via the wP2P client; the
-	// group must enable wp2p).
+	// client; bt and ed2k only, and not beside wp2p.retain_identity), or
+	// "wp2p" (the wP2P client's one reconnect, once per address change;
+	// the group must enable wp2p).
 	Reaction string `json:"reaction,omitempty"`
 	// DetectionDelay is the restart reaction's user-notices lag (default
 	// 15s).

@@ -1,12 +1,16 @@
 package wp2p
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/wp2p/wp2p/internal/bt"
+	"github.com/wp2p/wp2p/internal/check"
 	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/sim"
 	"github.com/wp2p/wp2p/internal/tcp"
+	"github.com/wp2p/wp2p/internal/transport"
 )
 
 var (
@@ -254,4 +258,63 @@ func TestAMEndToEndImprovesLossyYoungFlow(t *testing.T) {
 		t.Errorf("AM hurt throughput: %d vs %d", withAM, plain)
 	}
 	t.Logf("downloaded: plain=%d withAM=%d (%+.1f%%)", plain, withAM, 100*float64(withAM-plain)/float64(plain))
+}
+
+// amWorld is a mobile wP2P leech with AM downloading from a wired seed under
+// an attached checker that collects violations instead of panicking.
+func amWorld(seed int64) (*env, *Client, *check.Checker, *[]check.Violation) {
+	v := newEnv(seed, 512*1024, 64*1024)
+	s := bt.NewClient(bt.Config{Transport: transport.NewSim(v.wired()), Torrent: v.torrent, Tracker: v.tracker, Seed: true})
+	s.Start()
+	c := New(Config{BT: v.btCfg(v.wireless(netem.WirelessConfig{BER: 1e-6})), AM: &AMConfig{}})
+	c.Start()
+	var got []check.Violation
+	chk := check.Attach(v.engine, check.Config{
+		Digests:     true,
+		DigestEvery: 256,
+		OnViolation: func(x check.Violation) { got = append(got, x) },
+	})
+	return v, c, chk, &got
+}
+
+// TestAMCheckStateReportsFlowLeak: flow state for a remote with no live
+// connection, idle past the grace window, is the leak the sweep reports.
+func TestAMCheckStateReportsFlowLeak(t *testing.T) {
+	v, c, chk, got := amWorld(10)
+	v.engine.RunFor(10 * time.Second)
+	chk.Sweep()
+	if len(*got) != 0 {
+		t.Fatalf("healthy world reported %v", *got)
+	}
+	c.am.flow(netem.Addr{IP: 99, Port: 6881})
+	v.engine.RunFor(2 * time.Second)
+	chk.Sweep()
+	if len(*got) != 1 || (*got)[0].Invariant != "wp2p.am.flow_leak" {
+		t.Fatalf("violations = %v, want one wp2p.am.flow_leak", *got)
+	}
+}
+
+// TestAMDigestDeterministic: two same-seed runs give identical digest
+// records, and the AM filter's flow state is part of what they hash.
+func TestAMDigestDeterministic(t *testing.T) {
+	run := func() (*Client, *check.Checker) {
+		v, c, chk, _ := amWorld(11)
+		v.engine.RunFor(30 * time.Second)
+		chk.Finish()
+		return c, chk
+	}
+	c, a := run()
+	_, b := run()
+	ra, rb := a.Records(), b.Records()
+	if len(ra) < 2 || !slices.Equal(ra, rb) {
+		t.Fatalf("same-seed digests differ or too few: %d vs %d records", len(ra), len(rb))
+	}
+	if len(c.am.flows) == 0 {
+		t.Fatal("setup: AM tracks no flow")
+	}
+	c.am.flow(netem.Addr{IP: 99, Port: 6881})
+	a.Sample()
+	if ra := a.Records(); ra[len(ra)-1].Sum == ra[len(ra)-2].Sum {
+		t.Error("a new AM flow left the digest unchanged")
+	}
 }

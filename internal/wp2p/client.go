@@ -2,6 +2,7 @@ package wp2p
 
 import (
 	"github.com/wp2p/wp2p/internal/bt"
+	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/sim"
 	"github.com/wp2p/wp2p/internal/tcp"
 	"github.com/wp2p/wp2p/internal/transport"
@@ -75,9 +76,12 @@ type Client struct {
 	mf   *MobilityFetch
 	rr   *RoleReversal
 
-	engine     *sim.Engine
-	retainID   bool
-	identities *IdentityStore
+	engine   *sim.Engine
+	retainID bool
+	// handled is the address the last re-initiation ran at, so one address
+	// change gets one restart whether RR or an external trigger notices it
+	// first.
+	handled netem.IP
 }
 
 // New assembles a wP2P client. The BT config must carry Transport, Torrent,
@@ -99,11 +103,7 @@ func New(cfg Config) *Client {
 		stack = st.Stack()
 	}
 
-	c := &Client{
-		engine:     engine,
-		retainID:   cfg.RetainIdentity,
-		identities: cfg.Identities,
-	}
+	c := &Client{engine: engine, retainID: cfg.RetainIdentity}
 
 	if cfg.MF != nil {
 		c.mf = NewMobilityFetch(cfg.MF.Pr)
@@ -116,13 +116,15 @@ func New(cfg Config) *Client {
 		}
 	}
 	if cfg.RetainIdentity && cfg.BT.PeerID == "" {
-		if c.identities == nil {
-			c.identities = NewIdentityStore()
+		ids := cfg.Identities
+		if ids == nil {
+			ids = NewIdentityStore()
 		}
-		cfg.BT.PeerID = c.identities.For(cfg.BT.Torrent.InfoHash(), engine.Rand())
+		cfg.BT.PeerID = ids.For(cfg.BT.Torrent.InfoHash(), engine.Rand())
 	}
 
 	c.BT = bt.NewClient(cfg.BT)
+	c.handled = c.BT.Addr().IP
 
 	if cfg.AM != nil {
 		c.am = NewAMFilter(engine, *cfg.AM)
@@ -133,9 +135,7 @@ func New(cfg Config) *Client {
 		c.lihd = NewLIHD(engine, cfg.BT.UploadLimiter, c.BT, *cfg.LIHD)
 	}
 	if cfg.RR != nil {
-		rrCfg := *cfg.RR
-		rrCfg.RetainIdentity = cfg.RetainIdentity
-		c.rr = NewRoleReversal(engine, c.BT, rrCfg)
+		c.rr = newRoleReversal(c, *cfg.RR)
 	}
 	return c
 }
@@ -165,11 +165,27 @@ func (c *Client) Stop() {
 	c.BT.Stop()
 }
 
-// OnAddressChange reacts to a handoff explicitly (used when RR is disabled
-// or an external mobility manager drives the client): the task re-initiates
-// with the retained identity if IA is enabled, a fresh one otherwise, and
-// known peers are redialled immediately.
+// Downloaded returns payload bytes received this run.
+func (c *Client) Downloaded() int64 { return c.BT.Downloaded() }
+
+// Uploaded returns payload bytes served this run.
+func (c *Client) Uploaded() int64 { return c.BT.Uploaded() }
+
+// OnAddressChange is the client's one reaction to a handoff, whether a
+// mobility manager reports it or the RR watchdog notices it: the task
+// re-initiates with the retained identity if IA is enabled, a fresh one
+// otherwise, and known peers are redialled immediately. An address already
+// handled is not handled again.
 func (c *Client) OnAddressChange() {
+	if c.BT.Addr().IP != c.handled {
+		c.reinitiate()
+	}
+}
+
+// reinitiate restarts the task under the identity policy and redials every
+// stored peer.
+func (c *Client) reinitiate() {
+	c.handled = c.BT.Addr().IP
 	c.BT.Restart(!c.retainID)
 	c.BT.RedialKnown()
 }

@@ -111,10 +111,12 @@ func TestWP2PIdentityRetentionAcrossAddressChange(t *testing.T) {
 
 func TestWP2PWithoutRetentionRegeneratesID(t *testing.T) {
 	v := newEnv(4, 512*1024, 64*1024)
-	c := New(Config{BT: v.btCfg(v.wired())})
+	stack := v.wired()
+	c := New(Config{BT: v.btCfg(stack)})
 	c.Start()
 	v.engine.RunFor(5 * time.Second)
 	id := c.BT.PeerID()
+	v.net.Rebind(stack.Iface(), 200)
 	c.OnAddressChange()
 	if c.BT.PeerID() == id {
 		t.Error("peer-id retained without RetainIdentity")
@@ -209,6 +211,43 @@ func TestWP2PUnderPeriodicHandoffsCompletes(t *testing.T) {
 	}
 }
 
+// TestOneHandoffOneRestart: the wP2P reaction runs once per address change.
+// A handoff that reports itself gets one restart and leaves RR nothing to
+// reverse; RR alone notices the change and restarts once too (the fig 8(b)
+// and 9(c) path).
+func TestOneHandoffOneRestart(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		hook      bool
+		reversals int64
+	}{
+		{"handoff hook and RR", true, 0},
+		{"RR alone", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := newEnv(9, 512*1024, 64*1024)
+			seed := bt.NewClient(bt.Config{Transport: transport.NewSim(v.wired()), Torrent: v.torrent, Tracker: v.tracker, Seed: true})
+			seed.Start()
+			stack := v.wired()
+			c := New(Config{BT: v.btCfg(stack), RR: &RRConfig{}, RetainIdentity: true})
+			c.Start()
+			h := mobility.NewHandoff(v.engine, v.net, stack.Iface(), mobility.NewIPAllocator(100), time.Hour)
+			if tc.hook {
+				h.OnChange(func(_, _ netem.IP) { c.OnAddressChange() })
+			}
+			v.engine.RunFor(20 * time.Second)
+			h.Trigger()
+			v.engine.RunFor(5 * time.Second) // more than two RR check intervals
+			if got := c.BT.Restarts(); got != 1 {
+				t.Errorf("Restarts = %d after one handoff, want 1", got)
+			}
+			if got := c.rr.regReversals.Value(); got != tc.reversals {
+				t.Errorf("wp2p.rr.reversals = %d, want %d", got, tc.reversals)
+			}
+		})
+	}
+}
+
 func TestWP2PPanicsWithoutTransport(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -226,7 +265,7 @@ func TestWP2POnNetBackend(t *testing.T) {
 	defer g.Close()
 	var (
 		rrPanic, amPanic any
-		lastIP           netem.IP
+		watched          netem.IP
 	)
 	g.Do(func() {
 		cfg := bt.Config{
@@ -236,7 +275,7 @@ func TestWP2POnNetBackend(t *testing.T) {
 		}
 		func() {
 			defer func() { rrPanic = recover() }()
-			lastIP = New(Config{BT: cfg, RR: &RRConfig{}}).RR().lastIP
+			watched = New(Config{BT: cfg, RR: &RRConfig{}}).handled
 		}()
 		func() {
 			defer func() { amPanic = recover() }()
@@ -246,8 +285,8 @@ func TestWP2POnNetBackend(t *testing.T) {
 	if rrPanic != nil {
 		t.Fatalf("RR on a net host panicked: %v", rrPanic)
 	}
-	if lastIP != 10 {
-		t.Errorf("RR watches %v, want the host's address 10", lastIP)
+	if watched != 10 {
+		t.Errorf("RR watches %v, want the host's address 10", watched)
 	}
 	if amPanic == nil {
 		t.Error("AM on a net host did not panic")

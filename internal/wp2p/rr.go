@@ -3,8 +3,6 @@ package wp2p
 import (
 	"time"
 
-	"github.com/wp2p/wp2p/internal/bt"
-	"github.com/wp2p/wp2p/internal/netem"
 	"github.com/wp2p/wp2p/internal/sim"
 	"github.com/wp2p/wp2p/internal/stats"
 )
@@ -19,10 +17,6 @@ type RRConfig struct {
 	// live peers, and infers mobility by the lack of any live peer"
 	// (default 10 s).
 	DeadPeersGrace time.Duration
-	// RetainIdentity keeps the peer-id across the reconnect (the IA
-	// identity-retention technique). The wP2P client sets this; disabling
-	// it isolates RR's effect for ablations.
-	RetainIdentity bool
 }
 
 func (c RRConfig) withDefaults() RRConfig {
@@ -40,30 +34,26 @@ func (c RRConfig) withDefaults() RRConfig {
 // the new address through the tracker, the mobile host reverses roles and
 // immediately re-establishes connections to its stored peers as a client.
 // Peers serve traffic regardless of who initiated the connection, so
-// serving resumes at dial latency instead of announce latency.
+// serving resumes at dial latency instead of announce latency. The watchdog
+// only detects: reversing is the client's own reaction, the one
+// OnAddressChange runs, so the identity policy lives in one place.
 type RoleReversal struct {
-	engine *sim.Engine
-	client *bt.Client
+	client *Client
 	cfg    RRConfig
 
 	ticker       *sim.Ticker
-	lastIP       netem.IP
 	deadSince    time.Duration
 	everAlive    bool
 	regReversals *stats.Counter
-
-	// OnReversal fires after each reconnect sweep, for tests and metrics.
-	OnReversal func()
 }
 
-// NewRoleReversal builds the watchdog; call Start to begin monitoring.
-func NewRoleReversal(engine *sim.Engine, client *bt.Client, cfg RRConfig) *RoleReversal {
+// newRoleReversal builds the client's watchdog; call Start to begin
+// monitoring.
+func newRoleReversal(client *Client, cfg RRConfig) *RoleReversal {
 	return &RoleReversal{
-		engine:       engine,
 		client:       client,
 		cfg:          cfg.withDefaults(),
-		lastIP:       client.Addr().IP,
-		regReversals: engine.Stats().Counter("wp2p.rr.reversals"),
+		regReversals: client.engine.Stats().Counter("wp2p.rr.reversals"),
 	}
 }
 
@@ -71,7 +61,7 @@ func NewRoleReversal(engine *sim.Engine, client *bt.Client, cfg RRConfig) *RoleR
 func (r *RoleReversal) Start() {
 	if r.ticker == nil {
 		r.deadSince = -1
-		r.ticker = sim.NewTicker(r.engine, r.cfg.CheckInterval, r.check)
+		r.ticker = sim.NewTicker(r.client.engine, r.cfg.CheckInterval, r.check)
 	}
 }
 
@@ -84,13 +74,12 @@ func (r *RoleReversal) Stop() {
 }
 
 func (r *RoleReversal) check() {
-	if ip := r.client.Addr().IP; ip != r.lastIP {
-		r.lastIP = ip
+	if r.client.BT.Addr().IP != r.client.handled {
 		r.reverse()
 		return
 	}
 	// Secondary signal: all live peers gone.
-	if r.client.NumPeers() > 0 {
+	if r.client.BT.NumPeers() > 0 {
 		r.everAlive = true
 		r.deadSince = -1
 		return
@@ -99,22 +88,18 @@ func (r *RoleReversal) check() {
 		return // never had peers; nothing to restore
 	}
 	if r.deadSince < 0 {
-		r.deadSince = r.engine.Now()
+		r.deadSince = r.client.engine.Now()
 		return
 	}
-	if r.engine.Now()-r.deadSince >= r.cfg.DeadPeersGrace {
+	if r.client.engine.Now()-r.deadSince >= r.cfg.DeadPeersGrace {
 		r.deadSince = -1
 		r.reverse()
 	}
 }
 
-// reverse tears down the stale task state and immediately re-establishes
-// connections to every stored peer, announcing the new address as it goes.
+// reverse runs the client's reaction: the stale task state is torn down and
+// every stored peer redialled, announcing the new address as it goes.
 func (r *RoleReversal) reverse() {
 	r.regReversals.Inc()
-	r.client.Restart(!r.cfg.RetainIdentity)
-	r.client.RedialKnown()
-	if r.OnReversal != nil {
-		r.OnReversal()
-	}
+	r.client.reinitiate()
 }
