@@ -68,6 +68,24 @@ func (c *Client) CheckState(report func(invariant, detail string)) {
 	// The request index is bt's own, not an ordset.Set (DESIGN §17).
 	c.requested.checkCoherent(func(detail string) { report("bt.requested.index", id+": "+detail) })
 
+	// The address table: an entry's out is a live connection we dialled to
+	// that address, and the dials among them are what holds dialing slots.
+	dials := 0
+	for _, e := range c.addrs {
+		if p := e.out; p != nil {
+			if p.closed || p.inbound || p.addr != e.addr {
+				report("bt.addrs",
+					fmt.Sprintf("%s: entry %v holds a connection that is closed, inbound or to %v", id, e.addr, p.addr))
+			}
+			if p.dialing {
+				dials++
+			}
+		}
+	}
+	if dials != c.dialing {
+		report("bt.addrs", fmt.Sprintf("%s: %d dials in the table, %d counted", id, dials, c.dialing))
+	}
+
 	// Availability counters are bounded by the connected-peer count.
 	for i, a := range c.avail {
 		if a < 0 || a > len(c.peers) {
@@ -90,7 +108,7 @@ func (c *Client) DigestInto(d *check.Digest) {
 	d.I64(c.downloaded)
 	d.I64(c.uploaded)
 	d.I64(int64(c.completedAt))
-	d.Int(len(c.known))
+	d.Int(len(c.addrs))
 	d.Int(len(c.active))
 	d.Int(c.requested.Len())
 	d.Int(len(c.peers))

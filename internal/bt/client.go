@@ -47,7 +47,7 @@ type Config struct {
 
 const (
 	pipelineDepth = 8                // outstanding block requests per peer
-	dialBackoff   = 45 * time.Second // per-address cool-down after a failed dial
+	dialBackoff   = 45 * time.Second // per-address cool-down from each dial, until its handshake
 )
 
 func (c *Config) withDefaults() Config {
@@ -153,14 +153,14 @@ type Client struct {
 	haves       []msgHave
 	handshake   *msgHandshake
 
-	peers   []*peerConn
-	known   []PeerInfo         // insertion-ordered tracker knowledge
-	knownAt map[netem.Addr]int // addr → index in known
-	backoff map[netem.Addr]time.Duration
+	peers []*peerConn
+	// addrs is the address table: every address a tracker returned, in
+	// insertion order, each with its dial state; addrAt indexes it.
+	addrs  []addrEntry
+	addrAt map[netem.Addr]int
+	// dialing counts the table's dials not yet established: each holds a
+	// MaxPeers slot without being in peers.
 	dialing int
-	// connected is maintainConnections' scratch set (connected or just
-	// dialled addresses), cleared per call rather than reallocated.
-	connected map[netem.Addr]bool
 
 	// failedOnce marks pieces whose last verification failed; their next
 	// fetch runs in exclusive (single-source) attribution mode.
@@ -192,6 +192,19 @@ type Client struct {
 	reg clientStats
 }
 
+// addrEntry is one address of the table and its dial state, stored rather
+// than inferred. out is the outbound connection to the address, from dial
+// until it closes, so an address with a dial in flight or a peer behind it is
+// never dialled again. retryAt ends the cool-down each dial starts; the bt
+// handshake on out clears it. A crowd's client holds an entry per peer:
+// TestHandshakeObjects keeps it at 40 B.
+type addrEntry struct {
+	id      PeerID
+	addr    netem.Addr
+	out     *peerConn
+	retryAt time.Duration
+}
+
 // clientStats holds the registry instruments shared by all clients on an
 // engine, pre-bound once in NewClient.
 type clientStats struct {
@@ -200,6 +213,8 @@ type clientStats struct {
 	chokes          *stats.Counter
 	unchokes        *stats.Counter
 	identityResets  *stats.Counter
+	dials           *stats.Counter
+	dialsFailed     *stats.Counter // closed before the transport established them
 }
 
 func (cs *clientStats) bind(reg *stats.Registry) {
@@ -208,6 +223,8 @@ func (cs *clientStats) bind(reg *stats.Registry) {
 	cs.chokes = reg.Counter("bt.chokes")
 	cs.unchokes = reg.Counter("bt.unchokes")
 	cs.identityResets = reg.Counter("bt.identity_resets")
+	cs.dials = reg.Counter("bt.dials")
+	cs.dialsFailed = reg.Counter("bt.dials_failed")
 }
 
 // NewClient builds a client; call Start to join the swarm.
@@ -236,9 +253,7 @@ func NewClient(cfg Config) *Client {
 	c.requested = newRequestIndex(c.torrent)
 	c.failedOnce = make(map[int]bool)
 	c.banned = make(map[PeerID]bool)
-	c.knownAt = make(map[netem.Addr]int)
-	c.backoff = make(map[netem.Addr]time.Duration)
-	c.connected = make(map[netem.Addr]bool)
+	c.addrAt = make(map[netem.Addr]int)
 	c.downTotal = NewRateEstimator(DefaultRateWindow)
 	c.upTotal = NewRateEstimator(DefaultRateWindow)
 	c.chk = choker{client: c}
@@ -324,7 +339,8 @@ func (c *Client) Start() error {
 	return nil
 }
 
-// Stop leaves the swarm and tears down all connections.
+// Stop leaves the swarm and tears down all connections, dials in flight
+// included.
 func (c *Client) Stop() {
 	if !c.started || c.stopped {
 		return
@@ -335,13 +351,25 @@ func (c *Client) Stop() {
 	c.sweepTicker.Stop()
 	c.announceTicker.Stop()
 	c.listener.Close()
-	for _, p := range append([]*peerConn(nil), c.peers...) {
+	for _, p := range c.conns() {
 		p.close()
 	}
 }
 
+// conns lists the client's connections: its peers, then its dials still in
+// flight. It is a copy, since closing one edits both and may dial anew.
+func (c *Client) conns() []*peerConn {
+	all := append([]*peerConn(nil), c.peers...)
+	for i := range c.addrs {
+		if p := c.addrs[i].out; p != nil && p.dialing {
+			all = append(all, p)
+		}
+	}
+	return all
+}
+
 // Restart re-initiates the task after an address change, as a restarted
-// client would: every connection is torn down and the tracker is
+// client would: every connection and dial is torn down and the tracker is
 // re-announced from the new address. If newIdentity is true a fresh peer-id
 // is generated — the default client's behaviour, which forfeits all credit
 // accumulated at remote peers. Verified pieces are kept (resume data
@@ -357,7 +385,7 @@ func (c *Client) Restart(newIdentity bool) {
 		c.peerID = NewPeerID(c.engine.Rand())
 		c.reg.identityResets.Inc()
 	}
-	for _, p := range append([]*peerConn(nil), c.peers...) {
+	for _, p := range c.conns() {
 		p.close()
 	}
 	c.announce(EventStarted)
@@ -369,7 +397,9 @@ func (c *Client) RedialKnown() {
 	if !c.started || c.stopped {
 		return
 	}
-	c.backoff = make(map[netem.Addr]time.Duration)
+	for i := range c.addrs {
+		c.addrs[i].retryAt = 0
+	}
 	c.maintainConnections()
 }
 
@@ -402,54 +432,60 @@ func (c *Client) addKnown(pi PeerInfo) {
 	if pi.ID == c.peerID {
 		return
 	}
-	if i, ok := c.knownAt[pi.Addr]; ok {
-		c.known[i] = pi
+	if i, ok := c.addrAt[pi.Addr]; ok {
+		c.addrs[i].id = pi.ID
 		return
 	}
-	c.knownAt[pi.Addr] = len(c.known)
-	c.known = append(c.known, pi)
+	c.addrAt[pi.Addr] = len(c.addrs)
+	c.addrs = append(c.addrs, addrEntry{id: pi.ID, addr: pi.Addr})
+}
+
+// entry is the table entry an outbound peer dialled, nil for an inbound one:
+// those are keyed by the dialer's ephemeral port, which no tracker returns.
+func (c *Client) entry(p *peerConn) *addrEntry {
+	if p.inbound {
+		return nil
+	}
+	return &c.addrs[c.addrAt[p.addr]]
 }
 
 // --- connection management ---
 
+// maintainConnections dials table addresses, oldest first, until the
+// MaxPeers slots are full: each address with no connection of ours, no
+// cool-down and no ban, once.
 func (c *Client) maintainConnections() {
-	if c.stopped {
+	if !c.started || c.stopped {
 		return
 	}
 	now := c.engine.Now()
-	connected := c.connected
-	clear(connected)
-	for _, p := range c.peers {
-		connected[p.addr] = true
-	}
 	self := c.Addr()
-	for _, pi := range c.known {
+	for i := range c.addrs {
 		if len(c.peers)+c.dialing >= c.cfg.MaxPeers {
 			return
 		}
-		if pi.Addr == self || connected[pi.Addr] || c.banned[pi.ID] {
+		e := &c.addrs[i]
+		if e.out != nil || now < e.retryAt || e.addr == self || c.banned[e.id] {
 			continue
 		}
-		if until, ok := c.backoff[pi.Addr]; ok && now < until {
-			continue
-		}
-		c.dial(pi)
-		connected[pi.Addr] = true
+		c.dial(e)
 	}
 }
 
-func (c *Client) dial(pi PeerInfo) {
-	// Back the address off immediately; a completed handshake clears it.
-	c.backoff[pi.Addr] = c.engine.Now() + dialBackoff
-	conn, err := c.tr.Dial(pi.Addr)
+// dial opens the outbound connection to a table entry's address.
+func (c *Client) dial(e *addrEntry) {
+	e.retryAt = c.engine.Now() + dialBackoff
+	conn, err := c.tr.Dial(e.addr)
 	if err != nil {
-		// Local resource exhaustion (no free ephemeral port); the backoff
+		// Local resource exhaustion (no free ephemeral port); the cool-down
 		// already set above spaces out the retry.
 		return
 	}
 	c.dialing++
-	p := newPeerConn(c, conn, pi.Addr, false)
+	c.reg.dials.Inc()
+	p := newPeerConn(c, conn, e.addr, false)
 	p.dialing = true
+	e.out = p
 	conn.SetOnEstablished(p.onEstablished)
 }
 
@@ -540,9 +576,10 @@ func (c *Client) peerReady(p *peerConn) {
 			return
 		}
 	}
-	// The address answered: forget its cool-down. (Storing a zero here kept
-	// one entry per address ever seen — every IP a mobile peer ever held.)
-	delete(c.backoff, p.addr)
+	// The address answered: forget its cool-down.
+	if e := c.entry(p); e != nil {
+		e.retryAt = 0
+	}
 }
 
 func (c *Client) removePeer(p *peerConn) {
@@ -550,6 +587,9 @@ func (c *Client) removePeer(p *peerConn) {
 		return
 	}
 	p.closed = true
+	if e := c.entry(p); e != nil {
+		e.out = nil
+	}
 	c.returnRequests(p)
 	c.availReplace(&p.remoteHas, nil)
 	for i, q := range c.peers {

@@ -13,19 +13,18 @@ func TestAddKnownDedupesAndUpdates(t *testing.T) {
 	c.addKnown(PeerInfo{ID: "a", Addr: netem.Addr{IP: 5, Port: 1}})
 	c.addKnown(PeerInfo{ID: "a", Addr: netem.Addr{IP: 5, Port: 1}})
 	c.addKnown(PeerInfo{ID: "b", Addr: netem.Addr{IP: 6, Port: 1}})
-	if got := len(c.known); got != 2 {
-		t.Fatalf("known = %d, want 2", got)
+	if got := len(c.addrs); got != 2 {
+		t.Fatalf("table has %d addresses, want 2", got)
 	}
 	// Same address, new identity (peer restarted behind the same IP):
 	// the entry updates in place.
 	c.addKnown(PeerInfo{ID: "a2", Addr: netem.Addr{IP: 5, Port: 1}})
-	kp := c.known
-	if len(kp) != 2 || kp[0].ID != "a2" {
-		t.Errorf("entry not updated: %v", kp)
+	if e := c.addrs; len(e) != 2 || e[0].id != "a2" || c.addrAt[e[1].addr] != 1 {
+		t.Errorf("entry not updated: %v", e)
 	}
 	// Own id is never recorded.
 	c.addKnown(PeerInfo{ID: c.PeerID(), Addr: netem.Addr{IP: 7, Port: 1}})
-	if len(c.known) != 2 {
+	if len(c.addrs) != 2 {
 		t.Error("own id recorded")
 	}
 }
@@ -115,9 +114,10 @@ func TestDownloadUploadRateAccessors(t *testing.T) {
 }
 
 // TestBackoffForgetsAddressesThatAnswered: a mobile peer dials a fixed one
-// from every address it ever holds, and the fixed peer's dial cool-downs must
-// not remember them all. The parent cleared a cool-down by storing a zero, so
-// Client.backoff kept one entry per address ever shaken hands with: 200 here.
+// from every address it ever holds, and the fixed peer's address table must
+// not remember them all: an inbound peer's address is the dialer's ephemeral
+// port, which no tracker returns. (A map of cool-downs cleared by storing a
+// zero once kept one entry per address ever shaken hands with: 200 here.)
 func TestBackoffForgetsAddressesThatAnswered(t *testing.T) {
 	env := newSwarmEnv(95, 8*BlockSize, BlockSize)
 	fixed := env.client(Config{})
@@ -126,13 +126,13 @@ func TestBackoffForgetsAddressesThatAnswered(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		conn, _ := foreignPeer(t, env, fixed) // a fresh host: the mobile after one more handoff
-		if n := len(fixed.backoff); n > len(fixed.peers) {
-			t.Fatalf("after %d addresses: %d cool-downs for %d live peers", i+1, n, len(fixed.peers))
+		if n := len(fixed.addrs); n > len(fixed.peers) {
+			t.Fatalf("after %d addresses: %d table entries for %d live peers", i+1, n, len(fixed.peers))
 		}
 		conn.Abort()
 		env.engine.RunFor(time.Second)
 	}
-	if len(fixed.peers) != 0 || len(fixed.backoff) != 0 {
-		t.Errorf("%d peers and %d cool-downs left after every address went away", len(fixed.peers), len(fixed.backoff))
+	if len(fixed.peers) != 0 || len(fixed.addrs) != 0 {
+		t.Errorf("%d peers and %d table entries left after every address went away", len(fixed.peers), len(fixed.addrs))
 	}
 }

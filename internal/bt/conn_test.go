@@ -8,7 +8,8 @@ import (
 
 // connPath is two clients that only listen — no tracker, no choker — so that
 // a connection is made when the test dials and is all that happens: the dial,
-// both handshakes at have = ∅, and the teardown.
+// both handshakes at have = ∅, and the teardown. The target is the dialer's
+// one table entry; neither client is started, so nothing else dials it.
 type connPath struct {
 	env            *swarmEnv
 	dialer, target *Client
@@ -24,26 +25,31 @@ func newConnPath(tb testing.TB, target Config) *connPath {
 		}
 		c.listener = l
 	}
+	cp.dialer.addKnown(PeerInfo{ID: cp.target.peerID, Addr: cp.target.Addr()})
 	return cp
 }
 
 // connect dials the target and lets the handshakes finish, or the refusal
 // arrive.
 func (cp *connPath) connect() {
-	cp.dialer.dial(PeerInfo{ID: cp.target.peerID, Addr: cp.target.Addr()})
+	cp.dialer.dial(&cp.dialer.addrs[0])
 	cp.env.engine.RunFor(time.Second)
 }
 
 // cycle is one connection's life: connect, then the dialer hangs up.
 func (cp *connPath) cycle(tb testing.TB) {
 	cp.connect()
+	e := &cp.dialer.addrs[0]
 	if len(cp.dialer.peers) != 1 || len(cp.target.peers) != 1 || !cp.dialer.peers[0].gotHandshake || !cp.target.peers[0].gotHandshake {
 		tb.Fatalf("handshake incomplete: %d and %d peers", len(cp.dialer.peers), len(cp.target.peers))
 	}
+	if e.out != cp.dialer.peers[0] || e.retryAt != 0 {
+		tb.Fatalf("after the handshake the entry holds the peer: %v, cools down to %v", e.out == cp.dialer.peers[0], e.retryAt)
+	}
 	cp.dialer.peers[0].close()
 	cp.env.engine.RunFor(time.Second)
-	if len(cp.dialer.peers)+len(cp.target.peers)+cp.dialer.dialing != 0 {
-		tb.Fatalf("teardown incomplete: %d and %d peers, %d dialing", len(cp.dialer.peers), len(cp.target.peers), cp.dialer.dialing)
+	if len(cp.dialer.peers)+len(cp.target.peers)+cp.dialer.dialing != 0 || e.out != nil {
+		tb.Fatalf("teardown incomplete: %d and %d peers, %d dialing, entry released: %v", len(cp.dialer.peers), len(cp.target.peers), cp.dialer.dialing, e.out == nil)
 	}
 }
 
@@ -70,6 +76,10 @@ func TestHandshakeObjects(t *testing.T) {
 	// the struct is paid twenty thousand times: stay inside the size class.
 	if size := unsafe.Sizeof(peerConn{}); size > 320 {
 		t.Errorf("peerConn is %d B, past the 320 B size class", size)
+	}
+	// Every client of a crowd holds an entry per peer it was told of.
+	if size := unsafe.Sizeof(addrEntry{}); size > 40 {
+		t.Errorf("addrEntry is %d B, want <= 40", size)
 	}
 	if sent == nil || cp.dialer.haveSent != sent {
 		t.Error("handshakes at an unchanged have did not share one bitfield")
@@ -103,8 +113,8 @@ func TestRefusedDialObjects(t *testing.T) {
 	if got > 8 {
 		t.Errorf("a refused dial allocates %.0f objects, want <= 8", got)
 	}
-	if n := len(cp.dialer.backoff); n != 1 {
-		t.Errorf("dialer backs off %d addresses after dialling one", n)
+	if e := cp.dialer.addrs[0]; e.retryAt == 0 || e.out != nil {
+		t.Errorf("after a refused dial the address cools down to %v, released: %v", e.retryAt, e.out == nil)
 	}
 }
 

@@ -26,7 +26,8 @@ type peerConn struct {
 
 	// dialing is set from our Dial until the connection is established or
 	// dies, whichever comes first: while it is, the peer counts in
-	// Client.dialing and not yet in Client.peers.
+	// Client.dialing and not yet in Client.peers. (Either way it is its
+	// address's addrEntry.out.)
 	dialing bool
 
 	// The piece map and the estimators are held by value, and the map's
@@ -137,16 +138,21 @@ func (p *peerConn) onEstablished() {
 	p.sendHandshake()
 }
 
-// settleDial takes the peer out of the client's count of dials in progress.
-func (p *peerConn) settleDial() {
-	if p.dialing {
-		p.dialing = false
-		p.client.dialing--
+// settleDial takes the peer out of the client's count of dials in progress,
+// reporting whether it was one.
+func (p *peerConn) settleDial() bool {
+	if !p.dialing {
+		return false
 	}
+	p.dialing = false
+	p.client.dialing--
+	return true
 }
 
 func (p *peerConn) onConnClose(error) {
-	p.settleDial() // a dial that failed before ever establishing
+	if p.settleDial() { // a dial that closed before ever establishing
+		p.client.reg.dialsFailed.Inc()
+	}
 	p.client.removePeer(p)
 }
 
