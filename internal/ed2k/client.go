@@ -2,6 +2,7 @@ package ed2k
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -169,6 +170,10 @@ type Client struct {
 	listener   transport.Listener
 	ticker     *sim.Ticker
 
+	// dials are our connections not yet established, in dial order: one
+	// per address at most, and Stop and Restart abort them.
+	dials []*peer
+
 	downloaded int64
 	uploaded   int64
 	started    bool
@@ -260,7 +265,7 @@ func (c *Client) Stop() {
 	c.ticker.Stop()
 	c.listener.Close()
 	c.server.Withdraw(c.file.ID, c.hash)
-	for _, p := range append([]*peer(nil), c.peers...) {
+	for _, p := range append(append([]*peer(nil), c.peers...), c.dials...) {
 		p.close()
 	}
 }
@@ -278,7 +283,7 @@ func (c *Client) Restart(newIdentity bool) {
 		c.hash = NewClientHash(c.engine.Rand())
 		c.server.Withdraw(c.file.ID, oldHash)
 	}
-	for _, p := range append([]*peer(nil), c.peers...) {
+	for _, p := range append(append([]*peer(nil), c.peers...), c.dials...) {
 		p.close()
 	}
 	c.announceAndQuery()
@@ -311,7 +316,8 @@ func (c *Client) connectSources() {
 		}
 	}
 	for _, src := range c.sources {
-		if src.Hash == c.hash || connected[src.Hash] || src.Addr == c.Addr() {
+		dialling := slices.ContainsFunc(c.dials, func(p *peer) bool { return p.addr == src.Addr })
+		if src.Hash == c.hash || connected[src.Hash] || src.Addr == c.Addr() || dialling {
 			continue
 		}
 		c.dial(src)
@@ -329,7 +335,9 @@ func (c *Client) dial(src SourceInfo) {
 		return
 	}
 	p := &peer{client: c, conn: conn, addr: src.Addr, inbound: false, servingChunk: -1, pendingChunk: -1}
+	c.dials = append(c.dials, p)
 	conn.SetOnEstablished(func() {
+		c.dials = slices.DeleteFunc(c.dials, p.is)
 		c.peers = append(c.peers, p)
 		p.send(msgHello{Hash: c.hash, Chunks: append([]bool(nil), c.chunks...)})
 	})
@@ -353,12 +361,8 @@ func (c *Client) removePeer(p *peer) {
 		return
 	}
 	p.closed = true
-	for i, q := range c.peers {
-		if q == p {
-			c.peers = append(c.peers[:i], c.peers[i+1:]...)
-			break
-		}
-	}
+	c.peers = slices.DeleteFunc(c.peers, p.is)
+	c.dials = slices.DeleteFunc(c.dials, p.is)
 	// Drop from the upload queue — remembering the hash's seniority — and
 	// free a slot if it was being served.
 	for i, w := range c.queue {
@@ -378,6 +382,8 @@ func (c *Client) removePeer(p *peer) {
 		c.serveNext()
 	}
 }
+
+func (p *peer) is(q *peer) bool { return p == q }
 
 func (p *peer) close() {
 	if !p.closed && p.conn != nil {

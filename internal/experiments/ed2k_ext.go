@@ -79,7 +79,7 @@ func ExtEd2kIdentity(scale float64) *Result {
 				w.Engine.Schedule(2*time.Second, func() { mobile.Restart(false) })
 			})
 		} else {
-			mobility.DefaultReaction(w.Engine, h, mobile, 15*time.Second)
+			mobility.DefaultReaction(w.Engine, h, mobility.DetectionDelay, func() { mobile.Restart(true) })
 		}
 		h.Start()
 

@@ -70,7 +70,7 @@ func AblationWP2P(scale float64) *Result {
 		if client.RR() == nil {
 			// Without RR someone must re-initiate the dead task, as the
 			// default client's user/OS eventually does.
-			mobility.DefaultReaction(w.Engine, h, &wp2pRestarter{c: client}, 15*time.Second)
+			mobility.DefaultReaction(w.Engine, h, mobility.DetectionDelay, client.OnAddressChange)
 		}
 		h.Start()
 
@@ -93,12 +93,6 @@ func AblationWP2P(scale float64) *Result {
 	res.Stats = col.Snapshot()
 	return res
 }
-
-// wp2pRestarter adapts a wp2p.Client to the mobility.Restarter interface,
-// routing through OnAddressChange so identity policy is honoured.
-type wp2pRestarter struct{ c *wp2p.Client }
-
-func (r *wp2pRestarter) Restart(bool) { r.c.OnAddressChange() }
 
 // ExtSeedLIHD implements the extension the paper names as future work in
 // §4.2: when the mobile peer stays on as a seed, LIHD can throttle its

@@ -223,7 +223,7 @@ func Fig3cIncentiveMobility(cfg Fig3cConfig) *Result {
 
 		if mobile {
 			h := mobility.NewHandoff(w.Engine, w.Net, mobHost.Iface, mobility.NewIPAllocator(1000), handoffPeriod)
-			mobility.DefaultReaction(w.Engine, h, me, 5*time.Second)
+			mobility.DefaultReaction(w.Engine, h, mobility.DetectionDelay, func() { me.Restart(true) })
 			h.Start()
 		}
 		for range x {

@@ -66,8 +66,9 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 				Transport: host.Transport, Torrent: tor, Tracker: w.Announcer(host), Seed: true,
 			}).Start())
 			if mobile {
-				// Oblivious mobile seed: the client never notices the
-				// address change; the swarm relearns it via announces.
+				// Oblivious, not mobility.DefaultReaction: the figure is
+				// fixed peers that "keep trying a vanished mobile server for
+				// minutes"; the swarm relearns the address via announces.
 				h := mobility.NewHandoff(host.Engine, host.Net, host.Iface,
 					mobility.NewIPAllocator(netem.IP(1000+i*1000)), period)
 				h.Start()

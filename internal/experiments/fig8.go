@@ -136,10 +136,6 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 	const (
 		fixedSeeds    = 3
 		handoffPeriod = time.Minute // paper: 1 min
-		// detectionDelay is how long the default client takes to notice the
-		// dead task and re-initiate it (process restart, re-announce). wP2P's
-		// RR watchdog reacts within its 2 s check interval instead.
-		detectionDelay = 15 * time.Second
 	)
 	fileSize := Scaled(688*1024*1024, cfg.Scale, 48*1024*1024)     // paper: the 688 MB Fedora-7 image
 	fixedLeeches := int(Scaled(12, cfg.Scale, 5))                  // contested swarm (paper: 200+ peers)
@@ -171,7 +167,7 @@ func Fig8bIdentityRetention(cfg Fig8bConfig) *Result {
 		})
 		mustStart(def.Start())
 		hDef := mobility.NewHandoff(w.Engine, w.Net, defHost.Iface, mobility.NewIPAllocator(2000), handoffPeriod)
-		mobility.DefaultReaction(w.Engine, hDef, def, detectionDelay)
+		mobility.DefaultReaction(w.Engine, hDef, mobility.DetectionDelay, func() { def.Restart(true) })
 		hDef.Start()
 
 		wpHost := w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps})

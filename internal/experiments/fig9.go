@@ -108,7 +108,9 @@ func Fig9cRoleReversal(cfg Fig9cConfig) *Result {
 			uploaded = c.Uploaded
 		}
 		h := mobility.NewHandoff(w.Engine, w.Net, mob.Iface, mobility.NewIPAllocator(5000), period)
-		h.Start() // default stays oblivious; wP2P's RR reacts on its own
+		// The default seed is oblivious, not mobility.DefaultReaction: RR
+		// redials "instead of waiting to be rediscovered", so its baseline waits.
+		h.Start()
 		w.RunFor(horizon)
 		return float64(uploaded()) / horizon.Seconds()
 	}

@@ -192,18 +192,15 @@ func (d *Disconnection) DisconnectFor(dur time.Duration) {
 	})
 }
 
-// Restarter is the slice of a BitTorrent client that mobility reactions
-// need. *bt.Client satisfies it.
-type Restarter interface {
-	Restart(newIdentity bool)
-}
+// DetectionDelay is how long the default client's user or OS takes to
+// notice a task that died with its address: the baseline every figure and
+// scenario spec compares wP2P against (a spec's detection_delay overrides it).
+const DetectionDelay = 15 * time.Second
 
-// DefaultReaction wires the default (wP2P-unaware) client behaviour to a
-// handoff: after a detection delay — the user or OS noticing the dead
-// task — the task is re-initiated with a fresh peer-id, forfeiting all
-// tit-for-tat credit (paper §3.4). A zero delay reacts immediately.
-func DefaultReaction(engine *sim.Engine, h *Handoff, client Restarter, detectionDelay time.Duration) {
-	h.OnChange(func(old, new netem.IP) {
-		engine.Schedule(detectionDelay, func() { client.Restart(true) })
-	})
+// DefaultReaction wires the default (wP2P-unaware) client to a handoff:
+// detectionDelay after each address change, reinit re-initiates the task (a
+// bt or ed2k client under a fresh identity, forfeiting all tit-for-tat
+// credit, paper §3.4; a wP2P client through its one reaction).
+func DefaultReaction(engine *sim.Engine, h *Handoff, detectionDelay time.Duration, reinit func()) {
+	h.OnChange(func(_, _ netem.IP) { engine.Schedule(detectionDelay, reinit) })
 }

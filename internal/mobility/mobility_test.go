@@ -108,22 +108,18 @@ func TestDisconnectionDetachesAndReattaches(t *testing.T) {
 	d.DisconnectFor(time.Minute)
 }
 
-type fakeRestarter struct{ calls []bool }
-
-func (f *fakeRestarter) Restart(newID bool) { f.calls = append(f.calls, newID) }
-
-func TestDefaultReactionRestartsWithNewIdentity(t *testing.T) {
+func TestDefaultReactionFiresOnceAfterDelay(t *testing.T) {
 	e, n, iface := fixture()
 	h := NewHandoff(e, n, iface, NewIPAllocator(50), time.Hour)
-	fr := &fakeRestarter{}
-	DefaultReaction(e, h, fr, 10*time.Second)
+	var at []time.Duration
+	DefaultReaction(e, h, DetectionDelay, func() { at = append(at, e.Now()) })
 	h.Trigger()
-	if len(fr.calls) != 0 {
-		t.Fatal("restart fired before the detection delay")
+	if len(at) != 0 {
+		t.Fatal("re-initiation fired before the detection delay")
 	}
-	e.RunUntil(11 * time.Second)
-	if len(fr.calls) != 1 || !fr.calls[0] {
-		t.Fatalf("calls = %v, want one Restart(true)", fr.calls)
+	e.RunUntil(time.Minute)
+	if len(at) != 1 || at[0] != DetectionDelay {
+		t.Fatalf("re-initiations at %v, want one at %v", at, DetectionDelay)
 	}
 }
 
@@ -132,7 +128,7 @@ func TestDefaultReactionPreservesExistingHook(t *testing.T) {
 	h := NewHandoff(e, n, iface, NewIPAllocator(50), time.Hour)
 	hookRan := false
 	h.OnChange(func(_, _ netem.IP) { hookRan = true })
-	DefaultReaction(e, h, &fakeRestarter{}, 0)
+	DefaultReaction(e, h, 0, func() {})
 	h.Trigger()
 	if !hookRan {
 		t.Error("pre-existing OnChange hook was clobbered")

@@ -251,18 +251,18 @@ func (c *compiled) buildMobility(inst *instance, m *MobilitySpec, eventDriven bo
 	// The oblivious reaction installs nothing: connections die by timeout
 	// and the swarm relearns the address from announces.
 	switch m.Reaction {
-	case ReactRestart:
-		delay := m.DetectionDelay.D()
-		if delay == 0 {
-			delay = 15 * time.Second
+	case "", ReactRestart:
+		// The paper's default client (never on gnutella): bt and ed2k
+		// restart under a fresh identity, wP2P through its one reaction.
+		reinit := func() { inst.client.(interface{ Restart(bool) }).Restart(true) }
+		if inst.wp != nil {
+			reinit = inst.wp.OnAddressChange
 		}
-		// The validator admits restart only on bt and ed2k peers; a wP2P
-		// client restarts through its BT half.
-		r, ok := inst.client.(mobility.Restarter)
-		if !ok {
-			r = inst.wp.BT
+		delay := mobility.DetectionDelay
+		if m.DetectionDelay > 0 {
+			delay = m.DetectionDelay.D()
 		}
-		mobility.DefaultReaction(inst.host.Engine, h, r, delay)
+		mobility.DefaultReaction(inst.host.Engine, h, delay, reinit)
 	case ReactWP2P:
 		h.OnChange(func(_, _ netem.IP) { inst.wp.OnAddressChange() })
 	}

@@ -213,14 +213,15 @@ func (s *Spec) validateGroup(e *errs, path string, g *PeerGroup, seen map[string
 		if m.First < 0 || m.First > g.Count && g.Count > 0 {
 			e.add(mp+".first", "must be within [0, count], got %d", m.First)
 		}
+		if m.DetectionDelay < 0 {
+			e.add(mp+".detection_delay", "must be ≥ 0, got %v", m.DetectionDelay.D())
+		}
 		switch m.Reaction {
-		case "", ReactOblivious:
-		case ReactRestart:
+		case ReactOblivious:
+		case "", ReactRestart:
 			if s.Workload.Protocol == ProtoGnutella {
-				e.add(mp+".reaction", "%q needs a client with a restart entry point; a %s node has none", ReactRestart, ProtoGnutella)
-			}
-			if g.WP2P != nil && g.WP2P.RetainIdentity {
-				e.add(mp+".reaction", "%q re-initiates with a fresh peer-id, so wp2p.retain_identity would never apply (use %q)", ReactRestart, ReactWP2P)
+				e.add(mp+".reaction", "a %s node has no restart entry point for %q, the default; write \"reaction\": %q",
+					ProtoGnutella, ReactRestart, ReactOblivious)
 			}
 		case ReactWP2P:
 			if g.WP2P == nil {

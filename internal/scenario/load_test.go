@@ -112,11 +112,15 @@ func TestLoadErrorsNamePath(t *testing.T) {
 				"period": "1m", "ip_base": 1000, "reaction": "restart",
 			}
 		}, "peers[1].mobility.reaction:"},
-		{"restart with retained identity", func(m map[string]any) {
-			p := m["peers"].([]any)[1].(map[string]any)
-			p["wp2p"] = map[string]any{"retain_identity": true}
-			p["mobility"] = map[string]any{"period": "1m", "ip_base": 1000, "reaction": "restart"}
-		}, "peers[1].mobility.reaction:"},
+		{"omitted reaction on a gnutella node", func(m map[string]any) {
+			m["workload"].(map[string]any)["protocol"] = "gnutella"
+			m["peers"].([]any)[1].(map[string]any)["mobility"] = map[string]any{"period": "1m", "ip_base": 1000}
+		}, `peers[1].mobility.reaction: a gnutella node has no restart entry point for "restart", the default; write "reaction": "oblivious"`},
+		{"negative detection delay", func(m map[string]any) {
+			m["peers"].([]any)[1].(map[string]any)["mobility"] = map[string]any{
+				"period": "1m", "ip_base": 1000, "detection_delay": "-5s",
+			}
+		}, "peers[1].mobility.detection_delay:"},
 		{"wp2p on non-bt", func(m map[string]any) {
 			m["workload"].(map[string]any)["protocol"] = "ed2k"
 			m["peers"].([]any)[1].(map[string]any)["wp2p"] = map[string]any{"rr": true}

@@ -333,16 +333,17 @@ type MobilitySpec struct {
 	// the world's own allocations (which grow up from 10).
 	IPBase   uint32 `json:"ip_base"`
 	IPStride uint32 `json:"ip_stride,omitempty"`
-	// Reaction is the client's response to an address change:
-	// "oblivious" (default — connections die by timeout, the swarm
-	// relearns the address from announces), "restart" (task re-initiation
-	// with a fresh identity after DetectionDelay, the paper's default
-	// client; bt and ed2k only, and not beside wp2p.retain_identity), or
-	// "wp2p" (the wP2P client's one reconnect, once per address change;
+	// Reaction is the client's response to an address change: "restart"
+	// (default — the paper's default client re-initiates the task after
+	// DetectionDelay: a bt or ed2k client under a fresh identity, a wP2P
+	// client through its one reaction, so beside wp2p.retain_identity it
+	// keeps its id; not on gnutella), "oblivious" (connections die by
+	// timeout, the swarm relearns the address from announces), or "wp2p"
+	// (the wP2P client's one reconnect, at once on each address change;
 	// the group must enable wp2p).
 	Reaction string `json:"reaction,omitempty"`
-	// DetectionDelay is the restart reaction's user-notices lag (default
-	// 15s).
+	// DetectionDelay overrides the restart reaction's user-notices lag
+	// (default mobility.DetectionDelay, 15s).
 	DetectionDelay Duration `json:"detection_delay,omitempty"`
 }
 
