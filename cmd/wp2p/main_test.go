@@ -84,6 +84,26 @@ func TestRunMatchesScenario(t *testing.T) {
 	}
 }
 
+// TestSweepDurationsPlotSeconds: a CLI sweep over durations, with no x axis
+// of its own, prints each duration's seconds as the row's x. The parent
+// printed the sweep index (0, 1), so the table did not say which period a
+// row was.
+func TestSweepDurationsPlotSeconds(t *testing.T) {
+	code, stdout, stderr := wp2p("scenario", "-scale", "0.03", "-sweep", "peers[0].mobility.period=4m,2m", fig4aSpec)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	var x []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0][0] >= '0' && f[0][0] <= '9' {
+			x = append(x, f[0])
+		}
+	}
+	if strings.Join(x, " ") != "240 120" {
+		t.Errorf("sweep rows have x %v, want 240 and 120:\n%s", x, stdout)
+	}
+}
+
 func TestParallelInvariance(t *testing.T) {
 	out := func(parallel string) string {
 		code, stdout, stderr := wp2p("run", "-scale", "0.05", "-parallel", parallel, "-stats", "fig2bc", "fig9ab", "ext-gnutella")

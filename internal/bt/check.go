@@ -68,14 +68,16 @@ func (c *Client) CheckState(report func(invariant, detail string)) {
 	// The request index is bt's own, not an ordset.Set (DESIGN §17).
 	c.requested.checkCoherent(func(detail string) { report("bt.requested.index", id+": "+detail) })
 
-	// The address table: an entry's out is a live connection we dialled to
-	// that address, and the dials among them are what holds dialing slots.
+	// The address table: every live peer we dialled or that has shaken
+	// hands, inbound included, is its IP's entry's connection; an entry's
+	// connection is live and to its host; and the dials among them are what
+	// holds dialing slots.
 	dials := 0
 	for _, e := range c.addrs {
-		if p := e.out; p != nil {
-			if p.closed || p.inbound || p.addr != e.addr {
+		if p := e.peer; p != nil {
+			if p.closed || p.addr.IP != e.addr.IP {
 				report("bt.addrs",
-					fmt.Sprintf("%s: entry %v holds a connection that is closed, inbound or to %v", id, e.addr, p.addr))
+					fmt.Sprintf("%s: entry %v holds a connection that is closed or to %v", id, e.addr, p.addr))
 			}
 			if p.dialing {
 				dials++
@@ -84,6 +86,11 @@ func (c *Client) CheckState(report func(invariant, detail string)) {
 	}
 	if dials != c.dialing {
 		report("bt.addrs", fmt.Sprintf("%s: %d dials in the table, %d counted", id, dials, c.dialing))
+	}
+	for _, p := range c.peers {
+		if e := c.entry(p); (p.gotHandshake || !p.inbound) && (e == nil || e.peer != p) {
+			report("bt.addrs", fmt.Sprintf("%s: peer %v is not its IP's entry's connection", id, p.addr))
+		}
 	}
 
 	// Availability counters are bounded by the connected-peer count.

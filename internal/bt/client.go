@@ -154,10 +154,11 @@ type Client struct {
 	handshake   *msgHandshake
 
 	peers []*peerConn
-	// addrs is the address table: every address a tracker returned, in
-	// insertion order, each with its dial state; addrAt indexes it.
+	// addrs is the address table: one entry per remote host a tracker
+	// returned or that connected to us, in insertion order, each with the
+	// host's one connection; addrAt indexes it by IP.
 	addrs  []addrEntry
-	addrAt map[netem.Addr]int
+	addrAt map[netem.IP]int
 	// dialing counts the table's dials not yet established: each holds a
 	// MaxPeers slot without being in peers.
 	dialing int
@@ -192,16 +193,18 @@ type Client struct {
 	reg clientStats
 }
 
-// addrEntry is one address of the table and its dial state, stored rather
-// than inferred. out is the outbound connection to the address, from dial
-// until it closes, so an address with a dial in flight or a peer behind it is
-// never dialled again. retryAt ends the cool-down each dial starts; the bt
-// handshake on out clears it. A crowd's client holds an entry per peer:
-// TestHandshakeObjects keeps it at 40 B.
+// addrEntry is one remote host of the table and its connection, stored
+// rather than inferred. peer is the host's one connection, whichever side
+// dialled it: ours from dial until it closes, an accepted one from its
+// handshake until it closes. So a host with a dial in flight or a peer behind
+// it is never dialled again. addr is the listen address a tracker returned
+// (port 0 until one does: the host connected to us first). retryAt ends the
+// cool-down each dial starts; the bt handshake clears it. A crowd's client
+// holds an entry per peer: TestHandshakeObjects keeps it at 40 B.
 type addrEntry struct {
 	id      PeerID
 	addr    netem.Addr
-	out     *peerConn
+	peer    *peerConn
 	retryAt time.Duration
 }
 
@@ -253,7 +256,7 @@ func NewClient(cfg Config) *Client {
 	c.requested = newRequestIndex(c.torrent)
 	c.failedOnce = make(map[int]bool)
 	c.banned = make(map[PeerID]bool)
-	c.addrAt = make(map[netem.Addr]int)
+	c.addrAt = make(map[netem.IP]int)
 	c.downTotal = NewRateEstimator(DefaultRateWindow)
 	c.upTotal = NewRateEstimator(DefaultRateWindow)
 	c.chk = choker{client: c}
@@ -361,7 +364,7 @@ func (c *Client) Stop() {
 func (c *Client) conns() []*peerConn {
 	all := append([]*peerConn(nil), c.peers...)
 	for i := range c.addrs {
-		if p := c.addrs[i].out; p != nil && p.dialing {
+		if p := c.addrs[i].peer; p != nil && p.dialing {
 			all = append(all, p)
 		}
 	}
@@ -432,28 +435,28 @@ func (c *Client) addKnown(pi PeerInfo) {
 	if pi.ID == c.peerID {
 		return
 	}
-	if i, ok := c.addrAt[pi.Addr]; ok {
-		c.addrs[i].id = pi.ID
+	if i, ok := c.addrAt[pi.Addr.IP]; ok {
+		c.addrs[i].id, c.addrs[i].addr = pi.ID, pi.Addr
 		return
 	}
-	c.addrAt[pi.Addr] = len(c.addrs)
+	c.addrAt[pi.Addr.IP] = len(c.addrs)
 	c.addrs = append(c.addrs, addrEntry{id: pi.ID, addr: pi.Addr})
 }
 
-// entry is the table entry an outbound peer dialled, nil for an inbound one:
-// those are keyed by the dialer's ephemeral port, which no tracker returns.
+// entry is the table entry of p's host, nil while it has none: a host that
+// connected to us before any tracker named it gets one at its handshake.
 func (c *Client) entry(p *peerConn) *addrEntry {
-	if p.inbound {
-		return nil
+	if i, ok := c.addrAt[p.addr.IP]; ok {
+		return &c.addrs[i]
 	}
-	return &c.addrs[c.addrAt[p.addr]]
+	return nil
 }
 
 // --- connection management ---
 
-// maintainConnections dials table addresses, oldest first, until the
-// MaxPeers slots are full: each address with no connection of ours, no
-// cool-down and no ban, once.
+// maintainConnections dials table hosts, oldest first, until the MaxPeers
+// slots are full: each host with no connection in either direction, no
+// cool-down and no ban, once. (An entry no tracker named has a connection.)
 func (c *Client) maintainConnections() {
 	if !c.started || c.stopped {
 		return
@@ -465,7 +468,7 @@ func (c *Client) maintainConnections() {
 			return
 		}
 		e := &c.addrs[i]
-		if e.out != nil || now < e.retryAt || e.addr == self || c.banned[e.id] {
+		if e.peer != nil || now < e.retryAt || e.addr == self || c.banned[e.id] {
 			continue
 		}
 		c.dial(e)
@@ -485,7 +488,7 @@ func (c *Client) dial(e *addrEntry) {
 	c.reg.dials.Inc()
 	p := newPeerConn(c, conn, e.addr, false)
 	p.dialing = true
-	e.out = p
+	e.peer = p
 	conn.SetOnEstablished(p.onEstablished)
 }
 
@@ -530,55 +533,51 @@ func (c *Client) onAccept(conn transport.Conn) {
 	// handleHandshake).
 }
 
-// peerReady runs once a peer's handshake arrives: self-connections are
-// dropped and duplicate identities are resolved deterministically.
+// peerReady runs once a peer's handshake arrives: self-connections and
+// banned ids are dropped, a second connection to the peer is settled, and the
+// survivor claims its host's table entry.
 //
-// Two live connections to the same peer-id happen in two ways. A
-// simultaneous dial-each-other race is settled by keeping the connection
-// initiated by the numerically smaller peer-id — both ends apply the same
-// rule, so exactly one connection survives. Two connections with the same
-// initiator mean the older one is a zombie (typically dying slowly by
-// timeout after the peer handed off); the fresh one replaces it, otherwise
-// a mobile peer reconnecting under its retained peer-id would be locked
-// out for the zombie's lifetime.
+// A second connection can arise in two ways. In the simultaneous-dial race we
+// dialled the host while it dialled us, so its entry holds the other
+// direction: the connection initiated by the numerically smaller peer-id is
+// kept, and both ends apply the same rule, so exactly one survives. A
+// retained peer-id arriving from a new IP is a mobile peer reconnecting while
+// we still hold a zombie to its old address (typically dying slowly by
+// timeout): the fresh connection replaces it, otherwise the mobile would be
+// locked out for the zombie's lifetime. Any other connection the entry holds
+// is a zombie too (the host dialled us again) and is replaced the same way.
 func (c *Client) peerReady(p *peerConn) {
 	if p.id == c.peerID || c.banned[p.id] {
 		p.close()
 		return
 	}
-	initiator := func(q *peerConn) PeerID {
-		if q.inbound {
-			return q.id
-		}
-		return c.peerID
+	e := c.entry(p)
+	if e != nil && e.peer != nil && e.peer != p && e.peer.inbound != p.inbound &&
+		(c.peerID < p.id) == p.inbound {
+		p.close() // the race, and the other direction wins
+		return
 	}
-	winner := c.peerID
-	if p.id < winner {
-		winner = p.id
-	}
-	// Closing a peer edits c.peers, so the duplicates are picked out first;
-	// there is almost never one, and then the walk allocates nothing.
+	// Closing a peer edits c.peers and the table, so the losers are picked
+	// out first and p claims the entry before any closes; there is almost
+	// never one, and then the walk allocates nothing.
 	var buf [4]*peerConn
-	dups := buf[:0]
+	stale := buf[:0]
+	if e == nil {
+		c.addrAt[p.addr.IP] = len(c.addrs)
+		c.addrs = append(c.addrs, addrEntry{addr: netem.Addr{IP: p.addr.IP}})
+		e = &c.addrs[len(c.addrs)-1]
+	} else if e.peer != nil && e.peer != p {
+		stale = append(stale, e.peer)
+	}
 	for _, q := range c.peers {
-		if q != p && q.gotHandshake && q.id == p.id {
-			dups = append(dups, q)
+		if q.gotHandshake && q.id == p.id && q.addr.IP != p.addr.IP {
+			stale = append(stale, q)
 		}
 	}
-	for _, q := range dups {
-		switch {
-		case initiator(p) == initiator(q):
-			q.close() // same direction: the older one is stale
-		case initiator(p) == winner:
-			q.close()
-		default:
-			p.close()
-			return
-		}
-	}
-	// The address answered: forget its cool-down.
-	if e := c.entry(p); e != nil {
-		e.retryAt = 0
+	// The host answered: forget its cool-down.
+	e.id, e.peer, e.retryAt = p.id, p, 0
+	for _, q := range stale {
+		q.close()
 	}
 }
 
@@ -587,9 +586,7 @@ func (c *Client) removePeer(p *peerConn) {
 		return
 	}
 	p.closed = true
-	if e := c.entry(p); e != nil {
-		e.out = nil
-	}
+	c.release(p)
 	c.returnRequests(p)
 	c.availReplace(&p.remoteHas, nil)
 	for i, q := range c.peers {
@@ -601,6 +598,26 @@ func (c *Client) removePeer(p *peerConn) {
 	if !c.stopped {
 		c.maintainConnections()
 	}
+}
+
+// release empties the table entry p holds, if it holds one. An entry no
+// tracker named goes with its connection: there is no address to dial the
+// host at, and a mobile dialling us from every address it holds would
+// otherwise leave one entry per address. The newest entry takes its slot.
+func (c *Client) release(p *peerConn) {
+	e := c.entry(p)
+	if e == nil || e.peer != p {
+		return
+	}
+	e.peer = nil
+	if e.addr.Port != 0 {
+		return
+	}
+	i, last := c.addrAt[p.addr.IP], len(c.addrs)-1
+	c.addrs[i] = c.addrs[last]
+	c.addrAt[c.addrs[i].addr.IP] = i
+	c.addrs = c.addrs[:last]
+	delete(c.addrAt, p.addr.IP)
 }
 
 // --- availability ---

@@ -19,7 +19,7 @@ func TestAddKnownDedupesAndUpdates(t *testing.T) {
 	// Same address, new identity (peer restarted behind the same IP):
 	// the entry updates in place.
 	c.addKnown(PeerInfo{ID: "a2", Addr: netem.Addr{IP: 5, Port: 1}})
-	if e := c.addrs; len(e) != 2 || e[0].id != "a2" || c.addrAt[e[1].addr] != 1 {
+	if e := c.addrs; len(e) != 2 || e[0].id != "a2" || c.addrAt[e[1].addr.IP] != 1 {
 		t.Errorf("entry not updated: %v", e)
 	}
 	// Own id is never recorded.
@@ -115,9 +115,10 @@ func TestDownloadUploadRateAccessors(t *testing.T) {
 
 // TestBackoffForgetsAddressesThatAnswered: a mobile peer dials a fixed one
 // from every address it ever holds, and the fixed peer's address table must
-// not remember them all: an inbound peer's address is the dialer's ephemeral
-// port, which no tracker returns. (A map of cool-downs cleared by storing a
-// zero once kept one entry per address ever shaken hands with: 200 here.)
+// not remember them all: an accepted peer's entry has no listen address
+// until a tracker names the host, so it goes with the connection. (A map of
+// cool-downs cleared by storing a zero once kept one entry per address ever
+// shaken hands with: 200 here.)
 func TestBackoffForgetsAddressesThatAnswered(t *testing.T) {
 	env := newSwarmEnv(95, 8*BlockSize, BlockSize)
 	fixed := env.client(Config{})

@@ -43,13 +43,13 @@ func (cp *connPath) cycle(tb testing.TB) {
 	if len(cp.dialer.peers) != 1 || len(cp.target.peers) != 1 || !cp.dialer.peers[0].gotHandshake || !cp.target.peers[0].gotHandshake {
 		tb.Fatalf("handshake incomplete: %d and %d peers", len(cp.dialer.peers), len(cp.target.peers))
 	}
-	if e.out != cp.dialer.peers[0] || e.retryAt != 0 {
-		tb.Fatalf("after the handshake the entry holds the peer: %v, cools down to %v", e.out == cp.dialer.peers[0], e.retryAt)
+	if e.peer != cp.dialer.peers[0] || e.retryAt != 0 {
+		tb.Fatalf("after the handshake the entry holds the peer: %v, cools down to %v", e.peer == cp.dialer.peers[0], e.retryAt)
 	}
 	cp.dialer.peers[0].close()
 	cp.env.engine.RunFor(time.Second)
-	if len(cp.dialer.peers)+len(cp.target.peers)+cp.dialer.dialing != 0 || e.out != nil {
-		tb.Fatalf("teardown incomplete: %d and %d peers, %d dialing, entry released: %v", len(cp.dialer.peers), len(cp.target.peers), cp.dialer.dialing, e.out == nil)
+	if len(cp.dialer.peers)+len(cp.target.peers)+cp.dialer.dialing != 0 || e.peer != nil {
+		tb.Fatalf("teardown incomplete: %d and %d peers, %d dialing, entry released: %v", len(cp.dialer.peers), len(cp.target.peers), cp.dialer.dialing, e.peer == nil)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestRefusedDialObjects(t *testing.T) {
 	if got > 8 {
 		t.Errorf("a refused dial allocates %.0f objects, want <= 8", got)
 	}
-	if e := cp.dialer.addrs[0]; e.retryAt == 0 || e.out != nil {
-		t.Errorf("after a refused dial the address cools down to %v, released: %v", e.retryAt, e.out == nil)
+	if e := cp.dialer.addrs[0]; e.retryAt == 0 || e.peer != nil {
+		t.Errorf("after a refused dial the address cools down to %v, released: %v", e.retryAt, e.peer == nil)
 	}
 }
 

@@ -8,16 +8,17 @@ import (
 	"github.com/wp2p/wp2p/internal/transport"
 )
 
-// dialCounter is a transport that counts, per address, the dials it opened
-// that have neither been established nor closed, and the most at once.
+// dialCounter is a transport that counts, per address, the dials it opened,
+// those that have neither been established nor closed, and the most at once.
 type dialCounter struct {
 	transport.Interface
-	inFlight, most map[netem.Addr]int
+	dials, inFlight, most map[netem.Addr]int
 }
 
 func newDialCounter(env *swarmEnv) *dialCounter {
 	return &dialCounter{
 		Interface: transport.NewSim(env.wiredStack(0, 0)),
+		dials:     make(map[netem.Addr]int),
 		inFlight:  make(map[netem.Addr]int),
 		most:      make(map[netem.Addr]int),
 	}
@@ -28,6 +29,7 @@ func (d *dialCounter) Dial(remote netem.Addr) (transport.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.dials[remote]++
 	d.inFlight[remote]++
 	d.most[remote] = max(d.most[remote], d.inFlight[remote])
 	return &countedConn{Conn: conn, d: d, remote: remote}, nil
@@ -156,4 +158,136 @@ func TestRestartAbortsDialsInFlight(t *testing.T) {
 		t.Errorf("after Restart: %d peers, want the seed in the freed slot", c.NumPeers())
 	}
 	checkAddrs(t, c)
+}
+
+// TestInboundPeerNotDialled: a peer that connected to us is its host's table
+// entry, so the tracker naming its listen address does not make us dial it.
+// The parent kept inbound peers out of the table and dialled the address
+// every 45 s cool-down; each such connection completed its handshake and the
+// duplicate rule closed one of the two.
+func TestInboundPeerNotDialled(t *testing.T) {
+	env := newSwarmEnv(99, 16<<20, 256<<10)
+	tr := newDialCounter(env)
+	fixed := env.client(Config{Transport: tr, Seed: true, UploadLimiter: NewLimiter(env.engine, 16*netem.KBps)})
+	if err := fixed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	env.engine.RunFor(time.Second) // the seed is at the tracker, so the leech dials it
+	leech := env.client(Config{})
+	if err := leech.Start(); err != nil {
+		t.Fatal(err)
+	}
+	env.engine.RunFor(5 * time.Second)
+	if len(fixed.peers) != 1 || !fixed.peers[0].inbound {
+		t.Fatalf("setup: the seed holds %d peers, want the leech inbound", len(fixed.peers))
+	}
+	first := fixed.peers[0]
+	env.engine.RunFor(10 * time.Minute) // twenty announces that name the leech
+	if n := tr.dials[leech.Addr()]; n != 0 {
+		t.Errorf("the seed dialled its inbound peer's listen address %d times", n)
+	}
+	if len(fixed.peers) != 1 || fixed.peers[0] != first || first.closed {
+		t.Errorf("the seed holds %d peers; the first connection closed: %v", len(fixed.peers), first.closed)
+	}
+	if leech.Downloaded() == 0 {
+		t.Error("nothing was downloaded")
+	}
+	checkAddrs(t, fixed)
+	checkAddrs(t, leech)
+}
+
+// TestMobileConnectionSurvivesTrackerUpdate: a mobile leech hands off and
+// reconnects under its retained peer-id, and the fixed seed serves it over
+// that connection. The seed's next announce names the mobile's new address;
+// the connection carrying data must stay. The parent dialled that address,
+// and the duplicate rule kept the seed's own dial (its peer-id is the
+// smaller) and closed the data-carrying one.
+func TestMobileConnectionSurvivesTrackerUpdate(t *testing.T) {
+	env := newSwarmEnv(100, 16<<20, 256<<10)
+	tr := newDialCounter(env)
+	fixed := env.client(Config{Transport: tr, Seed: true, PeerID: "-AA0000-fixed-seed0",
+		UploadLimiter: NewLimiter(env.engine, 32*netem.KBps)})
+	stack := env.wiredStack(0, 0)
+	mobile := env.client(Config{Transport: transport.NewSim(stack), PeerID: "-ZZ0000-mobile-leec"})
+	for _, c := range []*Client{fixed, mobile} {
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.engine.RunFor(35 * time.Second) // past the seed's first announce, at 30 s
+	env.net.Rebind(stack.Iface(), 222)
+	mobile.Restart(false)
+	mobile.RedialKnown()
+	env.engine.RunFor(15 * time.Second) // short of the seed's next announce
+	var served *peerConn
+	for _, p := range fixed.peers {
+		if p.addr.IP == 222 {
+			served = p
+		}
+	}
+	if served == nil || served.piecesSent == 0 {
+		t.Fatal("setup: the seed is not serving the mobile at its new address")
+	}
+	sent := served.piecesSent
+	env.engine.RunFor(2 * time.Minute) // four seed announces name the new address
+	if n := tr.dials[mobile.Addr()]; n != 0 {
+		t.Errorf("the seed dialled the mobile's new address %d times", n)
+	}
+	if served.closed || served.piecesSent == sent {
+		t.Errorf("the data-carrying connection closed: %v, blocks since: %d", served.closed, served.piecesSent-sent)
+	}
+	checkAddrs(t, fixed)
+	checkAddrs(t, mobile)
+}
+
+// TestPeerIDFromSecondIP pins what a handshake carrying a live peer's
+// peer-id from another host yields. The duplicate rule reads it as a mobile
+// reconnecting under its retained identity: the newcomer replaces the live
+// connection and is ranked by that peer-id's credit. But the replaced
+// peer's entry is left with no connection and no cool-down, so it is dialled
+// again at once, and its handshake replaces the newcomer the same way: one
+// round trip later the real peer is back and the newcomer is gone.
+func TestPeerIDFromSecondIP(t *testing.T) {
+	env := newSwarmEnv(101, 16<<20, 256<<10)
+	seed := env.client(Config{Seed: true, UploadLimiter: NewLimiter(env.engine, 32*netem.KBps)})
+	leech := env.client(Config{})
+	for _, c := range []*Client{seed, leech} {
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.engine.RunFor(time.Minute)
+	if len(leech.peers) != 1 || leech.peers[0].piecesRcvd == 0 {
+		t.Fatal("setup: the leech is not downloading from the seed")
+	}
+	victim := leech.peers[0]
+	credit := leech.ledger.Rate(seed.PeerID(), env.engine.Now())
+
+	thief := transport.NewSim(env.wiredStack(0, 0))
+	conn, err := thief.Dial(leech.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetOnEstablished(func() {
+		hs := &msgHandshake{InfoHash: env.torrent.InfoHash(), PeerID: seed.PeerID()}
+		conn.SendMessage(hs, hs.wireLen())
+	})
+	for end := env.engine.Now() + time.Second; !victim.closed && env.engine.Now() < end && env.engine.Step(); {
+	}
+	if !victim.closed || len(leech.peers) != 1 || leech.peers[0].addr.IP != thief.Addr(0).IP {
+		t.Fatalf("after the second handshake: the live peer closed: %v; the leech holds %d peers, want only the newcomer", victim.closed, len(leech.peers))
+	}
+	stolen := leech.peers[0]
+	if got := leech.ledger.Rate(stolen.id, env.engine.Now()); got <= 0 || got > credit {
+		t.Errorf("the newcomer is ranked by credit %g, want the victim's %g, decayed", got, credit)
+	}
+	if leech.dialing != 1 {
+		t.Errorf("%d dials in flight, want the one to the victim's address", leech.dialing)
+	}
+	checkAddrs(t, leech)
+	env.engine.RunFor(time.Second)
+	if !stolen.closed || len(leech.peers) != 1 || leech.peers[0].addr != seed.Addr() || !leech.peers[0].gotHandshake {
+		t.Errorf("a second later: the newcomer closed: %v, the leech holds %d peers", stolen.closed, len(leech.peers))
+	}
+	checkAddrs(t, leech)
 }

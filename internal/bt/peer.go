@@ -27,7 +27,7 @@ type peerConn struct {
 	// dialing is set from our Dial until the connection is established or
 	// dies, whichever comes first: while it is, the peer counts in
 	// Client.dialing and not yet in Client.peers. (Either way it is its
-	// address's addrEntry.out.)
+	// host's addrEntry.peer.)
 	dialing bool
 
 	// The piece map and the estimators are held by value, and the map's

@@ -259,7 +259,7 @@ func (c *compiled) buildMobility(inst *instance, m *MobilitySpec, eventDriven bo
 			reinit = inst.wp.OnAddressChange
 		}
 		delay := mobility.DetectionDelay
-		if m.DetectionDelay > 0 {
+		if m.DetectionDelay != nil {
 			delay = m.DetectionDelay.D()
 		}
 		mobility.DefaultReaction(inst.host.Engine, h, delay, reinit)

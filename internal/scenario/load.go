@@ -213,7 +213,7 @@ func (s *Spec) validateGroup(e *errs, path string, g *PeerGroup, seen map[string
 		if m.First < 0 || m.First > g.Count && g.Count > 0 {
 			e.add(mp+".first", "must be within [0, count], got %d", m.First)
 		}
-		if m.DetectionDelay < 0 {
+		if m.DetectionDelay != nil && *m.DetectionDelay < 0 {
 			e.add(mp+".detection_delay", "must be ≥ 0, got %v", m.DetectionDelay.D())
 		}
 		switch m.Reaction {

@@ -55,6 +55,17 @@ func TestOmittedReactionRestarts(t *testing.T) {
 	}
 }
 
+// TestZeroDetectionDelayRestartsAtOnce: an explicit "0s" detection delay is
+// a reaction at the handoff itself, not the omitted field's
+// mobility.DetectionDelay. The parent could not tell the two apart and
+// restarted 15 s late.
+func TestZeroDetectionDelayRestartsAtOnce(t *testing.T) {
+	_, _, at := handoffOnce(t, minimal(), map[string]any{"detection_delay": "0s"})
+	if want := 30 * time.Second; len(at) != 1 || at[0] != want {
+		t.Fatalf("restarts at %v, want one at %v", at, want)
+	}
+}
+
 // TestRestartWithRetainedIdentity: a wP2P leech that retains its identity
 // and names "restart" is ablation's +identity variant. It re-initiates
 // through its one reaction, once, mobility.DetectionDelay after the handoff,

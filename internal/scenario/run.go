@@ -147,13 +147,19 @@ func (s *Spec) xLabel() string {
 }
 
 // sweepX returns the plotted x for sweep value vi: the explicit axis if
-// given, a numeric value's own magnitude, else the index.
+// given, a numeric value's own magnitude, a duration's seconds, else the
+// index.
 func sweepX(sw *SweepSpec, vi int) float64 {
 	if len(sw.X) > 0 {
 		return sw.X[vi]
 	}
-	if f, ok := sw.Values[vi].(float64); ok {
-		return f
+	switch v := sw.Values[vi].(type) {
+	case float64:
+		return v
+	case string:
+		if d, err := time.ParseDuration(v); err == nil {
+			return d.Seconds()
+		}
 	}
 	return float64(vi)
 }

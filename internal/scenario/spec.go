@@ -343,8 +343,8 @@ type MobilitySpec struct {
 	// the group must enable wp2p).
 	Reaction string `json:"reaction,omitempty"`
 	// DetectionDelay overrides the restart reaction's user-notices lag
-	// (default mobility.DetectionDelay, 15s).
-	DetectionDelay Duration `json:"detection_delay,omitempty"`
+	// (omitted: mobility.DetectionDelay, 15s; "0s": at the handoff itself).
+	DetectionDelay *Duration `json:"detection_delay,omitempty"`
 }
 
 // Event actions.
@@ -449,7 +449,8 @@ func (m MeasureSpec) yLabel() string {
 
 // SweepSpec fans the scenario over one parameter: Param is an override path
 // into the spec ("peers[0].mobility.period"), Values its JSON values, and X
-// the plotted x-axis (default: the values when numeric, else indices).
+// the plotted x-axis (default: the values when numeric, a duration's
+// seconds, else indices).
 type SweepSpec struct {
 	Param  string    `json:"param"`
 	XLabel string    `json:"x_label,omitempty"`

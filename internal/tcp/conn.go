@@ -102,6 +102,7 @@ type Conn struct {
 	hasSample bool
 	rtxTimer  sim.Timer // embedded: bound in newConn, never copied
 	retries   int
+	giveUpAt  time.Duration // once established: when unacknowledged data fails the connection; 0 while ACKs arrive
 	tsRecent  time.Duration // latest in-order TSval from the peer
 	lastRTT   time.Duration
 
@@ -474,9 +475,13 @@ func (c *Conn) onRTO() {
 	if c.closed {
 		return
 	}
-	if c.retries >= maxRetries {
+	now := c.stack.engine.Now()
+	if c.retries >= maxRetries || c.giveUpAt > 0 && now >= c.giveUpAt {
 		c.teardown(ErrTimeout)
 		return
+	}
+	if c.retries == 0 && c.state != StateSynSent && c.state != StateSynRcvd {
+		c.giveUpAt = now - c.rto + giveUpAfter // from when the expired timer was armed
 	}
 	c.retries++
 	c.stats.Timeouts++
@@ -508,6 +513,10 @@ func (c *Conn) onRTO() {
 			}
 			c.trySend()
 		}
+	}
+	if c.giveUpAt > 0 {
+		c.rtxTimer.Reset(min(c.rto, c.giveUpAt-now))
+		return
 	}
 	c.armRTO()
 }
@@ -605,7 +614,7 @@ func (c *Conn) onNewAck(ack int64, seg *Segment) {
 		c.sndNxt = ack
 	}
 	c.stats.BytesAcked = ack
-	c.retries = 0
+	c.retries, c.giveUpAt = 0, 0
 	c.pruneMsgs()
 	if seg.TSecr > 0 {
 		c.takeSample(c.stack.engine.Now() - seg.TSecr)

@@ -166,13 +166,20 @@ const (
 	initRTO      = time.Second            // RTO before the first RTT sample
 	minRTO       = 200 * time.Millisecond // RTO floor
 	maxRTO       = 60 * time.Second       // RTO backoff ceiling
-	// maxRetries is how many consecutive RTOs are tolerated before the
-	// connection fails with ErrTimeout: the eleventh expiry tears it down.
-	// Doubling from the 200 ms floor up to maxRTO, an established
-	// connection persists 0.2+0.4+…+51.2+60+60 = 222.2 s; a SYN, starting
-	// from initRTO, 1+2+4+8+16+32+5×60 = 363 s — the "several minutes" a
-	// fixed peer keeps trying a vanished mobile server (paper §3.5).
+	// maxRetries is how many consecutive RTOs a handshake tolerates before
+	// it fails with ErrTimeout: the eleventh expiry tears it down. A SYN,
+	// starting from initRTO, persists 1+2+4+8+16+32+5×60 = 363 s — the
+	// "several minutes" a fixed peer keeps trying a vanished mobile server
+	// (paper §3.5).
 	maxRetries = 10
+	// giveUpAfter is how long an established connection's data may wait for
+	// an ACK before the connection fails with ErrTimeout: maxRetries+1
+	// expiries doubling from the minRTO floor, 0.2+0.4+…+51.2+60+60 s. It is
+	// a time, as Linux's tcp_retries2 is, not a count of expiries from the
+	// connection's own RTO: a dead connection lingers as long whatever its
+	// RTT estimate was, so a mobile peer's stale connections die at the same
+	// instant under either fidelity.
+	giveUpAfter = 222200 * time.Millisecond
 	// delAckTimeout is the delayed-ACK timer (RFC 1122): an ACK for
 	// in-order data is withheld until a second segment arrives, reverse
 	// data can carry it (piggybacking — "ACKs in the reverse path are

@@ -105,6 +105,39 @@ func TestDialBlackholeTimesOut(t *testing.T) {
 	}
 }
 
+// TestEstablishedGiveUpIsATime: an established connection whose peer
+// vanishes fails giveUpAfter (222.2 s) after its unacknowledged data was
+// sent, whatever its RTO. This one's RTO is 0.8 s, above the floor; the
+// parent counted eleven expiries doubling from it and gave up after 344 s.
+func TestEstablishedGiveUpIsATime(t *testing.T) {
+	w := newWorld(1)
+	a := w.wiredHost(1)
+	far := netem.NewAccessLink(w.engine, netem.AccessLinkConfig{
+		UpRate: 1 * netem.MBps, DownRate: 1 * netem.MBps, Delay: 150 * time.Millisecond,
+	})
+	b := NewStack(w.engine, w.net.Attach(2, far, nil))
+	client, _ := connect(t, w, a, b, 80)
+	client.Write(4 * MSS)
+	w.engine.RunFor(5 * time.Second)
+	if client.sndUna != client.sndBufTail || client.rto <= minRTO {
+		t.Fatalf("setup: %d bytes unacknowledged, RTO %v; want none, above the floor", client.sndBufTail-client.sndUna, client.rto)
+	}
+	rto := client.rto
+	var gotErr error
+	var closedAt time.Duration
+	client.SetOnClose(func(err error) { gotErr, closedAt = err, w.engine.Now() })
+	w.net.Rebind(b.Iface(), 9) // the peer moves; its old address is a black hole
+	sentAt := w.engine.Now()
+	client.Write(MSS)
+	w.engine.RunFor(10 * time.Minute)
+	if !errors.Is(gotErr, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", gotErr)
+	}
+	if got := closedAt - sentAt; got != giveUpAfter {
+		t.Errorf("gave up %v after the unanswered send (RTO %v), want %v", got, rto, giveUpAfter)
+	}
+}
+
 func TestUnidirectionalTransfer(t *testing.T) {
 	w := newWorld(2)
 	sa, sb := w.wiredHost(1), w.wiredHost(2)
