@@ -2,6 +2,7 @@ package bt
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/wp2p/wp2p/internal/netem"
@@ -539,13 +540,14 @@ func (c *Client) onAccept(conn transport.Conn) {
 //
 // A second connection can arise in two ways. In the simultaneous-dial race we
 // dialled the host while it dialled us, so its entry holds the other
-// direction: the connection initiated by the numerically smaller peer-id is
-// kept, and both ends apply the same rule, so exactly one survives. A
-// retained peer-id arriving from a new IP is a mobile peer reconnecting while
-// we still hold a zombie to its old address (typically dying slowly by
-// timeout): the fresh connection replaces it, otherwise the mobile would be
-// locked out for the zombie's lifetime. Any other connection the entry holds
-// is a zombie too (the host dialled us again) and is replaced the same way.
+// direction, to the same peer-id or one not yet known: the connection
+// initiated by the numerically smaller peer-id is kept, and both ends apply
+// the same rule, so exactly one survives. A retained peer-id arriving from a
+// new IP is a mobile peer reconnecting while we still hold a zombie to its old
+// address (typically dying slowly by timeout): the fresh connection replaces
+// it, otherwise the mobile would be locked out for the zombie's lifetime. Any
+// other connection the entry holds is a zombie too (the host dialled us
+// again, or restarted under a new peer-id) and is replaced the same way.
 func (c *Client) peerReady(p *peerConn) {
 	if p.id == c.peerID || c.banned[p.id] {
 		p.close()
@@ -553,7 +555,7 @@ func (c *Client) peerReady(p *peerConn) {
 	}
 	e := c.entry(p)
 	if e != nil && e.peer != nil && e.peer != p && e.peer.inbound != p.inbound &&
-		(c.peerID < p.id) == p.inbound {
+		(!e.peer.gotHandshake || e.peer.id == p.id) && (c.peerID < p.id) == p.inbound {
 		p.close() // the race, and the other direction wins
 		return
 	}
@@ -603,7 +605,8 @@ func (c *Client) removePeer(p *peerConn) {
 // release empties the table entry p holds, if it holds one. An entry no
 // tracker named goes with its connection: there is no address to dial the
 // host at, and a mobile dialling us from every address it holds would
-// otherwise leave one entry per address. The newest entry takes its slot.
+// otherwise leave one entry per address. The entries after it move up, so
+// the table stays in insertion order.
 func (c *Client) release(p *peerConn) {
 	e := c.entry(p)
 	if e == nil || e.peer != p {
@@ -613,11 +616,12 @@ func (c *Client) release(p *peerConn) {
 	if e.addr.Port != 0 {
 		return
 	}
-	i, last := c.addrAt[p.addr.IP], len(c.addrs)-1
-	c.addrs[i] = c.addrs[last]
-	c.addrAt[c.addrs[i].addr.IP] = i
-	c.addrs = c.addrs[:last]
+	i := c.addrAt[p.addr.IP]
 	delete(c.addrAt, p.addr.IP)
+	c.addrs = slices.Delete(c.addrs, i, i+1)
+	for ; i < len(c.addrs); i++ {
+		c.addrAt[c.addrs[i].addr.IP] = i
+	}
 }
 
 // --- availability ---

@@ -29,6 +29,34 @@ func TestAddKnownDedupesAndUpdates(t *testing.T) {
 	}
 }
 
+// TestReleaseKeepsInsertionOrder: an accepted peer's entry goes with its
+// connection, and the entries after it move up, so the table still dials
+// tracker-named hosts oldest first. The parent moved the newest entry into
+// the freed slot, ahead of every older one.
+func TestReleaseKeepsInsertionOrder(t *testing.T) {
+	env := newSwarmEnv(96, 8*BlockSize, BlockSize)
+	c := env.client(Config{})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, _ := foreignPeer(t, env, c)
+	for i, id := range []PeerID{"a", "b", "c"} {
+		c.addKnown(PeerInfo{ID: id, Addr: netem.Addr{IP: netem.IP(200 + i), Port: 1}})
+	}
+	conn.Abort()
+	env.engine.RunFor(time.Second)
+	var got []PeerID
+	for i, e := range c.addrs {
+		got = append(got, e.id)
+		if c.addrAt[e.addr.IP] != i {
+			t.Errorf("entry %d (%v) indexed at %d", i, e.addr, c.addrAt[e.addr.IP])
+		}
+	}
+	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+		t.Errorf("table order %v after the accepted peer left, want [a b c]", got)
+	}
+}
+
 func TestInitialHaveAccounting(t *testing.T) {
 	env := newSwarmEnv(81, 500*1024, 64*1024) // 8 pieces, last short
 	n := env.torrent.NumPieces()

@@ -291,3 +291,48 @@ func TestPeerIDFromSecondIP(t *testing.T) {
 	}
 	checkAddrs(t, leech)
 }
+
+// TestRestartUnderNewIDKeepsFreshConnection: a host we dialled restarts under
+// a new peer-id at the same IP and dials us while we still hold the
+// connection to its old incarnation. That connection is stale, not one side
+// of a simultaneous-dial race, so the fresh one replaces it. The parent
+// applied the race rule to any connection in the other direction: our
+// peer-id is the smaller, so it closed the fresh connection and kept the
+// stale one, locking the host out until TCP gave up.
+func TestRestartUnderNewIDKeepsFreshConnection(t *testing.T) {
+	env := newSwarmEnv(102, 16<<20, 256<<10)
+	stack := env.wiredStack(0, 0)
+	old := env.client(Config{Transport: transport.NewSim(stack), PeerID: "-ZZ0000-old-incarna"})
+	if err := old.Start(); err != nil {
+		t.Fatal(err)
+	}
+	env.engine.RunFor(time.Second) // the host is at the tracker, so the fixed peer dials it
+	fixed := env.client(Config{Seed: true, PeerID: "-AA0000-fixed-seed0"})
+	if err := fixed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	env.engine.RunFor(5 * time.Second)
+	if len(fixed.peers) != 1 || fixed.peers[0].inbound || fixed.peers[0].id != old.PeerID() {
+		t.Fatalf("setup: the fixed peer holds %d peers, want its dial to the host", len(fixed.peers))
+	}
+	stale := fixed.peers[0]
+
+	conn, err := transport.NewSim(stack).Dial(fixed.Addr()) // the new incarnation, from the same IP
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fresh = PeerID("-ZZ0000-new-incarna")
+	conn.SetOnEstablished(func() {
+		hs := &msgHandshake{InfoHash: env.torrent.InfoHash(), PeerID: fresh}
+		conn.SendMessage(hs, hs.wireLen())
+	})
+	for end := env.engine.Now() + time.Second; !stale.closed && env.engine.Now() < end && env.engine.Step(); {
+	}
+	if !stale.closed || len(fixed.peers) != 1 || fixed.peers[0].id != fresh || !fixed.peers[0].inbound {
+		t.Fatalf("after the new incarnation's handshake: the stale connection closed: %v; the fixed peer holds %d peers, want only the fresh one", stale.closed, len(fixed.peers))
+	}
+	if e := fixed.entry(fixed.peers[0]); e == nil || e.peer != fixed.peers[0] {
+		t.Error("the fresh connection is not its host's entry's connection")
+	}
+	checkAddrs(t, fixed)
+}

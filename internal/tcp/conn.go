@@ -100,9 +100,8 @@ type Conn struct {
 	srtt      time.Duration
 	rttvar    time.Duration
 	hasSample bool
-	rtxTimer  sim.Timer // embedded: bound in newConn, never copied
-	retries   int
-	giveUpAt  time.Duration // once established: when unacknowledged data fails the connection; 0 while ACKs arrive
+	rtxTimer  sim.Timer     // embedded: bound in newConn, never copied
+	giveUpAt  time.Duration // when the unanswered segment fails the connection; 0 until the timer first expires
 	tsRecent  time.Duration // latest in-order TSval from the peer
 	lastRTT   time.Duration
 
@@ -476,14 +475,16 @@ func (c *Conn) onRTO() {
 		return
 	}
 	now := c.stack.engine.Now()
-	if c.retries >= maxRetries || c.giveUpAt > 0 && now >= c.giveUpAt {
+	switch {
+	case c.giveUpAt == 0: // the first expiry: counted from when this timer was armed
+		c.giveUpAt = now - c.rto + giveUpAfter
+		if c.state == StateSynSent || c.state == StateSynRcvd {
+			c.giveUpAt = now - c.rto + synGiveUpAfter
+		}
+	case now >= c.giveUpAt:
 		c.teardown(ErrTimeout)
 		return
 	}
-	if c.retries == 0 && c.state != StateSynSent && c.state != StateSynRcvd {
-		c.giveUpAt = now - c.rto + giveUpAfter // from when the expired timer was armed
-	}
-	c.retries++
 	c.stats.Timeouts++
 	c.stack.reg.rtos.Inc()
 	c.rto = min(2*c.rto, maxRTO)
@@ -514,11 +515,7 @@ func (c *Conn) onRTO() {
 			c.trySend()
 		}
 	}
-	if c.giveUpAt > 0 {
-		c.rtxTimer.Reset(min(c.rto, c.giveUpAt-now))
-		return
-	}
-	c.armRTO()
+	c.rtxTimer.Reset(min(c.rto, c.giveUpAt-now))
 }
 
 // --- segment reception ---
@@ -580,7 +577,7 @@ func (c *Conn) handleSegment(seg *Segment) {
 
 func (c *Conn) establish() {
 	c.state = StateEstablished
-	c.retries = 0
+	c.giveUpAt = 0
 	c.rtxTimer.Stop()
 	if c.onEstablished != nil {
 		c.onEstablished()
@@ -614,7 +611,7 @@ func (c *Conn) onNewAck(ack int64, seg *Segment) {
 		c.sndNxt = ack
 	}
 	c.stats.BytesAcked = ack
-	c.retries, c.giveUpAt = 0, 0
+	c.giveUpAt = 0
 	c.pruneMsgs()
 	if seg.TSecr > 0 {
 		c.takeSample(c.stack.engine.Now() - seg.TSecr)

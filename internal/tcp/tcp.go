@@ -166,19 +166,21 @@ const (
 	initRTO      = time.Second            // RTO before the first RTT sample
 	minRTO       = 200 * time.Millisecond // RTO floor
 	maxRTO       = 60 * time.Second       // RTO backoff ceiling
-	// maxRetries is how many consecutive RTOs a handshake tolerates before
-	// it fails with ErrTimeout: the eleventh expiry tears it down. A SYN,
-	// starting from initRTO, persists 1+2+4+8+16+32+5×60 = 363 s — the
-	// "several minutes" a fixed peer keeps trying a vanished mobile server
-	// (paper §3.5).
-	maxRetries = 10
-	// giveUpAfter is how long an established connection's data may wait for
-	// an ACK before the connection fails with ErrTimeout: maxRetries+1
-	// expiries doubling from the minRTO floor, 0.2+0.4+…+51.2+60+60 s. It is
-	// a time, as Linux's tcp_retries2 is, not a count of expiries from the
+	// A connection fails with ErrTimeout once its oldest unanswered segment
+	// has gone unanswered for a fixed time, counted from when the timer that
+	// first expired was armed; every expiry up to then doubles the RTO. Both
+	// times are eleven expiries long, and both are times, as Linux's
+	// tcp_syn_retries and tcp_retries2 are, not counts of expiries from the
 	// connection's own RTO: a dead connection lingers as long whatever its
 	// RTT estimate was, so a mobile peer's stale connections die at the same
 	// instant under either fidelity.
+	//
+	// synGiveUpAfter is a handshake's: from initRTO,
+	// 1+2+4+8+16+32+5×60 = 363 s — the "several minutes" a fixed peer keeps
+	// trying a vanished mobile server (paper §3.5).
+	synGiveUpAfter = 363 * time.Second
+	// giveUpAfter is established data's: from the minRTO floor,
+	// 0.2+0.4+…+51.2+60+60 = 222.2 s.
 	giveUpAfter = 222200 * time.Millisecond
 	// delAckTimeout is the delayed-ACK timer (RFC 1122): an ACK for
 	// in-order data is withheld until a second segment arrives, reverse

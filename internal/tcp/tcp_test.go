@@ -99,7 +99,7 @@ func TestDialBlackholeTimesOut(t *testing.T) {
 	if !errors.Is(gotErr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", gotErr)
 	}
-	// A SYN's lifetime: initRTO doubling to maxRTO, maxRetries+1 expiries.
+	// A SYN's lifetime: eleven expiries, initRTO doubling to maxRTO.
 	if got, want := closedAt-dialAt, 363*time.Second; got != want {
 		t.Errorf("SYN gave up %v after the dial, want %v", got, want)
 	}
