@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ import (
 // (String, Error, MarshalJSON, the transport and check.Checkable methods).
 var keptByRule = []struct{ id, reason string }{
 	// Reference paths and paper alternatives under test.
-	{"wp2p.PrStability", "the paper's §4.3 alternative p_r schedule (selfishness decays with connection stability), kept under test with MFConfig.Pr since PR 20"},
+	{"wp2p.PrStability", "the paper's §4.3 alternative p_r schedule (selfishness decays with connection stability); fetch_test.go reaches it through NewMobilityFetch, and MFConfig.Pr is reserved for item 6's schedule sweep"},
 	{"wp2p.NewStabilityTracker", "PrStability's clock"},
 	{"wp2p.StabilityTracker.Reset", "PrStability's clock: a disconnection restarts it"},
 	{"ordset.Set.Has", "ordset's own API: the reference bt's dense request index is checked against slot for slot (TestRequestIndexMatchesOrdset)"},
@@ -47,6 +48,7 @@ var keptByRule = []struct{ id, reason string }{
 	{"bt.Client.PeerID", "tests of wp2p, mobility and experiments identify a client across a restart by it"},
 	{"bt.Client.Restarts", "tests of wp2p and mobility count task re-initiations through it"},
 	{"bt.Limiter.Rate", "wp2p's LIHD tests read back the cap the controller set"},
+	{"mobility.Handoff.Changes", "tests of mobility, wp2p and scenario count one host's address changes through it; exports carry the world's sum as the mobility.handoffs counter"},
 }
 
 // TestReachabilityCensus type-checks the module with the standard library's
@@ -56,18 +58,7 @@ func TestReachabilityCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module (a few seconds)")
 	}
-	c := newCensus()
-	for _, top := range []string{"internal", "cmd", "benchmark", "examples"} {
-		filepath.WalkDir(top, func(dir string, d os.DirEntry, err error) error {
-			if err == nil && d.IsDir() {
-				c.load(dir)
-			}
-			return nil
-		})
-	}
-	if len(c.errs) > 0 {
-		t.Fatalf("type-check failed: %v", c.errs[0])
-	}
+	c := moduleCensus(t)
 	ifaces := c.interfaces()
 
 	kept := map[string]bool{}
@@ -106,6 +97,178 @@ func TestReachabilityCensus(t *testing.T) {
 	}
 }
 
+// keptFields is the whole list of exported fields of exported *Config and
+// *Options structs under internal/ that no non-test file of internal/, cmd/,
+// benchmark/ or examples/ sets, each with the one reason it stays a field.
+// TestOptionsCensus fails when a field is missing from it, and when an entry
+// is stale: gone, or set by product code after all.
+var keptFields = []struct{ id, reason string }{
+	// Set only by a test, which reaches the behaviour in bounded sim time.
+	{"bt.Config.Corrupt", "the hash-fail path: a test's seed serves corrupt blocks, which the leech must reject and re-fetch"},
+	{"bt.Config.MaxPeers", "the connection cap: tests fill it with one or three peers instead of the default 20"},
+	{"bt.Config.RequestTimeout", "the re-request timer: tests lengthen its 45 s so that only the path under test can rescue a stall"},
+	{"check.Config.DigestEvery", "the digest period: tests record every 16 to 512 events so a short run yields many records"},
+	{"ed2k.Config.WaitMemory", "the upload queue's memory of a waiter that left: a test shortens its 30 min to see it lapse"},
+	{"flow.Config.Quantum", "the delivery calendar: flow's tests set 10 ms and flow.Exact to see the lateness bound move"},
+	{"wp2p.Config.Identities", "identity retention across clients: a test shares one store between two of them"},
+	{"wp2p.LIHDConfig.Umin", "LIHD's floor: a test raises its 1 KB/s to see the cap stop there"},
+	{"wp2p.RRConfig.CheckInterval", "the watchdog's poll: tests shorten its 2 s to see an address change sooner"},
+	{"wp2p.RRConfig.DeadPeersGrace", "the watchdog's patience with no live peer: a test shortens its 10 s to see the re-dial"},
+
+	// ROADMAP item 6's sweep axes, reserved for the figures it widens.
+	{"experiments.Fig3Config.LeechesPerSwarm", "item 6's swarm-size sweep of Figures 3(a, b)"},
+	{"experiments.Fig8cConfig.Leeches", "item 6's swarm-size sweep of Figure 8(c)"},
+	{"experiments.Fig9cConfig.Leeches", "item 6's swarm-size sweep of Figure 9(c)"},
+	{"wp2p.MFConfig.Pr", "item 6's schedule sweep: the paper's §4.3 alternative PrStability beside the default PrProgress"},
+}
+
+// TestOptionsCensus holds keptFields to be exactly the exported fields of
+// exported *Config/*Options structs under internal/ that product code does
+// not set. A setter is a keyed (or positional) literal, or any assignment to
+// the field except the struct's own package filling in a default (an
+// assignment directly inside an if whose condition reads the same field).
+func TestOptionsCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module (a few seconds)")
+	}
+	c := moduleCensus(t)
+	kept := map[string]bool{}
+	for _, k := range keptFields {
+		if k.reason == "" {
+			t.Errorf("%s is in keptFields without a reason", k.id)
+		}
+		kept[k.id] = true
+	}
+	fields := c.optionFields()
+	for _, f := range fields {
+		listed := kept[f.id]
+		delete(kept, f.id)
+		switch set := c.set[f.v]; {
+		case set && listed:
+			t.Errorf("%s is set by product code: drop it from keptFields", f.id)
+		case !set && !listed:
+			t.Errorf("%s (%s) is set by no non-test file: make it a constant beside its one use, or give keptFields its reason", f.id, c.fset.Position(f.v.Pos()))
+		}
+	}
+	for id := range kept {
+		t.Errorf("%s is in keptFields but no such field exists", id)
+	}
+	t.Logf("%d exported Config/Options fields, %d set only by tests or by nothing", len(fields), len(keptFields))
+}
+
+var (
+	censusOnce sync.Once
+	theCensus  *census
+)
+
+// moduleCensus type-checks every package of internal/ cmd/ benchmark/
+// examples/ once per test binary.
+func moduleCensus(t *testing.T) *census {
+	censusOnce.Do(func() {
+		theCensus = newCensus()
+		for _, top := range []string{"internal", "cmd", "benchmark", "examples"} {
+			filepath.WalkDir(top, func(dir string, d os.DirEntry, err error) error {
+				if err == nil && d.IsDir() {
+					theCensus.load(dir)
+				}
+				return nil
+			})
+		}
+	})
+	if len(theCensus.errs) > 0 {
+		t.Fatalf("type-check failed: %v", theCensus.errs[0])
+	}
+	return theCensus
+}
+
+// optionField is one exported field of an exported *Config/*Options struct
+// declared under internal/, named "pkg.Struct.Field".
+type optionField struct {
+	id string
+	v  *types.Var
+}
+
+func (c *census) optionFields() (out []optionField) {
+	for path, p := range c.pkgs {
+		if !strings.HasPrefix(path, modulePath+"/internal/") {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					out = append(out, optionField{p.Name() + "." + name + "." + f.Name(), f})
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// countSetters marks every struct field that files (one package's non-test
+// files) set: by a keyed or positional literal, or by an assignment that is
+// not that package defaulting its own field.
+func (c *census) countSetters(pkg *types.Package, files []*ast.File, info *types.Info) {
+	mark := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			c.set[v] = true
+		}
+	}
+	defaults := map[ast.Stmt]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				cond := map[string]bool{}
+				ast.Inspect(n.Cond, func(e ast.Node) bool {
+					if e, ok := e.(ast.Expr); ok {
+						cond[types.ExprString(e)] = true
+					}
+					return true
+				})
+				for _, s := range n.Body.List {
+					if as, ok := s.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && cond[types.ExprString(as.Lhs[0])] {
+						defaults[as] = true
+					}
+				}
+			case *ast.CompositeLit:
+				st, isStruct := info.TypeOf(n).Underlying().(*types.Struct)
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							mark(id)
+						}
+					} else if isStruct && i < st.NumFields() {
+						c.set[st.Field(i)] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						v, _ := info.Uses[sel.Sel].(*types.Var)
+						if v != nil && v.IsField() && !(defaults[n] && v.Pkg() == pkg) {
+							c.set[v] = true
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					mark(sel.Sel)
+				}
+			}
+			return true
+		})
+	}
+}
+
 const modulePath = "github.com/wp2p/wp2p"
 
 // entry counts the references to one package-level func, method or type:
@@ -123,6 +286,7 @@ type census struct {
 	pkgs map[string]*types.Package // module packages, non-test files only
 	refs map[string]*entry         // by id: dir.Func or dir.Type.Method, dir relative to the module
 	lits []*types.Interface        // interface type literals met in non-test files
+	set  map[*types.Var]bool       // struct fields a non-test file sets (countSetters)
 	errs []error
 }
 
@@ -133,6 +297,7 @@ func newCensus() *census {
 		std:  importer.ForCompiler(fset, "source", nil),
 		pkgs: map[string]*types.Package{},
 		refs: map[string]*entry{},
+		set:  map[*types.Var]bool{},
 	}
 }
 
@@ -229,6 +394,7 @@ func (c *census) check(path string, files []*ast.File, testOnly bool) *types.Pac
 	if testOnly {
 		return pkg
 	}
+	c.countSetters(pkg, files, info)
 	for ident, obj := range info.Defs {
 		if fn, ok := obj.(*types.Func); ok && ident.Name != "init" && ident.Name != "main" && ident.Name != "_" {
 			if id, recv := objectID(fn); id != "" {

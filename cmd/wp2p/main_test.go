@@ -140,7 +140,9 @@ func TestRejectedBeforeAnyWorld(t *testing.T) {
 		{"unknown subcommand", []string{"simulate"}, 2, `unknown subcommand "simulate"`},
 		{"unknown flag", []string{"run", "-transport", "net"}, 2, "not defined: -transport"},
 		{"unknown experiment", []string{"run", "-scale", "0.05", anExperiment, "fig99"}, 1, `unknown experiment "fig99" (try -list)`},
-		{"bad fidelity", []string{"run", "-scale", "0.05", "-fidelity", "bogus", anExperiment}, 1, `unknown -fidelity "bogus"`},
+		// The fluid core is reached through a scenario's groups, not a figure's hosts.
+		{"run takes no fidelity", []string{"run", "-scale", "0.05", "-fidelity", "flow", "fig4a"}, 2, "not defined: -fidelity"},
+		{"figures takes no fidelity", []string{"figures", "-scale", "0.05", "-fidelity", "flow"}, 2, "not defined: -fidelity"},
 		{"bad fidelity (scenario)", []string{"scenario", "-scale", "0.05", "-fidelity", "bogus", fig4aSpec}, 1, `unknown -fidelity "bogus"`},
 		{"no scenario file", []string{"scenario", "-scale", "0.05"}, 2, "usage: wp2p scenario"},
 		{"missing scenario file", []string{"scenario", "-scale", "0.05", fig4aSpec, filepath.Join(dir, "none.json")}, 1, "none.json"},
@@ -488,7 +490,7 @@ func TestTextReportMatchesGolden(t *testing.T) {
 // TestSharedFlagsRegisteredOnce: each simulated subcommand's -h lists every
 // shared flag exactly once, and live lists only the ones that apply to it.
 func TestSharedFlagsRegisteredOnce(t *testing.T) {
-	shared := []string{"scale", "parallel", "shards", "fidelity", "stats", "json", "check", "digest",
+	shared := []string{"scale", "parallel", "shards", "stats", "json", "check", "digest",
 		"timeseries", "sample-every", "barrierprofile", "cpuprofile", "memprofile", "trace", "tracecap"}
 	count := func(help, name string) int {
 		return len(regexp.MustCompile(`(?m)^  -`+regexp.QuoteMeta(name)+`( |$)`).FindAllString(help, -1))

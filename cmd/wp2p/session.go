@@ -28,7 +28,7 @@ type session struct {
 	parallel, shards, traceCap                       int
 	stats, check, barrierProf                        bool
 	sampleEvery                                      time.Duration
-	fidelity, jsonDir, traceSpec                     string
+	jsonDir, traceSpec                               string
 	digestPath, tsPath, cpuPath, memPath, reportPath string // reportPath (figures -o) replaces stdout
 	outputs                                          []output
 }
@@ -63,7 +63,6 @@ func newSession(name string, sim bool, defaultScale float64, stdout, stderr io.W
 	}
 	fs.IntVar(&s.parallel, "parallel", runtime.GOMAXPROCS(0), "how many runs execute at once, nested sweep points and seeds included; 1 = fully sequential")
 	fs.IntVar(&s.shards, "shards", 0, "shard each world across this many engine workers (fig4a and bt scenarios; 0 = single engine); results are identical at any value")
-	fs.StringVar(&s.fidelity, "fidelity", "", "wired-core transport model, \"packet\" or \"flow\" (wireless/mobile peers stay packet-level): for fig2a and fig4a, default packet; for scenarios, overrides every group's fidelity field")
 	fs.BoolVar(&s.stats, "stats", false, "print each result's cross-layer stats summary")
 	fs.StringVar(&s.jsonDir, "json", "", "write each result as wp2p.result.v1 JSON into this directory")
 	fs.StringVar(&s.traceSpec, "trace", "", "record a flight-recorder trace per world, filtered by source=kind spec (\"*\" or empty = everything); dumped to stderr")
@@ -125,9 +124,6 @@ func (s *session) start() bool {
 		if s.isSet(need[0]) && !s.isSet(need[1]) {
 			s.fail(2, "-%s needs -%s", need[0], need[1])
 		}
-	}
-	if s.fidelity != "" && s.fidelity != experiments.FidelityPacket && s.fidelity != experiments.FidelityFlow {
-		s.fail(1, "unknown -fidelity %q (want %q or %q)", s.fidelity, experiments.FidelityPacket, experiments.FidelityFlow)
 	}
 	if s.jsonDir != "" && s.exit == 0 {
 		if err := os.MkdirAll(s.jsonDir, 0o755); err != nil {

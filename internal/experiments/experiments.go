@@ -150,10 +150,6 @@ type RegistryOptions struct {
 	// not been taught the sharded world ignore it. Results and digests are
 	// identical at any value.
 	Shards int
-	// Fidelity selects the wired-core transport model for experiments that
-	// support it (currently fig2a and fig4a): FidelityPacket (default) or
-	// FidelityFlow. Wireless and mobile hosts stay packet-level either way.
-	Fidelity string
 }
 
 // registry is the one list of experiments, in run order: the paper's
@@ -161,14 +157,12 @@ type RegistryOptions struct {
 // seed-mode LIHD it defers (§4.2), the §3.7 protocols).
 func registry(scale float64, opts RegistryOptions) []experiment {
 	return []experiment{
-		{"fig2a", func() *Result { return Fig2aBiVsUniTCP(Fig2aConfig{Scale: scale, Fidelity: opts.Fidelity}) }},
+		{"fig2a", func() *Result { return Fig2aBiVsUniTCP(Fig2aConfig{Scale: scale}) }},
 		{"fig2bc", func() *Result { return Fig2bcPacketsAfterDrop(Fig2bcConfig{Scale: scale}) }},
 		{"fig3a", func() *Result { return Fig3aUploadCapWired(Fig3Config{Scale: scale}) }},
 		{"fig3b", func() *Result { return Fig3bUploadCapWireless(Fig3Config{Scale: scale}) }},
 		{"fig3c", func() *Result { return Fig3cIncentiveMobility(Fig3cConfig{Scale: scale}) }},
-		{"fig4a", func() *Result {
-			return Fig4aServerMobility(Fig4aConfig{Scale: scale, Shards: opts.Shards, Fidelity: opts.Fidelity})
-		}},
+		{"fig4a", func() *Result { return Fig4aServerMobility(Fig4aConfig{Scale: scale, Shards: opts.Shards}) }},
 		{"fig4bc", func() *Result { return Fig4bcRarestPlayability(FigPlayConfig{Scale: scale}) }},
 		{"fig8a", func() *Result { return Fig8aAgeBasedManipulation(Fig8aConfig{Scale: scale}) }},
 		{"fig8b", func() *Result { return Fig8bIdentityRetention(Fig8bConfig{Scale: scale}) }},

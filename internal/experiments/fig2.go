@@ -18,10 +18,6 @@ type Fig2aConfig struct {
 	Duration time.Duration // measurement window per point (default 2 min)
 	Runs     int           // averaged runs per point (paper: 5)
 	Seed     int64
-	// Fidelity selects the wired peer's transport model: FidelityPacket
-	// (default) or FidelityFlow. The mobile peer is always packet-level —
-	// every phenomenon this figure measures lives on the wireless leg.
-	Fidelity string
 }
 
 func (c Fig2aConfig) withDefaults() Fig2aConfig {
@@ -64,12 +60,7 @@ func Fig2aBiVsUniTCP(cfg Fig2aConfig) *Result {
 	measure := func(bidirectional bool, ber float64, run int) float64 {
 		w := NewWorld(cfg.Seed+int64(run)*100+1, 0)
 		defer w.Finish(col)
-		var fixed *Host
-		if cfg.Fidelity == FidelityFlow {
-			fixed = w.FluidHost(netem.AccessLinkConfig{})
-		} else {
-			fixed = w.WiredHost(0, 0)
-		}
+		fixed := w.WiredHost(0, 0)
 		mobile := w.WirelessHost(netem.WirelessConfig{Rate: fig2Rate, BER: ber})
 		var server *tcp.Conn
 		fixed.Stack.MustListen(80, func(c *tcp.Conn) { server = c })

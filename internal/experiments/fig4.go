@@ -15,10 +15,6 @@ type Fig4aConfig struct {
 	Scale   float64
 	Periods []time.Duration // IP-change periods; 0 = no mobility
 	Shards  int             // worker threads for the sharded engine; 0 = single-engine
-	// Fidelity selects the transport model for hosts that never move:
-	// FidelityPacket (default) or FidelityFlow. Seeds that will hand off
-	// stay packet-level regardless — mobility requires packet fidelity.
-	Fidelity string
 }
 
 func (c Fig4aConfig) withDefaults() Fig4aConfig {
@@ -55,17 +51,11 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 		// the sweep measures sustained throughput.
 		tor := bt.NewMetaInfo("fig4a", Scaled(1024*1024*1024, cfg.Scale, 64*1024*1024), 256*1024)
 		for i := 0; i < seeds; i++ {
-			mobile := i < mobileSeeds && period > 0
-			var host *Host
-			if cfg.Fidelity == FidelityFlow && !mobile {
-				host = w.FluidHost(netem.AccessLinkConfig{UpRate: 300 * netem.KBps})
-			} else {
-				host = w.WiredHost(300*netem.KBps, 0)
-			}
+			host := w.WiredHost(300*netem.KBps, 0)
 			mustStart(bt.NewClient(bt.Config{
 				Transport: host.Transport, Torrent: tor, Tracker: w.Announcer(host), Seed: true,
 			}).Start())
-			if mobile {
+			if i < mobileSeeds && period > 0 {
 				// Oblivious, not mobility.DefaultReaction: the figure is
 				// fixed peers that "keep trying a vanished mobile server for
 				// minutes"; the swarm relearns the address via announces.
@@ -74,12 +64,7 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 				h.Start()
 			}
 		}
-		var fixedHost *Host
-		if cfg.Fidelity == FidelityFlow {
-			fixedHost = w.FluidHost(netem.AccessLinkConfig{})
-		} else {
-			fixedHost = w.WiredHost(0, 0)
-		}
+		fixedHost := w.WiredHost(0, 0)
 		fixed := bt.NewClient(bt.Config{
 			Transport: fixedHost.Transport, Torrent: tor, Tracker: w.Announcer(fixedHost),
 		})

@@ -259,14 +259,10 @@ func Fig8cLIHD(cfg Fig8cConfig) *Result {
 		if lihd {
 			c := wp2p.New(wp2p.Config{
 				BT: bt.Config{Transport: mob.Transport, Torrent: tor, Tracker: w.Tracker, UnchokeSlots: 2},
-				// α = β = 10 KBps as in the paper; a 30 s control window
-				// spans the tit-for-tat reaction lag (choke rounds + rate
-				// windows), so the controller sees the reward of its own
-				// upload changes.
-				LIHD: &wp2p.LIHDConfig{
-					Umax: bw, Alpha: 10 * netem.KBps, Beta: 10 * netem.KBps,
-					Period: 30 * time.Second,
-				},
+				// A 30 s control window spans the tit-for-tat reaction lag
+				// (choke rounds + rate windows), so the controller sees the
+				// reward of its own upload changes.
+				LIHD: &wp2p.LIHDConfig{Umax: bw, Period: 30 * time.Second},
 			})
 			mustStart(c.Start())
 			w.RunFor(duration)

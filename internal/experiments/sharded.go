@@ -19,9 +19,6 @@ const DefaultLogicalShards = 8
 
 // ShardConfig selects between the single-engine world and the sharded one.
 type ShardConfig struct {
-	// Logical is the partition count (0 = DefaultLogicalShards). Changing it
-	// changes the trajectory, like changing the seed.
-	Logical int
 	// Workers is the worker-thread count; 0 or less selects the
 	// single-engine world. Any positive value replays the same sharded
 	// trajectory.
@@ -43,10 +40,7 @@ const hostShardSalt = 0x5bd1e995
 // packet between shards crosses the cloud — so it is the barrier lookahead
 // (DESIGN.md §14 derives this).
 func (w *World) partition(seed int64, netCfg netem.NetworkConfig, sc ShardConfig) {
-	logical := sc.Logical
-	if logical <= 0 {
-		logical = DefaultLogicalShards
-	}
+	const logical = DefaultLogicalShards
 	cloud := netCfg.CloudDelay
 	if bt.DefaultTrackerRTT < cloud {
 		panic(fmt.Sprintf("experiments: tracker RTT %v below the shard lookahead %v — announce injections would violate the barrier bound", bt.DefaultTrackerRTT, cloud))

@@ -28,8 +28,8 @@ type World struct {
 	// Workers ≥ 1), nil in a single-engine world.
 	Sharded *sim.ShardedEngine
 	// Shards holds every partition of the world: one in a single-engine
-	// world, sc.Logical in a sharded one. Engine and Net alias shard 0, where
-	// the tracker lives.
+	// world, DefaultLogicalShards in a sharded one. Engine and Net alias
+	// shard 0, where the tracker lives.
 	Shards []Shard
 
 	// What obs.attach armed, one entry per shard; nil when that observer is off.
@@ -65,9 +65,9 @@ var oneShard = []int{0}
 
 // NewWorldSharded builds every world. sc.Workers ≤ 0 gives a single-engine
 // world: one shard, no coordinator. Otherwise the world is partitioned into
-// sc.Logical shards (0 = DefaultLogicalShards) driven by sc.Workers threads,
-// with hosts assigned to shards by a seed-derived permutation. Either way the
-// tracker lives on shard 0, and a zero netCfg.CloudDelay is coreDelay.
+// DefaultLogicalShards shards driven by sc.Workers threads, with hosts
+// assigned to shards by a seed-derived permutation. Either way the tracker
+// lives on shard 0, and a zero netCfg.CloudDelay is coreDelay.
 func NewWorldSharded(seed int64, announce time.Duration, netCfg netem.NetworkConfig, sc ShardConfig) *World {
 	if netCfg.CloudDelay == 0 {
 		netCfg.CloudDelay = coreDelay
@@ -133,14 +133,6 @@ type Host struct {
 	Net       *netem.Network
 	Shard     int
 }
-
-// Fidelity values select how a wired host's bulk transfers are modelled:
-// per-packet serialization through an AccessLink, or the flow-level fluid
-// model (internal/flow). Wireless and mobile hosts are always packet-level.
-const (
-	FidelityPacket = "packet"
-	FidelityFlow   = "flow"
-)
 
 // WiredHost attaches a host behind a full-duplex access link. Zero rates
 // default to 1 MB/s each way.

@@ -92,7 +92,7 @@ func compile(s *Spec, scale float64, seed int64, opts Options) *compiled {
 		CloudDelay: s.Network.CloudDelay.D(),
 		Jitter:     s.Network.Jitter.D(),
 	}
-	sc := experiments.ShardConfig{Logical: s.Shards, Workers: opts.ShardWorkers}
+	sc := experiments.ShardConfig{Workers: opts.ShardWorkers}
 	c := &compiled{
 		spec:     s,
 		w:        experiments.NewWorldSharded(seed, s.AnnounceInterval.D(), netCfg, sc),
@@ -161,15 +161,11 @@ func (s *Spec) contentName() string {
 func (c *compiled) buildContent(scale float64) {
 	t := c.spec.Workload.Torrent
 	c.contentSize = experiments.Scaled(t.SizeBytes, scale, t.SizeFloor)
-	piece := t.PieceBytes
-	if piece == 0 {
-		piece = 256 * 1024
-	}
 	switch c.spec.Workload.Protocol {
 	case ProtoBT:
-		c.tor = bt.NewMetaInfo(c.spec.contentName(), c.contentSize, piece)
+		c.tor = bt.NewMetaInfo(c.spec.contentName(), c.contentSize, bt.DefaultPieceLen)
 	case ProtoEd2k:
-		c.edFile = &ed2k.File{ID: ed2k.FileID(c.spec.contentName()), Size: c.contentSize, ChunkLen: piece}
+		c.edFile = &ed2k.File{ID: ed2k.FileID(c.spec.contentName()), Size: c.contentSize, ChunkLen: bt.DefaultPieceLen}
 		c.edSrv = ed2k.NewServer(c.w.Engine)
 	case ProtoGnutella:
 		// Sharers register the key per instance; nothing global to build.
@@ -200,7 +196,6 @@ func (c *compiled) buildInstance(inst *instance, g *PeerGroup, i int, eventDrive
 			Delay:    g.Link.Delay.D(),
 			QueueCap: g.Link.QueueCap,
 			BER:      g.Link.BER,
-			Overhead: g.Link.Overhead.D(),
 		})
 	}
 	c.buildClient(inst)
@@ -321,10 +316,7 @@ func (c *compiled) buildClient(inst *instance) {
 			wcfg.AM = &wp2p.AMConfig{}
 		}
 		if l := g.WP2P.LIHD; l != nil {
-			wcfg.LIHD = &wp2p.LIHDConfig{
-				Umax: l.Umax.R(), Alpha: l.Alpha.R(), Beta: l.Beta.R(),
-				Period: l.Period.D(),
-			}
+			wcfg.LIHD = &wp2p.LIHDConfig{Umax: l.Umax.R(), Period: l.Period.D()}
 		}
 		if g.WP2P.MF {
 			wcfg.MF = &wp2p.MFConfig{}

@@ -2,12 +2,50 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
 	"github.com/wp2p/wp2p/internal/experiments"
 	"github.com/wp2p/wp2p/internal/runner"
 )
+
+// hybridTolerance is the documented accuracy contract of flow fidelity:
+// every figure point produced with the fluid wired core must land within
+// 10% (relative) of the packet-level truth, with a 1 KB/s absolute floor so
+// near-zero points don't blow up the ratio.
+const hybridTolerance = 0.10
+
+// TestFig4aFlowWithinTolerance validates the hybrid model on an all-wired
+// figure: `wp2p scenario -fidelity flow` of fig4a.json puts the fixed peer
+// on the fluid core while the seeds, whose group carries a mobility block,
+// stay packet-level, and the mobility throughput-collapse curves must match
+// the all-packet run within tolerance.
+func TestFig4aFlowWithinTolerance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two fig4a sweeps")
+	}
+	spec := loadExample(t, "fig4a.json")
+	sweep := *spec.Sweep
+	sweep.Values, sweep.X = []any{"0s", "30s"}, []float64{0, 0.5}
+	spec.Sweep = &sweep
+	packet, err := RunOpts(spec, testScale, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow, err := RunOpts(spec, testScale, Options{Fidelity: FidelityFlow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, s := range packet.Series {
+		for i, p := range s.Y {
+			f := flow.Series[si].Y[i]
+			if bound := max(hybridTolerance*p, 1); math.Abs(f-p) > bound {
+				t.Errorf("%s at %v min: flow=%.3f packet=%.3f KB/s (tolerance %.3f)", s.Label, s.X[i], f, p, bound)
+			}
+		}
+	}
+}
 
 // flowCrowdWith runs the example flash-crowd scenario with every wired
 // group upgraded to flow fidelity, at the given shard worker count, with

@@ -107,9 +107,6 @@ func (s *Spec) validate() error {
 	if tor.SizeFloor < 0 || tor.SizeFloor > tor.SizeBytes {
 		e.add("workload.torrent.size_floor", "must be within [0, size_bytes], got %d", tor.SizeFloor)
 	}
-	if tor.PieceBytes < 0 {
-		e.add("workload.torrent.piece_bytes", "must be ≥ 0, got %d", tor.PieceBytes)
-	}
 
 	if len(s.Peers) == 0 {
 		e.add("peers", "at least one peer group is required")
@@ -150,9 +147,6 @@ func (s *Spec) validateGroup(e *errs, path string, g *PeerGroup, seen map[string
 		}
 		if g.Link.BER != 0 {
 			e.add(lp+".ber", "is wireless-only")
-		}
-		if g.Link.Overhead != 0 {
-			e.add(lp+".overhead", "is wireless-only")
 		}
 	case "wireless":
 		if g.Link.Up != 0 || g.Link.Down != 0 {
@@ -210,7 +204,7 @@ func (s *Spec) validateGroup(e *errs, path string, g *PeerGroup, seen map[string
 		if m.Jitter < 0 || (m.Period > 0 && m.Jitter >= m.Period) {
 			e.add(mp+".jitter", "must be within [0, period), got %v", m.Jitter.D())
 		}
-		if m.First < 0 || m.First > g.Count && g.Count > 0 {
+		if m.First < 0 || m.First > count(g) {
 			e.add(mp+".first", "must be within [0, count], got %d", m.First)
 		}
 		if m.DetectionDelay != nil && *m.DetectionDelay < 0 {
@@ -251,8 +245,8 @@ func (s *Spec) validateEvent(e *errs, path string, ev *Event) {
 	}
 	target := func() *PeerGroup {
 		g := group("peers", ev.Peers)
-		if g != nil && ev.Index != nil && (*ev.Index < 0 || *ev.Index >= g.Count) {
-			e.add(path+".index", "must be within [0, %d), got %d", g.Count, *ev.Index)
+		if g != nil && ev.Index != nil && (*ev.Index < 0 || *ev.Index >= count(g)) {
+			e.add(path+".index", "must be within [0, %d), got %d", count(g), *ev.Index)
 		}
 		return g
 	}
@@ -329,14 +323,11 @@ func (s *Spec) validateEvent(e *errs, path string, ev *Event) {
 		if ev.For < 0 {
 			e.add(path+".for", "must be ≥ 0, got %v", ev.For.D())
 		}
-	case ActPartition, ActHeal:
+	case ActPartition:
 		group("a", ev.A)
 		group("b", ev.B)
 		if ev.A != "" && ev.A == ev.B {
 			e.add(path+".b", "partition endpoints must differ, both are %q", ev.A)
-		}
-		if ev.Action == ActHeal && ev.For != 0 {
-			e.add(path+".for", "heal is instantaneous")
 		}
 	default:
 		e.add(path+".action", "unknown action %q", ev.Action)
@@ -349,7 +340,7 @@ func (s *Spec) validateMeasure(e *errs) {
 	}
 	switch s.Measure.Metric {
 	case MetricDownloadKBps, MetricUploadKBps, MetricDownloadedMB,
-		MetricCompletionS, MetricCompleted, MetricHandoffs:
+		MetricCompletionS, MetricCompleted:
 	default:
 		e.add("measure.metric", "unknown metric %q", s.Measure.Metric)
 	}

@@ -116,6 +116,13 @@ func TestLoadErrorsNamePath(t *testing.T) {
 			m["workload"].(map[string]any)["protocol"] = "gnutella"
 			m["peers"].([]any)[1].(map[string]any)["mobility"] = map[string]any{"period": "1m", "ip_base": 1000}
 		}, `peers[1].mobility.reaction: a gnutella node has no restart entry point for "restart", the default; write "reaction": "oblivious"`},
+		// mobile-seed.json's one-instance group omits count: 3 is beyond it,
+		// as it is once "count": 1 is spelled out.
+		{"first beyond an omitted count", func(m map[string]any) {
+			m["peers"].([]any)[1].(map[string]any)["mobility"] = map[string]any{
+				"period": "1m", "ip_base": 1000, "first": 3,
+			}
+		}, "peers[1].mobility.first: must be within [0, count], got 3"},
 		{"negative detection delay", func(m map[string]any) {
 			m["peers"].([]any)[1].(map[string]any)["mobility"] = map[string]any{
 				"period": "1m", "ip_base": 1000, "detection_delay": "-5s",
@@ -135,6 +142,10 @@ func TestLoadErrorsNamePath(t *testing.T) {
 			ber := 0.001
 			m["events"] = []any{map[string]any{"at": "1m", "action": "set_ber", "peers": "leech", "ber": ber}}
 		}, "events[0].peers:"},
+		// A partition's own "for" ends it; there is no separate heal.
+		{"heal", func(m map[string]any) {
+			m["events"] = []any{map[string]any{"at": "1m", "action": "heal", "a": "seed", "b": "leech"}}
+		}, `events[0].action: unknown action "heal"`},
 		{"partition with same endpoints", func(m map[string]any) {
 			m["events"] = []any{map[string]any{"at": "1m", "action": "partition", "a": "leech", "b": "leech"}}
 		}, "events[0].b:"},
@@ -144,6 +155,10 @@ func TestLoadErrorsNamePath(t *testing.T) {
 		{"unknown metric", func(m map[string]any) {
 			m["measure"].(map[string]any)["metric"] = "vibes"
 		}, "measure.metric:"},
+		// Every export carries the mobility.handoffs counter instead.
+		{"handoffs metric", func(m map[string]any) {
+			m["measure"].(map[string]any)["metric"] = "handoffs"
+		}, `measure.metric: unknown metric "handoffs"`},
 		{"sample with sweep", func(m map[string]any) {
 			m["measure"].(map[string]any)["sample"] = "30s"
 			m["sweep"] = map[string]any{"param": "duration", "values": []any{"5m"}}
@@ -181,6 +196,45 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	m["duraton"] = "5m" // typo'd key must not be silently ignored
 	if _, err := Load(mustJSON(t, m)); err == nil {
 		t.Fatal("Load accepted a document with an unknown top-level field")
+	}
+	// Keys whose one value in use is now the model's constant: the logical
+	// shard count, the torrent's piece length, the WLAN's MAC overhead and
+	// LIHD's steps.
+	for _, tc := range []struct {
+		key    string
+		mutate func(m map[string]any)
+	}{
+		{"shards", func(m map[string]any) { m["shards"] = 8 }},
+		{"piece_bytes", func(m map[string]any) {
+			m["workload"].(map[string]any)["torrent"].(map[string]any)["piece_bytes"] = 262144
+		}},
+		{"overhead", func(m map[string]any) {
+			m["peers"].([]any)[1].(map[string]any)["link"] = map[string]any{"kind": "wireless", "overhead": "2ms"}
+		}},
+		{"alpha", func(m map[string]any) {
+			m["peers"].([]any)[1].(map[string]any)["wp2p"] = map[string]any{"lihd": map[string]any{"umax": "100KBps", "alpha": "10KBps"}}
+		}},
+		{"beta", func(m map[string]any) {
+			m["peers"].([]any)[1].(map[string]any)["wp2p"] = map[string]any{"lihd": map[string]any{"umax": "100KBps", "beta": "10KBps"}}
+		}},
+	} {
+		m := minimal()
+		tc.mutate(m)
+		_, err := Load(mustJSON(t, m))
+		if want := `unknown field "` + tc.key + `"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Load error %v, want one naming %s", tc.key, err, want)
+		}
+	}
+}
+
+// TestLoadCountsOmittedCount: a group that omits count has one instance,
+// which mobility.first and an event's index may name.
+func TestLoadCountsOmittedCount(t *testing.T) {
+	m := minimal()
+	m["peers"].([]any)[1].(map[string]any)["mobility"] = map[string]any{"period": "1m", "ip_base": 1000, "first": 1}
+	m["events"] = []any{map[string]any{"at": "1m", "action": "leave", "peers": "leech", "index": 0}}
+	if _, err := Load(mustJSON(t, m)); err != nil {
+		t.Fatal(err)
 	}
 }
 

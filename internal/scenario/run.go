@@ -203,8 +203,7 @@ func runSampled(s *Spec, scale float64, seed int64, points int, col *stats.Colle
 }
 
 // measure evaluates the spec's metric over the measured group at the given
-// window end, averaging across instances (completed_frac: the fraction;
-// handoffs: the sum).
+// window end, averaging across instances (completed_frac: the fraction).
 func (c *compiled) measure(window time.Duration) float64 {
 	insts := c.groups[c.spec.Measure.Peers]
 	if len(insts) == 0 {
@@ -250,13 +249,6 @@ func (c *compiled) measure(window time.Duration) float64 {
 			}
 		}
 		return sum / n
-	case MetricHandoffs:
-		for _, inst := range insts {
-			if inst.handoff != nil {
-				sum += float64(inst.handoff.Changes())
-			}
-		}
-		return sum
 	}
 	return 0
 }

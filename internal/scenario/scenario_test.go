@@ -217,10 +217,12 @@ func TestShapedLinksMatchGolden(t *testing.T) {
 	}
 }
 
-// TestFieldCoverageSpec gives each spec field that no bundled scenario sets
-// an observable effect: network.cloud_delay and jitter, peers[].start_at and
-// arrival_interval, a wired link's down rate, wp2p.am and wp2p.mf, and
-// events[].index.
+// TestFieldCoverageSpec gives an observable effect to the spec terms that
+// testdata/field-coverage.json alone uses (TestSpecCensus counts it as a
+// spec): network.cloud_delay and jitter, peers[].start_at and
+// arrival_interval, a wired link's down rate, a wireless link's ber,
+// wp2p.am and wp2p.mf, events[].index, set_rate's down, and the
+// completion_s metric.
 func TestFieldCoverageSpec(t *testing.T) {
 	spec, err := LoadFile("testdata/field-coverage.json")
 	if err != nil {
@@ -264,7 +266,8 @@ func TestFieldCoverageSpec(t *testing.T) {
 	}
 
 	// The leave event at 60 s picks instance 1 alone; the others keep
-	// downloading, each as fast as its 50 KB/s downlink allows.
+	// downloading, each as fast as its downlink allows: 50 KB/s, until the
+	// set_rate event at 90 s halves instance 2's.
 	eng.RunUntil(60*time.Second + time.Millisecond)
 	var before [3]int64
 	for k, inst := range crowd {
@@ -279,9 +282,16 @@ func TestFieldCoverageSpec(t *testing.T) {
 			}
 			continue
 		}
-		if capped := int64(50_000 * 60); got > capped || got < capped*8/10 {
+		capped := int64(50_000 * 60)
+		if k == 2 {
+			capped = 50_000*30 + 25_000*30
+		}
+		if got > capped || got < capped*8/10 {
 			t.Errorf("crowd[%d] downloaded %d bytes in 60 s, want within 80-100%% of its downlink's %d", k, got, capped)
 		}
+	}
+	if ber := c.groups["hotspot"][0].host.WLAN.BER(); ber != 1e-6 {
+		t.Errorf("hotspot channel BER = %g, want the spec's 1e-6", ber)
 	}
 
 	// Every cloud crossing takes cloud_delay plus a jitter draw in [0, 10ms).
@@ -296,6 +306,20 @@ func TestFieldCoverageSpec(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Errorf("50 crossings drew %d distinct delays, want jitter", len(seen))
+	}
+
+	// completion_s averages each instance's completion instant, an
+	// incomplete one (crowd[1] left, crowd[2] is throttled) counting the
+	// whole window.
+	window := 400 * time.Second
+	eng.RunUntil(window)
+	done := crowd[0].completedAt
+	if done <= 0 || crowd[1].completedAt >= 0 || crowd[2].completedAt >= 0 {
+		t.Fatalf("completion instants %v %v %v, want crowd[0]'s alone", done, crowd[1].completedAt, crowd[2].completedAt)
+	}
+	t.Logf("crowd[0] completed at %v", done)
+	if got, want := c.measure(window), (done.Seconds()+window.Seconds()+window.Seconds())/3; got != want {
+		t.Errorf("completion_s = %v, want %v", got, want)
 	}
 }
 

@@ -79,8 +79,6 @@ func (c *compiled) fire(ev *Event) {
 		if ev.For > 0 {
 			c.w.ScheduleControl(c.evDur(ev.For), func() { c.setPartition(ev.A, ev.B, false) })
 		}
-	case ActHeal:
-		c.setPartition(ev.A, ev.B, false)
 	}
 }
 

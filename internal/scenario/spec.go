@@ -140,11 +140,6 @@ type Spec struct {
 	DurationFloor Duration `json:"duration_floor,omitempty"`
 	// AnnounceInterval is the tracker announce period (0 = bt default).
 	AnnounceInterval Duration `json:"announce_interval,omitempty"`
-	// Shards is the logical partition count used when the CLI requests a
-	// sharded run (-shards ≥ 1); 0 selects the engine default. It is part of
-	// the model: different logical counts are different trajectories, while
-	// the CLI's worker count never changes results.
-	Shards int `json:"shards,omitempty"`
 
 	Network  NetworkSpec  `json:"network,omitempty"`
 	Workload WorkloadSpec `json:"workload"`
@@ -192,7 +187,8 @@ type WorkloadSpec struct {
 }
 
 // TorrentSpec is the distributed file: also the ed2k File and the gnutella
-// shared key, so every protocol reads the same content description.
+// shared key, so every protocol reads the same content description. Its
+// pieces (ed2k: chunks) are bt.DefaultPieceLen long.
 type TorrentSpec struct {
 	// Name keys the content (default: the scenario name).
 	Name string `json:"name,omitempty"`
@@ -201,8 +197,6 @@ type TorrentSpec struct {
 	SizeBytes int64 `json:"size_bytes"`
 	// SizeFloor bounds how far scale can shrink SizeBytes (0 = no floor).
 	SizeFloor int64 `json:"size_floor,omitempty"`
-	// PieceBytes is the piece length (default 256 KiB); not scaled.
-	PieceBytes int `json:"piece_bytes,omitempty"`
 }
 
 // Peer roles.
@@ -215,7 +209,7 @@ const (
 // simulates every packet crossing the access link; flow fidelity models a
 // wired group's bulk transfers as fluid flows whose rates are max-min
 // shared per link, collapsing the per-packet event stream to one delivery
-// event per packet. The values match experiments.FidelityPacket/Flow.
+// event per packet.
 const (
 	FidelityPacket = "packet"
 	FidelityFlow   = "flow"
@@ -266,7 +260,8 @@ type PeerGroup struct {
 // LinkSpec is a group's access medium. Wired instances each get a private
 // full-duplex link; wireless instances each get their own half-duplex
 // channel (shared-cell contention is out of scope for v1 — the paper's
-// testbed gives each station its own WLAN leg to the wired network).
+// testbed gives each station its own WLAN leg to the wired network), whose
+// per-packet MAC overhead is experiments.DefaultWirelessOverhead.
 type LinkSpec struct {
 	// Kind is "wired" or "wireless".
 	Kind string `json:"kind"`
@@ -281,8 +276,6 @@ type LinkSpec struct {
 	QueueCap int `json:"queue,omitempty"`
 	// BER is the wireless bit error rate.
 	BER float64 `json:"ber,omitempty"`
-	// Overhead is the wireless per-packet MAC overhead (0 = netem default).
-	Overhead Duration `json:"overhead,omitempty"`
 }
 
 // WP2PSpec toggles the wP2P components per peer group, mirroring
@@ -300,11 +293,10 @@ type WP2PSpec struct {
 	RetainIdentity bool `json:"retain_identity,omitempty"`
 }
 
-// LIHDSpec parameterizes LIHD (zero fields = wp2p defaults).
+// LIHDSpec parameterizes LIHD (zero fields = wp2p defaults); its steps are
+// the paper's, 10 KB/s.
 type LIHDSpec struct {
 	Umax   Rate     `json:"umax"`
-	Alpha  Rate     `json:"alpha,omitempty"`
-	Beta   Rate     `json:"beta,omitempty"`
 	Period Duration `json:"period,omitempty"`
 }
 
@@ -358,7 +350,6 @@ const (
 	ActSetRate      = "set_rate"
 	ActDisconnect   = "disconnect"
 	ActPartition    = "partition"
-	ActHeal         = "heal"
 )
 
 // Event is one timed entry of the fault/churn schedule. At (and the other
@@ -383,7 +374,7 @@ type Event struct {
 	Jitter Duration `json:"jitter,omitempty"`
 
 	// For bounds disconnect (radio-off time, default 30s) and partition
-	// (0 = until healed).
+	// (0 = to the end of the run).
 	For Duration `json:"for,omitempty"`
 
 	// BER is set_ber's new rate and ramp_ber's start (ramp default: the
@@ -400,8 +391,8 @@ type Event struct {
 	Down  Rate `json:"down,omitempty"`
 	RateV Rate `json:"rate,omitempty"`
 
-	// A/B name the two groups partition/heal applies between (every
-	// instance pair, at their addresses as of the event time).
+	// A/B name the two groups a partition separates (every instance pair,
+	// at their addresses as of the event time).
 	A string `json:"a,omitempty"`
 	B string `json:"b,omitempty"`
 }
@@ -413,12 +404,12 @@ const (
 	MetricDownloadedMB = "downloaded_mb"
 	MetricCompletionS  = "completion_s"
 	MetricCompleted    = "completed_frac"
-	MetricHandoffs     = "handoffs"
 )
 
 // MeasureSpec selects what one run reports: a metric over the instances of
-// one group, averaged across them (completed_frac: the complete fraction;
-// handoffs: the sum).
+// one group, averaged across them (completed_frac: the complete fraction).
+// Every export also carries the world's counters, mobility.handoffs among
+// them.
 type MeasureSpec struct {
 	Peers  string `json:"peers"`
 	Metric string `json:"metric"`
@@ -440,8 +431,6 @@ func (m MeasureSpec) yLabel() string {
 		return "completion time (s)"
 	case MetricCompleted:
 		return "completed fraction"
-	case MetricHandoffs:
-		return "handoffs"
 	default:
 		return m.Metric
 	}

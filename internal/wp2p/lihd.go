@@ -17,11 +17,6 @@ type LIHDConfig struct {
 	// tit-for-tat punishment (paper §3.3), so the controller never goes
 	// fully dark. Defaults to 1 KB/s.
 	Umin netem.Rate
-	// Alpha is the linear increase step (paper evaluation: 10 KBps).
-	Alpha netem.Rate
-	// Beta is the base decrease step, scaled by the consecutive-decrease
-	// count (paper evaluation: 10 KBps).
-	Beta netem.Rate
 	// Period is the window between control updates (default 10 s).
 	Period time.Duration
 }
@@ -33,15 +28,17 @@ type LIHDConfig struct {
 // the controller at the peak it found.
 const lihdEpsilon = 0.05
 
+// lihdAlpha is the linear increase step and lihdBeta the base decrease step,
+// scaled by the consecutive-decrease count: 10 KB/s each, the paper's
+// evaluation values.
+const (
+	lihdAlpha = 10 * netem.KBps
+	lihdBeta  = 10 * netem.KBps
+)
+
 func (c LIHDConfig) withDefaults() LIHDConfig {
 	if c.Umin == 0 {
 		c.Umin = 1 * netem.KBps
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 10 * netem.KBps
-	}
-	if c.Beta == 0 {
-		c.Beta = 10 * netem.KBps
 	}
 	if c.Period == 0 {
 		c.Period = 10 * time.Second
@@ -137,13 +134,13 @@ func (l *LIHD) update() {
 		switch {
 		case dcur > l.dprev*(1+lihdEpsilon):
 			// Downloads improving: be conservative going up.
-			l.ucur += float64(l.cfg.Alpha)
+			l.ucur += float64(lihdAlpha)
 			l.decCnt = 0
 			l.regIncreases.Inc()
 		case dcur < l.dprev*(1-lihdEpsilon):
 			// Downloads worse: back off with growing aggression.
 			l.decCnt++
-			l.ucur -= float64(l.cfg.Beta) * float64(l.decCnt)
+			l.ucur -= float64(lihdBeta) * float64(l.decCnt)
 			l.regDecreases.Inc()
 		default:
 			// Within the noise band: hold at the peak we found.
