@@ -143,14 +143,25 @@ func TestRejectedBeforeAnyWorld(t *testing.T) {
 		// The fluid core is reached through a scenario's groups, not a figure's hosts.
 		{"run takes no fidelity", []string{"run", "-scale", "0.05", "-fidelity", "flow", "fig4a"}, 2, "not defined: -fidelity"},
 		{"figures takes no fidelity", []string{"figures", "-scale", "0.05", "-fidelity", "flow"}, 2, "not defined: -fidelity"},
-		{"bad fidelity (scenario)", []string{"scenario", "-scale", "0.05", "-fidelity", "bogus", fig4aSpec}, 1, `unknown -fidelity "bogus"`},
+		// A group's fidelity field is the one way to the fluid core, and a spec's bt workload the one sharded world.
+		{"scenario -fidelity is gone", []string{"scenario", "-scale", "0.05", "-fidelity", "flow", fig4aSpec}, 2, "not defined: -fidelity"},
+		{"run -shards is gone", []string{"run", "-scale", "0.05", "-shards", "2", "fig4a"}, 2, "not defined: -shards"},
+		{"figures -shards is gone", []string{"figures", "-scale", "0.05", "-shards", "2"}, 2, "not defined: -shards"},
+		{"run -barrierprofile is gone", []string{"run", "-scale", "0.05", "-barrierprofile", "fig4a"}, 2, "not defined: -barrierprofile"},
+		// Out of range: no value below the bound means anything, so each names its flag.
+		{"scale out of range", []string{"run", "-scale", "-1", anExperiment}, 2, "-scale -1"},
+		{"parallel out of range", []string{"run", "-scale", "0.05", "-parallel", "0", anExperiment}, 2, "-parallel 0"},
+		{"shards out of range", []string{"scenario", "-scale", "0.05", "-shards", "-2", fig4aSpec}, 2, "-shards -2"},
+		{"tracecap out of range", []string{"run", "-scale", "0.05", "-trace", "bt=*", "-tracecap", "-5", anExperiment}, 2, "-tracecap -5"},
+		{"sample-every out of range", []string{"run", "-scale", "0.05", "-timeseries", filepath.Join(dir, "ts.json"), "-sample-every", "-1s", anExperiment}, 2, "-sample-every -1s"},
+		{"min-samples out of range", []string{"validate", "-min-samples", "-5", stormGolden}, 2, "-min-samples -5"},
 		{"no scenario file", []string{"scenario", "-scale", "0.05"}, 2, "usage: wp2p scenario"},
 		{"missing scenario file", []string{"scenario", "-scale", "0.05", fig4aSpec, filepath.Join(dir, "none.json")}, 1, "none.json"},
 		{"bad sweep", []string{"scenario", "-sweep", "nonsense", fig4aSpec}, 2, "-sweep"},
 		// The loader's own rule, reached from the flag: this printed a table of zeros.
 		{"negative runs", []string{"scenario", "-scale", "0.05", "-runs", "-1", fig4aSpec}, 2, "runs: must be ≥ 0, got -1"},
 		{"figures with an argument", []string{"figures", "-scale", "0.05", "fig4a"}, 2, "unexpected argument"},
-		{"barrierprofile without shards", []string{"run", "-scale", "0.05", "-barrierprofile", anExperiment}, 2, "-barrierprofile needs -shards"},
+		{"barrierprofile without shards", []string{"scenario", "-scale", "0.05", "-barrierprofile", fig4aSpec}, 2, "-barrierprofile needs -shards"},
 		{"sample-every without timeseries", []string{"run", "-scale", "0.05", "-sample-every", "1s", anExperiment}, 2, "-sample-every needs -timeseries"},
 		{"digestevery is gone", []string{"scenario", "-scale", "0.05", "-digestevery", "64", fig4aSpec}, 2, "not defined: -digestevery"},
 		{"tracecap without trace", []string{"run", "-scale", "0.05", "-tracecap", "16", anExperiment}, 2, "-tracecap needs -trace"},
@@ -216,12 +227,13 @@ func TestLiveSwarmWritesProfile(t *testing.T) {
 func TestOutputsAndObservers(t *testing.T) {
 	dir := t.TempDir()
 	ts, mem, jsonDir := filepath.Join(dir, "t.json"), filepath.Join(dir, "heap.prof"), filepath.Join(dir, "json")
-	code, stdout, stderr := wp2p("run", "-scale", "0.05", "-shards", "2", "-barrierprofile", "-check",
-		"-timeseries", ts, "-memprofile", mem, "-json", jsonDir, "-trace", "bt=*", "-tracecap", "8", "fig4a")
+	export := filepath.Join(jsonDir, "fig4a-scenario.json")
+	code, stdout, stderr := wp2p("scenario", "-scale", "0.05", "-shards", "2", "-barrierprofile", "-check",
+		"-timeseries", ts, "-memprofile", mem, "-json", jsonDir, "-trace", "bt=*", "-tracecap", "8", fig4aSpec)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
-	for _, want := range []string{"barrier profile", "[wrote timeseries " + ts + "]", "[wrote " + filepath.Join(jsonDir, "fig4a.json") + "]"} {
+	for _, want := range []string{"barrier profile", "[wrote timeseries " + ts + "]", "[wrote " + export + "]"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
@@ -229,7 +241,7 @@ func TestOutputsAndObservers(t *testing.T) {
 	if stderr == "" {
 		t.Error("-trace dumped nothing to stderr")
 	}
-	for _, path := range []string{ts, mem, filepath.Join(jsonDir, "fig4a.json")} {
+	for _, path := range []string{ts, mem, export} {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("%s missing or empty: %v", path, err)
 		}
@@ -488,7 +500,9 @@ func TestTextReportMatchesGolden(t *testing.T) {
 }
 
 // TestSharedFlagsRegisteredOnce: each simulated subcommand's -h lists every
-// shared flag exactly once, and live lists only the ones that apply to it.
+// shared flag exactly once, only scenario lists the sharding flags (a
+// spec's bt world is the one sharded world), and live lists only the shared
+// flags that apply to it.
 func TestSharedFlagsRegisteredOnce(t *testing.T) {
 	shared := []string{"scale", "parallel", "shards", "stats", "json", "check", "digest",
 		"timeseries", "sample-every", "barrierprofile", "cpuprofile", "memprofile", "trace", "tracecap"}
@@ -501,8 +515,12 @@ func TestSharedFlagsRegisteredOnce(t *testing.T) {
 			t.Errorf("%s -h: exit %d", sub, code)
 		}
 		for _, name := range shared {
-			if n := count(help, name); n != 1 {
-				t.Errorf("%s -h lists -%s %d times", sub, name, n)
+			want := 1
+			if (name == "shards" || name == "barrierprofile") && sub != "scenario" {
+				want = 0
+			}
+			if n := count(help, name); n != want {
+				t.Errorf("%s -h lists -%s %d times, want %d", sub, name, n, want)
 			}
 		}
 	}

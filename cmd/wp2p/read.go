@@ -23,6 +23,9 @@ func cmdValidate(args []string, stdout, stderr io.Writer) int {
 	if !s.parse(args) {
 		return s.exit
 	}
+	if *minSamples < 0 {
+		return s.fail(2, "-min-samples %d: want ≥ 0", *minSamples)
+	}
 	if s.fs.NArg() == 0 {
 		return s.fail(2, "no file (usage: wp2p validate [-min-samples n] file ...)")
 	}

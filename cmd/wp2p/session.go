@@ -25,7 +25,7 @@ type session struct {
 	exit           int       // exit status so far: 0, or the highest failure
 
 	scale                                            float64
-	parallel, shards, traceCap                       int
+	parallel, shards, traceCap                       int // shards and barrierProf: scenario's flags, read by start and finish
 	stats, check, barrierProf                        bool
 	sampleEvery                                      time.Duration
 	jsonDir, traceSpec                               string
@@ -62,7 +62,6 @@ func newSession(name string, sim bool, defaultScale float64, stdout, stderr io.W
 		return s
 	}
 	fs.IntVar(&s.parallel, "parallel", runtime.GOMAXPROCS(0), "how many runs execute at once, nested sweep points and seeds included; 1 = fully sequential")
-	fs.IntVar(&s.shards, "shards", 0, "shard each world across this many engine workers (fig4a and bt scenarios; 0 = single engine); results are identical at any value")
 	fs.BoolVar(&s.stats, "stats", false, "print each result's cross-layer stats summary")
 	fs.StringVar(&s.jsonDir, "json", "", "write each result as wp2p.result.v1 JSON into this directory")
 	fs.StringVar(&s.traceSpec, "trace", "", "record a flight-recorder trace per world, filtered by source=kind spec (\"*\" or empty = everything); dumped to stderr")
@@ -71,7 +70,6 @@ func newSession(name string, sim bool, defaultScale float64, stdout, stderr io.W
 	fs.StringVar(&s.digestPath, "digest", "", "write a wp2p.digest.v1 determinism digest stream to this file (implies -check)")
 	fs.StringVar(&s.tsPath, "timeseries", "", "sample metric series over sim time and write wp2p.timeseries.v1 JSON to this file")
 	fs.DurationVar(&s.sampleEvery, "sample-every", 0, "sim-time interval between telemetry samples (0 = 5s; needs -timeseries)")
-	fs.BoolVar(&s.barrierProf, "barrierprofile", false, "print the sharded-engine barrier profile table after the runs (needs -shards ≥ 1)")
 	return s
 }
 
@@ -117,6 +115,20 @@ func (s *session) open(path, what string, write func(io.Writer) error) *os.File 
 // only fail or do nothing after the run, creates every output (starting the
 // CPU profile) and arms the observers. On false, return s.exit.
 func (s *session) start() bool {
+	for _, r := range []struct {
+		flag, want string
+		bad        bool
+	}{
+		{"scale", "> 0", !(s.scale > 0)},
+		{"parallel", "≥ 1", s.parallel < 1},
+		{"shards", "≥ 0", s.shards < 0},
+		{"tracecap", "≥ 0", s.traceCap < 0},
+		{"sample-every", "≥ 0", s.sampleEvery < 0},
+	} {
+		if f := s.fs.Lookup(r.flag); f != nil && r.bad {
+			s.fail(2, "-%s %s: want %s", r.flag, f.Value, r.want)
+		}
+	}
 	if s.barrierProf && s.shards < 1 {
 		s.fail(2, "-barrierprofile needs -shards ≥ 1 (the single engine has no barrier)")
 	}

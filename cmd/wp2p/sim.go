@@ -13,7 +13,7 @@ import (
 
 // registryJobs turns experiment ids into jobs; every unknown id is a failure.
 func registryJobs(s *session, ids []string) (jobs []job) {
-	reg := experiments.Registry(s.scale, experiments.RegistryOptions{Shards: s.shards})
+	reg := experiments.Registry(s.scale)
 	for _, id := range ids {
 		if runExp, ok := reg[id]; ok {
 			jobs = append(jobs, func() (*experiments.Result, error) { return runExp(), nil })
@@ -79,17 +79,13 @@ func cmdScenario(args []string, stdout, stderr io.Writer) int {
 	seed := s.fs.Int64("seed", 0, "override the spec's base seed (0 = use the spec's)")
 	runs := s.fs.Int("runs", 0, "override the spec's averaged runs per grid cell (0 = use the spec's)")
 	sweep := s.fs.String("sweep", "", "sweep an override path from the CLI: path=v1,v2,... (replaces the file's sweep)")
-	fidelity := s.fs.String("fidelity", "", "wired-core transport model for every group, \"packet\" or \"flow\" (flow upgrades the wired, immobile groups; wireless and mobile peers stay packet-level); default: each group's fidelity field")
+	s.fs.IntVar(&s.shards, "shards", 0, "shard each world across this many engine workers (bt scenarios; 0 = single engine); results are identical at any value")
+	s.fs.BoolVar(&s.barrierProf, "barrierprofile", false, "print the sharded-engine barrier profile table after the runs (needs -shards ≥ 1)")
 	if !s.parse(args) {
 		return s.exit
 	}
 	if s.fs.NArg() == 0 {
 		return s.fail(2, "no scenario file (usage: wp2p scenario [flags] file.json ...)")
-	}
-	switch *fidelity {
-	case "", scenario.FidelityPacket, scenario.FidelityFlow:
-	default:
-		s.fail(1, "unknown -fidelity %q (want %q or %q)", *fidelity, scenario.FidelityPacket, scenario.FidelityFlow)
 	}
 	// -seed and -runs override the file's own fields, so the loader's rules
 	// judge them (-runs -1 is as wrong as "runs": -1). -sweep stays an
@@ -133,7 +129,7 @@ func cmdScenario(args []string, stdout, stderr io.Writer) int {
 			spec.Sweep = cliSweep
 		}
 		jobs = append(jobs, func() (*experiments.Result, error) {
-			res, err := scenario.RunOpts(spec, s.scale, scenario.Options{ShardWorkers: s.shards, Fidelity: *fidelity})
+			res, err := scenario.RunOpts(spec, s.scale, scenario.Options{ShardWorkers: s.shards})
 			if err != nil {
 				err = fmt.Errorf("%s: %w", spec.Name, err)
 			}

@@ -22,9 +22,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, id := range sample {
 		t.Run(id, func(t *testing.T) {
 			runner.SetWorkers(1)
-			seq := Registry(scale, RegistryOptions{})[id]()
+			seq := Registry(scale)[id]()
 			runner.SetWorkers(4)
-			par := Registry(scale, RegistryOptions{})[id]()
+			par := Registry(scale)[id]()
 			if !reflect.DeepEqual(seq.Series, par.Series) {
 				t.Errorf("parallel series diverged from sequential:\nseq: %+v\npar: %+v",
 					seq.Series, par.Series)

@@ -142,27 +142,17 @@ type experiment struct {
 	run Runner
 }
 
-// RegistryOptions tunes how registry experiments execute without changing
-// what they compute.
-type RegistryOptions struct {
-	// Shards > 0 runs shard-capable experiments (currently fig4a) on the
-	// sharded engine with that many worker threads. Experiments that have
-	// not been taught the sharded world ignore it. Results and digests are
-	// identical at any value.
-	Shards int
-}
-
 // registry is the one list of experiments, in run order: the paper's
 // figures, then the extensions (the ablation its design invites, the
 // seed-mode LIHD it defers (§4.2), the §3.7 protocols).
-func registry(scale float64, opts RegistryOptions) []experiment {
+func registry(scale float64) []experiment {
 	return []experiment{
 		{"fig2a", func() *Result { return Fig2aBiVsUniTCP(Fig2aConfig{Scale: scale}) }},
 		{"fig2bc", func() *Result { return Fig2bcPacketsAfterDrop(Fig2bcConfig{Scale: scale}) }},
 		{"fig3a", func() *Result { return Fig3aUploadCapWired(Fig3Config{Scale: scale}) }},
 		{"fig3b", func() *Result { return Fig3bUploadCapWireless(Fig3Config{Scale: scale}) }},
 		{"fig3c", func() *Result { return Fig3cIncentiveMobility(Fig3cConfig{Scale: scale}) }},
-		{"fig4a", func() *Result { return Fig4aServerMobility(Fig4aConfig{Scale: scale, Shards: opts.Shards}) }},
+		{"fig4a", func() *Result { return Fig4aServerMobility(Fig4aConfig{Scale: scale}) }},
 		{"fig4bc", func() *Result { return Fig4bcRarestPlayability(FigPlayConfig{Scale: scale}) }},
 		{"fig8a", func() *Result { return Fig8aAgeBasedManipulation(Fig8aConfig{Scale: scale}) }},
 		{"fig8b", func() *Result { return Fig8bIdentityRetention(Fig8bConfig{Scale: scale}) }},
@@ -177,14 +167,13 @@ func registry(scale float64, opts RegistryOptions) []experiment {
 }
 
 // Registry maps experiment ids to runners built with the given scale
-// (1.0 = paper-faithful sizes, smaller = faster benchmark-friendly runs)
-// and execution options; the zero RegistryOptions is the default.
-func Registry(scale float64, opts RegistryOptions) map[string]Runner {
+// (1.0 = paper-faithful sizes, smaller = faster benchmark-friendly runs).
+func Registry(scale float64) map[string]Runner {
 	if scale <= 0 {
 		scale = 1
 	}
 	reg := map[string]Runner{}
-	for _, e := range registry(scale, opts) {
+	for _, e := range registry(scale) {
 		reg[e.id] = e.run
 	}
 	return reg
@@ -192,7 +181,7 @@ func Registry(scale float64, opts RegistryOptions) map[string]Runner {
 
 // IDs returns the registry's experiment ids in run order.
 func IDs() (ids []string) {
-	for _, e := range registry(1, RegistryOptions{}) {
+	for _, e := range registry(1) {
 		ids = append(ids, e.id)
 	}
 	return ids

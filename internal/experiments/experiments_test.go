@@ -9,7 +9,7 @@ import (
 )
 
 func TestRegistryCoversAllIDs(t *testing.T) {
-	reg := Registry(0.05, RegistryOptions{})
+	reg := Registry(0.05)
 	for _, id := range IDs() {
 		if _, ok := reg[id]; !ok {
 			t.Errorf("registry missing %s", id)

@@ -45,7 +45,7 @@ func Fig4aServerMobility(cfg Fig4aConfig) *Result {
 
 	col := stats.NewCollector()
 	run := func(period time.Duration, mobileSeeds int) float64 {
-		w := NewWorldSharded(1, 2*time.Minute, netem.NetworkConfig{}, ShardConfig{Workers: cfg.Shards})
+		w := NewWorldSharded(1, 2*time.Minute, netem.NetworkConfig{}, cfg.Shards)
 		defer w.Finish(col)
 		// Large enough that the fixed peer cannot finish inside the horizon;
 		// the sweep measures sustained throughput.

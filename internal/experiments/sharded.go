@@ -17,14 +17,6 @@ import (
 // makes digest streams byte-identical across -shards 1/2/4.
 const DefaultLogicalShards = 8
 
-// ShardConfig selects between the single-engine world and the sharded one.
-type ShardConfig struct {
-	// Workers is the worker-thread count; 0 or less selects the
-	// single-engine world. Any positive value replays the same sharded
-	// trajectory.
-	Workers int
-}
-
 // Shard is one partition of a world.
 type Shard struct {
 	Engine *sim.Engine
@@ -39,14 +31,14 @@ const hostShardSalt = 0x5bd1e995
 // propagation delay is the minimum cross-shard interaction latency — every
 // packet between shards crosses the cloud — so it is the barrier lookahead
 // (DESIGN.md §14 derives this).
-func (w *World) partition(seed int64, netCfg netem.NetworkConfig, sc ShardConfig) {
+func (w *World) partition(seed int64, netCfg netem.NetworkConfig, workers int) {
 	const logical = DefaultLogicalShards
 	cloud := netCfg.CloudDelay
 	if bt.DefaultTrackerRTT < cloud {
 		panic(fmt.Sprintf("experiments: tracker RTT %v below the shard lookahead %v — announce injections would violate the barrier bound", bt.DefaultTrackerRTT, cloud))
 	}
 	se := sim.NewShardedEngine(sim.ShardedConfig{
-		Shards: logical, Workers: sc.Workers, Lookahead: cloud, Seed: seed,
+		Shards: logical, Workers: workers, Lookahead: cloud, Seed: seed,
 	})
 	dir := netem.NewDirectory(logical)
 	nets := make([]*netem.Network, logical)

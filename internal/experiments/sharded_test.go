@@ -16,7 +16,7 @@ import (
 // permutation over 8 shards guarantees it), so every piece crosses the
 // fabric, and the leech's announce relays through the tracker proxy.
 func TestShardedWorldDownloadSmoke(t *testing.T) {
-	w := NewWorldSharded(42, 30*time.Second, netem.NetworkConfig{}, ShardConfig{Workers: 2})
+	w := NewWorldSharded(42, 30*time.Second, netem.NetworkConfig{}, 2)
 	col := stats.NewCollector()
 	finished := false
 	defer func() {
@@ -61,17 +61,17 @@ func TestShardedWorldDownloadSmoke(t *testing.T) {
 	}
 }
 
-// TestShardedWorldZeroWorkersIsLegacy pins the one-shard contract: a zero
-// ShardConfig builds a single-engine world, which is a one-shard world
+// TestShardedWorldZeroWorkersIsLegacy pins the one-shard contract: zero
+// workers build a single-engine world, which is a one-shard world
 // whose only shard is the world's Engine and Net, with no coordinator.
 func TestShardedWorldZeroWorkersIsLegacy(t *testing.T) {
-	w := NewWorldSharded(1, time.Minute, netem.NetworkConfig{}, ShardConfig{})
+	w := NewWorldSharded(1, time.Minute, netem.NetworkConfig{}, 0)
 	defer w.Finish(nil)
 	if w.Sharded != nil {
-		t.Fatal("zero ShardConfig built a sharded world")
+		t.Fatal("zero workers built a sharded world")
 	}
 	if len(w.Shards) != 1 || w.Shards[0].Engine != w.Engine || w.Shards[0].Net != w.Net {
-		t.Fatalf("zero ShardConfig: %d shards, want one aliasing the world's Engine and Net", len(w.Shards))
+		t.Fatalf("zero workers: %d shards, want one aliasing the world's Engine and Net", len(w.Shards))
 	}
 	h := w.WiredHost(0, 0)
 	if h.Engine != w.Engine || h.Net != w.Net || h.Shard != 0 {
@@ -87,7 +87,7 @@ func TestShardedWorldZeroWorkersIsLegacy(t *testing.T) {
 // single-engine and the sharded path alike (netem's own default is 20 ms).
 func TestZeroCloudDelayIsCoreDelay(t *testing.T) {
 	for _, workers := range []int{0, 2} {
-		w := NewWorldSharded(1, time.Minute, netem.NetworkConfig{}, ShardConfig{Workers: workers})
+		w := NewWorldSharded(1, time.Minute, netem.NetworkConfig{}, workers)
 		for i, sh := range w.Shards {
 			if got := sh.Net.PathDelay(10, 11); got != 15*time.Millisecond {
 				t.Errorf("workers=%d shard %d: PathDelay = %v, want 15ms", workers, i, got)
@@ -104,7 +104,7 @@ func TestZeroCloudDelayIsCoreDelay(t *testing.T) {
 // sharded world must panic at configuration time (the zero-latency-adjacent
 // shard deadlock, caught early).
 func TestShardedPairDelayGuard(t *testing.T) {
-	w := NewWorldSharded(1, time.Minute, netem.NetworkConfig{}, ShardConfig{Workers: 1})
+	w := NewWorldSharded(1, time.Minute, netem.NetworkConfig{}, 1)
 	defer w.Finish(nil)
 	defer func() {
 		if recover() == nil {

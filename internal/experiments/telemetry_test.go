@@ -22,12 +22,12 @@ func withTelemetry(t *testing.T, cfg telemetry.Config) {
 // captureTimeseries runs a figure with sampling armed and returns the
 // exported wp2p.timeseries.v1 bytes. Each call resets the collector, so
 // captures are independent.
-func captureTimeseries(t *testing.T, id string, workers, shards int) []byte {
+func captureTimeseries(t *testing.T, workers int, run func() *Result) []byte {
 	t.Helper()
 	withTelemetry(t, telemetry.Config{Every: 10 * time.Second})
 	prev := runner.SetWorkers(workers)
 	defer runner.SetWorkers(prev)
-	Registry(0.05, RegistryOptions{Shards: shards})[id]()
+	run()
 	var buf bytes.Buffer
 	if err := WriteTimeseries(&buf); err != nil {
 		t.Fatal(err)
@@ -41,12 +41,13 @@ func captureTimeseries(t *testing.T, id string, workers, shards int) []byte {
 // not depend on the -parallel worker-pool size or on which order runs
 // finish, and repeated same-seed invocations must reproduce them.
 func TestTimeseriesIdenticalAcrossParallelism(t *testing.T) {
-	seq := captureTimeseries(t, "fig2a", 1, 0)
+	fig2a := Registry(0.05)["fig2a"]
+	seq := captureTimeseries(t, 1, fig2a)
 	if len(seq) == 0 {
 		t.Fatal("no timeseries bytes collected")
 	}
-	par := captureTimeseries(t, "fig2a", 4, 0)
-	again := captureTimeseries(t, "fig2a", 1, 0)
+	par := captureTimeseries(t, 4, fig2a)
+	again := captureTimeseries(t, 1, fig2a)
 	if !bytes.Equal(seq, par) {
 		t.Error("timeseries differs between -parallel 1 and -parallel 4")
 	}
@@ -60,15 +61,18 @@ func TestTimeseriesIdenticalAcrossParallelism(t *testing.T) {
 // including the per-shard spotlight series — must be byte-identical at any
 // -shards worker count.
 func TestTimeseriesIdenticalAcrossShardWorkers(t *testing.T) {
-	one := captureTimeseries(t, "fig4a", 1, 1)
+	fig4a := func(shards int) func() *Result {
+		return func() *Result { return Fig4aServerMobility(Fig4aConfig{Scale: 0.05, Shards: shards}) }
+	}
+	one := captureTimeseries(t, 1, fig4a(1))
 	if len(one) == 0 {
 		t.Fatal("no timeseries bytes collected")
 	}
 	if !strings.Contains(string(one), `"sim.events_fired.shard.0"`) {
 		t.Error("sharded export is missing the per-shard spotlight series")
 	}
-	two := captureTimeseries(t, "fig4a", 1, 2)
-	four := captureTimeseries(t, "fig4a", 4, 4)
+	two := captureTimeseries(t, 1, fig4a(2))
+	four := captureTimeseries(t, 4, fig4a(4))
 	if !bytes.Equal(one, two) {
 		t.Error("timeseries differs between -shards 1 and -shards 2")
 	}
@@ -88,7 +92,7 @@ func TestTracingLeavesExportsAlone(t *testing.T) {
 			defer DisableTracing()
 		}
 		var rb, sb bytes.Buffer
-		if err := Registry(0.05, RegistryOptions{})["fig8a"]().WriteJSON(&rb); err != nil {
+		if err := Registry(0.05)["fig8a"]().WriteJSON(&rb); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteTimeseries(&sb); err != nil {
@@ -110,7 +114,7 @@ func TestTracingLeavesExportsAlone(t *testing.T) {
 // TestTimeseriesExportParses keeps the export loadable by its own reader —
 // the one `wp2p validate` and `wp2p timeline` use, with every rule of the format.
 func TestTimeseriesExportParses(t *testing.T) {
-	raw := captureTimeseries(t, "fig2a", 1, 0)
+	raw := captureTimeseries(t, 1, Registry(0.05)["fig2a"])
 	e, err := telemetry.ReadExport(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +160,7 @@ func TestEmptyTimeseriesRoundTrips(t *testing.T) {
 func TestBarrierProfileAggregation(t *testing.T) {
 	EnableBarrierProfile()
 	t.Cleanup(DisableBarrierProfile)
-	Registry(0.05, RegistryOptions{Shards: 2})["fig4a"]()
+	Fig4aServerMobility(Fig4aConfig{Scale: 0.05, Shards: 2})
 	bp := BarrierProfileAggregate()
 	if bp == nil {
 		t.Fatal("no barrier profile collected from a sharded run")
@@ -175,7 +179,7 @@ func TestBarrierProfileAggregation(t *testing.T) {
 	// Profiling must not leak into unsharded runs.
 	DisableBarrierProfile()
 	EnableBarrierProfile()
-	Registry(0.05, RegistryOptions{})["fig2a"]()
+	Registry(0.05)["fig2a"]()
 	if BarrierProfileAggregate() != nil {
 		t.Error("single-engine run produced a barrier profile")
 	}

@@ -25,7 +25,7 @@ type World struct {
 	Tracker *bt.Tracker
 
 	// Sharded is the coordinator of a sharded world (NewWorldSharded with
-	// Workers ≥ 1), nil in a single-engine world.
+	// workers ≥ 1), nil in a single-engine world.
 	Sharded *sim.ShardedEngine
 	// Shards holds every partition of the world: one in a single-engine
 	// world, DefaultLogicalShards in a sharded one. Engine and Net alias
@@ -51,7 +51,7 @@ type World struct {
 // NewWorld builds a single-engine world with the given seed and tracker
 // announce interval (zero selects the bt default).
 func NewWorld(seed int64, announce time.Duration) *World {
-	return NewWorldSharded(seed, announce, netem.NetworkConfig{}, ShardConfig{})
+	return NewWorldSharded(seed, announce, netem.NetworkConfig{}, 0)
 }
 
 // coreDelay is the one-way core delay of a world whose network config leaves
@@ -63,22 +63,22 @@ const coreDelay = 15 * time.Millisecond
 // shared because place only reads it.
 var oneShard = []int{0}
 
-// NewWorldSharded builds every world. sc.Workers ≤ 0 gives a single-engine
+// NewWorldSharded builds every world. workers ≤ 0 gives a single-engine
 // world: one shard, no coordinator. Otherwise the world is partitioned into
-// DefaultLogicalShards shards driven by sc.Workers threads, with hosts
+// DefaultLogicalShards shards driven by that many threads, with hosts
 // assigned to shards by a seed-derived permutation. Either way the tracker
 // lives on shard 0, and a zero netCfg.CloudDelay is coreDelay.
-func NewWorldSharded(seed int64, announce time.Duration, netCfg netem.NetworkConfig, sc ShardConfig) *World {
+func NewWorldSharded(seed int64, announce time.Duration, netCfg netem.NetworkConfig, workers int) *World {
 	if netCfg.CloudDelay == 0 {
 		netCfg.CloudDelay = coreDelay
 	}
 	w := &World{seed: seed, nextIP: netem.IP(10)}
-	if sc.Workers <= 0 {
+	if workers <= 0 {
 		e := sim.NewEngine(sim.WithSeed(seed))
 		w.Shards = []Shard{{Engine: e, Net: netem.NewNetwork(e, netCfg)}}
 		w.perm = oneShard
 	} else {
-		w.partition(seed, netCfg, sc)
+		w.partition(seed, netCfg, workers)
 	}
 	w.Engine, w.Net = w.Shards[0].Engine, w.Shards[0].Net
 	w.Tracker = bt.NewTracker(w.Engine, bt.TrackerConfig{Interval: announce})

@@ -25,10 +25,9 @@ type compiled struct {
 	spec *Spec
 	w    *experiments.World
 
-	// fidelity is the CLI-level override: "" honors each group's own
-	// fidelity field, FidelityPacket forces packet everywhere, FidelityFlow
-	// upgrades every eligible group (wired, immobile) to the fluid model.
-	fidelity string
+	// packetOnly (Options.Fidelity == FidelityPacket) builds every group
+	// packet-level, whatever its fidelity field says.
+	packetOnly bool
 
 	// horizon is the scaled measurement window; tscale (horizon ÷ spec
 	// duration) stretches every event time to match.
@@ -92,14 +91,13 @@ func compile(s *Spec, scale float64, seed int64, opts Options) *compiled {
 		CloudDelay: s.Network.CloudDelay.D(),
 		Jitter:     s.Network.Jitter.D(),
 	}
-	sc := experiments.ShardConfig{Workers: opts.ShardWorkers}
 	c := &compiled{
-		spec:     s,
-		w:        experiments.NewWorldSharded(seed, s.AnnounceInterval.D(), netCfg, sc),
-		fidelity: opts.Fidelity,
-		horizon:  horizon,
-		tscale:   float64(horizon) / float64(s.Duration.D()),
-		groups:   make(map[string][]*instance),
+		spec:       s,
+		w:          experiments.NewWorldSharded(seed, s.AnnounceInterval.D(), netCfg, opts.ShardWorkers),
+		packetOnly: opts.Fidelity == FidelityPacket,
+		horizon:    horizon,
+		tscale:     float64(horizon) / float64(s.Duration.D()),
+		groups:     make(map[string][]*instance),
 	}
 	c.buildContent(scale)
 	needH := s.eventDrivenHandoffGroups()
@@ -115,25 +113,6 @@ func compile(s *Spec, scale float64, seed int64, opts Options) *compiled {
 	}
 	c.armEvents()
 	return c
-}
-
-// fidelityFor resolves a group's effective transport model: the CLI
-// override when set (FidelityFlow only upgrades groups the validator would
-// accept it on — wired and immobile), else the group's own field.
-func (c *compiled) fidelityFor(g *PeerGroup) string {
-	switch c.fidelity {
-	case FidelityPacket:
-		return FidelityPacket
-	case FidelityFlow:
-		if g.Link.Kind == "wired" && g.Mobility == nil {
-			return FidelityFlow
-		}
-		return FidelityPacket
-	}
-	if g.Fidelity == "" {
-		return FidelityPacket
-	}
-	return g.Fidelity
 }
 
 // count returns a group's instance count with its default.
@@ -185,7 +164,7 @@ func (c *compiled) buildInstance(inst *instance, g *PeerGroup, i int, eventDrive
 			UpRate: g.Link.Up.R(), DownRate: g.Link.Down.R(),
 			Delay: g.Link.Delay.D(), QueueCap: g.Link.QueueCap,
 		}
-		if c.fidelityFor(g) == FidelityFlow {
+		if g.Fidelity == FidelityFlow && !c.packetOnly {
 			inst.host = c.w.FluidHost(link)
 		} else {
 			inst.host = c.w.WiredHostLink(link)

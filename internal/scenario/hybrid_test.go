@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/wp2p/wp2p/internal/experiments"
@@ -17,29 +19,30 @@ import (
 const hybridTolerance = 0.10
 
 // TestFig4aFlowWithinTolerance validates the hybrid model on an all-wired
-// figure: `wp2p scenario -fidelity flow` of fig4a.json puts the fixed peer
-// on the fluid core while the seeds, whose group carries a mobility block,
-// stay packet-level, and the mobility throughput-collapse curves must match
-// the all-packet run within tolerance.
+// figure: fig4a-hybrid.json puts the fixed peer on the fluid core while the
+// seeds, whose group carries a mobility block, stay packet-level, and the
+// mobility throughput-collapse curves must match fig4a.json's all-packet
+// run within tolerance.
 func TestFig4aFlowWithinTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two fig4a sweeps")
 	}
-	spec := loadExample(t, "fig4a.json")
-	sweep := *spec.Sweep
-	sweep.Values, sweep.X = []any{"0s", "30s"}, []float64{0, 0.5}
-	spec.Sweep = &sweep
-	packet, err := RunOpts(spec, testScale, Options{})
-	if err != nil {
-		t.Fatal(err)
+	run := func(file string) *experiments.Result {
+		spec := loadExample(t, file)
+		sweep := *spec.Sweep
+		sweep.Values, sweep.X = []any{"0s", "30s"}, []float64{0, 0.5}
+		spec.Sweep = &sweep
+		res, err := RunOpts(spec, testScale, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	flow, err := RunOpts(spec, testScale, Options{Fidelity: FidelityFlow})
-	if err != nil {
-		t.Fatal(err)
-	}
+	packet, flow := run("fig4a.json"), run("fig4a-hybrid.json")
 	for si, s := range packet.Series {
 		for i, p := range s.Y {
 			f := flow.Series[si].Y[i]
+			t.Logf("%s at %v min: flow=%.1f packet=%.1f KB/s", s.Label, s.X[i], f, p)
 			if bound := max(hybridTolerance*p, 1); math.Abs(f-p) > bound {
 				t.Errorf("%s at %v min: flow=%.3f packet=%.3f KB/s (tolerance %.3f)", s.Label, s.X[i], f, p, bound)
 			}
@@ -47,19 +50,27 @@ func TestFig4aFlowWithinTolerance(t *testing.T) {
 	}
 }
 
-// flowCrowdWith runs the example flash-crowd scenario with every wired
-// group upgraded to flow fidelity, at the given shard worker count, with
-// digests armed — returning the figure and digest bytes.
+// flowCrowdWith runs the example flash-crowd scenario with its three wired,
+// immobile groups set to flow fidelity through their fidelity fields, at
+// the given shard worker count, with digests armed — returning the figure
+// and digest bytes.
 func flowCrowdWith(t *testing.T, shardWorkers int) (*experiments.Result, []byte) {
 	t.Helper()
 	spec, err := LoadFile("../../examples/scenarios/flash-crowd.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var flow []Override
+	for i := range spec.Peers {
+		flow = append(flow, Override{Path: fmt.Sprintf("peers[%d].fidelity", i), Value: FidelityFlow})
+	}
+	if spec, err = spec.Variant(flow); err != nil {
+		t.Fatal(err)
+	}
 	experiments.EnableChecking(0)
 	experiments.EnableDigests()
 	t.Cleanup(experiments.DisableChecking)
-	res, err := RunOpts(spec, 0.05, Options{ShardWorkers: shardWorkers, Fidelity: FidelityFlow})
+	res, err := RunOpts(spec, 0.05, Options{ShardWorkers: shardWorkers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +131,9 @@ func TestFlowModeParallelInvariance(t *testing.T) {
 }
 
 // TestHybridScenarioValidates pins the bundled hybrid specs: both load
-// cleanly and declare at least one flow-fidelity group, and forcing them
-// fully packet-level via Options is accepted (the bench baseline mode).
+// cleanly and declare at least one flow-fidelity group. Options can force a
+// spec fully packet-level (the bench baseline mode) but not flow: that is
+// each group's fidelity field.
 func TestHybridScenarioValidates(t *testing.T) {
 	for _, path := range []string{
 		"../../examples/scenarios/fig4a-hybrid.json",
@@ -141,7 +153,9 @@ func TestHybridScenarioValidates(t *testing.T) {
 			t.Errorf("%s: no flow-fidelity group — not a hybrid scenario", path)
 		}
 	}
-	if _, err := RunOpts(&Spec{}, 1, Options{Fidelity: "quantum"}); err == nil {
-		t.Error("RunOpts accepted an unknown fidelity override")
+	for _, bad := range []string{FidelityFlow, "quantum"} {
+		if _, err := RunOpts(&Spec{}, 1, Options{Fidelity: bad}); err == nil || !strings.Contains(err.Error(), "peers[i].fidelity") {
+			t.Errorf("RunOpts with Options.Fidelity %q: %v, want a rejection naming the group field", bad, err)
+		}
 	}
 }

@@ -18,12 +18,10 @@ type Options struct {
 	// worker threads (the CLI -shards value); 0 keeps the single-engine
 	// path. Results and digests are identical at any positive value.
 	ShardWorkers int
-	// Fidelity overrides every group's transport model (the CLI -fidelity
-	// value): "" honors the per-group fidelity fields, FidelityPacket
-	// forces packet-level everywhere, FidelityFlow upgrades every eligible
-	// group (wired link, no mobility) to the fluid flow model. Unlike
-	// ShardWorkers this changes the trajectory — flow mode is an
-	// approximation — but not the protocol logic.
+	// Fidelity "" honors each group's fidelity field; FidelityPacket builds
+	// every group packet-level, the reference a flow run's error is
+	// measured against (a different trajectory, the same protocol logic).
+	// Flow is chosen per group, never here.
 	Fidelity string
 }
 
@@ -38,10 +36,8 @@ func RunOpts(s *Spec, scale float64, opts Options) (*experiments.Result, error) 
 	if opts.ShardWorkers > 0 && s.Workload.Protocol != "" && s.Workload.Protocol != ProtoBT {
 		return nil, fmt.Errorf("scenario: -shards supports only the bt protocol (got %q)", s.Workload.Protocol)
 	}
-	switch opts.Fidelity {
-	case "", FidelityPacket, FidelityFlow:
-	default:
-		return nil, fmt.Errorf("scenario: unknown fidelity %q (want %q or %q)",
+	if opts.Fidelity != "" && opts.Fidelity != FidelityPacket {
+		return nil, fmt.Errorf("scenario: Options.Fidelity %q: want \"\" or %q (flow is chosen per group: set its peers[i].fidelity to %q)",
 			opts.Fidelity, FidelityPacket, FidelityFlow)
 	}
 	seed, runs := s.Seed, s.Runs
