@@ -23,6 +23,9 @@ func ExtEd2kIdentity(scale float64) *Result {
 		handoffPeriod = 2 * time.Minute
 		competitors   = 6 // fixed leeches contending for queue slots
 		runs          = 3
+		// wpNotice is how soon the hash-retaining client notices a move:
+		// one check of wP2P's RR watchdog (RRConfig.CheckInterval).
+		wpNotice = 2 * time.Second
 	)
 	fileSize := Scaled(256*1024*1024, scale, 16*1024*1024)
 	horizon := ScaledDur(40*time.Minute, scale, 10*time.Minute)
@@ -73,14 +76,12 @@ func ExtEd2kIdentity(scale float64) *Result {
 		mustStart(mobile.Start())
 
 		h := mobility.NewHandoff(w.Engine, w.Net, mobHost.Iface, mobility.NewIPAllocator(7000), handoffPeriod)
+		delay, fresh := mobility.DetectionDelay, true
 		if retainHash {
 			// wP2P-style reaction: detect fast, keep the identity.
-			h.OnChange(func(_, _ netem.IP) {
-				w.Engine.Schedule(2*time.Second, func() { mobile.Restart(false) })
-			})
-		} else {
-			mobility.DefaultReaction(w.Engine, h, mobility.DetectionDelay, func() { mobile.Restart(true) })
+			delay, fresh = wpNotice, false
 		}
+		mobility.DefaultReaction(w.Engine, h, delay, func() { mobile.Restart(fresh) })
 		h.Start()
 
 		for range x {

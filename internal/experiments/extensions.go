@@ -62,12 +62,13 @@ func AblationWP2P(scale float64) *Result {
 
 		mob := w.WirelessHost(netem.WirelessConfig{Rate: 400 * netem.KBps, BER: ber})
 		base := bt.Config{Transport: mob.Transport, Torrent: tor, Tracker: w.Tracker, UnchokeSlots: 2}
-		client := wp2p.New(v.cfg(base))
+		cfg := v.cfg(base)
+		client := wp2p.New(cfg)
 		mustStart(client.Start())
 
 		h := mobility.NewHandoff(w.Engine, w.Net, mob.Iface,
 			mobility.NewIPAllocator(netem.IP(5000+i*1000)), handoffPeriod)
-		if client.RR() == nil {
+		if cfg.RR == nil {
 			// Without RR someone must re-initiate the dead task, as the
 			// default client's user/OS eventually does.
 			mobility.DefaultReaction(w.Engine, h, mobility.DetectionDelay, client.OnAddressChange)

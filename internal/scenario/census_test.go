@@ -14,8 +14,8 @@ import (
 	"testing"
 )
 
-// keptSpecTerms is the whole list of wp2p.scenario.v1 keys and action and
-// metric values that no spec under examples/scenarios, benchmark/specs or
+// keptSpecTerms is the whole list of wp2p.scenario.v1 keys and action,
+// metric and reaction values that no spec under examples/scenarios, benchmark/specs or
 // testdata/ uses, each with the one reason it stays in the language.
 // TestSpecCensus fails when a term is missing from it, and when an entry is
 // stale: used by a spec after all, or no longer in the language.
@@ -26,8 +26,8 @@ var keptSpecTerms = []struct{ term, reason string }{
 
 // TestSpecCensus holds keptSpecTerms to be exactly the terms of the spec
 // language that no spec file uses. A term is a key, by its path with the
-// indices dropped ("peers.mobility.first"), or an action or metric value
-// ("measure.metric=completion_s"). A series' set paths and values and a
+// indices dropped ("peers.mobility.first"), or an action, metric or reaction
+// value ("measure.metric=completion_s"). A series' set paths and values and a
 // sweep's param and values count as uses.
 func TestSpecCensus(t *testing.T) {
 	terms := map[string]bool{}
@@ -112,8 +112,9 @@ func schemaKeys(t reflect.Type, path string, out map[string]bool) {
 	}
 }
 
-// specValues reads the action and metric names off spec.go's Act* and
-// Metric* constants, so a new one joins the census without a test edit.
+// specValues reads the action, metric and reaction names off spec.go's Act*,
+// Metric* and React* constants, so a new one joins the census without a test
+// edit.
 func specValues(t *testing.T) (out []string) {
 	f, err := parser.ParseFile(token.NewFileSet(), "spec.go", nil, 0)
 	if err != nil {
@@ -137,6 +138,8 @@ func specValues(t *testing.T) (out []string) {
 					out = append(out, "events.action="+v)
 				case strings.HasPrefix(name.Name, "Metric"):
 					out = append(out, "measure.metric="+v)
+				case strings.HasPrefix(name.Name, "React"):
+					out = append(out, "peers.mobility.reaction="+v)
 				}
 			}
 		}
@@ -145,7 +148,7 @@ func specValues(t *testing.T) (out []string) {
 }
 
 // useTree marks the keys of the JSON value v, found at path and decoded as
-// t, and its action and metric values.
+// t, and its action, metric and reaction values.
 func useTree(used map[string]bool, path string, v any, t reflect.Type) {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
@@ -168,7 +171,7 @@ func useTree(used map[string]bool, path string, v any, t reflect.Type) {
 			}
 		}
 	case string:
-		if path == "events.action" || path == "measure.metric" {
+		if path == "events.action" || path == "measure.metric" || path == "peers.mobility.reaction" {
 			used[path+"="+val] = true
 		}
 	}

@@ -80,12 +80,9 @@ type instance struct {
 }
 
 // compile builds the world for one run of the spec. The spec must have
-// passed validation; structural impossibilities here are bugs, not user
+// passed validation and scale be > 0 (RunOpts checks both); structural impossibilities here are bugs, not user
 // errors, and panic like the layers below.
 func compile(s *Spec, scale float64, seed int64, opts Options) *compiled {
-	if scale <= 0 {
-		scale = 1
-	}
 	horizon := experiments.ScaledDur(s.Duration.D(), scale, s.DurationFloor.D())
 	netCfg := netem.NetworkConfig{
 		CloudDelay: s.Network.CloudDelay.D(),
@@ -223,9 +220,9 @@ func (c *compiled) buildMobility(inst *instance, m *MobilitySpec, eventDriven bo
 		h.SetJitter(m.Jitter.D())
 	}
 	// The oblivious reaction installs nothing: connections die by timeout
-	// and the swarm relearns the address from announces.
-	switch m.Reaction {
-	case "", ReactRestart:
+	// and the swarm relearns the address from announces (a wP2P group's RR
+	// watchdog, if enabled, notices the move itself).
+	if m.Reaction != ReactOblivious {
 		// The paper's default client (never on gnutella): bt and ed2k
 		// restart under a fresh identity, wP2P through its one reaction.
 		reinit := func() { inst.client.(interface{ Restart(bool) }).Restart(true) }
@@ -237,8 +234,6 @@ func (c *compiled) buildMobility(inst *instance, m *MobilitySpec, eventDriven bo
 			delay = m.DetectionDelay.D()
 		}
 		mobility.DefaultReaction(inst.host.Engine, h, delay, reinit)
-	case ReactWP2P:
-		h.OnChange(func(_, _ netem.IP) { inst.wp.OnAddressChange() })
 	}
 	// Instances that started inline arm their schedule now (the hardcoded
 	// experiments' order); later starters arm it when they come up.

@@ -217,13 +217,9 @@ func (s *Spec) validateGroup(e *errs, path string, g *PeerGroup, seen map[string
 				e.add(mp+".reaction", "a %s node has no restart entry point for %q, the default; write \"reaction\": %q",
 					ProtoGnutella, ReactRestart, ReactOblivious)
 			}
-		case ReactWP2P:
-			if g.WP2P == nil {
-				e.add(mp+".reaction", "%q requires the group to enable wp2p", ReactWP2P)
-			}
 		default:
-			e.add(mp+".reaction", "unknown reaction %q (want %q, %q, or %q)",
-				m.Reaction, ReactOblivious, ReactRestart, ReactWP2P)
+			e.add(mp+".reaction", "unknown reaction %q (want %q or %q)",
+				m.Reaction, ReactOblivious, ReactRestart)
 		}
 	}
 }

@@ -101,11 +101,13 @@ func TestLoadErrorsNamePath(t *testing.T) {
 				"period": "1m", "jitter": "2m", "ip_base": 1000,
 			}
 		}, "peers[1].mobility.jitter:"},
-		{"wp2p reaction without wp2p", func(m map[string]any) {
-			m["peers"].([]any)[1].(map[string]any)["mobility"] = map[string]any{
-				"period": "1m", "ip_base": 1000, "reaction": "wp2p",
-			}
-		}, "peers[1].mobility.reaction:"},
+		// A wP2P group notices a move through RR or re-initiates after a
+		// detection delay; there is no instant "wp2p" reaction.
+		{"wp2p reaction on a wp2p group", func(m map[string]any) {
+			p := m["peers"].([]any)[1].(map[string]any)
+			p["wp2p"] = map[string]any{"rr": true}
+			p["mobility"] = map[string]any{"period": "1m", "ip_base": 1000, "reaction": "wp2p"}
+		}, `peers[1].mobility.reaction: unknown reaction "wp2p"`},
 		{"restart on a gnutella node", func(m map[string]any) {
 			m["workload"].(map[string]any)["protocol"] = "gnutella"
 			m["peers"].([]any)[1].(map[string]any)["mobility"] = map[string]any{

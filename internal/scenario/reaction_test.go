@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -79,5 +80,46 @@ func TestRestartWithRetainedIdentity(t *testing.T) {
 	}
 	if b.PeerID() != before {
 		t.Errorf("peer-id %q after the restart, want the retained %q", b.PeerID(), before)
+	}
+}
+
+// TestRRNoticesTheMove: the wP2P series of mobile-seed.json and
+// handoff-storm.json leave the move to the client, as every Go figure with
+// an RR client does: the group is oblivious, and RR's watchdog notices each
+// handoff and reverses roles. The parent's "reaction": "wp2p" re-initiated
+// the client at the handoff itself, so RR never reversed.
+func TestRRNoticesTheMove(t *testing.T) {
+	for _, name := range []string{"mobile-seed.json", "handoff-storm.json"} {
+		s := loadExample(t, name)
+		var wp *Spec
+		for _, sv := range s.Series {
+			for p := range sv.Set {
+				if strings.HasSuffix(p, ".wp2p") {
+					v, err := s.Variant(seriesOverrides(sv.Set))
+					if err != nil {
+						t.Fatal(err)
+					}
+					wp = v
+				}
+			}
+		}
+		if wp == nil {
+			t.Fatalf("%s: no series enables wp2p", name)
+		}
+		wp.Series = nil
+		res, err := RunOpts(wp, testScale, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reversals int64
+		for _, c := range res.Stats.Counters {
+			if c.Name == "wp2p.rr.reversals" {
+				reversals = c.Value
+			}
+		}
+		if reversals == 0 {
+			t.Errorf("%s: wP2P series made no RR reversal", name)
+		}
+		t.Logf("%s: %d reversals", name, reversals)
 	}
 }

@@ -31,8 +31,12 @@ type Options struct {
 // The grid is fanned over the runner pool: every world is independently
 // seeded, results are reduced per cell in run order, and cells land in
 // (series, sweep-value) declaration order, so the output is bit-identical
-// at any -parallel setting.
+// at any -parallel setting. scale multiplies the spec's duration and size
+// (1 = as written) and must be > 0.
 func RunOpts(s *Spec, scale float64, opts Options) (*experiments.Result, error) {
+	if !(scale > 0) {
+		return nil, fmt.Errorf("scenario: scale %v: want > 0", scale)
+	}
 	if opts.ShardWorkers > 0 && s.Workload.Protocol != "" && s.Workload.Protocol != ProtoBT {
 		return nil, fmt.Errorf("scenario: -shards supports only the bt protocol (got %q)", s.Workload.Protocol)
 	}
@@ -171,9 +175,6 @@ func runScalar(s *Spec, scale float64, seed int64, col *stats.Collector, opts Op
 // sampleAxis precomputes the sampled mode's x axis (sim seconds at each
 // sample point) for a spec at a scale.
 func sampleAxis(s *Spec, scale float64) []float64 {
-	if scale <= 0 {
-		scale = 1
-	}
 	horizon := experiments.ScaledDur(s.Duration.D(), scale, s.DurationFloor.D())
 	tscale := float64(horizon) / float64(s.Duration.D())
 	sample := time.Duration(float64(s.Measure.Sample.D()) * tscale)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -363,5 +364,19 @@ func TestCompletionIsClientInstant(t *testing.T) {
 				t.Errorf("completedAt = %v, want the completing event's %v", leech.completedAt, eng.Now())
 			}
 		})
+	}
+}
+
+// TestRunOptsRejectsScale: a scale ≤ 0 or NaN is an error before any world
+// is built, the CLI's -scale rule. The parent ran a scale ≤ 0 at full scale.
+func TestRunOptsRejectsScale(t *testing.T) {
+	s, err := Load(mustJSON(t, minimal()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{0, -1, math.NaN()} {
+		if _, err := RunOpts(s, scale, Options{}); err == nil || !strings.Contains(err.Error(), "want > 0") {
+			t.Errorf("scale %v: error %v, want one asking for > 0", scale, err)
+		}
 	}
 }

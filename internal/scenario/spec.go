@@ -304,7 +304,6 @@ type LIHDSpec struct {
 const (
 	ReactOblivious = "oblivious"
 	ReactRestart   = "restart"
-	ReactWP2P      = "wp2p"
 )
 
 // MobilitySpec arms a group's instances with periodic (or event-driven) IP
@@ -329,10 +328,9 @@ type MobilitySpec struct {
 	// (default — the paper's default client re-initiates the task after
 	// DetectionDelay: a bt or ed2k client under a fresh identity, a wP2P
 	// client through its one reaction, so beside wp2p.retain_identity it
-	// keeps its id; not on gnutella), "oblivious" (connections die by
-	// timeout, the swarm relearns the address from announces), or "wp2p"
-	// (the wP2P client's one reconnect, at once on each address change;
-	// the group must enable wp2p).
+	// keeps its id; not on gnutella), or "oblivious" (connections die by
+	// timeout, the swarm relearns the address from announces; a wP2P group
+	// with wp2p.rr notices the move through its own watchdog).
 	Reaction string `json:"reaction,omitempty"`
 	// DetectionDelay overrides the restart reaction's user-notices lag
 	// (omitted: mobility.DetectionDelay, 15s; "0s": at the handoff itself).

@@ -189,6 +189,3 @@ func (c *Client) reinitiate() {
 	c.BT.Restart(!c.retainID)
 	c.BT.RedialKnown()
 }
-
-// RR returns the role-reversal watchdog, or nil if disabled.
-func (c *Client) RR() *RoleReversal { return c.rr }

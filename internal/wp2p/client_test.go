@@ -73,7 +73,7 @@ func TestWP2PClientCompletesDownload(t *testing.T) {
 	if !c.BT.Complete() {
 		t.Fatalf("wP2P client incomplete: %.0f%%", c.BT.Progress()*100)
 	}
-	if c.am == nil || c.lihd == nil || c.mf == nil || c.RR() == nil {
+	if c.am == nil || c.lihd == nil || c.mf == nil || c.rr == nil {
 		t.Error("components missing")
 	}
 	c.Stop()
@@ -82,7 +82,7 @@ func TestWP2PClientCompletesDownload(t *testing.T) {
 func TestWP2PDisabledComponentsAreNil(t *testing.T) {
 	v := newEnv(2, 512*1024, 64*1024)
 	c := New(Config{BT: v.btCfg(v.wired())})
-	if c.am != nil || c.lihd != nil || c.mf != nil || c.RR() != nil {
+	if c.am != nil || c.lihd != nil || c.mf != nil || c.rr != nil {
 		t.Error("disabled components non-nil")
 	}
 	// Default picker must remain classic rarest-first behaviour (bt's own
